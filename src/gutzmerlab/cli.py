@@ -18,6 +18,7 @@ import csv
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
@@ -181,16 +182,12 @@ def _suite_lemma63(args, tol):
 
 
 def _positive_half(sd):
-    """Zero out the lambda < 0 mass (thm35 needs lambda > 0 support)."""
-    import copy
-
-    sd2 = copy.copy(sd)
-    sd2.norms2 = sd.norms2.copy()
+    """Copy of sd with the lambda < 0 content zeroed (thm35 needs lambda > 0
+    support); sd itself is left unchanged."""
     neg = sd.lam < 0
-    sd2.norms2[:, neg] = 0.0
-    sd2.projections = [pk if lv > 0 else np.zeros_like(pk)
-                       for pk, lv in zip(sd.projections, sd.lam)]
-    return sd2
+    modal = [replace(ms, coef=np.zeros_like(ms.coef)) if drop else ms
+             for ms, drop in zip(sd.modal, neg)]
+    return replace(sd, modal=modal, norms2=np.where(neg, 0.0, sd.norms2))
 
 
 def _suite_thm35(args, tol):

@@ -303,13 +303,16 @@ class DetectReport:
         }
 
 
-def _tail_test(sd: SpectralData, B_hat: float, ts=(1.0, 2.0, 4.0, 8.0)) -> dict:
-    """Spectral tail boundedness: for C > B_hat the weighted tail mass
+def _tail_test(sd: SpectralData, B_hat: float, ts=(1.0, 2.0, 4.0, 8.0),
+               C: Optional[float] = None) -> dict:
+    """Spectral tail boundedness: for C > B_hat (default 1.1 B_hat) the
+    weighted tail mass
 
         e^{2tC} sum_{(2k+n)|lambda| > C} norms2 d mu
 
     stays below C' e^{2 t B_hat} for growing t only when the tail is empty."""
-    C = 1.1 * B_hat + 1e-9
+    if C is None:
+        C = 1.1 * B_hat + 1e-9
     fan = (2 * np.arange(sd.kmax + 1)[:, None] + sd.n) * np.abs(sd.lam)[None, :]
     sel = fan > C
     mass = float(np.sum(sd.norms2[sel] * np.broadcast_to(sd.wmu, sd.norms2.shape)[sel]))

@@ -8,9 +8,10 @@ SPD1 (spectral data): magic b"SPD1".
     uint32 n, nlam, kmax+1, flags, nx, nu; float64 lx, lu, dl,
     A_requested, B_requested (zero when absent);
     float64 lambda[nlam], wmu[nlam]; float64 norms2 stored row-major [k, j];
-    flags bit0: projection blocks follow as complex float64
-    [nlam, kmax+1, nx, nu]; bit1: modal coefficient blocks follow as
-    complex float64 [nlam, kmax+1, acap+1] preceded by uint32 acap+1.
+    flags bit1: modal coefficient blocks follow as complex float64
+    [nlam, kmax+1, acap+1] preceded by uint32 acap+1.  Writers set bit1
+    only; files with bit0 set carry projection blocks, complex float64
+    [nlam, kmax+1, nx, nu], before the modal blocks, which readers skip.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .grids import fft_grid as _fft_grid
 from .hermite_modes import ModalSlice
-from .spectral import BandLimit, GridFunction, LambdaGrid, SpectralData
+from .spectral import BandLimit, GridFunction, LambdaGrid, SpectralData, SpectralError
 
 
 class ContainerError(ValueError):
@@ -59,33 +60,27 @@ FLAG_PROJECTIONS = 1
 FLAG_MODAL = 2
 
 
-def write_spd(path: str, sd: SpectralData, with_projections: bool = True,
-              with_modal: bool = True) -> None:
+def write_spd(path: str, sd: SpectralData) -> None:
     if sd.n != 1:
         raise ContainerError("SPD1 serialization supports n = 1")
-    flags = (FLAG_PROJECTIONS if with_projections else 0) | (FLAG_MODAL if with_modal else 0)
     nlam = sd.lam.size
     kk = sd.kmax + 1
     nx, nu = sd.xgrid.size, sd.ugrid.size
     req = sd.requested_band
     with open(path, "wb") as fh:
         fh.write(b"SPD1")
-        fh.write(struct.pack("<IIIIII", sd.n, nlam, kk, flags, nx, nu))
+        fh.write(struct.pack("<IIIIII", sd.n, nlam, kk, FLAG_MODAL, nx, nu))
         fh.write(struct.pack("<ddddd", -sd.xgrid[0], -sd.ugrid[0], sd.lgrid.dl,
                              req.A if req else 0.0, req.B if req else 0.0))
         fh.write(np.ascontiguousarray(sd.lam, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(sd.wmu, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(sd.norms2, dtype="<f8").tobytes())
-        if flags & FLAG_PROJECTIONS:
-            for j in range(nlam):
-                fh.write(np.ascontiguousarray(sd.projections[j], dtype="<c16").tobytes())
-        if flags & FLAG_MODAL:
-            acap = max(ms.coef.shape[1] for ms in sd.modal)
-            fh.write(struct.pack("<I", acap))
-            for ms in sd.modal:
-                block = np.zeros((kk, acap), dtype="<c16")
-                block[:, : ms.coef.shape[1]] = ms.coef
-                fh.write(block.tobytes())
+        acap = max(ms.coef.shape[1] for ms in sd.modal)
+        fh.write(struct.pack("<I", acap))
+        for ms in sd.modal:
+            block = np.zeros((kk, acap), dtype="<c16")
+            block[:, : ms.coef.shape[1]] = ms.coef
+            fh.write(block.tobytes())
 
 
 def read_spd(path: str) -> SpectralData:
@@ -98,31 +93,27 @@ def read_spd(path: str) -> SpectralData:
         lam = np.frombuffer(fh.read(nlam * 8), dtype="<f8").astype(float)
         wmu = np.frombuffer(fh.read(nlam * 8), dtype="<f8").astype(float)
         norms2 = np.frombuffer(fh.read(kk * nlam * 8), dtype="<f8").reshape(kk, nlam).astype(float)
-        xg, ug = _fft_grid(nx, lx), _fft_grid(nu, lu)
-        projections = []
+        if not flags & FLAG_MODAL:
+            raise ContainerError("SPD1 file carries no modal coefficient blocks")
         if flags & FLAG_PROJECTIONS:
-            for _ in range(nlam):
-                raw = np.frombuffer(fh.read(kk * nx * nu * 16), dtype="<c16")
-                projections.append(raw.reshape(kk, nx, nu).astype(complex))
+            fh.seek(nlam * kk * nx * nu * 16, 1)
+        head = fh.read(4)
+        if len(head) != 4:
+            # seek does not fail past the end of the file, so check here
+            raise ContainerError("SPD1 file ends before its modal coefficient blocks")
+        (acap,) = struct.unpack("<I", head)
         modal = []
-        if flags & FLAG_MODAL:
-            (acap,) = struct.unpack("<I", fh.read(4))
-            for j in range(nlam):
-                raw = np.frombuffer(fh.read(kk * acap * 16), dtype="<c16")
-                modal.append(ModalSlice(float(lam[j]), raw.reshape(kk, acap).astype(complex)))
-    lgrid = LambdaGrid(lam, dl, wmu)
-    if not projections:
-        projections = [np.zeros((kk, nx, nu), dtype=complex) for _ in range(nlam)]
-    slices = [np.sum(pk, axis=0) * abs(lv) / (2 * np.pi)
-              for pk, lv in zip(projections, lam)]
+        for j in range(nlam):
+            raw = np.frombuffer(fh.read(kk * acap * 16), dtype="<c16")
+            modal.append(ModalSlice(float(lam[j]), raw.reshape(kk, acap).astype(complex)))
     sd = SpectralData(
-        n=n, lgrid=lgrid, kmax=kk - 1, xgrid=xg, ugrid=ug, slices=slices,
-        projections=projections, norms2=norms2, modal=modal,
+        n=n, lgrid=LambdaGrid(lam, dl, wmu), kmax=kk - 1,
+        xgrid=_fft_grid(nx, lx), ugrid=_fft_grid(nu, lu), norms2=norms2, modal=modal,
         tail=np.zeros(nlam),
         requested_band=BandLimit(areq, breq) if areq > 0 and breq > 0 else None,
     )
     try:
         sd.band = sd.achieved_band()
-    except Exception:
+    except SpectralError:
         sd.band = None
     return sd

@@ -20,7 +20,7 @@ import numpy as np
 
 from .complexification import GrowthFit, fit_growth
 from .grids import fft_grid as _fft_grid
-from .specfun import _bessel_j_norm_real_order
+from .specfun import _bessel_j_norm_real_order, jhat_imag
 
 
 class FlatError(ValueError):
@@ -168,16 +168,6 @@ def flat_phi_lambda(lam: float, y) -> float:
     return float(np.real(_bessel_j_norm_real_order(nu, 1j * lam * r)))
 
 
-def _orbit_kernel(n: int, s):
-    """Rotation average of e^{-2 xi . R y} over SO(n) at |xi||y| = s/2:
-    the normalized phi(2iy) profile (I_0(s) for n = 2)."""
-    from math import gamma
-
-    nu = n / 2.0 - 1.0
-    raw = np.real(_bessel_j_norm_real_order(nu, 1j * np.asarray(s, dtype=float)))
-    return raw * (2.0 ** nu * gamma(nu + 1.0))
-
-
 def flat_gutzmer(f: FlatFunction, y):
     """(lhs, rhs, relative error) of the flat Gutzmer identity at offset y.
 
@@ -211,7 +201,8 @@ def flat_gutzmer(f: FlatFunction, y):
         key = round(mag, 9)
         rings[key] = rings.get(key, 0.0) + pw
     rr = float(np.linalg.norm(y))
-    rhs_raw = sum(pw * _orbit_kernel(2, 2.0 * mag * rr) for mag, pw in rings.items())
+    # rotation average over SO(2): jhat_0(i s) = I_0(s), nu = n/2 - 1 = 0
+    rhs_raw = sum(pw * jhat_imag(0.0, 2.0 * mag * rr) for mag, pw in rings.items())
     rhs_raw0 = sum(pw for pw in rings.values())
     lhs0 = float(np.sum(power))
     rhs = (lhs0 / rhs_raw0) * rhs_raw

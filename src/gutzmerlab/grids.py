@@ -131,12 +131,6 @@ class QuadratureSpec:
         wmu = (2.0 * np.pi) ** (-self.n - 1) * np.abs(lam) ** self.n * dl
         return lam, dl, wmu
 
-    def t_half_window(self, dl: float) -> float:
-        return np.pi / dl
-
-    def t_grid(self, dl: float) -> np.ndarray:
-        return fft_grid(self.nt, self.t_half_window(dl))
-
     # ---- mode-fit rules -------------------------------------------------
     def _fit_radii(self, lam: float):
         """Generalized-radius cutoffs (spatial, momentum) at scale lam.
@@ -164,14 +158,6 @@ class QuadratureSpec:
         return (laguerre_tail_mass(m, d, s_space) <= self.fit_tol
                 and laguerre_tail_mass(m, d, s_mom) <= self.fit_tol)
 
-    def max_fit_degree(self, lam: float) -> int:
-        """Largest projection level k whose radial mode phi_k the grid
-        resolves (the diagonal pair (k, k))."""
-        m = -1
-        while m < 200 and self.pair_fits(m + 1, m + 1, lam):
-            m += 1
-        return m
-
     def max_radial_level(self, lam: float) -> int:
         """Largest k admitting any mode (a = 0 column): the populable level."""
         m = -1
@@ -185,9 +171,6 @@ class QuadratureSpec:
         while a < cap and self.pair_fits(a + 1, k, lam):
             a += 1
         return a
-
-    def mode_fits(self, deg: int, lam: float) -> bool:
-        return self.pair_fits(0, deg, lam)
 
 
 def thread_count() -> int:

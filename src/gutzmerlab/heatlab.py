@@ -10,7 +10,7 @@ norm is t-independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from math import comb
 from typing import Optional
 
@@ -20,22 +20,12 @@ from .constants import BERGMAN_NORM_C, LEMMA63_C, heat_image_c, twisted_heat_pre
 from .grids import gauss_legendre_on
 from .hermite_modes import ModalSlice
 from .spectral import SpectralData, SpectralError
-from .specfun import LaguerreArg, binom_weight, laguerre_phi, _bessel_j_norm_real_order
-from .complexification import fit_growth
+from .specfun import LaguerreArg, binom_weight, jhat_imag, laguerre_phi
+from .complexification import _tail_test, fit_growth
 
 
 class HeatError(SpectralError):
     pass
-
-
-@dataclass(frozen=True)
-class HeatParams:
-    t: float
-    dimension: int
-
-    def __post_init__(self):
-        if self.t <= 0:
-            raise HeatError("heat time must be positive")
 
 
 def gauss_heat(d: int, t: float, w) -> float:
@@ -47,14 +37,6 @@ def gauss_heat(d: int, t: float, w) -> float:
         raise HeatError("dimension mismatch in gauss_heat")
     r2 = np.sum(w * w, axis=-1)
     return (4.0 * np.pi * t) ** (-d / 2.0) * np.exp(-r2 / (4.0 * t))
-
-
-def _jhat_imag(nu: float, s):
-    """j_nu(i s) normalized to 1 at 0 (positive modified-Bessel series)."""
-    from math import gamma
-
-    raw = np.real(_bessel_j_norm_real_order(nu, 1j * np.asarray(s, dtype=float)))
-    return raw * (2.0 ** nu * gamma(nu + 1.0))
 
 
 def gauss_bessel_check(k: int, lam: float, t: float, n: int = 1,
@@ -78,7 +60,7 @@ def gauss_bessel_check(k: int, lam: float, t: float, n: int = 1,
     rmax = 2.0 * a * t + 14.0 * np.sqrt(t)
     r, wr = gauss_legendre_on(0.0, rmax, quad_n)
     dens = (2.0 * np.pi * t) ** (-n) * np.exp(-r * r / (2.0 * t))
-    rad = float(np.sum(dens * _jhat_imag(n - 1, 2.0 * a * r) * r ** (2 * n - 1) * wr) * surf)
+    rad = float(np.sum(dens * jhat_imag(n - 1, 2.0 * a * r) * r ** (2 * n - 1) * wr) * surf)
     if not np.isfinite(rad):
         raise HeatError("radial quadrature diverged; enlarge domain guard")
     # eta integral, centered on its peak 2 lambda t
@@ -93,8 +75,9 @@ def gauss_bessel_check(k: int, lam: float, t: float, n: int = 1,
 
 
 def heat_apply(sd: SpectralData, t: float) -> SpectralData:
-    """Heat semigroup on the spectral side: each (k, lambda) projection is
-    multiplied by e^{-t lambda^2} e^{-(2k+n)|lambda| t}."""
+    """Heat semigroup on the spectral side: each (k, lambda) projection, and
+    so each modal coefficient at level k, is multiplied by
+    e^{-t lambda^2} e^{-(2k+n)|lambda| t}."""
     if t < 0:
         raise HeatError("heat time must be non-negative")
     if t == 0:
@@ -102,23 +85,14 @@ def heat_apply(sd: SpectralData, t: float) -> SpectralData:
     ks = np.arange(sd.kmax + 1)
     mult = np.exp(-t * sd.lam[None, :] ** 2
                   - (2 * ks[:, None] + sd.n) * np.abs(sd.lam)[None, :] * t)
-    projections = []
     modal = []
-    for j in range(sd.lam.size):
-        projections.append(sd.projections[j] * mult[:, j].reshape((-1,) + (1,) * (2 * sd.n)))
-        ms = sd.modal[j]
+    for j, ms in enumerate(sd.modal):
         if isinstance(ms, ModalSlice):
-            modal.append(ModalSlice(ms.lam, ms.coef * mult[: ms.coef.shape[0], j][:, None]))
+            scal = mult[: ms.coef.shape[0], j][:, None]
         else:
             scal = np.array([mult[sum(beta), j] for (_, beta) in ms.modes])
-            modal.append(replace(ms, coef=ms.coef * scal))
-    slices = [np.sum(pk, axis=0) * (abs(lv) / (2 * np.pi)) ** sd.n
-              for pk, lv in zip(projections, sd.lam)]
-    return SpectralData(
-        n=sd.n, lgrid=sd.lgrid, kmax=sd.kmax, xgrid=sd.xgrid, ugrid=sd.ugrid,
-        slices=slices, projections=projections, norms2=sd.norms2 * mult ** 2,
-        modal=modal, tail=sd.tail, band=sd.band, requested_band=sd.requested_band,
-    )
+        modal.append(replace(ms, coef=ms.coef * scal))
+    return replace(sd, modal=modal, norms2=sd.norms2 * mult ** 2)
 
 
 def heat_image_norm(sd_heated: SpectralData, t: float) -> float:
@@ -281,21 +255,8 @@ def thm35_converse_tail(sd: SpectralData, B: float, t_grid=(1.0, 2.0, 4.0, 8.0),
     below a multiple of e^{2tB}; any surviving tail cell violates it.  Returns
     verdict 'supported' or 'violated' with the offending cells."""
     _require_positive_lambda(sd)
-    if C is None:
-        C = 1.1 * B + 1e-9
-    if C <= B:
+    rep = _tail_test(sd, B, t_grid, C)
+    if rep["C"] <= B:
         raise HeatError("tail test requires C > B")
-    fan = (2 * np.arange(sd.kmax + 1)[:, None] + sd.n) * np.abs(sd.lam)[None, :]
-    sel = fan > C
-    wb = np.broadcast_to(sd.wmu, sd.norms2.shape)
-    mass = float(np.sum(sd.norms2[sel] * wb[sel]))
-    total = max(sd.total_mass(), 1e-300)
-    ratios = [mass * np.exp(2.0 * t * (C - B)) / total for t in np.asarray(t_grid)]
-    if mass <= 1e-10 * total:
-        return {"verdict": "supported", "C": C, "tail_mass": mass, "ratios": ratios,
-                "offending_cells": []}
-    ks, js = np.nonzero(sel & (sd.norms2 > 1e-12 * np.max(sd.norms2)))
-    cells = [{"k": int(k), "lambda": float(sd.lam[j]), "fan": float(fan[k, j])}
-             for k, j in zip(ks, js)]
-    return {"verdict": "violated", "C": C, "tail_mass": mass, "ratios": ratios,
-            "offending_cells": cells}
+    bounded = rep.pop("bounded")
+    return {"verdict": "supported" if bounded else "violated", **rep}

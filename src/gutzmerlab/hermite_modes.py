@@ -146,10 +146,6 @@ class ModalSlice:
                 mono_col = mono_col * var_col
         return onorm * out * np.exp(-0.25 * al * rho)
 
-    def field_shifted(self, Z, w, k_select=None):
-        """Entire extension at z + i w: zc = Z + i w, zm = conj(Z) + i conj(w)."""
-        return self.field(Z + 1j * w, np.conj(Z) + 1j * np.conj(w), k_select=k_select)
-
 
 def basis_matrix(lam: float, kmax: int, acap: int, Z: np.ndarray,
                  mask: np.ndarray | None = None) -> np.ndarray:

@@ -217,6 +217,15 @@ def _bessel_j_norm_real_order(nu: float, s):
     return out[0] if scalar else out
 
 
+def jhat_imag(nu: float, s):
+    """j_nu(i s) normalized to 1 at 0 (positive modified-Bessel series).
+
+    With nu = n/2 - 1 this is the rotation average of e^{-2 xi . R y} over
+    SO(n) at |xi||y| = s/2 (I_0(s) for n = 2)."""
+    raw = np.real(_bessel_j_norm_real_order(nu, 1j * np.asarray(s, dtype=float)))
+    return raw * (2.0 ** nu * gamma(nu + 1.0))
+
+
 def hilb_compare(k: int, lam: float, r: float, n: int = 1) -> float:
     """Relative gap between phi_k^lambda(2iy,2iv) and its Bessel surrogate.
 

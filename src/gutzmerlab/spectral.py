@@ -12,9 +12,12 @@ Normalization ledger (n = ambient dimension, all verified by round trips):
 * (F *_lambda G)(z) = integral F(z-w) G(w) e^{(i lambda/2) Im(z.wbar)} dw.
 * P_k = (2 pi)^{-n} |lambda|^n ( . *_lambda phi_k^lambda ) are the orthogonal
   Laguerre projections, sum_k P_k = Id on L2(C^n).
-* stored projections = f^lambda *_lambda phi_k^lambda (raw, = (2pi/|lam|)^n P_k f^lambda);
-  these are exactly what the inversion integral sums against d mu(lambda).
-* norms2[k, lambda] = (2 pi)^{-n} |lambda|^n || stored projection ||_2^2,
+* the stored state is the modal (Hermite-Laguerre) coefficients of each
+  slice; projections = f^lambda *_lambda phi_k^lambda (raw,
+  = (2pi/|lam|)^n P_k f^lambda) are derived from them, and are exactly what
+  the inversion integral sums against d mu(lambda).
+* norms2[k, lambda] = (2 pi)^{-n} |lambda|^n || projection ||_2^2
+  = (2 pi/|lambda|)^n sum |level-k coefficients|^2 (orthonormal basis),
   the normalization in which Plancherel reads
   ||f||^2 = integral sum_k norms2 d mu  and Gutzmer carries the weight
   k!(n-1)!/(k+n-1)! against phi_k^lambda(2iy, 2iv).
@@ -28,7 +31,7 @@ exact by discrete Fourier orthogonality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -113,26 +116,39 @@ class GridFunction:
     def t_half_window(self) -> float:
         return float(-self.tgrid[0])
 
-    def zgrid(self) -> np.ndarray:
-        """n=1 helper: complex grid X + iU, shape (nx, nu)."""
-        if self.n != 1:
-            raise SpectralError("zgrid is n=1 only")
-        return self.xgrid[:, None] + 1j * self.ugrid[None, :]
-
     def squared_norm(self) -> float:
         """integral |f|^2 dz dt by the grid rule (one t-period)."""
         return float(np.sum(np.abs(self.samples) ** 2) * self.hx ** (2 * self.n) * self.ht)
+
+
+def grid_coords(n: int, xgrid: np.ndarray, ugrid: np.ndarray):
+    """(zc, zm) = (z, zbar) on the tensor sample grid: (nx, nu) arrays at
+    n = 1, [(nx,)*n + (nu,)*n, n] stacks of per-axis coordinates otherwise."""
+    if n == 1:
+        Z = xgrid[:, None] + 1j * ugrid[None, :]
+        return Z, np.conj(Z)
+    shape = (xgrid.size,) * n + (ugrid.size,) * n
+    Zax = []
+    for j in range(n):
+        sx = [1] * (2 * n)
+        sx[j] = xgrid.size
+        su = [1] * (2 * n)
+        su[n + j] = ugrid.size
+        Zax.append((xgrid.reshape(sx) + 1j * ugrid.reshape(su)) * np.ones(shape))
+    Zc = np.stack(Zax, axis=-1)
+    return Zc, np.conj(Zc)
 
 
 @dataclass
 class SpectralData:
     """Per-(k, lambda) content of a function on H^n.
 
-    projections[j][k] is the raw twisted convolution f^lambda_j *_lam phi_k;
-    norms2[k, j] = (2 pi)^{-n} |lambda_j|^n ||projections[j][k]||^2 (the
-    consistency between the two is an invariant).  modal[j] carries the
-    Hermite-Laguerre coefficients of the slice, which is how fields are
-    evaluated at complexified arguments.
+    modal[j] holds the Hermite-Laguerre coefficients of the slice at
+    lambda_j; they are the only stored copy of the spectral content.
+    norms2[k, j] = (2 pi)^{-n} |lambda_j|^n ||projections[j][k]||^2 is filled
+    from them once (ModalSlice.proj_norms2).  projections and slices are not
+    stored: each access evaluates them on the sample grid from modal, so
+    hoist them out of loops.
     """
 
     n: int
@@ -140,8 +156,6 @@ class SpectralData:
     kmax: int
     xgrid: np.ndarray
     ugrid: np.ndarray
-    slices: list
-    projections: list
     norms2: np.ndarray
     modal: list
     tail: np.ndarray
@@ -160,6 +174,20 @@ class SpectralData:
     def hx(self) -> float:
         return float(self.xgrid[1] - self.xgrid[0])
 
+    @property
+    def slices(self) -> list:
+        """slices[j]: the slice at lambda_j rebuilt from its coefficients."""
+        zc, zm = grid_coords(self.n, self.xgrid, self.ugrid)
+        return [ms.field(zc, zm) for ms in self.modal]
+
+    @property
+    def projections(self) -> list:
+        """projections[j][k] = f^lambda_j *_lam phi_k on the sample grid."""
+        zc, zm = grid_coords(self.n, self.xgrid, self.ugrid)
+        return [np.stack([(2.0 * np.pi / abs(ms.lam)) ** self.n * ms.field(zc, zm, k_select=k)
+                          for k in range(self.kmax + 1)])
+                for ms in self.modal]
+
     def validate(self, tol: float = 1e-8) -> None:
         if np.any(self.norms2 < -1e-15):
             raise SpectralError("negative norms2")
@@ -167,10 +195,11 @@ class SpectralData:
             raise SpectralError("lambda = 0 in spectral grid")
         scale = max(float(np.max(self.norms2)), 1e-300)
         harea = self.hx ** (2 * self.n)
+        projections = self.projections
         for j, lv in enumerate(self.lam):
             fac = (2.0 * np.pi) ** (-self.n) * abs(lv) ** self.n
             for k in range(self.kmax + 1):
-                q = fac * np.sum(np.abs(self.projections[j][k]) ** 2) * harea
+                q = fac * np.sum(np.abs(projections[j][k]) ** 2) * harea
                 if abs(q - self.norms2[k, j]) > tol * max(scale, 1.0):
                     raise SpectralError(
                         f"norms2 inconsistent with projections at (k={k}, lam={lv:.4f})"
@@ -261,7 +290,7 @@ def twisted_conv(F: np.ndarray, G: np.ndarray, lam: float, xgrid: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# analysis: slices -> modal coefficients -> projections
+# analysis: slices -> modal coefficients
 # ---------------------------------------------------------------------------
 
 def _mode_mask(spec: QuadratureSpec, kmax: int, lam: float) -> np.ndarray:
@@ -276,7 +305,7 @@ def _mode_mask(spec: QuadratureSpec, kmax: int, lam: float) -> np.ndarray:
 
 def analyze(f: GridFunction, lgrid: LambdaGrid, kmax: int,
             spec: Optional[QuadratureSpec] = None) -> SpectralData:
-    """Fill slices, Hermite-Laguerre projections, and their norms."""
+    """Hermite-Laguerre coefficients of every slice, and their norms."""
     if spec is None:
         spec = QuadratureSpec(n=f.n, nx=f.xgrid.size, lx=float(-f.xgrid[0]))
     if f.n == 1:
@@ -286,12 +315,10 @@ def analyze(f: GridFunction, lgrid: LambdaGrid, kmax: int,
 
 def _analyze_1d(f: GridFunction, lgrid: LambdaGrid, kmax: int,
                 spec: QuadratureSpec) -> SpectralData:
-    Z = f.zgrid()
+    Z, _ = grid_coords(1, f.xgrid, f.ugrid)
     harea = f.hx ** 2
-    nlam = lgrid.lam.size
-    slices, projections, modal = [], [], []
-    norms2 = np.zeros((kmax + 1, nlam))
-    tail = np.zeros(nlam)
+    modal = []
+    tail = np.zeros(lgrid.lam.size)
     for j, lv in enumerate(lgrid.lam):
         sl = partial_fourier_t(f, lv)
         mask = _mode_mask(spec, kmax, lv)
@@ -299,17 +326,12 @@ def _analyze_1d(f: GridFunction, lgrid: LambdaGrid, kmax: int,
         Bm = basis.reshape((kmax + 1) * (spec.beta_cap + 1), -1)
         coef = ((np.conj(Bm) @ sl.reshape(-1)) * harea).reshape(kmax + 1, spec.beta_cap + 1)
         coef[~mask] = 0.0
-        ms = ModalSlice(lv, coef)
-        modal.append(ms)
-        scale = 2.0 * np.pi / abs(lv)
-        projk = np.einsum("ka,kaxy->kxy", coef, basis) * scale
-        projections.append(projk)
-        norms2[:, j] = scale * np.sum(np.abs(coef) ** 2, axis=1)
-        slices.append(sl)
+        modal.append(ModalSlice(lv, coef))
         tail[j] = max(0.0, float(np.sum(np.abs(sl) ** 2) * harea - np.sum(np.abs(coef) ** 2)))
+    norms2 = np.stack([ms.proj_norms2() for ms in modal], axis=1)
     return SpectralData(
         n=1, lgrid=lgrid, kmax=kmax, xgrid=f.xgrid, ugrid=f.ugrid,
-        slices=slices, projections=projections, norms2=norms2, modal=modal, tail=tail,
+        norms2=norms2, modal=modal, tail=tail,
     )
 
 
@@ -317,21 +339,10 @@ def _analyze_nd(f: GridFunction, lgrid: LambdaGrid, kmax: int,
                 spec: QuadratureSpec) -> SpectralData:
     n = f.n
     harea = f.hx ** (2 * n)
-    nlam = lgrid.lam.size
-    # complex coordinates per axis on the tensor grid
-    shape = (f.xgrid.size,) * n + (f.ugrid.size,) * n
-    Zax = []
-    for j in range(n):
-        sx = [1] * (2 * n)
-        sx[j] = f.xgrid.size
-        su = [1] * (2 * n)
-        su[n + j] = f.ugrid.size
-        Zax.append((f.xgrid.reshape(sx) + 1j * f.ugrid.reshape(su)) * np.ones(shape))
-    Zc = np.stack(Zax, axis=-1)
-    Zm = np.conj(Zc)
-    slices, projections, modal = [], [], []
-    norms2 = np.zeros((kmax + 1, nlam))
-    tail = np.zeros(nlam)
+    Zc, Zm = grid_coords(n, f.xgrid, f.ugrid)
+    shape = Zc.shape[:-1]
+    modal = []
+    tail = np.zeros(lgrid.lam.size)
     for j, lv in enumerate(lgrid.lam):
         sl = partial_fourier_t(f, lv)
         kfit = min(kmax, max(0, spec.max_radial_level(lv)))
@@ -352,19 +363,12 @@ def _analyze_nd(f: GridFunction, lgrid: LambdaGrid, kmax: int,
                 mode_list.append((alpha, beta))
                 coefs.append(c)
         coefs = np.asarray(coefs, dtype=complex)
-        ms = ModalSliceND(lv, n, mode_list, coefs)
-        modal.append(ms)
-        scale = (2.0 * np.pi / abs(lv)) ** n
-        projk = np.zeros((kmax + 1,) + shape, dtype=complex)
-        for k in range(kfit + 1):
-            projk[k] = scale * ms.field(Zc, Zm, k_select=k)
-        projections.append(projk)
-        norms2[:, j] = ms.proj_norms2(kmax)
-        slices.append(sl)
+        modal.append(ModalSliceND(lv, n, mode_list, coefs))
         tail[j] = max(0.0, resid - float(np.sum(np.abs(coefs) ** 2)))
+    norms2 = np.stack([ms.proj_norms2(kmax) for ms in modal], axis=1)
     return SpectralData(
         n=n, lgrid=lgrid, kmax=kmax, xgrid=f.xgrid, ugrid=f.ugrid,
-        slices=slices, projections=projections, norms2=norms2, modal=modal, tail=tail,
+        norms2=norms2, modal=modal, tail=tail,
     )
 
 
@@ -414,8 +418,10 @@ def invert(sd: SpectralData, p) -> complex:
 
 
 def invert_grid(sd: SpectralData, tgrid: np.ndarray) -> GridFunction:
-    """Synthesize the real-grid samples from the stored projections."""
-    proj_sum = np.stack([np.sum(pk, axis=0) for pk in sd.projections])  # [J, ...grid]
+    """Synthesize the real-grid samples from the modal coefficients."""
+    # sum_k projections[j][k] = (2 pi/|lambda_j|)^n slices[j]
+    proj_sum = np.stack([(2.0 * np.pi / abs(lv)) ** sd.n * sl
+                         for sl, lv in zip(sd.slices, sd.lam)])          # [J, ...grid]
     phases = np.exp(-1j * np.outer(sd.lam, tgrid)) * sd.wmu[:, None]    # [J, nt]
     samples = np.tensordot(proj_sum, phases, axes=([0], [0]))
     return GridFunction(sd.n, sd.xgrid, sd.ugrid, tgrid, samples, schwartz=True)
@@ -476,8 +482,6 @@ def synth_bandlimited(A: float, B: float, seed: int,
         raise SpectralError("A exceeds the lambda grid extent")
     rng = np.random.default_rng(seed)
     xg = fft_grid(spec.nx, spec.lx)
-    Z = xg[:, None] + 1j * xg[None, :]
-    harea = spec.hx ** 2
 
     # admissible cells and target masses
     masks = [_mode_mask(spec, kmax, lv) for lv in lgrid.lam]
@@ -517,8 +521,7 @@ def synth_bandlimited(A: float, B: float, seed: int,
         masses[kB, jBm] += spike * mean_mass
 
     # coefficients per cell, scaled so norms2 equals the target mass
-    slices, projections, modal = [], [], []
-    norms2 = np.zeros((kmax + 1, lgrid.lam.size))
+    modal = []
     for j, lv in enumerate(lgrid.lam):
         coef = np.zeros((kmax + 1, spec.beta_cap + 1), dtype=complex)
         scale = 2.0 * np.pi / abs(lv)
@@ -531,22 +534,12 @@ def synth_bandlimited(A: float, B: float, seed: int,
             )
             raw *= np.sqrt(masses[k, j] / (scale * np.sum(np.abs(raw) ** 2)))
             coef[k, : amax + 1] = raw
-        ms = ModalSlice(lv, coef)
-        modal.append(ms)
-        projk = np.empty((kmax + 1,) + Z.shape, dtype=complex)
-        for k in range(kmax + 1):
-            if masses[k, j] <= 0:
-                projk[k] = 0.0
-            else:
-                projk[k] = scale * ms.field(Z, np.conj(Z), k_select=k)
-        projections.append(projk)
-        slices.append(np.sum(projk, axis=0) * abs(lv) / (2.0 * np.pi))
-        norms2[:, j] = scale * np.sum(np.abs(coef) ** 2, axis=1)
+        modal.append(ModalSlice(lv, coef))
 
     tgrid = fft_grid(spec.nt, lgrid.t_half_window)
     sdata = SpectralData(
         n=1, lgrid=lgrid, kmax=kmax, xgrid=xg, ugrid=xg,
-        slices=slices, projections=projections, norms2=norms2, modal=modal,
+        norms2=np.stack([ms.proj_norms2() for ms in modal], axis=1), modal=modal,
         tail=np.zeros(lgrid.lam.size),
         requested_band=BandLimit(A, B),
     )

@@ -27,12 +27,9 @@ def imag_pt(y, v, eta):
 
 def single_cell(sd, k0, j0, mass=1.7):
     """Collapse a fixture to one populated (k, lambda) cell, renormalized."""
-    Z = sd.xgrid[:, None] + 1j * sd.ugrid[None, :]
     for j in range(sd.lam.size):
         if j != j0:
             sd.modal[j].coef[:] = 0.0
-            sd.projections[j][:] = 0.0
-            sd.slices[j][:] = 0.0
     keep = sd.modal[j0].coef[k0].copy()
     sd.modal[j0].coef[:] = 0.0
     if not np.any(keep):
@@ -41,9 +38,6 @@ def single_cell(sd, k0, j0, mass=1.7):
     scale = 2 * np.pi / abs(sd.lam[j0])
     keep *= np.sqrt(mass / (scale * np.sum(np.abs(keep) ** 2)))
     sd.modal[j0].coef[k0] = keep
-    for k in range(sd.kmax + 1):
-        sd.projections[j0][k] = scale * sd.modal[j0].field(Z, np.conj(Z), k_select=k)
-    sd.slices[j0] = np.sum(sd.projections[j0], axis=0) * abs(sd.lam[j0]) / (2 * np.pi)
     nz = np.zeros_like(sd.norms2)
     nz[k0, j0] = mass
     sd.norms2 = nz
@@ -109,8 +103,7 @@ class TestGutzmerIdentity:
     def test_orbital_n2_rejected(self, fixture_small):
         _, _, sd = fixture_small
         sd2 = type(sd)(n=2, lgrid=sd.lgrid, kmax=sd.kmax, xgrid=sd.xgrid,
-                       ugrid=sd.ugrid, slices=sd.slices, projections=sd.projections,
-                       norms2=sd.norms2, modal=sd.modal, tail=sd.tail)
+                       ugrid=sd.ugrid, norms2=sd.norms2, modal=sd.modal, tail=sd.tail)
         with pytest.raises(OrbitalError, match="n=1"):
             orbital_direct(sd2, ComplexPoint.purely_imaginary([0, 0], [0, 0], 0.0))
 

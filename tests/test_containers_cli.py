@@ -1,4 +1,5 @@
 import json
+import struct
 import subprocess
 import sys
 
@@ -7,8 +8,26 @@ import pytest
 
 from conftest import small_spec
 from gutzmerlab import containers
-from gutzmerlab.cli import main
+from gutzmerlab.cli import _positive_half, main
 from gutzmerlab.spectral import synth_bandlimited
+
+
+def spd1_bytes(sd, flags):
+    """An SPD1 file laid out by hand: projection blocks when flags bit 0 is
+    set, modal blocks when bit 1 is."""
+    kk, nlam = sd.norms2.shape
+    req = sd.requested_band
+    out = [b"SPD1",
+           struct.pack("<IIIIII", sd.n, nlam, kk, flags, sd.xgrid.size, sd.ugrid.size),
+           struct.pack("<ddddd", -sd.xgrid[0], -sd.ugrid[0], sd.lgrid.dl, req.A, req.B),
+           sd.lam.astype("<f8").tobytes(), sd.wmu.astype("<f8").tobytes(),
+           sd.norms2.astype("<f8").tobytes()]
+    if flags & 1:
+        out += [np.asarray(pk, dtype="<c16").tobytes() for pk in sd.projections]
+    if flags & 2:
+        out.append(struct.pack("<I", sd.modal[0].coef.shape[1]))
+        out += [np.asarray(ms.coef, dtype="<c16").tobytes() for ms in sd.modal]
+    return b"".join(out)
 
 
 @pytest.fixture(scope="module")
@@ -36,12 +55,42 @@ class TestContainers:
         assert np.array_equal(sd2.norms2, sd.norms2)
         assert np.array_equal(sd2.lam, sd.lam)
         assert np.array_equal(sd2.wmu, sd.wmu)
+        p1, p2 = sd.projections, sd2.projections
         for j in range(sd.lam.size):
-            assert np.array_equal(sd2.projections[j], sd.projections[j])
+            assert np.array_equal(p2[j], p1[j])
             assert np.array_equal(sd2.modal[j].coef[:, : sd.modal[j].coef.shape[1]],
                                   sd.modal[j].coef)
         assert sd2.requested_band.A == sd.requested_band.A
         assert sd2.band.B == pytest.approx(sd.band.B)
+
+    def test_spd_writes_modal_blocks_only(self, fixture_files):
+        d, spec, f, sd = fixture_files
+        assert (d / "fx.spd").read_bytes() == spd1_bytes(sd, flags=2)
+
+    def test_spd_with_projection_blocks_reads(self, fixture_files, tmp_path):
+        # flags 3: projection blocks ahead of the modal blocks, which older
+        # writers produced; the reader skips them
+        d, spec, f, sd = fixture_files
+        path = tmp_path / "both.spd"
+        path.write_bytes(spd1_bytes(sd, flags=3))
+        sd2 = containers.read_spd(str(path))
+        assert np.array_equal(sd2.norms2, sd.norms2)
+        for ms2, ms in zip(sd2.modal, sd.modal):
+            assert np.array_equal(ms2.coef, ms.coef)
+
+    def test_spd_truncated_in_projection_blocks_rejected(self, fixture_files, tmp_path):
+        d, spec, f, sd = fixture_files
+        path = tmp_path / "cut.spd"
+        path.write_bytes(spd1_bytes(sd, flags=3)[:200000])
+        with pytest.raises(containers.ContainerError, match="ends before"):
+            containers.read_spd(str(path))
+
+    def test_spd_without_modal_blocks_rejected(self, fixture_files, tmp_path):
+        d, spec, f, sd = fixture_files
+        path = tmp_path / "proj.spd"
+        path.write_bytes(spd1_bytes(sd, flags=1))
+        with pytest.raises(containers.ContainerError, match="modal"):
+            containers.read_spd(str(path))
 
     def test_spd_supports_downstream_ops(self, fixture_files):
         from gutzmerlab.complexification import gutzmer_spectral, orbital_direct
@@ -99,6 +148,28 @@ class TestCLI:
 
     def test_detect_missing_input(self):
         assert self.run_cli("detect", "-i", "/nonexistent/f.spd") == 2
+
+    def test_detect_without_modal_blocks_exits_2(self, fixture_files, tmp_path, capsys):
+        d, spec, f, sd = fixture_files
+        path = tmp_path / "proj.spd"
+        path.write_bytes(spd1_bytes(sd, flags=1))
+        assert self.run_cli("detect", "-i", str(path)) == 2
+        err = capsys.readouterr().err
+        assert "modal" in err and "Traceback" not in err
+
+    def test_positive_half_zeroes_negative_lambda(self, fixture_files):
+        d, spec, f, sd = fixture_files
+        norms2 = sd.norms2.copy()
+        coefs = [ms.coef.copy() for ms in sd.modal]
+        half = _positive_half(sd)
+        for ms, lv in zip(half.modal, half.lam):
+            if lv < 0:
+                assert not np.any(ms.coef)
+        assert np.array_equal(half.norms2,
+                              np.stack([ms.proj_norms2() for ms in half.modal], axis=1))
+        assert np.array_equal(sd.norms2, norms2)
+        for ms, c in zip(sd.modal, coefs):
+            assert np.array_equal(ms.coef, c)
 
     def test_detect_report(self, fixture_files, tmp_path):
         d, spec, f, sd = fixture_files

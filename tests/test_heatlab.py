@@ -206,7 +206,6 @@ def positive_sd():
     for j, lv in enumerate(sd.lam):
         if lv < 0:
             sd.modal[j].coef[:] = 0.0
-            sd.projections[j][:] = 0.0
     return sd
 
 

@@ -194,11 +194,14 @@ class TestAnalyze:
         sd = analyzed_small
         j = int(np.argmin(np.abs(sd.lam - 1.0)))
         lam = sd.lam[j]
+        # the oracle reads the raw slice, not one rebuilt from coefficients
+        raw_slice = partial_fourier_t(f, lam)
+        projections = sd.projections[j]
         rho = np.abs(sd.xgrid[:, None] + 1j * sd.ugrid[None, :]) ** 2
         for k in (0, 1, 3):
             pk = np.real(laguerre_phi(LaguerreArg(k, 0, rho), lam)) + 0j
-            oracle = twisted_conv(sd.slices[j], pk, lam, sd.xgrid, sd.ugrid)
-            got = sd.projections[j][k]
+            oracle = twisted_conv(raw_slice, pk, lam, sd.xgrid, sd.ugrid)
+            got = projections[k]
             scale = max(np.max(np.abs(oracle)), 1e-12)
             assert np.max(np.abs(got - oracle)) < 2e-6 * scale
 
@@ -216,12 +219,6 @@ class TestAnalyze:
         scale = 2 * np.pi / abs(sd.lam[j0])
         raw = sd.modal[j0].coef[k0]
         sd.modal[j0].coef[k0] *= np.sqrt(target / (scale * np.sum(np.abs(raw) ** 2)))
-        Z = sd.xgrid[:, None] + 1j * sd.ugrid[None, :]
-        for j in range(sd.lam.size):
-            for k in range(sd.kmax + 1):
-                sd.projections[j][k] = (2 * np.pi / abs(sd.lam[j])) * sd.modal[j].field(
-                    Z, np.conj(Z), k_select=k)
-            sd.slices[j] = np.sum(sd.projections[j], axis=0) * abs(sd.lam[j]) / (2 * np.pi)
         keep[k0, j0] = target
         sd.norms2 = keep
         f1 = invert_grid(sd, f.tgrid)
@@ -275,6 +272,16 @@ class TestInversion:
         den = np.max(np.abs(f.samples[sl]))
         assert num / den <= 1e-4
 
+    def test_grid_matches_projection_sum(self, fixture_small, analyzed_small):
+        # invert_grid sums one slice field per lambda; the reference sums the
+        # per-k projections, so only the summation order differs
+        spec, f, _ = fixture_small
+        sd = analyzed_small
+        got = invert_grid(sd, f.tgrid).samples
+        ref = sum(w * np.sum(pk, axis=0)[..., None] * np.exp(-1j * lv * f.tgrid)
+                  for w, lv, pk in zip(sd.wmu, sd.lam, sd.projections))
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     def test_point_eval_matches_grid(self, fixture_small, analyzed_small):
         spec, f, _ = fixture_small
         sd = analyzed_small
@@ -288,9 +295,10 @@ class TestInversion:
         sd = analyzed_small
         A = sd.requested_band.A if sd.requested_band else 1.0
         x0, u0 = f.xgrid[spec.nx // 2 + 2], f.ugrid[spec.nx // 2 - 1]
+        projections = sd.projections
         env = sum(
-            sd.wmu[j] * abs(complex(np.sum(sd.projections[j], axis=0)[spec.nx // 2 + 2,
-                                                                      spec.nx // 2 - 1]))
+            sd.wmu[j] * abs(complex(np.sum(projections[j], axis=0)[spec.nx // 2 + 2,
+                                                                   spec.nx // 2 - 1]))
             for j in range(sd.lam.size)
         )
         for eta in (0.5, 1.0, 2.0):
@@ -305,11 +313,7 @@ class TestInversion:
         for jj in range(sd.lam.size):
             if jj != j0:
                 sd.modal[jj].coef[:] = 0.0
-                sd.projections[jj][:] = 0.0
-                sd.slices[jj][:] = 0.0
         sd.modal[j0].coef[np.arange(sd.kmax + 1) != k0] = 0.0
-        Z = sd.xgrid[:, None] + 1j * sd.ugrid[None, :]
-        sd.projections[j0][np.arange(sd.kmax + 1) != k0] = 0.0
         nz = np.zeros_like(sd.norms2)
         nz[k0, j0] = sd.norms2[k0, j0]
         sd.norms2 = nz
