@@ -14,6 +14,7 @@ GUTZMERLAB_THREADS caps suite parallelism.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -41,27 +42,38 @@ USAGE_EXIT = 2
 
 
 def _spec_from_args(args) -> QuadratureSpec:
+    for name in ("grid", "kmax", "lambda_grid", "n"):
+        value = getattr(args, name, None)
+        if value is not None and value <= 0:
+            raise SystemExit(f"--{name.replace('_', '-')} must be positive, got {value}")
     kw = {}
-    if getattr(args, "grid", None):
+    if getattr(args, "grid", None) is not None:
         kw["nx"] = args.grid
-    if getattr(args, "kmax", None):
+    if getattr(args, "kmax", None) is not None:
         kw["kmax"] = args.kmax
-    if getattr(args, "lambda_grid", None):
+    if getattr(args, "lambda_grid", None) is not None:
         nlam = args.lambda_grid
         if nlam < 9 or nlam % 2 == 0:
             raise SystemExit("--lambda-grid must be an odd count >= 9")
         kw["nodes_per_A"] = (nlam - 1) // 2 - QuadratureSpec().margin_nodes
-    if getattr(args, "n", None):
+    if getattr(args, "n", None) is not None:
         kw["n"] = args.n
     return QuadratureSpec(**kw)
 
 
+def _write_csv(out_path, header, rows) -> None:
+    """CSV to out_path (closed on return), or to stdout when out_path is None."""
+    with (open(out_path, "w", newline="") if out_path
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _emit_rows(rows, out_path):
-    writer = csv.writer(open(out_path, "w", newline="") if out_path else sys.stdout)
-    writer.writerow(["name", "params", "lhs", "rhs", "relerr", "pass"])
-    for r in rows:
-        writer.writerow([r["name"], r["params"], f"{r['lhs']:.10g}", f"{r['rhs']:.10g}",
-                         f"{r['relerr']:.3e}", "pass" if r["ok"] else "FAIL"])
+    _write_csv(out_path, ["name", "params", "lhs", "rhs", "relerr", "pass"],
+               [[r["name"], r["params"], f"{r['lhs']:.10g}", f"{r['rhs']:.10g}",
+                 f"{r['relerr']:.3e}", "pass" if r["ok"] else "FAIL"] for r in rows])
 
 
 def _load_or_synth(args, spec):
@@ -209,18 +221,22 @@ def _suite_thm35(args, tol):
 
 
 def _suite_euclid(args, tol):
+    """Flat Gutzmer rows at |y| = 0.5, 1, 2, then the growth-fit row, which
+    also carries the fit document that `euclid` writes."""
     f = flat_synth_bandlimited(2.0, args.seed)
     rows = []
     for ymag in (0.5, 1.0, 2.0):
         lhs, rhs, rel = flat_gutzmer(f, [ymag, 0.0])
-        rows.append({"name": "euclid-gutzmer", "params": f"|y|={ymag}",
+        rows.append({"name": "euclid-gutzmer", "params": f"|y|={ymag}", "y": ymag,
                      "lhs": lhs, "rhs": rhs, "relerr": rel, "ok": rel <= tol})
     astar = flat_band_limit(f)
     fit, a_hat, verdict = flat_pw_check(f, astar)
     rel = abs(a_hat - astar) / astar
+    fitdoc = {"a_hat": a_hat, "band_limit": astar, "slope": fit.slope,
+              "residual": fit.residual, "verdict": verdict, "samples": fit.samples}
     rows.append({"name": "euclid-pw", "params": f"a*={astar:.6g}",
                  "lhs": a_hat, "rhs": astar, "relerr": rel,
-                 "ok": verdict == "ok" and rel <= 0.05})
+                 "ok": verdict == "ok" and rel <= 0.05, "fit": fitdoc})
     return rows
 
 
@@ -270,27 +286,18 @@ def cmd_detect(args) -> int:
 
 
 def cmd_euclid(args) -> int:
-    tol = args.tol if args.tol is not None else 1e-4
-    f = flat_synth_bandlimited(2.0, args.seed)
-    writer = csv.writer(open(args.output, "w", newline="") if args.output else sys.stdout)
-    writer.writerow(["y", "lhs", "rhs", "relerr"])
-    ok = True
-    for ymag in (0.5, 1.0, 2.0):
-        lhs, rhs, rel = flat_gutzmer(f, [ymag, 0.0])
-        ok &= rel <= tol
-        writer.writerow([ymag, f"{lhs:.10g}", f"{rhs:.10g}", f"{rel:.3e}"])
-    astar = flat_band_limit(f)
-    fit, a_hat, verdict = flat_pw_check(f, astar)
-    ok &= verdict == "ok" and abs(a_hat - astar) <= 0.05 * astar
-    fitdoc = {"a_hat": a_hat, "band_limit": astar, "slope": fit.slope,
-              "residual": fit.residual, "verdict": verdict, "samples": fit.samples}
-    out = (args.output + ".fit.json") if args.output else None
-    if out:
-        with open(out, "w") as fh:
+    tol = args.tol if args.tol is not None else SUITES["euclid"][1]
+    rows = _suite_euclid(args, tol)
+    _write_csv(args.output, ["y", "lhs", "rhs", "relerr"],
+               [[r["y"], f"{r['lhs']:.10g}", f"{r['rhs']:.10g}", f"{r['relerr']:.3e}"]
+                for r in rows[:-1]])
+    fitdoc = rows[-1]["fit"]
+    if args.output:
+        with open(args.output + ".fit.json", "w") as fh:
             json.dump(fitdoc, fh, indent=2)
     else:
         print(json.dumps(fitdoc, indent=2))
-    return 0 if ok else 1
+    return 0 if all(r["ok"] for r in rows) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -21,6 +21,7 @@ import numpy as np
 
 from .grids import QuadratureSpec
 from .heisenberg_core import ComplexPoint
+from .hermite_modes import abs_lam_groups, slice_fields
 from .spectral import BandLimit, SpectralData, SpectralError
 from .specfun import LaguerreArg, bessel_j_norm, binom_weight, laguerre_phi
 
@@ -180,17 +181,24 @@ def orbital_direct(sd: SpectralData, p: ComplexPoint,
     w_all = np.exp(1j * thetas) * w0                      # rotated displacements
     Zb = Z[None, :, :] + 1j * w_all[:, None, None]
     Zmb = np.conj(Z)[None, :, :] + 1j * np.conj(w_all)[:, None, None]
-    for j, lv in enumerate(sd.lam):
-        if np.all(sd.norms2[:, j] == 0.0):
+    phase = U[None] * w_all.real[:, None, None] - X[None] * w_all.imag[:, None, None]
+    # each (lambda, -lambda) pair shares one evaluation; the per-lambda terms
+    # are summed afterwards in lambda order
+    terms = np.zeros((sd.lam.size, 2))
+    for group in abs_lam_groups(sd.lam):
+        live = [j for j in group if np.any(sd.norms2[:, j] != 0.0)]
+        if not live:
             continue
-        scale = 2.0 * np.pi / abs(lv)
-        pref = sd.wmu[j] * abs(lv) / (2.0 * np.pi) * np.exp(2.0 * lv * eta)
-        Sc = scale * sd.modal[j].field(Zb, Zmb)
-        wgt = np.exp(lv * (U[None] * w_all.real[:, None, None]
-                           - X[None] * w_all.imag[:, None, None]))
-        cell = (np.abs(Sc) ** 2) * wgt
-        total += pref * float(np.mean(np.sum(cell, axis=(1, 2)))) * harea
-        shell += pref * float(np.mean(np.sum(cell[:, frame], axis=1))) * harea
+        for j, fld in zip(live, slice_fields([sd.modal[j] for j in live], Zb, Zmb)):
+            lv = sd.lam[j]
+            pref = sd.wmu[j] * abs(lv) / (2.0 * np.pi) * np.exp(2.0 * lv * eta)
+            cell = (np.abs(2.0 * np.pi / abs(lv) * fld) ** 2) * np.exp(lv * phase)
+            terms[j] = (pref * float(np.mean(np.sum(cell, axis=(1, 2)))) * harea,
+                        pref * float(np.mean(np.sum(cell[:, frame], axis=1))) * harea)
+        del fld  # at most two fields live at a time
+    for term_total, term_shell in terms:
+        total += term_total
+        shell += term_shell
     if total > 0 and shell > spec.shell_tol * total:
         raise OrbitalError(
             f"orbital quadrature truncation {shell/total:.2e} above tolerance "

@@ -16,6 +16,7 @@ SPD1 (spectral data): magic b"SPD1".
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -46,10 +47,18 @@ def read_gfn(path: str) -> GridFunction:
         magic = fh.read(4)
         if magic != b"GFN1":
             raise ContainerError(f"bad magic {magic!r}; not a GFN1 file")
-        n, nx, nu, nt = struct.unpack("<IIII", fh.read(16))
-        lx, lu, lt = struct.unpack("<ddd", fh.read(24))
-        (schwartz,) = struct.unpack("<B", fh.read(1))
+        head = fh.read(41)
+        if len(head) != 41:
+            raise ContainerError("GFN1 file ends inside its header")
+        n, nx, nu, nt = struct.unpack("<IIII", head[:16])
+        lx, lu, lt = struct.unpack("<ddd", head[16:40])
+        schwartz = head[40]
+        if n != 1 or min(nx, nu, nt) < 2:
+            raise ContainerError(f"GFN1 header declares unusable sizes n={n}, nx={nx}, "
+                                 f"nu={nu}, nt={nt}")
         count = nx ** n * nu ** n * nt
+        if os.fstat(fh.fileno()).st_size < 45 + count * 16:
+            raise ContainerError("GFN1 file ends inside its samples")
         data = np.frombuffer(fh.read(count * 16), dtype="<c16").astype(complex)
     samples = data.reshape((nx,) * n + (nu,) * n + (nt,))
     return GridFunction(n, _fft_grid(nx, lx), _fft_grid(nu, lu), _fft_grid(nt, lt),
@@ -85,23 +94,35 @@ def write_spd(path: str, sd: SpectralData) -> None:
 
 def read_spd(path: str) -> SpectralData:
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(4)
         if magic != b"SPD1":
             raise ContainerError(f"bad magic {magic!r}; not an SPD1 file")
-        n, nlam, kk, flags, nx, nu = struct.unpack("<IIIIII", fh.read(24))
-        lx, lu, dl, areq, breq = struct.unpack("<ddddd", fh.read(40))
+        head = fh.read(64)
+        if len(head) != 64:
+            raise ContainerError("SPD1 file ends inside its header")
+        n, nlam, kk, flags, nx, nu = struct.unpack("<IIIIII", head[:24])
+        lx, lu, dl, areq, breq = struct.unpack("<ddddd", head[24:])
+        if n != 1 or min(nlam, kk) < 1 or min(nx, nu) < 2:
+            raise ContainerError(f"SPD1 header declares unusable sizes n={n}, nlam={nlam}, "
+                                 f"kmax+1={kk}, nx={nx}, nu={nu}")
+        if not flags & FLAG_MODAL:
+            raise ContainerError("SPD1 file carries no modal coefficient blocks")
+        # check every declared size against the file before reading or
+        # allocating anything
+        tables = (2 + kk) * nlam * 8
+        skip = nlam * kk * nx * nu * 16 if flags & FLAG_PROJECTIONS else 0
+        if size < 68 + tables:
+            raise ContainerError("SPD1 file ends inside its lambda / wmu / norms2 tables")
+        if size < 68 + tables + skip + 4:
+            raise ContainerError("SPD1 file ends before its modal coefficient blocks")
         lam = np.frombuffer(fh.read(nlam * 8), dtype="<f8").astype(float)
         wmu = np.frombuffer(fh.read(nlam * 8), dtype="<f8").astype(float)
         norms2 = np.frombuffer(fh.read(kk * nlam * 8), dtype="<f8").reshape(kk, nlam).astype(float)
-        if not flags & FLAG_MODAL:
-            raise ContainerError("SPD1 file carries no modal coefficient blocks")
-        if flags & FLAG_PROJECTIONS:
-            fh.seek(nlam * kk * nx * nu * 16, 1)
-        head = fh.read(4)
-        if len(head) != 4:
-            # seek does not fail past the end of the file, so check here
-            raise ContainerError("SPD1 file ends before its modal coefficient blocks")
-        (acap,) = struct.unpack("<I", head)
+        fh.seek(skip, 1)
+        (acap,) = struct.unpack("<I", fh.read(4))
+        if size < 68 + tables + skip + 4 + nlam * kk * acap * 16:
+            raise ContainerError("SPD1 file ends inside its modal coefficient blocks")
         modal = []
         for j in range(nlam):
             raw = np.frombuffer(fh.read(kk * acap * 16), dtype="<c16")

@@ -15,6 +15,16 @@ slices get evaluated at complexified points.
 
 All of this was fixed against brute-force Gauss-Hermite quadrature of
 (pi_lam(z,0) Phi_a^lam, Phi_b^lam); the unit tests re-derive it.
+
+Slice fields (slice_fields, ModalSlice.field) group the modes by index
+offset d = |a - k|: every mode of one offset shares L_m^d(s), so one forward
+Laguerre recurrence per offset, carried by specfun.laguerre_sums as running
+weighted sums, evaluates them all without storing an (m, grid) table.  s,
+the Gaussian and the two monomial bases depend on |lam| only, so the slices
+at lam and -lam share each recurrence; the sign of lam only decides which
+monomial a mode multiplies and contributes (-1)^d to its weight.
+basis_matrix, which needs every mode separately, keeps the laguerre_all
+table.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ from math import lgamma, exp
 
 import numpy as np
 
-from .specfun import laguerre_all
+from .specfun import laguerre, laguerre_all, laguerre_sums
 
 
 def norm_ratio(m: int, d: int) -> float:
@@ -54,10 +64,10 @@ def e1d(lam: float, a: int, b: int, zc, zm):
     var_row, var_col = mode_monomial_base(lam, zc, zm)
     if b >= a:
         d = b - a
-        L = laguerre_all(a, d, s)[a]
+        L = laguerre(a, d, s)
         return norm_ratio(a, d) * var_col ** d * L * np.exp(-0.25 * al * rho)
     d = a - b
-    L = laguerre_all(b, d, s)[b]
+    L = laguerre(b, d, s)
     return norm_ratio(b, d) * var_row ** d * L * np.exp(-0.25 * al * rho)
 
 
@@ -92,59 +102,90 @@ class ModalSlice:
     def field(self, zc, zm, k_select=None):
         """Evaluate the slice (or its k-th projection) at (zc, zm).
 
-        Modes are grouped by index offset d = |a - k| so one Laguerre
-        recurrence per offset serves every mode; this is what keeps high
-        offsets numerically stable (no monomial re-expansion of Laguerre
-        polynomials).
+        A one-slice call to slice_fields: per index offset d = |a - k| one
+        forward Laguerre recurrence feeds a running weighted sum over every
+        mode of that offset (no monomial re-expansion of Laguerre
+        polynomials, so high offsets stay stable).  To evaluate the slices at
+        lambda and -lambda together, sharing each recurrence, call
+        slice_fields on the pair.
         """
-        lam = self.lam
-        al = abs(lam)
-        coef = self.coef
+        return slice_fields([self], zc, zm, k_select)[0]
+
+
+def abs_lam_groups(lam) -> list:
+    """Index lists of the slices that share |lambda| (the pairs lambda, -lambda),
+    in order of first appearance."""
+    groups = {}
+    for j, lv in enumerate(lam):
+        groups.setdefault(abs(float(lv)), []).append(j)
+    return list(groups.values())
+
+
+def slice_fields(group, zc, zm, k_select=None) -> list:
+    """Evaluate ModalSlices that share |lambda| (or their k-th projections).
+
+    s = |lambda| zc zm / 2, the Gaussian and the monomials P = i
+    sqrt(|lambda|/2) zc, Q = i sqrt(|lambda|/2) zm are the same for lambda and
+    -lambda: at lambda > 0 column-dominant modes (a = m, k = m + d) carry P^d
+    and row-dominant ones (a = m + d, k = m) Q^d, at lambda < 0 the roles
+    swap and (-1)^d folds into the weights.  So each offset d needs one
+    Laguerre recurrence for the whole group, run by specfun.laguerre_sums
+    with one running sum per (slice, monomial).  Returns one field per slice
+    of the group, in its order.
+    """
+    al = abs(group[0].lam)
+    if any(abs(ms.lam) != al for ms in group):
+        raise ValueError("slice_fields needs slices that share |lambda|")
+    # per offset d: (slice, monomial is P, weights of L_m^d) of each running sum
+    terms = {}
+    for i, ms in enumerate(group):
+        coef = ms.coef
         if k_select is not None:
-            sel = np.zeros_like(coef)
-            sel[k_select] = coef[k_select]
-            coef = sel
-        kmax, acap = self.kmax, self.acap
-        shape = np.broadcast(zc, zm).shape
-        out = np.zeros(shape, dtype=complex)
-        if not np.any(coef):
-            return out
-        rho = zc * zm
-        s = 0.5 * al * rho
-        var_row, var_col = mode_monomial_base(lam, zc, zm)
-        onorm = np.sqrt(al / (2.0 * np.pi))
-        # weight vectors per offset d: w_col[d][m] multiplies L_m^d for the
-        # column-dominant mode (a=m, k=m+d), w_row for the row-dominant one
-        dmax = max(kmax, acap)
-        w_col = [np.array([coef[m + d, m] * norm_ratio(m, d)
-                           for m in range(min(kmax - d, acap) + 1)])
-                 if min(kmax - d, acap) >= 0 else np.empty(0)
-                 for d in range(dmax + 1)]
-        w_row = [np.array([coef[m, m + d] * norm_ratio(m, d)
-                           for m in range(min(kmax, acap - d) + 1)])
-                 if d > 0 and min(kmax, acap - d) >= 0 else np.empty(0)
-                 for d in range(dmax + 1)]
-        mono_row = np.ones(shape, dtype=complex)
-        mono_col = np.ones(shape, dtype=complex)
-        for d in range(dmax + 1):
-            wc, wr = w_col[d], w_row[d]
-            need_c = wc.size and np.any(wc)
-            need_r = wr.size and np.any(wr)
-            if need_c or need_r:
-                mtop = max(wc.size if need_c else 0, wr.size if need_r else 0) - 1
-                Ltab = laguerre_all(mtop, d, s)
-                if need_c:
-                    out += mono_col * np.tensordot(wc, Ltab[: wc.size], axes=(0, 0))
-                if need_r:
-                    out += mono_row * np.tensordot(wr, Ltab[: wr.size], axes=(0, 0))
-            if d < dmax:
-                any_c = any(w.size and np.any(w) for w in w_col[d + 1 :])
-                any_r = any(w.size and np.any(w) for w in w_row[d + 1 :])
-                if not (any_c or any_r):
-                    break
-                mono_row = mono_row * var_row
-                mono_col = mono_col * var_col
-        return onorm * out * np.exp(-0.25 * al * rho)
+            coef = np.zeros_like(coef)
+            coef[k_select] = ms.coef[k_select]
+        ks, as_ = np.nonzero(coef)
+        sign = 1.0 if ms.lam > 0 else -1.0
+        for d in np.unique(np.abs(ks - as_)).tolist():
+            for w, on_p in ((np.diagonal(coef, -d), ms.lam > 0),
+                            (np.diagonal(coef, d) if d else [], ms.lam < 0)):
+                w = np.trim_zeros(np.asarray(w), "b")
+                if w.size:
+                    nr = np.array([norm_ratio(m, d) for m in range(w.size)])
+                    terms.setdefault(d, []).append((i, on_p, sign ** d * nr * w))
+    out = [np.zeros(np.broadcast(zc, zm).shape, dtype=complex) for _ in group]
+    if not terms:
+        return out
+    rho = zc * zm
+    s = 0.5 * al * rho
+    var_q, var_p = mode_monomial_base(al, zc, zm)
+    mono_p = mono_q = 1.0  # P^d, Q^d
+    power = 0
+    for d in sorted(terms):
+        for _ in range(d - power):
+            mono_p = mono_p * var_p
+            mono_q = mono_q * var_q
+        power = d
+        W = np.zeros((len(terms[d]), max(w.size for _, _, w in terms[d])), dtype=complex)
+        for row, (_, _, w) in zip(W, terms[d]):
+            row[: w.size] = w
+        for acc, (i, on_p, _) in zip(laguerre_sums(W.shape[1] - 1, d, s, W), terms[d]):
+            acc *= mono_p if on_p else mono_q
+            out[i] += acc
+    gauss = np.exp(-0.25 * al * rho)
+    for fld in out:
+        fld *= np.sqrt(al / (2.0 * np.pi))
+        fld *= gauss
+    return out
+
+
+def modal_fields(modal, zc, zm) -> list:
+    """ModalSlice fields of every slice in modal, one slice_fields call per
+    |lambda| group."""
+    out = [None] * len(modal)
+    for g in abs_lam_groups([ms.lam for ms in modal]):
+        for j, fld in zip(g, slice_fields([modal[j] for j in g], zc, zm)):
+            out[j] = fld
+    return out
 
 
 def basis_matrix(lam: float, kmax: int, acap: int, Z: np.ndarray,

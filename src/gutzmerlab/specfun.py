@@ -165,6 +165,52 @@ def laguerre_all(kmax: int, order: int, s):
     return out
 
 
+def laguerre_sums(mtop: int, order: int, s, W):
+    """sum_m W[i, m] L_m^order(s), m = 0..mtop, for each weight vector W[i].
+
+    Runs the laguerre_all recurrence keeping only two rows, one scratch row
+    and one running sum per vector, all updated in place.  The real scalings
+    act on the float view of the row: numpy's complex-by-real division is not
+    correctly rounded (1 ulp off at most), the float view's is.  Zero weights
+    are skipped.  W is [nvec, >= mtop+1]; returns [nvec, *s.shape].
+    """
+    if mtop > LAGUERRE_DEGREE_CAP:
+        raise SpecfunError(f"degree cap exceeded: Laguerre k {mtop} > {LAGUERRE_DEGREE_CAP}")
+    s = np.asarray(s)
+    W = np.asarray(W)
+    rdt = np.dtype(complex if s.dtype.kind == "c" else float)
+    out = np.zeros((W.shape[0], s.size), dtype=np.result_type(rdt, W.dtype))
+    result = out.reshape((W.shape[0],) + s.shape)
+    if mtop < 0 or out.size == 0:
+        return result
+    s = s.reshape(-1)
+    scratch = np.empty(s.shape, dtype=rdt)
+    term = scratch if out.dtype == rdt else np.empty(s.shape, dtype=out.dtype)
+
+    def accumulate(m, row):
+        for acc, w in zip(out, W[:, m]):
+            if w != 0:
+                np.multiply(row, w, out=term)
+                acc += term
+
+    prev = np.ones(s.shape, dtype=rdt)
+    accumulate(0, prev)
+    if mtop == 0:
+        return result
+    cur = np.subtract(1.0 + order, s, dtype=rdt)
+    accumulate(1, cur)
+    for m in range(1, mtop):
+        np.subtract(2.0 * m + order + 1.0, s, out=scratch)
+        scratch *= cur
+        flat = prev.view(float)
+        flat *= m + order
+        np.subtract(scratch, prev, out=prev)
+        flat /= m + 1.0
+        prev, cur = cur, prev
+        accumulate(m + 1, cur)
+    return result
+
+
 def laguerre_phi(arg: LaguerreArg, lam: float):
     """phi_k^lambda at generalized squared radius rho:
 

@@ -42,6 +42,7 @@ from .hermite_modes import (
     ModalSliceND,
     basis_matrix,
     e1d,
+    modal_fields,
     multiindices,
     multiindices_upto,
 )
@@ -178,6 +179,8 @@ class SpectralData:
     def slices(self) -> list:
         """slices[j]: the slice at lambda_j rebuilt from its coefficients."""
         zc, zm = grid_coords(self.n, self.xgrid, self.ugrid)
+        if self.n == 1:
+            return modal_fields(self.modal, zc, zm)
         return [ms.field(zc, zm) for ms in self.modal]
 
     @property

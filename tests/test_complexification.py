@@ -17,7 +17,8 @@ from gutzmerlab.complexification import (
 from gutzmerlab.heatlab import gauss_heat, heat_apply, heat_image_norm
 from gutzmerlab.heisenberg_core import ComplexPoint
 from gutzmerlab.grids import gauss_legendre_on
-from gutzmerlab.specfun import LaguerreArg, bessel_j_norm, laguerre_phi
+from gutzmerlab.hermite_modes import mode_monomial_base, norm_ratio
+from gutzmerlab.specfun import LaguerreArg, bessel_j_norm, laguerre_all, laguerre_phi
 from gutzmerlab.spectral import synth_bandlimited
 
 
@@ -44,6 +45,53 @@ def single_cell(sd, k0, j0, mass=1.7):
     return sd
 
 
+def table_field(ms, zc, zm):
+    """A ModalSlice field the long way: one laguerre_all table per offset d,
+    contracted with its weights, each lambda on its own."""
+    al = abs(ms.lam)
+    rho = zc * zm
+    s = 0.5 * al * rho
+    var_row, var_col = mode_monomial_base(ms.lam, zc, zm)
+    out = np.zeros(np.broadcast(zc, zm).shape, dtype=complex)
+    for d in range(max(ms.kmax, ms.acap) + 1):
+        wc = np.array([ms.coef[m + d, m] * norm_ratio(m, d)
+                       for m in range(min(ms.kmax - d, ms.acap) + 1)])
+        wr = np.array([ms.coef[m, m + d] * norm_ratio(m, d)
+                       for m in range(min(ms.kmax, ms.acap - d) + 1)]) if d else np.empty(0)
+        if wc.size + wr.size == 0:
+            continue
+        Ltab = laguerre_all(max(wc.size, wr.size) - 1, d, s)
+        if wc.size:
+            out += var_col ** d * np.tensordot(wc, Ltab[: wc.size], axes=(0, 0))
+        if wr.size:
+            out += var_row ** d * np.tensordot(wr, Ltab[: wr.size], axes=(0, 0))
+    return np.sqrt(al / (2.0 * np.pi)) * out * np.exp(-0.25 * al * rho)
+
+
+def table_orbital_direct(sd, p, spec):
+    """orbital_direct's quadrature with fields from table_field."""
+    w0 = float(p.zi[0]) + 1j * float(p.wi[0])
+    acap = max(int(np.max(np.nonzero(ms.coef)[1], initial=0)) for ms in sd.modal)
+    mtheta = acap + sd.kmax + 2
+    npad = int(round(spec.pad_factor * sd.xgrid.size))
+    hx = float(sd.xgrid[1] - sd.xgrid[0])
+    xg = (np.arange(npad) - npad // 2) * hx
+    Z = xg[:, None] + 1j * xg[None, :]
+    w_all = np.exp(2j * np.pi * np.arange(mtheta) / mtheta) * w0
+    Zb = Z[None] + 1j * w_all[:, None, None]
+    Zmb = np.conj(Z)[None] + 1j * np.conj(w_all)[:, None, None]
+    total = 0.0
+    for j, lv in enumerate(sd.lam):
+        if not np.any(sd.norms2[:, j]):
+            continue
+        pref = sd.wmu[j] * abs(lv) / (2 * np.pi) * np.exp(2 * lv * p.zeta_i)
+        wgt = np.exp(lv * (Z.imag[None] * w_all.real[:, None, None]
+                           - Z.real[None] * w_all.imag[:, None, None]))
+        cell = np.abs(2 * np.pi / abs(lv) * table_field(sd.modal[j], Zb, Zmb)) ** 2 * wgt
+        total += pref * np.mean(np.sum(cell, axis=(1, 2))) * hx * hx
+    return float(total)
+
+
 class TestGutzmerIdentity:
     def test_origin_reduces_to_plancherel(self, fixture_small):
         spec, f, sd = fixture_small
@@ -62,6 +110,14 @@ class TestGutzmerIdentity:
         od = orbital_direct(sd, p, spec)
         gs = gutzmer_spectral(sd, p)
         assert abs(od - gs) <= 1e-3 * abs(gs)
+
+    def test_matches_table_based_evaluation(self, fixture_small):
+        # the running-sum evaluator shared across +-lambda against a
+        # per-lambda laguerre_all table contraction
+        spec, f, sd = fixture_small
+        p = imag_pt(0.35, -0.25, 0.4)
+        assert orbital_direct(sd, p, spec) == pytest.approx(
+            table_orbital_direct(sd, p, spec), rel=1e-12)
 
     def test_rotation_invariance(self, fixture_small):
         spec, f, sd = fixture_small

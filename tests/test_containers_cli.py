@@ -92,6 +92,44 @@ class TestContainers:
         with pytest.raises(containers.ContainerError, match="modal"):
             containers.read_spd(str(path))
 
+    def test_spd_header_cut_short_rejected(self, tmp_path):
+        path = tmp_path / "short.spd"
+        path.write_bytes(b"SPD1\xff\xff\xff\xff")
+        with pytest.raises(containers.ContainerError, match="header"):
+            containers.read_spd(str(path))
+
+    @pytest.mark.parametrize("cut", [68 + 4, 68 + 8 * 40, -20])
+    def test_spd_truncated_in_tables_rejected(self, fixture_files, tmp_path, cut):
+        # cut inside lam, inside norms2, and inside the modal blocks
+        d, spec, f, sd = fixture_files
+        data = spd1_bytes(sd, flags=2)
+        path = tmp_path / "cut.spd"
+        path.write_bytes(data[:cut])
+        with pytest.raises(containers.ContainerError, match="ends inside"):
+            containers.read_spd(str(path))
+
+    def test_spd_absurd_sizes_rejected_before_allocation(self, fixture_files, tmp_path):
+        d, spec, f, sd = fixture_files
+        data = bytearray(spd1_bytes(sd, flags=2))
+        data[8:12] = struct.pack("<I", 2 ** 31)  # nlam
+        path = tmp_path / "huge.spd"
+        path.write_bytes(bytes(data))
+        with pytest.raises(containers.ContainerError, match="ends inside"):
+            containers.read_spd(str(path))
+        data[4:8] = struct.pack("<I", 0)  # n
+        path.write_bytes(bytes(data))
+        with pytest.raises(containers.ContainerError, match="sizes"):
+            containers.read_spd(str(path))
+
+    def test_gfn_truncated_rejected(self, fixture_files, tmp_path):
+        d, spec, f, sd = fixture_files
+        data = (d / "fx.gfn").read_bytes()
+        path = tmp_path / "cut.gfn"
+        for cut in (10, len(data) - 16):
+            path.write_bytes(data[:cut])
+            with pytest.raises(containers.ContainerError, match="ends inside"):
+                containers.read_gfn(str(path))
+
     def test_spd_supports_downstream_ops(self, fixture_files):
         from gutzmerlab.complexification import gutzmer_spectral, orbital_direct
         from gutzmerlab.heisenberg_core import ComplexPoint
@@ -156,6 +194,22 @@ class TestCLI:
         assert self.run_cli("detect", "-i", str(path)) == 2
         err = capsys.readouterr().err
         assert "modal" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("data", [b"SPD1\xff\xff\xff\xff", b"SPD1" + b"\x00" * 30])
+    def test_detect_malformed_spd_exits_2(self, tmp_path, capsys, data):
+        path = tmp_path / "bad.spd"
+        path.write_bytes(data)
+        assert self.run_cli("detect", "-i", str(path)) == 2
+        err = capsys.readouterr().err
+        assert "SPD1" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--grid", "--kmax", "--lambda-grid", "--n"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_non_positive_sizes_exit_2(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "g"
+        assert self.run_cli("synth", flag, value, "-o", str(out)) == 2
+        assert "must be positive" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_positive_half_zeroes_negative_lambda(self, fixture_files):
         d, spec, f, sd = fixture_files

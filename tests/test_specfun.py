@@ -15,7 +15,9 @@ from gutzmerlab.specfun import (
     hermite_phi_scaled,
     hilb_compare,
     laguerre,
+    laguerre_all,
     laguerre_phi,
+    laguerre_sums,
 )
 
 
@@ -103,6 +105,66 @@ class TestLaguerre:
     def test_degree_cap(self):
         with pytest.raises(SpecfunError, match="degree cap"):
             laguerre(513, 0, 1.0)
+
+
+class TestLaguerreSums:
+    """laguerre_sums against the table + tensordot contraction it replaces."""
+
+    @staticmethod
+    def reference(mtop, order, s, W):
+        return np.tensordot(W, laguerre_all(mtop, order, s), axes=(1, 0))
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 5, 11, 20])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_matches_table_contraction(self, order, kind):
+        rng = np.random.default_rng(order)
+        s = rng.uniform(0.0, 30.0, (5, 7))
+        if kind == "complex":
+            s = s - 1j * rng.uniform(-10.0, 10.0, s.shape)
+        mtop = 16
+        W = rng.normal(size=(4, mtop + 1)) + 1j * rng.normal(size=(4, mtop + 1))
+        W[1, ::3] = 0.0
+        got = laguerre_sums(mtop, order, s, W)
+        want = self.reference(mtop, order, s, W)
+        assert got.shape == (4,) + s.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_real_weights_real_argument_stay_real(self):
+        s = np.linspace(0.0, 12.0, 9)
+        W = np.arange(12.0).reshape(2, 6)
+        got = laguerre_sums(5, 3, s, W)
+        want = self.reference(5, 3, s, W)
+        assert got.dtype == float
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_unit_weights_reproduce_each_row(self):
+        s = np.linspace(0.0, 40.0, 33) + 0.5j
+        tab = laguerre_all(12, 4, s)
+        got = laguerre_sums(12, 4, s, np.eye(13))
+        assert np.allclose(got, tab, rtol=1e-12, atol=1e-12 * np.max(np.abs(tab)))
+        # rows 0-2 involve no division by m+1 > 2, so they agree bit for bit
+        assert np.array_equal(got[:3], tab[:3])
+
+    def test_zero_and_empty_weights(self):
+        s = np.linspace(0.0, 5.0, 6)
+        assert not np.any(laguerre_sums(7, 1, s, np.zeros((3, 8), complex)))
+        assert laguerre_sums(7, 1, s, np.zeros((0, 8))).shape == (0, 6)
+        assert not np.any(laguerre_sums(-1, 1, s, np.zeros((2, 0))))
+
+    def test_mtop_zero_is_the_weight(self):
+        s = np.array([[0.3, 2.0], [7.0, 1.5]], dtype=complex)
+        got = laguerre_sums(0, 4, s, np.array([[2.5 - 1j]]))
+        assert np.array_equal(got[0], np.full(s.shape, 2.5 - 1j))
+
+    def test_scalar_argument(self):
+        W = np.array([[1.0, 2.0, 3.0]])
+        got = laguerre_sums(2, 1, np.asarray(0.7 + 0.2j), W)
+        assert got.shape == (1,)
+        assert got[0] == pytest.approx(complex(self.reference(2, 1, 0.7 + 0.2j, W)[0]), rel=1e-14)
+
+    def test_degree_cap(self):
+        with pytest.raises(SpecfunError, match="degree cap"):
+            laguerre_sums(513, 0, 1.0, np.ones((1, 514)))
 
 
 class TestLaguerrePhi:
