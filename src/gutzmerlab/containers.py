@@ -30,6 +30,11 @@ class ContainerError(ValueError):
     pass
 
 
+def _require(ok, what: str) -> None:
+    if not ok:
+        raise ContainerError(what)
+
+
 def write_gfn(path: str, f: GridFunction) -> None:
     if f.n != 1:
         raise ContainerError("GFN1 serialization supports n = 1")
@@ -56,10 +61,13 @@ def read_gfn(path: str) -> GridFunction:
         if n != 1 or min(nx, nu, nt) < 2:
             raise ContainerError(f"GFN1 header declares unusable sizes n={n}, nx={nx}, "
                                  f"nu={nu}, nt={nt}")
+        _require(all(np.isfinite(v) and v > 0 for v in (lx, lu, lt)),
+                 f"GFN1 extents must be finite and positive (lx={lx}, lu={lu}, lt={lt})")
         count = nx ** n * nu ** n * nt
         if os.fstat(fh.fileno()).st_size < 45 + count * 16:
             raise ContainerError("GFN1 file ends inside its samples")
         data = np.frombuffer(fh.read(count * 16), dtype="<c16").astype(complex)
+    _require(np.all(np.isfinite(data)), "GFN1 samples hold a non-finite value")
     samples = data.reshape((nx,) * n + (nu,) * n + (nt,))
     return GridFunction(n, _fft_grid(nx, lx), _fft_grid(nu, lu), _fft_grid(nt, lt),
                         samples, schwartz=bool(schwartz))
@@ -108,6 +116,8 @@ def read_spd(path: str) -> SpectralData:
                                  f"kmax+1={kk}, nx={nx}, nu={nu}")
         if not flags & FLAG_MODAL:
             raise ContainerError("SPD1 file carries no modal coefficient blocks")
+        _require(all(np.isfinite(v) and v > 0 for v in (lx, lu, dl)),
+                 f"SPD1 extents must be finite and positive (lx={lx}, lu={lu}, dl={dl})")
         # check every declared size against the file before reading or
         # allocating anything
         tables = (2 + kk) * nlam * 8
@@ -119,6 +129,11 @@ def read_spd(path: str) -> SpectralData:
         lam = np.frombuffer(fh.read(nlam * 8), dtype="<f8").astype(float)
         wmu = np.frombuffer(fh.read(nlam * 8), dtype="<f8").astype(float)
         norms2 = np.frombuffer(fh.read(kk * nlam * 8), dtype="<f8").reshape(kk, nlam).astype(float)
+        _require(np.all(np.isfinite(lam)) and np.all(lam != 0) and np.all(np.diff(lam) > 0),
+                 "SPD1 lambda nodes must be finite, nonzero and strictly increasing")
+        for name, table in (("wmu", wmu), ("norms2", norms2)):
+            _require(np.all(np.isfinite(table) & (table >= 0)),
+                     f"SPD1 {name} table holds a negative or non-finite value")
         fh.seek(skip, 1)
         (acap,) = struct.unpack("<I", fh.read(4))
         if size < 68 + tables + skip + 4 + nlam * kk * acap * 16:
@@ -126,6 +141,7 @@ def read_spd(path: str) -> SpectralData:
         modal = []
         for j in range(nlam):
             raw = np.frombuffer(fh.read(kk * acap * 16), dtype="<c16")
+            _require(np.all(np.isfinite(raw)), f"SPD1 modal block {j} holds a non-finite value")
             modal.append(ModalSlice(float(lam[j]), raw.reshape(kk, acap).astype(complex)))
     sd = SpectralData(
         n=n, lgrid=LambdaGrid(lam, dl, wmu), kmax=kk - 1,

@@ -24,6 +24,11 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 
+# edge decay, relative to the peak magnitude, required of "Schwartz" grid data
+# before a transform may treat the samples as zero past the grid
+DECAY_TOL = 1e-3
+
+
 def fft_grid(n: int, half_extent: float) -> np.ndarray:
     """Uniform symmetric grid (m - n/2) h on [-half_extent, half_extent)."""
     h = 2.0 * half_extent / n
@@ -105,7 +110,6 @@ class QuadratureSpec:
     beta_cap: int = 64          # free-index cap (4 * kmax) in Hermite-Laguerre expansions
     fit_frac: float = 0.95     # usable fraction of grid extent / Nyquist band
     fit_tol: float = 1e-9      # admissible mode tail mass outside the usable box
-    decay_tol: float = 1e-3     # edge decay required of "Schwartz" grid data
     shell_tol: float = 1e-6     # orbital quadrature shell-truncation target
     pad_factor: float = 1.5     # orbital evaluation domain relative to lx
 

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
+from .grids import DECAY_TOL
 from .specfun import MultiIndex, SpecfunError, hermite_poly_normalized_all, HERMITE_DEGREE_CAP
 
 
@@ -201,7 +202,7 @@ def _cubic_shift_1d(samples: np.ndarray, grid: np.ndarray, shift: float, axis: i
     if strip >= n:
         raise GroupError("out-of-grid shift")
     edge = src_samples[-strip:] if shift > 0 else src_samples[:strip]
-    if peak > 0 and float(np.max(np.abs(edge))) > 1e-3 * peak:
+    if peak > 0 and float(np.max(np.abs(edge))) > DECAY_TOL * peak:
         raise GroupError("out-of-grid shift (mass would leave the grid)")
     a = -0.5
     # Keys kernel weights at source offsets -1, 0, +1, +2 for fraction f

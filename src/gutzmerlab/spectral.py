@@ -36,12 +36,11 @@ from typing import Optional
 
 import numpy as np
 
-from .grids import QuadratureSpec, fft_grid
+from .grids import DECAY_TOL, QuadratureSpec, fft_grid
 from .hermite_modes import (
     ModalSlice,
     ModalSliceND,
     basis_matrix,
-    e1d,
     modal_fields,
     multiindices,
     multiindices_upto,
@@ -191,23 +190,6 @@ class SpectralData:
                           for k in range(self.kmax + 1)])
                 for ms in self.modal]
 
-    def validate(self, tol: float = 1e-8) -> None:
-        if np.any(self.norms2 < -1e-15):
-            raise SpectralError("negative norms2")
-        if np.any(np.abs(self.lam) < 1e-14):
-            raise SpectralError("lambda = 0 in spectral grid")
-        scale = max(float(np.max(self.norms2)), 1e-300)
-        harea = self.hx ** (2 * self.n)
-        projections = self.projections
-        for j, lv in enumerate(self.lam):
-            fac = (2.0 * np.pi) ** (-self.n) * abs(lv) ** self.n
-            for k in range(self.kmax + 1):
-                q = fac * np.sum(np.abs(projections[j][k]) ** 2) * harea
-                if abs(q - self.norms2[k, j]) > tol * max(scale, 1.0):
-                    raise SpectralError(
-                        f"norms2 inconsistent with projections at (k={k}, lam={lv:.4f})"
-                    )
-
     def total_mass(self) -> float:
         """integral sum_k norms2 d mu: the Plancherel right side."""
         return float(np.sum(self.wmu[None, :] * self.norms2))
@@ -244,7 +226,7 @@ def partial_fourier_t(f: GridFunction, lam: float) -> np.ndarray:
     peak = float(np.max(np.abs(f.samples)))
     dual = np.pi / T
     on_dual = abs(lam / dual - round(lam / dual)) < 1e-9
-    if peak > 0 and edge > 1e-3 * peak and not on_dual:
+    if peak > 0 and edge > DECAY_TOL * peak and not on_dual:
         raise DecayError("insufficient t-extent for this lambda")
     phases = np.exp(1j * lam * f.tgrid) * f.ht
     return np.tensordot(f.samples, phases, axes=([-1], [0]))
@@ -308,67 +290,57 @@ def _mode_mask(spec: QuadratureSpec, kmax: int, lam: float) -> np.ndarray:
 
 def analyze(f: GridFunction, lgrid: LambdaGrid, kmax: int,
             spec: Optional[QuadratureSpec] = None) -> SpectralData:
-    """Hermite-Laguerre coefficients of every slice, and their norms."""
+    """Hermite-Laguerre coefficients of every slice, and their norms.
+
+    The product basis (|lam|/2pi)^{n/2} prod_j E_{alpha_j beta_j}(z_j) is a
+    tensor product over the planes (x_j, u_j), so each slice is contracted
+    with one conjugated 1-D table from basis_matrix plane by plane: O(M1
+    N^{2n}) per plane for M1 table rows and N points per axis.  The table
+    covers the admissible levels k and free indices a only; at n = 1 the
+    contraction is the single product conj(B) @ slice.  Mode (alpha, beta) is
+    kept iff _mode_mask admits (|beta|, |alpha|).
+    """
     if spec is None:
         spec = QuadratureSpec(n=f.n, nx=f.xgrid.size, lx=float(-f.xgrid[0]))
-    if f.n == 1:
-        return _analyze_1d(f, lgrid, kmax, spec)
-    return _analyze_nd(f, lgrid, kmax, spec)
-
-
-def _analyze_1d(f: GridFunction, lgrid: LambdaGrid, kmax: int,
-                spec: QuadratureSpec) -> SpectralData:
+    n = f.n
     Z, _ = grid_coords(1, f.xgrid, f.ugrid)
-    harea = f.hx ** 2
+    harea = f.hx ** (2 * n)
+    # slice axes (x_1..x_n, u_1..u_n) -> one (x_j, u_j) plane per axis
+    planes = [ax for j in range(n) for ax in (j, n + j)]
     modal = []
+    norms2 = np.zeros((kmax + 1, lgrid.lam.size))
     tail = np.zeros(lgrid.lam.size)
     for j, lv in enumerate(lgrid.lam):
         sl = partial_fourier_t(f, lv)
         mask = _mode_mask(spec, kmax, lv)
-        basis = basis_matrix(lv, kmax, spec.beta_cap, Z, mask=mask)
-        Bm = basis.reshape((kmax + 1) * (spec.beta_cap + 1), -1)
-        coef = ((np.conj(Bm) @ sl.reshape(-1)) * harea).reshape(kmax + 1, spec.beta_cap + 1)
-        coef[~mask] = 0.0
-        modal.append(ModalSlice(lv, coef))
-        tail[j] = max(0.0, float(np.sum(np.abs(sl) ** 2) * harea - np.sum(np.abs(coef) ** 2)))
-    norms2 = np.stack([ms.proj_norms2() for ms in modal], axis=1)
-    return SpectralData(
-        n=1, lgrid=lgrid, kmax=kmax, xgrid=f.xgrid, ugrid=f.ugrid,
-        norms2=norms2, modal=modal, tail=tail,
-    )
-
-
-def _analyze_nd(f: GridFunction, lgrid: LambdaGrid, kmax: int,
-                spec: QuadratureSpec) -> SpectralData:
-    n = f.n
-    harea = f.hx ** (2 * n)
-    Zc, Zm = grid_coords(n, f.xgrid, f.ugrid)
-    shape = Zc.shape[:-1]
-    modal = []
-    tail = np.zeros(lgrid.lam.size)
-    for j, lv in enumerate(lgrid.lam):
-        sl = partial_fourier_t(f, lv)
-        kfit = min(kmax, max(0, spec.max_radial_level(lv)))
-        betas = [b for deg in range(kfit + 1) for b in multiindices(n, deg)]
-        onorm = (abs(lv) / (2.0 * np.pi)) ** (n / 2.0)
-        mode_list, coefs = [], []
-        resid = float(np.sum(np.abs(sl) ** 2) * harea)
-        for beta in betas:
-            acap = spec.acap_for_k(sum(beta), lv, spec.beta_cap)
-            for alpha in multiindices_upto(n, max(acap, 0)):
-                if not spec.pair_fits(sum(alpha), sum(beta), lv):
-                    continue
-                fld = np.ones(shape, dtype=complex)
-                for ax in range(n):
-                    fld = fld * e1d(lv, alpha[ax], beta[ax], Zc[..., ax], Zm[..., ax])
-                fld = onorm * fld
-                c = np.sum(sl * np.conj(fld)) * harea
-                mode_list.append((alpha, beta))
-                coefs.append(c)
-        coefs = np.asarray(coefs, dtype=complex)
-        modal.append(ModalSliceND(lv, n, mode_list, coefs))
-        tail[j] = max(0.0, resid - float(np.sum(np.abs(coefs) ** 2)))
-    norms2 = np.stack([ms.proj_norms2(kmax) for ms in modal], axis=1)
+        kt, at = int(mask.any(axis=1).sum()), int(mask.any(axis=0).sum())
+        # numpy takes a one-row product as a dot product, which sums in another
+        # order than the matrix-vector kernel; a second (masked) row keeps
+        # one-mode slices bit-identical to the full-table product
+        at = min(max(at, 2), spec.beta_cap + 1)
+        # at n = 1 the table rows are the modes; at n >= 2 a plane may carry
+        # any (beta_j, alpha_j) of the admissible rectangle
+        B = basis_matrix(lv, kt - 1, at - 1, Z, mask=mask[:kt, :at] if n == 1 else None)
+        Bc = np.conjugate(B, out=B).reshape(kt * at, Z.size)
+        T = sl.transpose(planes).reshape((Z.size,) * n)
+        for _ in range(n):
+            # contract the leading plane; its mode axis moves to the back
+            T = np.moveaxis(np.tensordot(Bc, T, axes=(1, 0)), 0, -1)
+        T = (T * harea).reshape((kt, at) * n)          # [beta_1, alpha_1, beta_2, ...]
+        if n == 1:
+            coef = np.zeros((kmax + 1, spec.beta_cap + 1), dtype=complex)
+            coef[:kt, :at] = T
+            ms = ModalSlice(lv, coef)
+            norms2[:, j] = ms.proj_norms2()
+        else:
+            modes = [(alpha, beta) for k in range(kt) for beta in multiindices(n, k)
+                     for alpha in multiindices_upto(n, at - 1) if mask[k, sum(alpha)]]
+            coef = np.array([T[sum(zip(beta, alpha), ())] for alpha, beta in modes],
+                            dtype=complex)
+            ms = ModalSliceND(lv, n, modes, coef)
+            norms2[:, j] = ms.proj_norms2(kmax)
+        modal.append(ms)
+        tail[j] = max(0.0, float(np.sum(np.abs(sl) ** 2) * harea - np.sum(np.abs(ms.coef) ** 2)))
     return SpectralData(
         n=n, lgrid=lgrid, kmax=kmax, xgrid=f.xgrid, ugrid=f.ugrid,
         norms2=norms2, modal=modal, tail=tail,

@@ -5,10 +5,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import small_spec
 from gutzmerlab import containers
 from gutzmerlab.cli import _positive_half, main
+from gutzmerlab.grids import QuadratureSpec
 from gutzmerlab.spectral import synth_bandlimited
 
 
@@ -28,6 +31,28 @@ def spd1_bytes(sd, flags):
         out.append(struct.pack("<I", sd.modal[0].coef.shape[1]))
         out += [np.asarray(ms.coef, dtype="<c16").tobytes() for ms in sd.modal]
     return b"".join(out)
+
+
+# (file, byte offset from (nlam, kmax+1), float64 written there) of each bad
+# value; SPD1 tables start at byte 68, GFN1 samples at byte 45
+BAD_VALUES = {
+    "spd-lam0-nan": ("spd", lambda nl, kk: 68, np.nan),
+    "spd-lam0-zero": ("spd", lambda nl, kk: 68, 0.0),
+    "spd-lam-unsorted": ("spd", lambda nl, kk: 76, -1e3),
+    "spd-lam-inf": ("spd", lambda nl, kk: 68 + 8 * (nl - 1), np.inf),
+    "spd-wmu-nan": ("spd", lambda nl, kk: 68 + 8 * nl, np.nan),
+    "spd-wmu-negative": ("spd", lambda nl, kk: 68 + 8 * nl, -1.0),
+    "spd-norms2-negative": ("spd", lambda nl, kk: 68 + 16 * nl, -5.0),
+    "spd-norms2-inf": ("spd", lambda nl, kk: 68 + 16 * nl, np.inf),
+    "spd-modal-nan": ("spd", lambda nl, kk: 72 + 8 * (2 + kk) * nl, np.nan),
+    "spd-lx-nan": ("spd", lambda nl, kk: 28, np.nan),
+    "spd-lu-negative": ("spd", lambda nl, kk: 36, -10.0),
+    "spd-dl-zero": ("spd", lambda nl, kk: 44, 0.0),
+    "gfn-lx-nan": ("gfn", lambda nl, kk: 20, np.nan),
+    "gfn-lu-inf": ("gfn", lambda nl, kk: 28, np.inf),
+    "gfn-lt-zero": ("gfn", lambda nl, kk: 36, 0.0),
+    "gfn-sample-nan": ("gfn", lambda nl, kk: 45 + 16 * 7, np.nan),
+}
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +145,28 @@ class TestContainers:
         path.write_bytes(bytes(data))
         with pytest.raises(containers.ContainerError, match="sizes"):
             containers.read_spd(str(path))
+
+    @pytest.mark.parametrize("case", sorted(BAD_VALUES))
+    def test_bad_values_exit_2(self, fixture_files, tmp_path, capsys, case):
+        d, spec, f, sd = fixture_files
+        ext, offset, value = BAD_VALUES[case]
+        for e in ("gfn", "spd"):
+            (tmp_path / f"x.{e}").write_bytes((d / f"fx.{e}").read_bytes())
+        path = tmp_path / f"x.{ext}"
+        data = bytearray(path.read_bytes())
+        at = offset(sd.lam.size, sd.kmax + 1)
+        data[at : at + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(data))
+        reader = containers.read_spd if ext == "spd" else containers.read_gfn
+        with pytest.raises(containers.ContainerError):
+            reader(str(path))
+        runs = [["verify", "gutzmer", "-i", str(tmp_path / "x")]]
+        if ext == "spd":
+            runs.append(["detect", "-i", str(path)])
+        for argv in runs:
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert ext.upper() in err and "Traceback" not in err
 
     def test_gfn_truncated_rejected(self, fixture_files, tmp_path):
         d, spec, f, sd = fixture_files
@@ -269,6 +316,58 @@ class TestCLI:
                              capture_output=True, text=True)
         assert out.returncode in (0, 2)
         assert "synth" in out.stdout
+
+
+@pytest.fixture(scope="module")
+def tiny_files(tmp_path_factory):
+    """A small valid SPD1 / GFN1 pair (7.8 kB / 148 kB) for the fuzzers."""
+    d = tmp_path_factory.mktemp("fuzz")
+    spec = QuadratureSpec(nx=24, lx=8.0, nt=16, nodes_per_A=4, margin_nodes=1, kmax=4,
+                          beta_cap=8)
+    f, sd = synth_bandlimited(1.0, 3.0, seed=1, spec=spec)
+    containers.write_gfn(str(d / "ok.gfn"), f)
+    containers.write_spd(str(d / "ok.spd"), sd)
+    return d
+
+
+@st.composite
+def damaged(draw, data: bytes) -> bytes:
+    """data cut short, or with 1-4 bits flipped (half of them in the first 512 bytes,
+    where the headers and the SPD1 tables live)."""
+    if draw(st.booleans()):
+        return data[: draw(st.integers(0, len(data) - 1))]
+    out = bytearray(data)
+    bits = st.integers(0, 8 * min(len(data), 512) - 1) | st.integers(0, 8 * len(data) - 1)
+    for bit in draw(st.lists(bits, min_size=1, max_size=4)):
+        out[bit // 8] ^= 1 << (bit % 8)
+    return bytes(out)
+
+
+FUZZ = settings(max_examples=60, deadline=None)
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzz_read_spd_and_detect(tiny_files, data):
+    path = tiny_files / "fuzz.spd"
+    path.write_bytes(data.draw(damaged((tiny_files / "ok.spd").read_bytes())))
+    try:
+        containers.read_spd(str(path))
+    except containers.ContainerError:
+        pass
+    # an exception escaping main would be a traceback for the user
+    assert main(["detect", "-i", str(path), "-o", str(tiny_files / "fuzz.json")]) in (0, 1, 2)
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzz_read_gfn(tiny_files, data):
+    path = tiny_files / "fuzz.gfn"
+    path.write_bytes(data.draw(damaged((tiny_files / "ok.gfn").read_bytes())))
+    try:
+        containers.read_gfn(str(path))
+    except containers.ContainerError:
+        pass
 
 
 def test_thread_count_env(monkeypatch):

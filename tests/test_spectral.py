@@ -6,13 +6,16 @@ import pytest
 from conftest import small_spec
 from gutzmerlab.grids import QuadratureSpec, fft_grid
 from gutzmerlab.heisenberg_core import ComplexPoint
+from gutzmerlab.hermite_modes import ModalSliceND, basis_matrix, e1d, multiindices, multiindices_upto
 from gutzmerlab.specfun import LaguerreArg, laguerre_phi
 from gutzmerlab.spectral import (
     DecayError,
     GridFunction,
     LambdaGrid,
     SpectralError,
+    _mode_mask,
     analyze,
+    grid_coords,
     invert,
     invert_grid,
     partial_fourier_t,
@@ -329,13 +332,56 @@ class TestInversion:
         assert got == pytest.approx(want, rel=1e-12)
 
 
-class TestAnalyzeN2:
-    def test_modal_round_trip_and_plancherel(self):
-        # hand-rolled n=2 fixture: one populated lambda slice, few modes
-        from gutzmerlab.hermite_modes import ModalSliceND
+N2_SPEC = dict(n=2, nx=16, lx=7.5, nt=24, nodes_per_A=2, margin_nodes=1, kmax=2,
+               beta_cap=3, fit_tol=1e-6)
+N2_WIDE = dict(N2_SPEC, nx=24, kmax=4, beta_cap=8)
 
-        spec = QuadratureSpec(n=2, nx=16, lx=7.5, nt=24, nodes_per_A=2,
-                              margin_nodes=1, kmax=2, beta_cap=3, fit_tol=1e-6)
+
+def n2_gridfn(spec, lgrid, slices):
+    """n = 2 grid function whose slice at lgrid.lam[j] is the ModalSliceND slices[j]
+    (lambda nodes without one stay empty)."""
+    xg = fft_grid(spec.nx, spec.lx)
+    tg = fft_grid(spec.nt, lgrid.t_half_window)
+    zc, zm = grid_coords(2, xg, xg)
+    samples = np.zeros(zc.shape[:-1] + (spec.nt,), dtype=complex)
+    for j, ms in slices.items():
+        lv = lgrid.lam[j]
+        scale = (2 * np.pi / abs(lv)) ** 2
+        samples += (lgrid.wmu[j] * scale * ms.field(zc, zm))[..., None] * np.exp(-1j * lv * tg)
+    return GridFunction(2, xg, xg, tg, samples, schwartz=True)
+
+
+def pair_fits_modes(spec, kmax, lam, n):
+    """The admissible (alpha, beta) list as the per-mode analysis enumerated it."""
+    kfit = min(kmax, max(0, spec.max_radial_level(lam)))
+    modes = []
+    for beta in [b for deg in range(kfit + 1) for b in multiindices(n, deg)]:
+        acap = spec.acap_for_k(sum(beta), lam, spec.beta_cap)
+        modes += [(alpha, beta) for alpha in multiindices_upto(n, max(acap, 0))
+                  if spec.pair_fits(sum(alpha), sum(beta), lam)]
+    return modes
+
+
+def per_mode_coefs(f, lam, modes):
+    """Each mode built as a full 2n-dimensional grid field through e1d and
+    projected on its own: the independent reference for the per-plane path."""
+    n = f.n
+    sl = partial_fourier_t(f, lam)
+    zc, zm = grid_coords(n, f.xgrid, f.ugrid)
+    onorm = (abs(lam) / (2 * np.pi)) ** (n / 2)
+    out = []
+    for alpha, beta in modes:
+        fld = onorm * np.prod([e1d(lam, alpha[ax], beta[ax], zc[..., ax], zm[..., ax])
+                               for ax in range(n)], axis=0)
+        out.append(np.sum(sl * np.conj(fld)) * f.hx ** (2 * n))
+    return np.asarray(out, dtype=complex)
+
+
+class TestAnalyzeN2:
+    @pytest.mark.parametrize("kw", [N2_SPEC, N2_WIDE], ids=["nx16", "nx24"])
+    def test_modal_round_trip_and_plancherel(self, kw):
+        # hand-rolled n=2 fixture: one populated lambda slice, few modes
+        spec = QuadratureSpec(**kw)
         lgrid = LambdaGrid.build(spec, 1.0)
         j0 = int(np.argmin(np.abs(lgrid.lam - 1.0)))
         lam0 = lgrid.lam[j0]
@@ -343,30 +389,57 @@ class TestAnalyzeN2:
         coefs = np.array([1.2, 0.7j, 0.5, -0.3 + 0.2j])
         for (al, be) in modes:
             assert spec.pair_fits(sum(al), sum(be), lam0)
-        ms = ModalSliceND(lam0, 2, modes, coefs)
-        xg = fft_grid(spec.nx, spec.lx)
-        tg = fft_grid(spec.nt, lgrid.t_half_window)
-        shape = (spec.nx,) * 4
-        Zax = []
-        for ax in range(2):
-            sx = [1] * 4
-            sx[ax] = spec.nx
-            su = [1] * 4
-            su[2 + ax] = spec.nx
-            Zax.append(xg.reshape(sx) + 1j * xg.reshape(su) + np.zeros(shape))
-        Zc = np.stack(Zax, axis=-1)
-        field = ms.field(Zc, np.conj(Zc))
-        scale = (2 * np.pi / abs(lam0)) ** 2
-        samples = (lgrid.wmu[j0] * scale * field)[..., None] * np.exp(-1j * lam0 * tg)
-        f = GridFunction(2, xg, xg, tg, samples, schwartz=True)
+        f = n2_gridfn(spec, lgrid, {j0: ModalSliceND(lam0, 2, modes, coefs)})
         sd = analyze(f, lgrid, spec.kmax, spec)
-        want = np.zeros((3, lgrid.lam.size))
+        scale = (2 * np.pi / abs(lam0)) ** 2
+        want = np.zeros((spec.kmax + 1, lgrid.lam.size))
         for (al, be), c in zip(modes, coefs):
             want[sum(be), j0] += scale * abs(c) ** 2
         # recovery floor tracks the fit_tol=1e-6 admissibility of this grid
         assert np.max(np.abs(sd.norms2 - want)) <= 1e-7 * np.max(want)
         lhs, rhs, rel = plancherel_check(f, sd)
         assert rel <= 1e-7
+
+    def test_coefficients_match_per_mode_projection(self):
+        # lambda = 1 carries every admissible mode, lambda = 0.5 admits none
+        spec = QuadratureSpec(**N2_SPEC)
+        full = LambdaGrid.build(spec, 1.0)
+        js = [int(np.argmin(np.abs(full.lam - lv))) for lv in (1.0, 0.5)]
+        lgrid = LambdaGrid(full.lam[js], full.dl, full.wmu[js])
+        modes = pair_fits_modes(spec, spec.kmax, 1.0, 2)
+        rng = np.random.default_rng(4)
+        coefs = rng.standard_normal(len(modes)) + 1j * rng.standard_normal(len(modes))
+        f = n2_gridfn(spec, lgrid, {0: ModalSliceND(1.0, 2, modes, coefs)})
+        sd = analyze(f, lgrid, spec.kmax, spec)
+        assert sd.modal[0].modes == modes and sd.modal[1].modes == []
+        ref = per_mode_coefs(f, 1.0, modes)
+        assert np.max(np.abs(sd.modal[0].coef - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert sd.modal[1].coef.size == 0 and np.all(sd.norms2[:, 1] == 0.0)
+
+    @pytest.mark.parametrize("kw", [N2_SPEC, N2_WIDE], ids=["nx16", "nx24"])
+    def test_mode_lists_match_pair_fits_enumeration(self, kw):
+        spec = QuadratureSpec(**kw)
+        lgrid = LambdaGrid.build(spec, 1.0)
+        f = n2_gridfn(spec, lgrid, {})
+        sd = analyze(f, lgrid, spec.kmax, spec)
+        for ms, lv in zip(sd.modal, lgrid.lam):
+            assert ms.modes == pair_fits_modes(spec, spec.kmax, lv, 2)
+            assert all(_mode_mask(spec, spec.kmax, lv)[sum(b), sum(a)] for a, b in ms.modes)
+
+
+class TestAnalyzeN1:
+    def test_matches_full_table_product(self, fixture_small, analyzed_small):
+        # the per-plane path at n = 1 against conj(B) @ slice over the whole
+        # (kmax+1) x (beta_cap+1) table
+        spec, f, _ = fixture_small
+        Z = f.xgrid[:, None] + 1j * f.ugrid[None, :]
+        for j, lv in enumerate(analyzed_small.lam):
+            mask = _mode_mask(spec, spec.kmax, lv)
+            B = basis_matrix(lv, spec.kmax, spec.beta_cap, Z, mask=mask)
+            want = (np.conj(B.reshape(mask.size, -1)) @ partial_fourier_t(f, lv).ravel()
+                    * f.hx ** 2).reshape(mask.shape)
+            got = analyzed_small.modal[j].coef
+            assert np.max(np.abs(got - want)) <= 1e-14 * max(np.max(np.abs(want)), 1e-300)
 
 
 class TestSynth:
@@ -401,5 +474,10 @@ class TestSynth:
         assert sd.band.B <= sd.requested_band.B + 1e-12
 
     def test_validate_consistency(self, fixture_small):
+        # norms2 against the grid norms of the projections rebuilt from modal
         _, _, sd = fixture_small
-        sd.validate(tol=1e-8)
+        assert np.all(sd.norms2 >= -1e-15) and np.all(np.abs(sd.lam) >= 1e-14)
+        harea = sd.hx ** (2 * sd.n)
+        got = np.stack([(abs(lv) / (2 * np.pi)) ** sd.n * harea * np.sum(np.abs(pk) ** 2, axis=(1, 2))
+                        for lv, pk in zip(sd.lam, sd.projections)], axis=1)
+        assert np.max(np.abs(got - sd.norms2)) <= 1e-8 * max(float(np.max(sd.norms2)), 1.0)
