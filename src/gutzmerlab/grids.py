@@ -113,9 +113,6 @@ class QuadratureSpec:
     shell_tol: float = 1e-6     # orbital quadrature shell-truncation target
     pad_factor: float = 1.5     # orbital evaluation domain relative to lx
 
-    def xu_grid(self) -> np.ndarray:
-        return fft_grid(self.nx, self.lx)
-
     @property
     def hx(self) -> float:
         return 2.0 * self.lx / self.nx

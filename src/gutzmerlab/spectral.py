@@ -209,24 +209,35 @@ class SpectralData:
 # central partial Fourier transform
 # ---------------------------------------------------------------------------
 
-def partial_fourier_t(f: GridFunction, lam: float) -> np.ndarray:
-    """f^lambda(x,u) = integral f(x,u,t) e^{i lambda t} dt by the grid rule.
-
-    Requires either edge decay at the declared tolerance or lambda on the
-    dual lattice pi/T of the t-window (fixtures are trigonometric in t, for
-    which the one-period sum is exact by discrete orthogonality).
-    """
-    if not f.schwartz:
-        raise DecayError("function not flagged as decaying (schwartz)")
-    T = f.t_half_window
+def _t_edges_decayed(f: GridFunction) -> bool:
+    """Do both t-edge sample planes stay within DECAY_TOL of the peak?"""
     edge = max(
         float(np.max(np.abs(np.take(f.samples, 0, axis=-1)))),
         float(np.max(np.abs(np.take(f.samples, -1, axis=-1)))),
     )
     peak = float(np.max(np.abs(f.samples)))
-    dual = np.pi / T
-    on_dual = abs(lam / dual - round(lam / dual)) < 1e-9
-    if peak > 0 and edge > DECAY_TOL * peak and not on_dual:
+    return not (peak > 0 and edge > DECAY_TOL * peak)
+
+
+def _on_dual(f: GridFunction, lam: float) -> bool:
+    """Is lambda on the dual lattice pi/T of the t-window?"""
+    dual = np.pi / f.t_half_window
+    return abs(lam / dual - round(lam / dual)) < 1e-9
+
+
+def partial_fourier_t(f: GridFunction, lam: float, *,
+                      _decayed: Optional[bool] = None) -> np.ndarray:
+    """f^lambda(x,u) = integral f(x,u,t) e^{i lambda t} dt by the grid rule.
+
+    Requires either edge decay at the declared tolerance or lambda on the
+    dual lattice pi/T of the t-window (fixtures are trigonometric in t, for
+    which the one-period sum is exact by discrete orthogonality).  The edge
+    scan runs only off the lattice; a caller that transforms f at many
+    lambda passes its result as _decayed, so it runs once.
+    """
+    if not f.schwartz:
+        raise DecayError("function not flagged as decaying (schwartz)")
+    if not _on_dual(f, lam) and not (_t_edges_decayed(f) if _decayed is None else _decayed):
         raise DecayError("insufficient t-extent for this lambda")
     phases = np.exp(1j * lam * f.tgrid) * f.ht
     return np.tensordot(f.samples, phases, axes=([-1], [0]))
@@ -310,8 +321,10 @@ def analyze(f: GridFunction, lgrid: LambdaGrid, kmax: int,
     modal = []
     norms2 = np.zeros((kmax + 1, lgrid.lam.size))
     tail = np.zeros(lgrid.lam.size)
+    # the edge scan decides only off the dual lattice: run it at most once
+    decayed = all(_on_dual(f, lv) for lv in lgrid.lam) or _t_edges_decayed(f)
     for j, lv in enumerate(lgrid.lam):
-        sl = partial_fourier_t(f, lv)
+        sl = partial_fourier_t(f, lv, _decayed=decayed)
         mask = _mode_mask(spec, kmax, lv)
         kt, at = int(mask.any(axis=1).sum()), int(mask.any(axis=0).sum())
         # numpy takes a one-row product as a dot product, which sums in another

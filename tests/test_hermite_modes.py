@@ -1,14 +1,20 @@
 import numpy as np
 import pytest
 
+from gutzmerlab import hermite_modes
+from gutzmerlab.grids import fft_grid
 from gutzmerlab.hermite_modes import (
     ModalSlice,
+    ModalSliceND,
     abs_lam_groups,
     basis_matrix,
     e1d,
     modal_fields,
+    multiindices,
+    multiindices_upto,
     slice_fields,
 )
+from gutzmerlab.spectral import grid_coords
 
 
 def random_slice(lam, kmax=6, acap=9, seed=0):
@@ -106,3 +112,85 @@ def test_modal_fields_keeps_slice_order():
     modal = [random_slice(lv, seed=i) for i, lv in enumerate((-0.9, -0.4, 0.4, 0.9, 1.3))]
     for ms, fld in zip(modal, modal_fields(modal, zc, zm)):
         assert np.array_equal(fld, ms.field(zc, zm))
+
+
+# ---------------------------------------------------------------------------
+# n >= 2: ModalSliceND.field against the per-mode e1d product
+# ---------------------------------------------------------------------------
+
+def random_slice_nd(lam, n=2, kcap=3, acap=4, seed=0):
+    """Every (alpha, beta) with |beta| <= kcap, |alpha| <= acap, random coefficients."""
+    rng = np.random.default_rng(seed)
+    modes = [(alpha, beta) for beta in multiindices_upto(n, kcap)
+             for alpha in multiindices_upto(n, acap)]
+    coef = rng.normal(size=len(modes)) + 1j * rng.normal(size=len(modes))
+    coef[::7] = 0.0  # holes, as a sparse analysis leaves
+    return ModalSliceND(lam, n, modes, coef)
+
+
+def e1d_reference_nd(ms, zc, zm, k_select=None):
+    """sum c (|lam|/2pi)^{n/2} prod_j E_{alpha_j beta_j}(zc_j, zm_j): each mode
+    built on all points through e1d, as the per-mode evaluator did."""
+    out = np.zeros(np.broadcast(zc, zm).shape[:-1], dtype=complex)
+    for (alpha, beta), c in zip(ms.modes, ms.coef):
+        if k_select is not None and sum(beta) != k_select:
+            continue
+        term = np.ones_like(out)
+        for j in range(ms.n):
+            term = term * e1d(ms.lam, alpha[j], beta[j], zc[..., j], zm[..., j])
+        out += c * term
+    return (abs(ms.lam) / (2 * np.pi)) ** (ms.n / 2) * out
+
+
+def complex_points_nd(npts, n=2, seed=1):
+    rng = np.random.default_rng(seed)
+    zc = rng.normal(size=(npts, n)) + 1j * rng.normal(size=(npts, n))
+    zm = rng.normal(size=(npts, n)) + 1j * rng.normal(size=(npts, n))
+    return zc, zm
+
+
+class TestModalSliceNDField:
+    @pytest.mark.parametrize("lam", [0.9, -0.9])
+    @pytest.mark.parametrize("k_select", [None, 0, 1, 2, 3])
+    def test_real_grid(self, lam, k_select):
+        # 10^4 grid points: two whole blocks and a partial one
+        xg = fft_grid(10, 4.0)
+        zc, zm = grid_coords(2, xg, xg)
+        assert zc.shape[:-1] == (10,) * 4 and 10 ** 4 % hermite_modes.FIELD_BLOCK
+        ms = random_slice_nd(lam, seed=2)
+        assert_close(ms.field(zc, zm, k_select), e1d_reference_nd(ms, zc, zm, k_select),
+                     rel=1e-13)
+
+    @pytest.mark.parametrize("lam", [0.7, -0.7])
+    @pytest.mark.parametrize("k_select", [None, 0, 1, 2, 3])
+    @pytest.mark.parametrize("npts", [1, 37, 2 * hermite_modes.FIELD_BLOCK + 5])
+    def test_complexified_points(self, lam, k_select, npts):
+        zc, zm = complex_points_nd(npts, seed=npts)
+        ms = random_slice_nd(lam, seed=3)
+        got = ms.field(zc, zm, k_select)
+        assert got.shape == (npts,)
+        assert_close(got, e1d_reference_nd(ms, zc, zm, k_select), rel=1e-13)
+
+    @pytest.mark.parametrize("lam", [1.2, -1.2])
+    def test_n3(self, lam):
+        zc, zm = complex_points_nd(50, n=3, seed=5)
+        ms = random_slice_nd(lam, n=3, kcap=2, acap=2, seed=6)
+        for k in (None, 0, 2):
+            assert_close(ms.field(zc, zm, k), e1d_reference_nd(ms, zc, zm, k), rel=1e-13)
+
+    def test_levels_sum_to_the_slice(self):
+        zc, zm = complex_points_nd(60, seed=7)
+        ms = random_slice_nd(-0.5, seed=8)
+        levels = sum(ms.field(zc, zm, k_select=k) for k in range(4))
+        assert_close(levels, ms.field(zc, zm), rel=1e-13)
+
+    def test_empty_and_zero_modes(self):
+        zc, zm = complex_points_nd(9)
+        empty = ModalSliceND(0.8, 2, [], np.zeros(0, complex))
+        zero = random_slice_nd(0.8)
+        zero.coef[:] = 0.0
+        for ms in (empty, zero):
+            got = ms.field(zc, zm)
+            assert got.shape == (9,) and not np.any(got)
+        # a level that no mode carries
+        assert not np.any(random_slice_nd(0.8, kcap=1).field(zc, zm, k_select=3))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import small_spec
+from gutzmerlab import spectral
 from gutzmerlab.grids import QuadratureSpec, fft_grid
 from gutzmerlab.heisenberg_core import ComplexPoint
 from gutzmerlab.hermite_modes import ModalSliceND, basis_matrix, e1d, multiindices, multiindices_upto
@@ -64,16 +65,48 @@ class TestPartialFourier:
             sl = partial_fourier_t(f, lv)
             assert np.max(np.abs(sl)) <= 1e-8 * peak
 
-    def test_insufficient_extent_error(self):
-        spec = small_spec(nt=32)
+    @staticmethod
+    def fat_gaussian(spec):
         xg = fft_grid(spec.nx, spec.lx)
         tg = fft_grid(32, 2.0)  # short window, fat Gaussian in t
         X, U = np.meshgrid(xg, xg, indexing="ij")
         samples = (np.exp(-(X ** 2 + U ** 2) / 4.0)[:, :, None]
                    * np.exp(-(tg ** 2) / 40.0)[None, None, :] + 0j)
-        f = GridFunction(1, xg, xg, tg, samples, schwartz=True)
+        return GridFunction(1, xg, xg, tg, samples, schwartz=True)
+
+    def test_insufficient_extent_error(self):
+        f = self.fat_gaussian(small_spec(nt=32))
         with pytest.raises(DecayError, match="insufficient t-extent"):
             partial_fourier_t(f, 0.333)  # off the dual lattice
+
+    def test_analyze_raises_at_the_first_off_dual_lambda(self, monkeypatch):
+        # analyze runs the t-edge scan at most once (never on the dual
+        # lattice) and keeps the per-lambda dual test
+        spec = small_spec(nt=32)
+        f = self.fat_gaussian(spec)
+        dual = np.pi / f.t_half_window
+        seen, scans = [], []
+        scan = spectral._t_edges_decayed
+
+        def recording(g, lam, **kw):
+            seen.append(lam)
+            return partial_fourier_t(g, lam, **kw)
+
+        monkeypatch.setattr(spectral, "partial_fourier_t", recording)
+        monkeypatch.setattr(spectral, "_t_edges_decayed", lambda g: scans.append(1) or scan(g))
+        on_dual = np.array([-2.0, -1.0, 1.0, 2.0]) * dual
+        sd = analyze(f, LambdaGrid(on_dual, dual, np.ones(4)), spec.kmax, spec)
+        assert sd.modal[0].lam == on_dual[0] and seen == list(on_dual) and scans == []
+        seen.clear()
+        lam = np.array([dual, 2.0 * dual, 0.333, 3.0 * dual])
+        with pytest.raises(DecayError, match="insufficient t-extent"):
+            analyze(f, LambdaGrid(lam, dual, np.ones(4)), spec.kmax, spec)
+        assert seen == [dual, 2.0 * dual, 0.333] and scans == [1]
+        f.schwartz = False
+        seen.clear()
+        with pytest.raises(DecayError, match="schwartz"):
+            analyze(f, LambdaGrid(on_dual, dual, np.ones(4)), spec.kmax, spec)
+        assert seen == [on_dual[0]]
 
     def test_unflagged_rejected(self):
         spec = small_spec()
@@ -425,6 +458,46 @@ class TestAnalyzeN2:
         for ms, lv in zip(sd.modal, lgrid.lam):
             assert ms.modes == pair_fits_modes(spec, spec.kmax, lv, 2)
             assert all(_mode_mask(spec, spec.kmax, lv)[sum(b), sum(a)] for a, b in ms.modes)
+
+    def test_derived_views(self):
+        # lambda = +-1 carry every admissible mode (tapered to stay above the
+        # grid's mode-norm floor); the other nodes admit none and stay empty
+        spec = QuadratureSpec(**N2_SPEC)
+        lgrid = LambdaGrid.build(spec, 1.0)
+        rng = np.random.default_rng(7)
+        slices = {}
+        for j, lv in enumerate(lgrid.lam):
+            modes = pair_fits_modes(spec, spec.kmax, lv, 2)
+            degree = np.array([sum(a) + sum(b) for a, b in modes])
+            coef = (rng.standard_normal(len(modes)) + 1j * rng.standard_normal(len(modes)))
+            slices[j] = ModalSliceND(lv, 2, modes, coef * np.exp(-degree))
+        f = n2_gridfn(spec, lgrid, slices)
+        sd = analyze(f, lgrid, spec.kmax, spec)
+        assert sorted({len(ms.modes) for ms in sd.modal}) == [0, 15]
+        harea = f.hx ** 4
+        sls, projs = sd.slices, sd.projections
+        for j, lv in enumerate(sd.lam):
+            raw = partial_fourier_t(f, lv)
+            # the residual is the uncaptured energy; non-orthogonality on this
+            # grid adds up to 2.1e-14 of the slice energy (measured)
+            resid = np.sum(np.abs(raw - sls[j]) ** 2) * harea
+            assert resid <= sd.tail[j] + 1e-12 * np.sum(np.abs(raw) ** 2) * harea
+            want = (2 * np.pi / abs(lv)) ** 2 * sls[j]
+            assert projs[j].shape == (spec.kmax + 1,) + want.shape
+            err = np.max(np.abs(projs[j].sum(axis=0) - want))
+            assert err <= 1e-13 * max(np.max(np.abs(want)), 1e-300)
+        back = invert_grid(sd, f.tgrid)
+        N = spec.nx
+        inner = (slice(N // 4, 3 * N // 4),) * 4 + (slice(None),)
+        peak = np.max(np.abs(f.samples[inner]))
+        # measured 9.2e-8: the recovery floor of this fit_tol = 1e-6 grid
+        assert np.max(np.abs(back.samples[inner] - f.samples[inner])) <= 1e-6 * peak
+        i = (N // 2 + 2, N // 2 - 1, N // 2 + 1, N // 2 - 3)
+        m = spec.nt // 3
+        x = f.xgrid
+        p = ComplexPoint([x[i[0]], x[i[1]]], [0.0, 0.0], [x[i[2]], x[i[3]]], [0.0, 0.0],
+                         f.tgrid[m], 0.0)
+        assert abs(invert(sd, p) - back.samples[i + (m,)]) <= 1e-12 * np.max(np.abs(back.samples))
 
 
 class TestAnalyzeN1:
