@@ -225,19 +225,17 @@ def _on_dual(f: GridFunction, lam: float) -> bool:
     return abs(lam / dual - round(lam / dual)) < 1e-9
 
 
-def partial_fourier_t(f: GridFunction, lam: float, *,
-                      _decayed: Optional[bool] = None) -> np.ndarray:
+def partial_fourier_t(f: GridFunction, lam: float) -> np.ndarray:
     """f^lambda(x,u) = integral f(x,u,t) e^{i lambda t} dt by the grid rule.
 
     Requires either edge decay at the declared tolerance or lambda on the
     dual lattice pi/T of the t-window (fixtures are trigonometric in t, for
     which the one-period sum is exact by discrete orthogonality).  The edge
-    scan runs only off the lattice; a caller that transforms f at many
-    lambda passes its result as _decayed, so it runs once.
+    scan over every sample runs only off the lattice.
     """
     if not f.schwartz:
         raise DecayError("function not flagged as decaying (schwartz)")
-    if not _on_dual(f, lam) and not (_t_edges_decayed(f) if _decayed is None else _decayed):
+    if not _on_dual(f, lam) and not _t_edges_decayed(f):
         raise DecayError("insufficient t-extent for this lambda")
     phases = np.exp(1j * lam * f.tgrid) * f.ht
     return np.tensordot(f.samples, phases, axes=([-1], [0]))
@@ -321,10 +319,8 @@ def analyze(f: GridFunction, lgrid: LambdaGrid, kmax: int,
     modal = []
     norms2 = np.zeros((kmax + 1, lgrid.lam.size))
     tail = np.zeros(lgrid.lam.size)
-    # the edge scan decides only off the dual lattice: run it at most once
-    decayed = all(_on_dual(f, lv) for lv in lgrid.lam) or _t_edges_decayed(f)
     for j, lv in enumerate(lgrid.lam):
-        sl = partial_fourier_t(f, lv, _decayed=decayed)
+        sl = partial_fourier_t(f, lv)
         mask = _mode_mask(spec, kmax, lv)
         kt, at = int(mask.any(axis=1).sum()), int(mask.any(axis=0).sum())
         # numpy takes a one-row product as a dot product, which sums in another

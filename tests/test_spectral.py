@@ -80,17 +80,17 @@ class TestPartialFourier:
             partial_fourier_t(f, 0.333)  # off the dual lattice
 
     def test_analyze_raises_at_the_first_off_dual_lambda(self, monkeypatch):
-        # analyze runs the t-edge scan at most once (never on the dual
-        # lattice) and keeps the per-lambda dual test
+        # the t-edge scan runs only for lambda off the dual lattice, so
+        # analyze on lattice nodes never runs it
         spec = small_spec(nt=32)
         f = self.fat_gaussian(spec)
         dual = np.pi / f.t_half_window
         seen, scans = [], []
         scan = spectral._t_edges_decayed
 
-        def recording(g, lam, **kw):
+        def recording(g, lam):
             seen.append(lam)
-            return partial_fourier_t(g, lam, **kw)
+            return partial_fourier_t(g, lam)
 
         monkeypatch.setattr(spectral, "partial_fourier_t", recording)
         monkeypatch.setattr(spectral, "_t_edges_decayed", lambda g: scans.append(1) or scan(g))
