@@ -10,6 +10,10 @@ over the motion group equals the spectral sum
 and replacing phi_k^lambda(2iy,2iv) by j_{n-1}(2i sqrt((2k+n)|lambda|) r)
 (r = |(y,v)|) realizes the shift operator: growth becomes pure exponential
 type  e^{2A|eta|} e^{2 sqrt(B) r},  whose ray slopes recover the band limits.
+
+Both sums are formed in log space over the populated (k, lambda) cells and
+reduced by a log-sum-exp, so growth rays of any length are fitted on logs
+that never leave the float range.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .grids import QuadratureSpec
 from .heisenberg_core import ComplexPoint
 from .hermite_modes import abs_lam_groups, slice_fields
 from .spectral import BandLimit, SpectralData, SpectralError
-from .specfun import LaguerreArg, bessel_j_norm, binom_weight, laguerre_phi
+from .specfun import binom_weight, laguerre_all, log_bessel_j_imag, log_sum_exp
 
 
 class OrbitalError(SpectralError):
@@ -70,11 +74,11 @@ class RayPlan:
     residual_threshold: float = 0.1
 
     def scaled(self, a_scale: float, b_scale: float) -> "RayPlan":
-        """Rescale rays so the dimensionless products A*eta, sqrt(B)*r match
-        the calibration of the default plan (A=1, B=9)."""
+        """Rescale rays so the dimensionless products A*eta, sqrt(B)*r reach
+        what this plan's rays reach at the calibration A=1, B=9."""
         return RayPlan(
-            etas=np.linspace(0.0, 6.0 / max(a_scale, 1e-9), len(self.etas)),
-            rs=np.linspace(0.0, 9.0 / max(np.sqrt(b_scale), 1e-9), len(self.rs)),
+            etas=np.linspace(0.0, self.etas[-1] / max(a_scale, 1e-9), len(self.etas)),
+            rs=np.linspace(0.0, 3.0 * self.rs[-1] / max(np.sqrt(b_scale), 1e-9), len(self.rs)),
             residual_threshold=self.residual_threshold,
         )
 
@@ -88,21 +92,50 @@ def _require_purely_imaginary(p: ComplexPoint):
 # spectral-side sums
 # ---------------------------------------------------------------------------
 
-def gutzmer_spectral(sd: SpectralData, p: ComplexPoint) -> float:
-    """Spectral side of the Gutzmer identity at a purely imaginary point."""
+def _log_spectral_sum(sd: SpectralData, r2: float, log_g: np.ndarray,
+                      bessel: bool = False, cells: Optional[np.ndarray] = None) -> float:
+    """log of sum_{k,j} dmu_j norms2[k, j] g_j K(k, lambda_j, r) over the
+    populated cells (those of `cells` too, when given), log g_j = log_g[j].
+
+    K is the Laguerre factor [k!(n-1)!/(k+n-1)!] phi_k^lambda(2iy, 2iv)
+    = L_k^{n-1}(-2|lambda| r^2) e^{|lambda| r^2} / binom(k+n-1, k), from one
+    laguerre_all table over the lambda grid; with `bessel`, the shift
+    operator's j_{n-1}(2i sqrt((2k+n)|lambda|) r).  Both are positive, so
+    every factor enters as a log and a log-sum-exp reduces the cells: -inf
+    when no cell is populated.
+    """
+    live = sd.norms2 > 0.0
+    if cells is not None:
+        live &= cells
+    ks, js = np.nonzero(live)
+    if ks.size == 0:
+        return -np.inf
+    al = np.abs(sd.lam)
+    if bessel:
+        log_k = log_bessel_j_imag(sd.n - 1, 2.0 * np.sqrt((2 * ks + sd.n) * al[js] * r2))
+    else:
+        table = laguerre_all(sd.kmax, sd.n - 1, -2.0 * al * r2)
+        log_w = np.log([binom_weight(k, sd.n) for k in range(sd.kmax + 1)])
+        log_k = np.log(table[ks, js]) + al[js] * r2 + log_w[ks]
+    terms = np.log(sd.wmu[js]) + np.log(sd.norms2[ks, js]) + log_g[js] + log_k
+    return float(log_sum_exp(terms))
+
+
+def _exp(log_value: float) -> float:
+    """e^log_value, inf past the float range."""
+    with np.errstate(over="ignore"):
+        return float(np.exp(log_value))
+
+
+def _radius2(p: ComplexPoint) -> float:
     _require_purely_imaginary(p)
-    r2 = float(np.sum(p.zi ** 2) + np.sum(p.wi ** 2))
-    eta = p.zeta_i
-    total = 0.0
-    for j, lv in enumerate(sd.lam):
-        acc = 0.0
-        for k in range(sd.kmax + 1):
-            if sd.norms2[k, j] == 0.0:
-                continue
-            phi = laguerre_phi(LaguerreArg(k, sd.n - 1, -4.0 * r2), lv)
-            acc += sd.norms2[k, j] * binom_weight(k, sd.n) * float(np.real(phi))
-        total += sd.wmu[j] * np.exp(2.0 * lv * eta) * acc
-    return float(total)
+    return float(np.sum(p.zi ** 2) + np.sum(p.wi ** 2))
+
+
+def gutzmer_spectral(sd: SpectralData, p: ComplexPoint) -> float:
+    """Spectral side of the Gutzmer identity at a purely imaginary point
+    (inf past the float range)."""
+    return _exp(_log_spectral_sum(sd, _radius2(p), 2.0 * sd.lam * p.zeta_i))
 
 
 def apply_D(sd: SpectralData, p: ComplexPoint) -> float:
@@ -110,22 +143,9 @@ def apply_D(sd: SpectralData, p: ComplexPoint) -> float:
 
     Same weighted sum as gutzmer_spectral with each Laguerre factor
     [k!(n-1)!/(k+n-1)!] phi_k^lambda(2iy,2iv) replaced by
-    j_{n-1}(2i sqrt((2k+n)|lambda|) r).
+    j_{n-1}(2i sqrt((2k+n)|lambda|) r); inf past the float range.
     """
-    _require_purely_imaginary(p)
-    r = np.sqrt(float(np.sum(p.zi ** 2) + np.sum(p.wi ** 2)))
-    eta = p.zeta_i
-    total = 0.0
-    for j, lv in enumerate(sd.lam):
-        acc = 0.0
-        for k in range(sd.kmax + 1):
-            if sd.norms2[k, j] == 0.0:
-                continue
-            a = np.sqrt((2 * k + sd.n) * abs(lv))
-            jv = float(np.real(bessel_j_norm(sd.n - 1, 2j * a * r)))
-            acc += sd.norms2[k, j] * jv
-        total += sd.wmu[j] * np.exp(2.0 * lv * eta) * acc
-    return float(total)
+    return _exp(_log_spectral_sum(sd, _radius2(p), 2.0 * sd.lam * p.zeta_i, bessel=True))
 
 
 # ---------------------------------------------------------------------------
@@ -211,18 +231,24 @@ def orbital_direct(sd: SpectralData, p: ComplexPoint,
 # growth fits and the Paley-Wiener detector
 # ---------------------------------------------------------------------------
 
-def fit_growth(params: np.ndarray, values: np.ndarray, ray: str) -> GrowthFit:
+def _log_values(values) -> np.ndarray:
+    """log of sampled values: -inf at 0 and nan below, without warnings."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.log(np.asarray(values, dtype=float))
+
+
+def fit_growth(params: np.ndarray, logs: np.ndarray, ray: str) -> GrowthFit:
     """Tail-half least squares of log values against the ray parameter.
 
-    Radial rays first remove the normalized-Bessel envelope 1/sqrt(r) (the
-    asymptotic prefactor of j_{n-1}(2iar)), so the fitted slope is the pure
-    exponential rate.
+    `logs` are the logs of the sampled values; a non-finite one (a value <= 0
+    or nan) makes the fit degenerate.  Radial rays first remove the
+    normalized-Bessel envelope 1/sqrt(r) (the asymptotic prefactor of
+    j_{n-1}(2iar)), so the fitted slope is the pure exponential rate.
     """
     params = np.asarray(params, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if np.any(~np.isfinite(values)) or np.any(values <= 0.0):
+    logs = np.asarray(logs, dtype=float)
+    if not np.all(np.isfinite(logs)):
         return GrowthFit(ray, [], np.nan, np.nan, np.inf)
-    logs = np.log(values)
     samples = list(zip(params.tolist(), logs.tolist()))
     mid = (params[0] + params[-1]) / 2.0
     mask = params >= mid
@@ -236,6 +262,20 @@ def fit_growth(params: np.ndarray, values: np.ndarray, ray: str) -> GrowthFit:
     return GrowthFit(ray, samples, float(slope), float(icpt), resid)
 
 
+def _ray_logs(source: Union[SpectralData, Callable[[float, float, float], float]],
+              plan: RayPlan) -> tuple:
+    """log D O along the plan's eta ray (0, 0, i eta) and radial ray
+    (r, 0, 0); a callable source gives D O(y, v, eta) itself."""
+    if isinstance(source, SpectralData):
+        def log_d(r, eta):
+            return _log_spectral_sum(source, r * r, 2.0 * source.lam * eta, bessel=True)
+    else:
+        def log_d(r, eta):
+            return float(_log_values(source(r, 0.0, eta)))
+    return (np.array([log_d(0.0, e) for e in plan.etas]),
+            np.array([log_d(r, 0.0) for r in plan.rs]))
+
+
 def pw_forward_check(sd: SpectralData, bl: BandLimit,
                      plan: Optional[RayPlan] = None) -> dict:
     """Verify D O <= C e^{2A|eta|} e^{2 sqrt(B) r} along the plan's rays.
@@ -244,26 +284,15 @@ def pw_forward_check(sd: SpectralData, bl: BandLimit,
     any violations of the slope bounds (slopes must not exceed 2A / 2 sqrt B).
     """
     plan = plan or RayPlan()
-    if np.all(sd.norms2 <= 1e-300):
-        # zero function: bound holds with C = 0
-        empty = GrowthFit("eta", [], np.nan, np.nan, np.inf)
-        return {"eta_slope": np.nan, "eta_bound": 2.0 * bl.A,
-                "radial_slope": np.nan, "radial_bound": 2.0 * np.sqrt(bl.B),
-                "C_eta": 0.0, "C_radial": 0.0, "eta_margin": np.nan,
-                "radial_margin": np.nan, "fits": [empty], "violations": []}
-    achieved = sd.achieved_band()
-    if achieved.A > bl.A + 1e-9 or achieved.B > bl.B + 1e-9:
-        raise OrbitalError("spectral data is not band-limited by the stated limits")
-    eta_vals = np.array([
-        apply_D(sd, ComplexPoint.purely_imaginary([0.0], [0.0], e)) for e in plan.etas
-    ])
-    rad_vals = np.array([
-        apply_D(sd, ComplexPoint.purely_imaginary([r], [0.0], 0.0)) for r in plan.rs
-    ])
-    fit_eta = fit_growth(plan.etas, eta_vals, "eta")
-    fit_rad = fit_growth(plan.rs, rad_vals, "radial")
-    c_eta = float(np.max(eta_vals / np.exp(2.0 * bl.A * np.abs(plan.etas))))
-    c_rad = float(np.max(rad_vals / np.exp(2.0 * np.sqrt(bl.B) * plan.rs)))
+    if np.any(sd.norms2 > 1e-300):  # the zero function's rays give C = 0, no slopes
+        achieved = sd.achieved_band()
+        if achieved.A > bl.A + 1e-9 or achieved.B > bl.B + 1e-9:
+            raise OrbitalError("spectral data is not band-limited by the stated limits")
+    eta_logs, rad_logs = _ray_logs(sd, plan)
+    fit_eta = fit_growth(plan.etas, eta_logs, "eta")
+    fit_rad = fit_growth(plan.rs, rad_logs, "radial")
+    c_eta = _exp(np.max(eta_logs - 2.0 * bl.A * np.abs(plan.etas)))
+    c_rad = _exp(np.max(rad_logs - 2.0 * np.sqrt(bl.B) * plan.rs))
     report = {
         "eta_slope": fit_eta.slope,
         "eta_bound": 2.0 * bl.A,
@@ -350,16 +379,10 @@ def detect_bandlimit(source: Union[SpectralData, Callable[[float, float, float],
     Degenerate or non-monotone growth returns verdict "inconclusive".
     """
     plan = plan or RayPlan()
-    if isinstance(source, SpectralData):
-        def evaluator(y, v, eta):
-            return apply_D(source, ComplexPoint.purely_imaginary([y], [v], eta))
-    else:
-        evaluator = source
 
     def run(pl: RayPlan):
-        ev = np.array([evaluator(0.0, 0.0, e) for e in pl.etas])
-        rv = np.array([evaluator(r, 0.0, 0.0) for r in pl.rs])
-        return fit_growth(pl.etas, ev, "eta"), fit_growth(pl.rs, rv, "radial")
+        eta_logs, rad_logs = _ray_logs(source, pl)
+        return fit_growth(pl.etas, eta_logs, "eta"), fit_growth(pl.rs, rad_logs, "radial")
 
     fe, fr = run(plan)
     if not (np.isfinite(fe.slope) and np.isfinite(fr.slope)) or fe.slope <= 0:

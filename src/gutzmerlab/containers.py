@@ -26,6 +26,11 @@ from .hermite_modes import ModalSlice
 from .spectral import BandLimit, GridFunction, LambdaGrid, SpectralData, SpectralError
 
 
+# Largest nx, nu an SPD1 header may declare.  Without projection blocks the
+# file holds no samples to check them against, yet the reader builds both grids.
+SPD_GRID_CAP = 1 << 16
+
+
 class ContainerError(ValueError):
     pass
 
@@ -111,7 +116,7 @@ def read_spd(path: str) -> SpectralData:
             raise ContainerError("SPD1 file ends inside its header")
         n, nlam, kk, flags, nx, nu = struct.unpack("<IIIIII", head[:24])
         lx, lu, dl, areq, breq = struct.unpack("<ddddd", head[24:])
-        if n != 1 or min(nlam, kk) < 1 or min(nx, nu) < 2:
+        if n != 1 or min(nlam, kk) < 1 or min(nx, nu) < 2 or max(nx, nu) > SPD_GRID_CAP:
             raise ContainerError(f"SPD1 header declares unusable sizes n={n}, nlam={nlam}, "
                                  f"kmax+1={kk}, nx={nx}, nu={nu}")
         if not flags & FLAG_MODAL:

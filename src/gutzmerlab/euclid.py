@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .complexification import GrowthFit, fit_growth
+from .complexification import GrowthFit, _log_values, fit_growth
 from .grids import fft_grid as _fft_grid
 from .specfun import _bessel_j_norm_real_order, jhat_imag
 
@@ -221,16 +221,16 @@ def flat_pw_check(f: FlatFunction, a: Optional[float] = None,
     Fits log lhs(|y|) (Bessel envelope removed) on the tail half; returns
     (GrowthFit, a_hat = slope/2, verdict).  With a given, the slope is also
     checked against 2a + 5%.  Degenerate data is flagged inconclusive."""
-    def values(ys):
-        return np.array([flat_orbital(f, [yy, 0.0]) for yy in ys])
+    def logs(ys):
+        return _log_values([flat_orbital(f, [yy, 0.0]) for yy in ys])
 
     ys = np.linspace(0.0, 3.0, n_ray)
-    fit = fit_growth(ys, values(ys), "radial")
+    fit = fit_growth(ys, logs(ys), "radial")
     if not np.isfinite(fit.slope) or fit.slope <= 0:
         return fit, np.nan, "inconclusive"
     if two_pass:
         ys = np.linspace(0.0, 6.0 / max(fit.slope / 2.0, 1e-9), n_ray)
-        fit = fit_growth(ys, values(ys), "radial")
+        fit = fit_growth(ys, logs(ys), "radial")
         if not np.isfinite(fit.slope):
             return fit, np.nan, "inconclusive"
     a_hat = fit.slope / 2.0

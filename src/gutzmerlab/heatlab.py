@@ -20,8 +20,8 @@ from .constants import BERGMAN_NORM_C, LEMMA63_C, heat_image_c, twisted_heat_pre
 from .grids import gauss_legendre_on
 from .hermite_modes import ModalSlice
 from .spectral import SpectralData, SpectralError
-from .specfun import LaguerreArg, binom_weight, jhat_imag, laguerre_phi
-from .complexification import _tail_test, fit_growth
+from .specfun import LaguerreArg, jhat_imag, laguerre_phi
+from .complexification import _exp, _log_spectral_sum, _tail_test, fit_growth
 
 
 class HeatError(SpectralError):
@@ -214,30 +214,31 @@ def thm35_forward(sd: SpectralData, alpha: float, beta: float,
     _require_positive_lambda(sd)
     B = alpha * alpha + beta
     tg = np.asarray(t_grid, dtype=float)
+    if np.any(tg <= 0):
+        raise HeatError("heat time must be positive")
+    ks = np.arange(sd.kmax + 1)[:, None]
+    pos = (sd.lam > 0) & (sd.lam <= alpha + 1e-12)
+    cells = pos & ((2 * ks + sd.n) * sd.lam <= beta + 1e-12)
+    lam = sd.lam[pos]
     out_pts = []
     worst = -np.inf
     for (r,) in points:
         r2 = r * r
-        vals = []
+        logs = []
         for t in tg:
-            acc = 0.0
-            for j, lv in enumerate(sd.lam):
-                if lv <= 0 or lv > alpha + 1e-12:
-                    continue
-                pk = np.real(twisted_heat_kernel_nd(lv, 2.0 * t, 16.0 * r2, n=sd.n))
-                s = 0.0
-                for k in range(sd.kmax + 1):
-                    if (2 * k + sd.n) * lv > beta + 1e-12 or sd.norms2[k, j] == 0:
-                        continue
-                    phi = float(np.real(laguerre_phi(LaguerreArg(k, sd.n - 1, -4.0 * r2), lv)))
-                    s += sd.norms2[k, j] * binom_weight(k, sd.n) * phi
-                acc += sd.wmu[j] * np.exp(2.0 * t * lv * lv) * s * pk
-            vals.append(acc)
-        vals = np.asarray(vals)
-        fit = fit_growth(tg, vals, "eta")
-        sup = float(np.max(vals * tg ** (2 * sd.n) * np.exp(-2.0 * tg * B)))
+            # log of e^{2 t lambda^2} p_{2t}^lambda(4y, 4v): twisted_heat_kernel_nd
+            # at generalized squared radius 16 r^2, whose Gaussian factor
+            # underflows in linear scale at large r
+            x = 2.0 * t * lam
+            log_g = np.zeros(sd.lam.size)
+            log_g[pos] = (2.0 * t * lam * lam + np.log(twisted_heat_prefactor(sd.n))
+                          + sd.n * np.log(lam / np.sinh(x)) - 4.0 * lam * r2 / np.tanh(x))
+            logs.append(_log_spectral_sum(sd, r2, log_g, cells=cells))
+        logs = np.asarray(logs)
+        fit = fit_growth(tg, logs, "eta")
+        sup = _exp(np.max(logs + 2 * sd.n * np.log(tg) - 2.0 * tg * B))
         out_pts.append({"r": r, "slope": fit.slope, "sup_scaled": sup,
-                        "values": vals.tolist()})
+                        "values": [_exp(v) for v in logs]})
         if np.isfinite(fit.slope):
             worst = max(worst, fit.slope)
     return {

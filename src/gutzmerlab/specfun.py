@@ -10,12 +10,14 @@ far past the degrees where naive evaluation overflows:
 * ``bessel_j_norm`` evaluates j_nu(s) = s^{-nu} J_nu(s) through its entire
   power series in s^2, which on the imaginary axis is a positive-term
   modified-Bessel series (no cancellation, growth ~ e^{|s|}).
+* ``log_bessel_j_imag`` sums that positive series in log space, so
+  log j_nu(it) stays finite for every finite t.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, gamma
+from math import comb, gamma, lgamma, log
 
 import numpy as np
 
@@ -130,25 +132,10 @@ def hermite_phi_scaled(alpha, lam: float, x) -> float:
 
 
 def laguerre(k: int, order: int, s):
-    """Laguerre polynomial L_k^order(s) by the upward three-term recurrence."""
+    """Laguerre polynomial L_k^order(s): the last row of laguerre_all."""
     if k < 0 or order < 0:
         raise SpecfunError("Laguerre indices must be non-negative")
-    if k > LAGUERRE_DEGREE_CAP:
-        raise SpecfunError(f"degree cap exceeded: Laguerre k {k} > {LAGUERRE_DEGREE_CAP}")
-    s_arr = np.asarray(s)
-    scalar = s_arr.ndim == 0
-    s_arr = np.atleast_1d(s_arr)
-    L0 = np.ones_like(s_arr)
-    if k == 0:
-        return L0[0] if scalar else L0
-    L1 = 1.0 + order - s_arr
-    if k == 1:
-        return L1[0] if scalar else L1
-    lm1, lm = L0, L1
-    for m in range(1, k):
-        lp = ((2.0 * m + order + 1.0 - s_arr) * lm - (m + order) * lm1) / (m + 1.0)
-        lm1, lm = lm, lp
-    return lm[0] if scalar else lm
+    return laguerre_all(k, order, s)[k]
 
 
 def laguerre_all(kmax: int, order: int, s):
@@ -261,6 +248,43 @@ def _bessel_j_norm_real_order(nu: float, s):
     if s1.dtype.kind != "c" or np.all(np.abs(s1.real) < 1e-300):
         out = np.real(out)
     return out[0] if scalar else out
+
+
+def log_sum_exp(x):
+    """log sum e^x over the last axis.
+
+    The largest term is taken out of the sum, so a remainder far below it
+    keeps its precision (log1p).  A row whose terms are all -inf gives -inf.
+    """
+    x = np.asarray(x, dtype=float)
+    top = np.argmax(x, axis=-1)[..., None]
+    mx = np.take_along_axis(x, top, -1)
+    rest = np.exp(x - np.where(np.isfinite(mx), mx, 0.0))
+    np.put_along_axis(rest, top, 0.0, -1)
+    return mx[..., 0] + np.log1p(np.sum(rest, axis=-1))
+
+
+def log_bessel_j_imag(order: int, t):
+    """log j_nu(it) = log(t^{-nu} I_nu(t)) for real t >= 0, nu = order.
+
+    The positive series sum_m (t/2)^{2m} / (2^nu m! (m+nu)!) is summed in log
+    space.  Its terms peak near m = t/2 with a width of about sqrt(t/2), so
+    the series stops 7 widths past the peak of the largest t, where the rest
+    is below double precision.  The work grows linearly with that t.
+    """
+    t = np.asarray(t, dtype=float)
+    if order < 0 or not np.all(np.isfinite(t) & (t >= 0.0)):
+        raise SpecfunError("log_bessel_j_imag needs order >= 0 and finite t >= 0")
+    flat = t.reshape(-1, 1)
+    half = 0.5 * float(np.max(flat, initial=0.0))
+    m = np.arange(int(half + 7.0 * np.sqrt(half)) + 30)
+    log_fact = np.array([lgamma(k + 1.0) for k in range(m.size + order)])    # log k!
+    log_den = order * log(2.0) + log_fact[:m.size] + log_fact[order:]
+    terms = np.empty((flat.size, m.size))
+    terms[:, 0] = -log_den[0]
+    with np.errstate(divide="ignore"):
+        terms[:, 1:] = m[1:] * 2.0 * np.log(0.5 * flat) - log_den[1:]    # -inf at t = 0
+    return log_sum_exp(terms).reshape(t.shape)
 
 
 def jhat_imag(nu: float, s):

@@ -146,6 +146,18 @@ class TestContainers:
         with pytest.raises(containers.ContainerError, match="sizes"):
             containers.read_spd(str(path))
 
+    @pytest.mark.parametrize("at", [20, 24], ids=["nx", "nu"])
+    def test_spd_absurd_grid_rejected(self, fixture_files, tmp_path, at):
+        # no samples are stored to check nx, nu against, so a flipped high
+        # bit (24 -> 2**31 + 24) would otherwise build a 16 GiB grid
+        d, spec, f, sd = fixture_files
+        data = bytearray(spd1_bytes(sd, flags=2))
+        data[at : at + 4] = struct.pack("<I", 2 ** 31 + 24)
+        path = tmp_path / "wide.spd"
+        path.write_bytes(bytes(data))
+        with pytest.raises(containers.ContainerError, match="sizes"):
+            containers.read_spd(str(path))
+
     @pytest.mark.parametrize("case", sorted(BAD_VALUES))
     def test_bad_values_exit_2(self, fixture_files, tmp_path, capsys, case):
         d, spec, f, sd = fixture_files

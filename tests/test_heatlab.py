@@ -234,6 +234,10 @@ class TestThm35:
         rep = thm35_forward(sd, lam0, (2 * 1 + 1) * lam0)
         assert rep["max_slope"] <= 2 * (lam0 ** 2 + 3 * lam0)
 
+    def test_nonpositive_time_rejected(self, positive_sd):
+        with pytest.raises(HeatError, match="positive"):
+            thm35_forward(positive_sd, 1.0, 5.0, t_grid=(0.0, 1.0))
+
     def test_negative_mass_rejected(self, fixture_small):
         _, _, sd = fixture_small
         with pytest.raises(HeatError, match="lambda < 0"):

@@ -18,6 +18,8 @@ from gutzmerlab.specfun import (
     laguerre_all,
     laguerre_phi,
     laguerre_sums,
+    log_bessel_j_imag,
+    log_sum_exp,
 )
 
 
@@ -215,6 +217,47 @@ class TestBessel:
             assert np.all(vals > 0)
             assert np.all(np.diff(vals) >= 0)
             assert np.all(vals <= np.exp(s) + 1e-12)  # j_nu(is) <= C e^{|s|}, C = 1
+
+
+class TestLogBessel:
+    TS = np.array([0.0, 1e-3, 1.0, 10.0, 100.0, 1000.0, 1800.0, 9999.0, 2e4, 1e6])
+
+    @pytest.mark.parametrize("nu", [0, 1, 2, 3])
+    def test_matches_scipy_ive(self, nu):
+        # log j_nu(it) = log(ive(nu, t)) + t - nu log t; at t = 0 the series
+        # value 1/(2^nu nu!).  Relative in the log, absolute where |log| < 1
+        # (log j_0 vanishes at t = 0).
+        from math import factorial
+
+        from scipy.special import ive
+
+        t = self.TS[1:]
+        ref = np.concatenate([[-np.log(2.0 ** nu * factorial(nu))],
+                              np.log(ive(nu, t)) + t - nu * np.log(t)])
+        # the series length follows the largest t, so each t is its own call
+        got = np.array([log_bessel_j_imag(nu, t) for t in self.TS])
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(np.abs(ref), 1.0))
+
+    def test_matches_linear_series(self):
+        t = np.array([[0.0, 0.5], [3.0, 17.5]])
+        for nu in (0, 1, 2):
+            lin = np.real(bessel_j_norm(nu, 1j * t))
+            np.testing.assert_allclose(np.exp(log_bessel_j_imag(nu, t)), lin, rtol=1e-13)
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(SpecfunError):
+            log_bessel_j_imag(-1, 1.0)
+        for t in (-1.0, np.inf, np.nan):
+            with pytest.raises(SpecfunError):
+                log_bessel_j_imag(0, [0.0, t])
+
+    def test_log_sum_exp(self):
+        x = np.array([[0.0, np.log(2.0), -np.inf], [-np.inf, -np.inf, -np.inf]])
+        out = log_sum_exp(x)
+        assert out[0] == pytest.approx(np.log(3.0), rel=1e-15) and out[1] == -np.inf
+        # a remainder far below the largest term keeps its precision
+        assert log_sum_exp(np.array([0.0, -40.0])) == pytest.approx(np.exp(-40.0), rel=1e-15, abs=0)
+        assert log_sum_exp(np.array([1000.0, 1000.0])) == pytest.approx(1000.0 + np.log(2.0))
 
 
 class TestHilb:
