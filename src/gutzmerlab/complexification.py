@@ -25,7 +25,7 @@ import numpy as np
 
 from .grids import QuadratureSpec
 from .heisenberg_core import ComplexPoint
-from .hermite_modes import abs_lam_groups, slice_fields
+from .hermite_modes import abs_lam_groups, slice_powers
 from .spectral import BandLimit, SpectralData, SpectralError
 from .specfun import binom_weight, laguerre_all, log_bessel_j_imag, log_sum_exp
 
@@ -156,69 +156,47 @@ def orbital_direct(sd: SpectralData, p: ComplexPoint,
                    spec: Optional[QuadratureSpec] = None) -> float:
     """integral over G_1 of |F(g.(iy,iv,i eta))|^2 by tensor quadrature.
 
-    theta: uniform nodes (exact for the slice's finite trigonometric content
-    in the rotation angle); (x',u'): the padded sample grid; t': one period
-    of the fixture's lambda-comb, summed in closed form by Parseval (the
-    integrand is trigonometric in t', so the period sum is the integral).
-    F is evaluated through the entire extension of each slice at the rotated
-    imaginary displacement.
+    theta: by Parseval.  The substitution z' -> e^{i theta} z' leaves the
+    phase -Im(zbar' w) alone and rotates the displacement w = y + iv, and the
+    slice's U(1) parts G_q pick up e^{i q theta}, so the theta-mean of |F|^2
+    is sum_q |G_q|^2 at the one displacement w (hermite_modes.slice_powers).
+    (x',u'): the padded sample grid; t': one period of the fixture's
+    lambda-comb, summed in closed form by Parseval (the integrand is
+    trigonometric in t', so the period sum is the integral).  F is evaluated
+    through the entire extension of each slice at the imaginary displacement,
+    and the share of the sum in the grid's outer frame is checked against
+    spec.shell_tol.
     """
     if sd.n != 1:
         raise OrbitalError("direct orbital integrals are implemented for n=1 only")
     _require_purely_imaginary(p)
     if spec is None:
         spec = QuadratureSpec(nx=sd.xgrid.size, lx=float(-sd.xgrid[0]))
-    y = float(p.zi[0])
-    v = float(p.wi[0])
+    w0 = float(p.zi[0]) + 1j * float(p.wi[0])
     eta = p.zeta_i
-    w0 = y + 1j * v
-
-    # theta resolution: the integrand's rotation harmonics are differences of
-    # the modes' U(1) weights (a - k), so max |harmonic| = acap + kmax
-    acap = 0
-    for ms in sd.modal:
-        nz = np.nonzero(np.abs(ms.coef) > 0)[1]
-        if nz.size:
-            acap = max(acap, int(np.max(nz)))
-    mtheta = acap + sd.kmax + 2
 
     npad = int(round(spec.pad_factor * sd.xgrid.size))
     hx = float(sd.xgrid[1] - sd.xgrid[0])
     xg = (np.arange(npad) - npad // 2) * hx
     Z = xg[:, None] + 1j * xg[None, :]
-    X = np.real(Z)
-    U = np.imag(Z)
-    harea = hx * hx
-
-    total = 0.0
-    shell = 0.0
     edge = 2  # cells in the outer frame monitored for truncation
     frame = np.zeros(Z.shape, dtype=bool)
     frame[:edge, :] = frame[-edge:, :] = True
     frame[:, :edge] = frame[:, -edge:] = True
+    zc = Z + 1j * w0
+    zm = np.conj(Z) + 1j * np.conj(w0)
+    phase = Z.imag * w0.real - Z.real * w0.imag
 
-    thetas = 2.0 * np.pi * np.arange(mtheta) / mtheta
-    w_all = np.exp(1j * thetas) * w0                      # rotated displacements
-    Zb = Z[None, :, :] + 1j * w_all[:, None, None]
-    Zmb = np.conj(Z)[None, :, :] + 1j * np.conj(w_all)[:, None, None]
-    phase = U[None] * w_all.real[:, None, None] - X[None] * w_all.imag[:, None, None]
-    # each (lambda, -lambda) pair shares one evaluation; the per-lambda terms
-    # are summed afterwards in lambda order
-    terms = np.zeros((sd.lam.size, 2))
+    total = 0.0
+    shell = 0.0
+    # each (lambda, -lambda) pair shares one evaluation
     for group in abs_lam_groups(sd.lam):
-        live = [j for j in group if np.any(sd.norms2[:, j] != 0.0)]
-        if not live:
-            continue
-        for j, fld in zip(live, slice_fields([sd.modal[j] for j in live], Zb, Zmb)):
+        for j, power in zip(group, slice_powers([sd.modal[j] for j in group], zc, zm)):
             lv = sd.lam[j]
-            pref = sd.wmu[j] * abs(lv) / (2.0 * np.pi) * np.exp(2.0 * lv * eta)
-            cell = (np.abs(2.0 * np.pi / abs(lv) * fld) ** 2) * np.exp(lv * phase)
-            terms[j] = (pref * float(np.mean(np.sum(cell, axis=(1, 2)))) * harea,
-                        pref * float(np.mean(np.sum(cell[:, frame], axis=1))) * harea)
-        del fld  # at most two fields live at a time
-    for term_total, term_shell in terms:
-        total += term_total
-        shell += term_shell
+            pref = sd.wmu[j] * 2.0 * np.pi / abs(lv) * np.exp(2.0 * lv * eta) * hx * hx
+            cell = power * np.exp(lv * phase)
+            total += pref * float(np.sum(cell))
+            shell += pref * float(np.sum(cell[frame]))
     if total > 0 and shell > spec.shell_tol * total:
         raise OrbitalError(
             f"orbital quadrature truncation {shell/total:.2e} above tolerance "

@@ -22,7 +22,10 @@ Laguerre recurrence per offset, carried by specfun.laguerre_sums as running
 weighted sums, evaluates them all without storing an (m, grid) table.  s,
 the Gaussian and the two monomial bases depend on |lam| only, so the slices
 at lam and -lam share each recurrence; the sign of lam only decides which
-monomial a mode multiplies and contributes (-1)^d to its weight.
+monomial a mode multiplies and contributes (-1)^d to its weight.  The
+private generator _offset_sums runs these recurrences and yields each slice's
+parts of U(1) weight q = +-d: slice_fields adds them up, slice_powers adds
+their squared moduli, the mean of |field|^2 over the U(1) rotations.
 
 basis_matrix tabulates every mode of one plane separately (one laguerre_all
 table per offset, real arithmetic at real points, independent (zc, zm) at
@@ -128,21 +131,24 @@ def abs_lam_groups(lam) -> list:
     return list(groups.values())
 
 
-def slice_fields(group, zc, zm, k_select=None) -> list:
-    """Evaluate ModalSlices that share |lambda| (or their k-th projections).
+def _offset_sums(group, zc, zm, k_select=None):
+    """Yield (i, q, G) for every running sum of the slices in group.
 
+    G is the part of slice i (or of its k-th projection) with U(1) weight q,
+    without the Gaussian and the sqrt(|lambda|/2pi) normalization: the modes
+    of offset d on the monomial P^d give q = +d, those on Q^d give q = -d.
     s = |lambda| zc zm / 2, the Gaussian and the monomials P = i
     sqrt(|lambda|/2) zc, Q = i sqrt(|lambda|/2) zm are the same for lambda and
     -lambda: at lambda > 0 column-dominant modes (a = m, k = m + d) carry P^d
     and row-dominant ones (a = m + d, k = m) Q^d, at lambda < 0 the roles
     swap and (-1)^d folds into the weights.  So each offset d needs one
     Laguerre recurrence for the whole group, run by specfun.laguerre_sums
-    with one running sum per (slice, monomial).  Returns one field per slice
-    of the group, in its order.
+    with one running sum per (slice, monomial).  The d = 0 modes form one
+    running sum, so each (i, q) is yielded once.
     """
     al = abs(group[0].lam)
     if any(abs(ms.lam) != al for ms in group):
-        raise ValueError("slice_fields needs slices that share |lambda|")
+        raise ValueError("the slices of one group must share |lambda|")
     # per offset d: (slice, monomial is P, weights of L_m^d) of each running sum
     terms = {}
     for i, ms in enumerate(group):
@@ -159,11 +165,9 @@ def slice_fields(group, zc, zm, k_select=None) -> list:
                 if w.size:
                     nr = np.array([norm_ratio(m, d) for m in range(w.size)])
                     terms.setdefault(d, []).append((i, on_p, sign ** d * nr * w))
-    out = [np.zeros(np.broadcast(zc, zm).shape, dtype=complex) for _ in group]
     if not terms:
-        return out
-    rho = zc * zm
-    s = 0.5 * al * rho
+        return
+    s = 0.5 * al * (zc * zm)
     var_q, var_p = mode_monomial_base(al, zc, zm)
     mono_p = mono_q = 1.0  # P^d, Q^d
     power = 0
@@ -177,11 +181,44 @@ def slice_fields(group, zc, zm, k_select=None) -> list:
             row[: w.size] = w
         for acc, (i, on_p, _) in zip(laguerre_sums(W.shape[1] - 1, d, s, W), terms[d]):
             acc *= mono_p if on_p else mono_q
-            out[i] += acc
-    gauss = np.exp(-0.25 * al * rho)
+            yield i, (d if on_p else -d), acc
+
+
+def slice_fields(group, zc, zm, k_select=None) -> list:
+    """Evaluate ModalSlices that share |lambda| (or their k-th projections).
+
+    Sums the U(1) parts of _offset_sums, one Laguerre recurrence per index
+    offset for the whole group, and applies the Gaussian and the
+    normalization.  Returns one field per slice of the group, in its order.
+    """
+    out = [np.zeros(np.broadcast(zc, zm).shape, dtype=complex) for _ in group]
+    for i, _, acc in _offset_sums(group, zc, zm, k_select):
+        out[i] += acc
+    al = abs(group[0].lam)
+    gauss = np.exp(-0.25 * al * (zc * zm))
     for fld in out:
         fld *= np.sqrt(al / (2.0 * np.pi))
         fld *= gauss
+    return out
+
+
+def slice_powers(group, zc, zm) -> list:
+    """Mean of |field|^2 over the U(1) orbit of each slice in group.
+
+    The modes are U(1)-equivariant, E_ab(e^{i theta} zc, e^{-i theta} zm) =
+    e^{i q theta} E_ab(zc, zm), so the theta-mean of |field|^2 at the rotated
+    points is sum_q |G_q|^2 |gauss|^2 |lambda|/2pi over the U(1) parts G_q of
+    _offset_sums (Parseval in theta).  Returns one real array per slice of
+    the group, in its order.
+    """
+    out = [np.zeros(np.broadcast(zc, zm).shape) for _ in group]
+    for i, _, acc in _offset_sums(group, zc, zm):
+        out[i] += acc.real ** 2 + acc.imag ** 2
+    al = abs(group[0].lam)
+    gauss2 = np.exp(-0.5 * al * np.real(zc * zm))
+    for pw in out:
+        pw *= al / (2.0 * np.pi)
+        pw *= gauss2
     return out
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from gutzmerlab.complexification import (
 )
 from gutzmerlab.heatlab import gauss_heat, heat_apply, heat_image_norm
 from gutzmerlab.heisenberg_core import ComplexPoint
-from gutzmerlab.grids import gauss_legendre_on
+from gutzmerlab.grids import QuadratureSpec, gauss_legendre_on
 from gutzmerlab.hermite_modes import mode_monomial_base, norm_ratio
 from gutzmerlab.specfun import LaguerreArg, bessel_j_norm, laguerre_all, laguerre_phi
 from gutzmerlab.spectral import synth_bandlimited
@@ -111,11 +113,14 @@ class TestGutzmerIdentity:
         gs = gutzmer_spectral(sd, p)
         assert abs(od - gs) <= 1e-3 * abs(gs)
 
-    def test_matches_table_based_evaluation(self, fixture_small):
-        # the running-sum evaluator shared across +-lambda against a
-        # per-lambda laguerre_all table contraction
+    @pytest.mark.parametrize("pt", [(0.35, -0.25, 0.4), (1.06, 1.06, 0.0),
+                                    (0.0, -1.5, 1.0), (-0.9, 0.4, -1.0)])
+    def test_matches_table_based_evaluation(self, fixture_small, pt):
+        # theta by Parseval, with the running-sum evaluator shared across
+        # +-lambda, against the theta-node quadrature of per-lambda
+        # laguerre_all table contractions
         spec, f, sd = fixture_small
-        p = imag_pt(0.35, -0.25, 0.4)
+        p = imag_pt(*pt)
         assert orbital_direct(sd, p, spec) == pytest.approx(
             table_orbital_direct(sd, p, spec), rel=1e-12)
 
@@ -162,6 +167,34 @@ class TestGutzmerIdentity:
                        ugrid=sd.ugrid, norms2=sd.norms2, modal=sd.modal, tail=sd.tail)
         with pytest.raises(OrbitalError, match="n=1"):
             orbital_direct(sd2, ComplexPoint.purely_imaginary([0, 0], [0, 0], 0.0))
+
+
+@pytest.fixture(scope="module")
+def desk_seed7():
+    spec = QuadratureSpec()
+    _, sd = synth_bandlimited(1.0, 9.0, seed=7, spec=spec)
+    return spec, sd
+
+
+class TestShellTruncation:
+    """The outer-frame share of the orbital sum, on a desk fixture."""
+
+    @pytest.mark.parametrize("pt", [(3.0, 0.0, 0.5), (0.0, 3.0, 0.5)])
+    def test_axis_points_need_padding(self, desk_seed7, pt):
+        spec, sd = desk_seed7
+        with pytest.raises(OrbitalError, match="enlarge pad_factor"):
+            orbital_direct(sd, imag_pt(*pt), replace(spec, pad_factor=1.0))
+        p = imag_pt(*pt)
+        assert orbital_direct(sd, p, spec) == pytest.approx(
+            gutzmer_spectral(sd, p), rel=1e-12)
+
+    def test_diagonal_point_fits_the_unpadded_grid(self, desk_seed7):
+        # the sum runs at the displacement itself, whose frame share on the
+        # diagonal is below shell_tol (the theta nodes' axis directions were not)
+        spec, sd = desk_seed7
+        p = imag_pt(2.121, 2.121, 0.5)
+        got = orbital_direct(sd, p, replace(spec, pad_factor=1.0))
+        assert got == pytest.approx(gutzmer_spectral(sd, p), rel=1e-6)
 
 
 class TestApplyD:

@@ -13,6 +13,7 @@ from gutzmerlab.hermite_modes import (
     multiindices,
     multiindices_upto,
     slice_fields,
+    slice_powers,
 )
 from gutzmerlab.spectral import grid_coords
 
@@ -98,6 +99,45 @@ class TestSliceFields:
     def test_group_must_share_abs_lambda(self):
         with pytest.raises(ValueError, match="share"):
             slice_fields([random_slice(0.5), random_slice(0.6)], 1.0 + 0j, 1.0 + 0j)
+
+
+class TestSlicePowers:
+    """slice_powers against the mean of |slice_fields|^2 over rotated points
+    (e^{i theta} zc, e^{-i theta} zm) at uniform theta nodes, which are exact
+    for the field's harmonics -acap..kmax."""
+
+    @staticmethod
+    def theta_mean(group, zc, zm):
+        ms = group[0]
+        m = ms.kmax + ms.acap + 2
+        rot = np.exp(2j * np.pi * np.arange(m) / m)[:, None, None]
+        return [np.mean(np.abs(f) ** 2, axis=0)
+                for f in slice_fields(group, rot * zc, zm / rot)]
+
+    def test_pair_matches_theta_mean(self):
+        zc, zm = complex_points(seed=10)
+        pair = [random_slice(0.9, seed=11), random_slice(-0.9, seed=12)]
+        assert all(np.any(np.diagonal(ms.coef)) for ms in pair)  # d = 0 modes
+        for got, want in zip(slice_powers(pair, zc, zm), self.theta_mean(pair, zc, zm)):
+            assert_close(got, want)
+
+    def test_u1_parts_are_equivariant(self):
+        # the part of weight q picks up e^{i q theta} under the rotation
+        zc, zm = complex_points(seed=13)
+        pair = [random_slice(1.3, seed=14), random_slice(-1.3, seed=15)]
+        rot = np.exp(0.7j)
+        moved = {(i, q): g for i, q, g in
+                 hermite_modes._offset_sums(pair, rot * zc, zm / rot)}
+        parts = list(hermite_modes._offset_sums(pair, zc, zm))
+        assert len(parts) == len(moved)
+        for i, q, g in parts:
+            assert_close(moved[i, q], rot ** q * g)
+
+    def test_zero_slice(self):
+        zc, zm = complex_points(seed=16)
+        zero = ModalSlice(-0.4, np.zeros((3, 4), complex))
+        pz, pl = slice_powers([zero, random_slice(0.4, seed=17)], zc, zm)
+        assert pz.shape == zc.shape and not np.any(pz) and np.all(pl > 0)
 
 
 def test_abs_lam_groups_pairs_a_symmetric_grid():
