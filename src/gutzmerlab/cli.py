@@ -8,7 +8,6 @@ band-limit detection, and the flat-model checks.
 
 verify emits one CSV row per check (name, params, lhs, rhs, relerr, pass) and
 exits 0 only if every check passes its tolerance; usage/config errors exit 2.
-GUTZMERLAB_THREADS caps suite parallelism.
 """
 
 from __future__ import annotations
@@ -17,15 +16,15 @@ import argparse
 import contextlib
 import csv
 import json
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 
 from . import containers
 from .complexification import detect_bandlimit, gutzmer_spectral, orbital_direct
-from .grids import QuadratureSpec, thread_count
+from .grids import QuadratureSpec
 from .heisenberg_core import ComplexPoint
 from .heatlab import (
     gauss_bessel_check,
@@ -176,8 +175,7 @@ def _suite_gauss_bessel(args, tol):
         return {"name": "gauss-bessel", "params": f"k={k};lam={lam};t={t};n={n}",
                 "lhs": 0.0, "rhs": 0.0, "relerr": rel, "ok": rel <= tol}
 
-    with ThreadPoolExecutor(max_workers=thread_count()) as ex:
-        return list(ex.map(one, cases))
+    return list(map(one, cases))
 
 
 def _suite_lemma63(args, tol):
@@ -189,8 +187,7 @@ def _suite_lemma63(args, tol):
         return {"name": "lemma63", "params": f"k={k};lam={lam};t={t};n=1",
                 "lhs": 0.0, "rhs": 0.0, "relerr": rel, "ok": rel <= tol}
 
-    with ThreadPoolExecutor(max_workers=thread_count()) as ex:
-        return list(ex.map(one, cases))
+    return list(map(one, cases))
 
 
 def _positive_half(sd):
@@ -300,6 +297,14 @@ def cmd_euclid(args) -> int:
     return 0 if all(r["ok"] for r in rows) else 1
 
 
+def tolerance(text: str) -> float:
+    """--tol: a finite number >= 0 (0 is thm35's default)."""
+    value = float(text)
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="gutzmerlab", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -310,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--A", type=float, default=1.0)
         sp.add_argument("--B", type=float, default=9.0)
         sp.add_argument("--seed", type=int, default=42)
-        sp.add_argument("--tol", type=float, default=None)
+        sp.add_argument("--tol", type=tolerance, default=None)
         sp.add_argument("--grid", type=int, default=None, help="x/u points per axis")
         sp.add_argument("--kmax", type=int, default=None)
         sp.add_argument("--lambda-grid", type=int, default=None, dest="lambda_grid",

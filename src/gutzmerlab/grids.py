@@ -172,14 +172,3 @@ class QuadratureSpec:
         while a < cap and self.pair_fits(a + 1, k, lam):
             a += 1
         return a
-
-
-def thread_count() -> int:
-    """Parallelism cap, from GUTZMERLAB_THREADS (default 1 = serial)."""
-    import os
-
-    raw = os.environ.get("GUTZMERLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1

@@ -31,9 +31,10 @@ basis_matrix tabulates every mode of one plane separately (one laguerre_all
 table per offset, real arithmetic at real points, independent (zc, zm) at
 complexified ones).  It serves analyze and the n >= 2 fields: the product
 basis factorizes over the axes, so ModalSliceND.field evaluates one 1-D
-table per axis, holding only the (beta_j, alpha_j) pairs its modes use, and
-contracts the coefficient tensor with the tables one axis at a time, in
-blocks of FIELD_BLOCK points.  e1d, the closed form of a single mode, is the
+table per axis, holding only the (beta_j, alpha_j) pairs its modes use, on
+the points of that axis's plane alone (N^2 on the tensor grid, every point
+of a scattered list), and contracts the coefficient tensor with the tables
+one axis at a time.  e1d, the closed form of a single mode, is the
 reference the tests compare both evaluators against.
 """
 
@@ -302,12 +303,6 @@ def multiindices_upto(n: int, cap: int):
     return out
 
 
-# points per block of ModalSliceND.field.  It bounds the per-axis tables: on
-# the nx 24, kmax 4, beta_cap 8 grid (70 modes) the field peaks at 7.7 MB of
-# tracemalloc in 2048-point blocks and at 393 MB unblocked
-FIELD_BLOCK = 2048
-
-
 @dataclass
 class ModalSliceND:
     """Lambda-slice in the product E-basis for ambient dimension n >= 1.
@@ -335,22 +330,23 @@ class ModalSliceND:
         """Evaluate the slice (or its level-k_select projection) at points.
 
         zc, zm: arrays [..., n] of the independent complex coordinates.  The
-        product basis factorizes over the axes, so per block of FIELD_BLOCK
-        points each axis j gets one basis_matrix table of the (beta_j,
-        alpha_j) pairs that carry a selected nonzero coefficient, and the
-        coefficient tensor C[p_0, ..., p_{n-1}] over those pairs is
-        contracted with the tables one axis at a time: the transpose of
-        analyze's per-plane contraction.
+        product basis factorizes over the axes, so each axis j gets one
+        basis_matrix table of the (beta_j, alpha_j) pairs that carry a
+        selected nonzero coefficient.  The table is built on zc[..., j],
+        zm[..., j] cut to length 1 along every point axis where both are
+        constant: on the tensor grid that leaves the N^2 points of the
+        (x_j, u_j) plane, scattered points keep them all.  The coefficient
+        tensor C[p_0, ..., p_{n-1}] over those pairs is contracted with the
+        tables one axis at a time, the point axes broadcasting: the
+        transpose of analyze's per-plane contraction.  Returns an array of
+        shape zc.shape[:-1].
         """
         zc, zm = np.broadcast_arrays(zc, zm)
-        out_shape = zc.shape[:-1]
-        zc = zc.reshape(-1, self.n)
-        zm = zm.reshape(-1, self.n)
-        out = np.zeros(zc.shape[0], dtype=complex)
+        shape = zc.shape[:-1]
         live = [(alpha, beta, c) for (alpha, beta), c in zip(self.modes, self.coef)
                 if c != 0 and (k_select is None or sum(beta) == k_select)]
         if not live:
-            return out.reshape(out_shape)
+            return np.zeros(shape, dtype=complex)
         # per axis: mask[k, a] of the pairs in use, each mode's row among them
         masks, rows = [], []
         for j in range(self.n):
@@ -362,13 +358,16 @@ class ModalSliceND:
             rows.append(np.cumsum(mask).reshape(mask.shape)[ks, as_] - 1)
         C = np.zeros([int(m.sum()) for m in masks], dtype=complex)
         np.add.at(C, tuple(rows), [c for _, _, c in live])
-        for start in range(0, out.size, FIELD_BLOCK):
-            blk = slice(start, start + FIELD_BLOCK)
-            acc = C
-            for j in reversed(range(self.n)):
-                mask = masks[j]
-                T = basis_matrix(self.lam, mask.shape[0] - 1, mask.shape[1] - 1,
-                                 zc[blk, j], mask, zm=zm[blk, j])[mask]
-                acc = acc @ T if j == self.n - 1 else np.einsum("...pb,pb->...b", acc, T)
-            out[blk] = acc
-        return out.reshape(out_shape)
+        acc = C
+        for j in reversed(range(self.n)):
+            pc, pm = zc[..., j], zm[..., j]
+            for ax in range(pc.ndim):
+                first = (slice(None),) * ax + (slice(0, 1),)
+                if np.all(pc == pc[first]) and np.all(pm == pm[first]):
+                    pc, pm = pc[first], pm[first]
+            mask = masks[j]
+            T = basis_matrix(self.lam, mask.shape[0] - 1, mask.shape[1] - 1,
+                             pc, mask, zm=pm)[mask]
+            acc = np.einsum(acc, [*range(j + 1), ...], T, [j, ...], [*range(j), ...],
+                            optimize=True)
+        return acc if acc.shape == shape else np.broadcast_to(acc, shape).copy()

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import small_spec
 from gutzmerlab import containers
-from gutzmerlab.cli import _positive_half, main
+from gutzmerlab.cli import _positive_half, build_parser, main
 from gutzmerlab.grids import QuadratureSpec
 from gutzmerlab.spectral import synth_bandlimited
 
@@ -310,6 +310,22 @@ class TestCLI:
                             "-o", str(tmp_path / "r.csv"))
         assert code == 1
 
+    @pytest.mark.parametrize("cmd", [("verify", "gauss-bessel"), ("verify", "lemma63"),
+                                     ("euclid",)])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_tolerance_exits_2(self, tmp_path, capsys, cmd, tol):
+        code = self.run_cli(*cmd, "--tol", tol, "-o", str(tmp_path / "r.csv"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--tol" in err and "Traceback" not in err
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_zero_tolerance_accepted(self, tmp_path):
+        assert build_parser().parse_args(["verify", "thm35", "--tol", "0"]).tol == 0.0
+        code = self.run_cli("verify", "gauss-bessel", "--tol", "0", "-o", str(tmp_path / "r.csv"))
+        assert code in (0, 1)
+        assert len(open(tmp_path / "r.csv").read().strip().splitlines()) == 25
+
     def test_verify_euclid_passes(self, tmp_path):
         assert self.run_cli("verify", "euclid", "-o", str(tmp_path / "r.csv")) == 0
 
@@ -380,14 +396,3 @@ def test_fuzz_read_gfn(tiny_files, data):
         containers.read_gfn(str(path))
     except containers.ContainerError:
         pass
-
-
-def test_thread_count_env(monkeypatch):
-    from gutzmerlab.grids import thread_count
-
-    monkeypatch.delenv("GUTZMERLAB_THREADS", raising=False)
-    assert thread_count() == 1
-    monkeypatch.setenv("GUTZMERLAB_THREADS", "4")
-    assert thread_count() == 4
-    monkeypatch.setenv("GUTZMERLAB_THREADS", "junk")
-    assert thread_count() == 1

@@ -193,17 +193,16 @@ class TestModalSliceNDField:
     @pytest.mark.parametrize("lam", [0.9, -0.9])
     @pytest.mark.parametrize("k_select", [None, 0, 1, 2, 3])
     def test_real_grid(self, lam, k_select):
-        # 10^4 grid points: two whole blocks and a partial one
         xg = fft_grid(10, 4.0)
         zc, zm = grid_coords(2, xg, xg)
-        assert zc.shape[:-1] == (10,) * 4 and 10 ** 4 % hermite_modes.FIELD_BLOCK
+        assert zc.shape[:-1] == (10,) * 4
         ms = random_slice_nd(lam, seed=2)
         assert_close(ms.field(zc, zm, k_select), e1d_reference_nd(ms, zc, zm, k_select),
                      rel=1e-13)
 
     @pytest.mark.parametrize("lam", [0.7, -0.7])
     @pytest.mark.parametrize("k_select", [None, 0, 1, 2, 3])
-    @pytest.mark.parametrize("npts", [1, 37, 2 * hermite_modes.FIELD_BLOCK + 5])
+    @pytest.mark.parametrize("npts", [1, 37, 4101])
     def test_complexified_points(self, lam, k_select, npts):
         zc, zm = complex_points_nd(npts, seed=npts)
         ms = random_slice_nd(lam, seed=3)
@@ -217,6 +216,58 @@ class TestModalSliceNDField:
         ms = random_slice_nd(lam, n=3, kcap=2, acap=2, seed=6)
         for k in (None, 0, 2):
             assert_close(ms.field(zc, zm, k), e1d_reference_nd(ms, zc, zm, k), rel=1e-13)
+
+    @pytest.mark.parametrize("lam", [0.9, -0.9])
+    @pytest.mark.parametrize("k_select", [None, 2])
+    def test_tensor_grid_matches_scattered_points(self, lam, k_select):
+        # the per-plane tables of the grid against every point evaluated on its own
+        xg = fft_grid(8, 4.0)
+        zc, zm = grid_coords(2, xg, xg)
+        ms = random_slice_nd(lam, seed=9)
+        flat = ms.field(zc.reshape(-1, 2), zm.reshape(-1, 2), k_select)
+        assert flat.shape == (8 ** 4,)
+        assert_close(ms.field(zc, zm, k_select), flat.reshape((8,) * 4), rel=1e-13)
+
+    @pytest.mark.parametrize("hold_zm", [True, False])
+    def test_constant_plane(self, hold_zm):
+        # x_1 = u_1 = c: the second axis's table has one point; with zm left
+        # varying, zc alone is constant and nothing may be cut
+        xg = fft_grid(10, 4.0)
+        zc, zm = grid_coords(2, xg, xg)
+        zc[..., 1] = 0.4 - 0.3j
+        if hold_zm:
+            zm[..., 1] = np.conj(zc[..., 1])
+        ms = random_slice_nd(-0.8, seed=10)
+        got = ms.field(zc, zm)
+        assert got.shape == (10,) * 4
+        assert_close(got, e1d_reference_nd(ms, zc, zm), rel=1e-13)
+
+    @pytest.mark.parametrize("lam", [1.1, -1.1])
+    def test_n3_tensor_grid(self, lam):
+        xg = fft_grid(4, 3.0)
+        zc, zm = grid_coords(3, xg, xg)
+        assert zc.shape == (4,) * 6 + (3,)
+        ms = random_slice_nd(lam, n=3, kcap=2, acap=2, seed=11)
+        for k in (None, 1):
+            assert_close(ms.field(zc, zm, k), e1d_reference_nd(ms, zc, zm, k), rel=1e-13)
+
+    @pytest.mark.parametrize("shape", [(1, 37), (37, 1), (1,)])
+    def test_length_one_point_axis(self, shape):
+        zc, zm = complex_points_nd(int(np.prod(shape)), seed=12)
+        zc, zm = zc.reshape(shape + (2,)), zm.reshape(shape + (2,))
+        ms = random_slice_nd(0.6, seed=13)
+        got = ms.field(zc, zm)
+        assert got.shape == shape
+        assert_close(got, e1d_reference_nd(ms, zc, zm), rel=1e-13)
+
+    def test_point_axis_constant_on_every_plane(self):
+        # every plane cuts axis 0, so the contraction comes out with length 1
+        # there and is broadcast back to the points' shape
+        zc, zm = complex_points_nd(37, seed=14)
+        ms = random_slice_nd(-0.6, seed=15)
+        got = ms.field(np.broadcast_to(zc, (3, 37, 2)), np.broadcast_to(zm, (3, 37, 2)))
+        assert got.shape == (3, 37) and got.flags.writeable
+        assert_close(got, np.broadcast_to(e1d_reference_nd(ms, zc, zm), (3, 37)), rel=1e-13)
 
     def test_levels_sum_to_the_slice(self):
         zc, zm = complex_points_nd(60, seed=7)
