@@ -29,18 +29,24 @@ their squared moduli, the mean of |field|^2 over the U(1) rotations.
 
 basis_matrix tabulates every mode of one plane separately (one laguerre_all
 table per offset, real arithmetic at real points, independent (zc, zm) at
-complexified ones).  It serves analyze and the n >= 2 fields: the product
-basis factorizes over the axes, so ModalSliceND.field evaluates one 1-D
-table per axis, holding only the (beta_j, alpha_j) pairs its modes use, on
-the points of that axis's plane alone (N^2 on the tensor grid, every point
-of a scattered list), and contracts the coefficient tensor with the tables
-one axis at a time.  e1d, the closed form of a single mode, is the
-reference the tests compare both evaluators against.
+complexified ones).  At real points its table at -lam is the complex
+conjugate of the one at lam, bit for bit (the monomial bases swap into each
+other's conjugates and the Laguerre values and the Gaussian are real), so
+analyze builds one table per +-lam pair and conjugates it in place for the
+second member.  It serves analyze and the n >= 2 fields: the product basis
+factorizes over the axes, so ModalSliceND.field evaluates one 1-D table per
+axis, holding only the (beta_j, alpha_j) pairs its modes use, on the points
+of that axis's plane alone (N^2 on the tensor grid, every point of a
+scattered list; point_planes finds them, once per point set), and contracts
+the coefficient tensor with the tables one axis at a time.  e1d, the closed
+form of a single mode, is the reference the tests compare both evaluators
+against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import lgamma, exp
 
 import numpy as np
@@ -132,6 +138,49 @@ def abs_lam_groups(lam) -> list:
     return list(groups.values())
 
 
+@lru_cache(maxsize=16)
+def _norm_ratio_table(shape: tuple) -> np.ndarray:
+    """nr[k, a] = norm_ratio(min(k, a), |k - a|) over a coefficient array of
+    this shape: diagonal d of it holds norm_ratio(m, |d|), m = 0, 1, ...
+    (read-only, shared by every slice of that shape)."""
+    nr = np.array([[norm_ratio(min(k, a), abs(k - a)) for a in range(shape[1])]
+                   for k in range(shape[0])])
+    nr.flags.writeable = False
+    return nr
+
+
+def _offset_plan(group, k_select=None) -> dict:
+    """Running-sum weights of the slices in group, per index offset d.
+
+    Maps d to a list of (i, on_p, w): slice i, whether the sum multiplies the
+    monomial P^d (else Q^d), and the weights w[m] = (+-1)^d norm_ratio(m, d)
+    coef[...] of L_m^d, cut after the last nonzero coefficient.  Per slice the
+    offsets come in increasing order, the P sum of an offset before its Q sum.
+    """
+    terms = {}
+    for i, ms in enumerate(group):
+        coef = ms.coef
+        if k_select is not None:
+            coef = np.zeros_like(coef)
+            coef[k_select] = ms.coef[k_select]
+        ks, as_ = np.nonzero(coef)
+        if not ks.size:
+            continue
+        nr = _norm_ratio_table(coef.shape)
+        sign = 1.0 if ms.lam > 0 else -1.0
+        for d in np.unique(np.abs(ks - as_)).tolist():
+            # diagonal -d: (k, a) = (m + d, m); diagonal +d: (m, m + d)
+            diags = ((-d, ms.lam > 0), (d, ms.lam < 0)) if d else ((0, ms.lam > 0),)
+            for off, on_p in diags:
+                w = np.diagonal(coef, off)
+                nz = np.flatnonzero(w)
+                if nz.size:
+                    top = nz[-1] + 1
+                    terms.setdefault(d, []).append(
+                        (i, on_p, sign ** d * np.diagonal(nr, off)[:top] * w[:top]))
+    return terms
+
+
 def _offset_sums(group, zc, zm, k_select=None):
     """Yield (i, q, G) for every running sum of the slices in group.
 
@@ -144,28 +193,13 @@ def _offset_sums(group, zc, zm, k_select=None):
     and row-dominant ones (a = m + d, k = m) Q^d, at lambda < 0 the roles
     swap and (-1)^d folds into the weights.  So each offset d needs one
     Laguerre recurrence for the whole group, run by specfun.laguerre_sums
-    with one running sum per (slice, monomial).  The d = 0 modes form one
-    running sum, so each (i, q) is yielded once.
+    with one running sum per (slice, monomial) of _offset_plan.  The d = 0
+    modes form one running sum, so each (i, q) is yielded once.
     """
     al = abs(group[0].lam)
     if any(abs(ms.lam) != al for ms in group):
         raise ValueError("the slices of one group must share |lambda|")
-    # per offset d: (slice, monomial is P, weights of L_m^d) of each running sum
-    terms = {}
-    for i, ms in enumerate(group):
-        coef = ms.coef
-        if k_select is not None:
-            coef = np.zeros_like(coef)
-            coef[k_select] = ms.coef[k_select]
-        ks, as_ = np.nonzero(coef)
-        sign = 1.0 if ms.lam > 0 else -1.0
-        for d in np.unique(np.abs(ks - as_)).tolist():
-            for w, on_p in ((np.diagonal(coef, -d), ms.lam > 0),
-                            (np.diagonal(coef, d) if d else [], ms.lam < 0)):
-                w = np.trim_zeros(np.asarray(w), "b")
-                if w.size:
-                    nr = np.array([norm_ratio(m, d) for m in range(w.size)])
-                    terms.setdefault(d, []).append((i, on_p, sign ** d * nr * w))
+    terms = _offset_plan(group, k_select)
     if not terms:
         return
     s = 0.5 * al * (zc * zm)
@@ -329,20 +363,23 @@ class ModalSliceND:
     def field(self, zc, zm, k_select=None):
         """Evaluate the slice (or its level-k_select projection) at points.
 
-        zc, zm: arrays [..., n] of the independent complex coordinates.  The
-        product basis factorizes over the axes, so each axis j gets one
-        basis_matrix table of the (beta_j, alpha_j) pairs that carry a
-        selected nonzero coefficient.  The table is built on zc[..., j],
-        zm[..., j] cut to length 1 along every point axis where both are
-        constant: on the tensor grid that leaves the N^2 points of the
-        (x_j, u_j) plane, scattered points keep them all.  The coefficient
-        tensor C[p_0, ..., p_{n-1}] over those pairs is contracted with the
-        tables one axis at a time, the point axes broadcasting: the
-        transpose of analyze's per-plane contraction.  Returns an array of
-        shape zc.shape[:-1].
+        zc, zm: arrays [..., n] of the independent complex coordinates.
+        Scans them once through point_planes and evaluates on the planes
+        with field_on_planes.  Returns an array of shape zc.shape[:-1].
         """
-        zc, zm = np.broadcast_arrays(zc, zm)
-        shape = zc.shape[:-1]
+        return self.field_on_planes(point_planes(zc, zm), k_select)
+
+    def field_on_planes(self, planes, k_select=None):
+        """field on the points that point_planes scanned.
+
+        The product basis factorizes over the axes, so each axis j gets one
+        basis_matrix table of the (beta_j, alpha_j) pairs that carry a
+        selected nonzero coefficient, built on the points of its plane.  The
+        coefficient tensor C[p_0, ..., p_{n-1}] over those pairs is
+        contracted with the tables one axis at a time, the point axes
+        broadcasting: the transpose of analyze's per-plane contraction.
+        """
+        shape, axes = planes
         live = [(alpha, beta, c) for (alpha, beta), c in zip(self.modes, self.coef)
                 if c != 0 and (k_select is None or sum(beta) == k_select)]
         if not live:
@@ -360,14 +397,32 @@ class ModalSliceND:
         np.add.at(C, tuple(rows), [c for _, _, c in live])
         acc = C
         for j in reversed(range(self.n)):
-            pc, pm = zc[..., j], zm[..., j]
-            for ax in range(pc.ndim):
-                first = (slice(None),) * ax + (slice(0, 1),)
-                if np.all(pc == pc[first]) and np.all(pm == pm[first]):
-                    pc, pm = pc[first], pm[first]
+            pc, pm = axes[j]
             mask = masks[j]
             T = basis_matrix(self.lam, mask.shape[0] - 1, mask.shape[1] - 1,
                              pc, mask, zm=pm)[mask]
             acc = np.einsum(acc, [*range(j + 1), ...], T, [j, ...], [*range(j), ...],
                             optimize=True)
         return acc if acc.shape == shape else np.broadcast_to(acc, shape).copy()
+
+
+def point_planes(zc, zm) -> tuple:
+    """(shape, axes): the point shape of zc, zm ([..., n] arrays, broadcast)
+    and per axis j the pair (zc[..., j], zm[..., j]) cut to length 1 along
+    every point axis where both are constant.
+
+    On the tensor grid that leaves the N^2 points of the (x_j, u_j) plane,
+    scattered points keep them all.  The scan reads every point once per
+    axis; evaluating many slices or levels on one point set, scan once and
+    pass the result to ModalSliceND.field_on_planes.
+    """
+    zc, zm = np.broadcast_arrays(zc, zm)
+    axes = []
+    for j in range(zc.shape[-1]):
+        pc, pm = zc[..., j], zm[..., j]
+        for ax in range(pc.ndim):
+            first = (slice(None),) * ax + (slice(0, 1),)
+            if np.all(pc == pc[first]) and np.all(pm == pm[first]):
+                pc, pm = pc[first], pm[first]
+        axes.append((pc, pm))
+    return zc.shape[:-1], axes

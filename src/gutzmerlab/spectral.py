@@ -40,10 +40,12 @@ from .grids import DECAY_TOL, QuadratureSpec, fft_grid
 from .hermite_modes import (
     ModalSlice,
     ModalSliceND,
+    abs_lam_groups,
     basis_matrix,
     modal_fields,
     multiindices,
     multiindices_upto,
+    point_planes,
 )
 from .heisenberg_core import ComplexPoint
 
@@ -180,13 +182,19 @@ class SpectralData:
         zc, zm = grid_coords(self.n, self.xgrid, self.ugrid)
         if self.n == 1:
             return modal_fields(self.modal, zc, zm)
-        return [ms.field(zc, zm) for ms in self.modal]
+        pts = point_planes(zc, zm)
+        return [ms.field_on_planes(pts) for ms in self.modal]
 
     @property
     def projections(self) -> list:
         """projections[j][k] = f^lambda_j *_lam phi_k on the sample grid."""
         zc, zm = grid_coords(self.n, self.xgrid, self.ugrid)
-        return [np.stack([(2.0 * np.pi / abs(ms.lam)) ** self.n * ms.field(zc, zm, k_select=k)
+        if self.n == 1:
+            level = lambda ms, k: ms.field(zc, zm, k_select=k)
+        else:
+            pts = point_planes(zc, zm)         # one scan of the grid for every level
+            level = lambda ms, k: ms.field_on_planes(pts, k_select=k)
+        return [np.stack([(2.0 * np.pi / abs(ms.lam)) ** self.n * level(ms, k)
                           for k in range(self.kmax + 1)])
                 for ms in self.modal]
 
@@ -308,30 +316,30 @@ def analyze(f: GridFunction, lgrid: LambdaGrid, kmax: int,
     covers the admissible levels k and free indices a only; at n = 1 the
     contraction is the single product conj(B) @ slice.  Mode (alpha, beta) is
     kept iff _mode_mask admits (|beta|, |alpha|).
+
+    Admissibility depends on |lambda| only, and at real points
+    E^{-lambda}_{ak}(z) = conj E^{lambda}_{ak}(z) bit for bit, so each
+    |lambda| group (the pair lambda, -lambda) builds one mask and one table
+    B at its first node l0: the member at -l0 is contracted with B itself,
+    the member at l0 with B conjugated in place.  Every slice is taken first,
+    in grid order, so a DecayError names the first node that fails.
     """
     if spec is None:
         spec = QuadratureSpec(n=f.n, nx=f.xgrid.size, lx=float(-f.xgrid[0]))
     n = f.n
+    lam = lgrid.lam
     Z, _ = grid_coords(1, f.xgrid, f.ugrid)
     harea = f.hx ** (2 * n)
     # slice axes (x_1..x_n, u_1..u_n) -> one (x_j, u_j) plane per axis
     planes = [ax for j in range(n) for ax in (j, n + j)]
-    modal = []
-    norms2 = np.zeros((kmax + 1, lgrid.lam.size))
-    tail = np.zeros(lgrid.lam.size)
-    for j, lv in enumerate(lgrid.lam):
-        sl = partial_fourier_t(f, lv)
-        mask = _mode_mask(spec, kmax, lv)
-        kt, at = int(mask.any(axis=1).sum()), int(mask.any(axis=0).sum())
-        # numpy takes a one-row product as a dot product, which sums in another
-        # order than the matrix-vector kernel; a second (masked) row keeps
-        # one-mode slices bit-identical to the full-table product
-        at = min(max(at, 2), spec.beta_cap + 1)
-        # at n = 1 the table rows are the modes; at n >= 2 a plane may carry
-        # any (beta_j, alpha_j) of the admissible rectangle
-        B = basis_matrix(lv, kt - 1, at - 1, Z, mask=mask[:kt, :at] if n == 1 else None)
-        Bc = np.conjugate(B, out=B).reshape(kt * at, Z.size)
-        T = sl.transpose(planes).reshape((Z.size,) * n)
+    sls = [partial_fourier_t(f, lv) for lv in lam]
+    modal = [None] * lam.size
+    norms2 = np.zeros((kmax + 1, lam.size))
+    tail = np.zeros(lam.size)
+
+    def project(j, Bc, kt, at, modes):
+        """Contract slice j with the conjugated table Bc [kt * at, N^2]."""
+        T = sls[j].transpose(planes).reshape((Z.size,) * n)
         for _ in range(n):
             # contract the leading plane; its mode axis moves to the back
             T = np.moveaxis(np.tensordot(Bc, T, axes=(1, 0)), 0, -1)
@@ -339,17 +347,39 @@ def analyze(f: GridFunction, lgrid: LambdaGrid, kmax: int,
         if n == 1:
             coef = np.zeros((kmax + 1, spec.beta_cap + 1), dtype=complex)
             coef[:kt, :at] = T
-            ms = ModalSlice(lv, coef)
+            ms = ModalSlice(lam[j], coef)
             norms2[:, j] = ms.proj_norms2()
         else:
-            modes = [(alpha, beta) for k in range(kt) for beta in multiindices(n, k)
-                     for alpha in multiindices_upto(n, at - 1) if mask[k, sum(alpha)]]
             coef = np.array([T[sum(zip(beta, alpha), ())] for alpha, beta in modes],
                             dtype=complex)
-            ms = ModalSliceND(lv, n, modes, coef)
+            ms = ModalSliceND(lam[j], n, list(modes), coef)
             norms2[:, j] = ms.proj_norms2(kmax)
-        modal.append(ms)
-        tail[j] = max(0.0, float(np.sum(np.abs(sl) ** 2) * harea - np.sum(np.abs(ms.coef) ** 2)))
+        modal[j] = ms
+        tail[j] = max(0.0, float(np.sum(np.abs(sls[j]) ** 2) * harea - np.sum(np.abs(coef) ** 2)))
+
+    for group in abs_lam_groups(lam):
+        l0 = lam[group[0]]
+        mask = _mode_mask(spec, kmax, l0)
+        kt, at = int(mask.any(axis=1).sum()), int(mask.any(axis=0).sum())
+        # numpy takes a one-row product as a dot product, which sums in another
+        # order than the matrix-vector kernel; a second (masked) row keeps
+        # one-mode slices bit-identical to the full-table product
+        at = min(max(at, 2), spec.beta_cap + 1)
+        # at n = 1 the table rows are the modes; at n >= 2 a plane may carry
+        # any (beta_j, alpha_j) of the admissible rectangle
+        B = basis_matrix(l0, kt - 1, at - 1, Z, mask=mask[:kt, :at] if n == 1 else None)
+        B = B.reshape(kt * at, Z.size)
+        modes = None if n == 1 else [
+            (alpha, beta) for k in range(kt) for beta in multiindices(n, k)
+            for alpha in multiindices_upto(n, at - 1) if mask[k, sum(alpha)]]
+        # B is the conjugated table of -l0, and conj(B) that of l0
+        for j in group:
+            if lam[j] != l0:
+                project(j, B, kt, at, modes)
+        np.conjugate(B, out=B)
+        for j in group:
+            if lam[j] == l0:
+                project(j, B, kt, at, modes)
     return SpectralData(
         n=n, lgrid=lgrid, kmax=kmax, xgrid=f.xgrid, ugrid=f.ugrid,
         norms2=norms2, modal=modal, tail=tail,
@@ -468,7 +498,11 @@ def synth_bandlimited(A: float, B: float, seed: int,
     xg = fft_grid(spec.nx, spec.lx)
 
     # admissible cells and target masses
-    masks = [_mode_mask(spec, kmax, lv) for lv in lgrid.lam]
+    masks = [None] * lgrid.lam.size
+    for group in abs_lam_groups(lgrid.lam):
+        mask = _mode_mask(spec, kmax, lgrid.lam[group[0]])
+        for j in group:
+            masks[j] = mask
     masses = np.zeros((kmax + 1, lgrid.lam.size))
     for j, lv in enumerate(lgrid.lam):
         for k in range(kmax + 1):

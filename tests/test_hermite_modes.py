@@ -6,12 +6,14 @@ from gutzmerlab.grids import fft_grid
 from gutzmerlab.hermite_modes import (
     ModalSlice,
     ModalSliceND,
+    _offset_plan,
     abs_lam_groups,
     basis_matrix,
     e1d,
     modal_fields,
     multiindices,
     multiindices_upto,
+    norm_ratio,
     slice_fields,
     slice_powers,
 )
@@ -138,6 +140,110 @@ class TestSlicePowers:
         zero = ModalSlice(-0.4, np.zeros((3, 4), complex))
         pz, pl = slice_powers([zero, random_slice(0.4, seed=17)], zc, zm)
         assert pz.shape == zc.shape and not np.any(pz) and np.all(pl > 0)
+
+
+def offset_plan_reference(group, k_select=None):
+    """The running-sum weights assembled as _offset_sums built them before
+    the norm-ratio table: per slice and offset, trim_zeros of each diagonal
+    and a list of norm_ratio values."""
+    terms = {}
+    for i, ms in enumerate(group):
+        coef = ms.coef
+        if k_select is not None:
+            coef = np.zeros_like(coef)
+            coef[k_select] = ms.coef[k_select]
+        ks, as_ = np.nonzero(coef)
+        sign = 1.0 if ms.lam > 0 else -1.0
+        for d in np.unique(np.abs(ks - as_)).tolist():
+            for w, on_p in ((np.diagonal(coef, -d), ms.lam > 0),
+                            (np.diagonal(coef, d) if d else [], ms.lam < 0)):
+                w = np.trim_zeros(np.asarray(w), "b")
+                if w.size:
+                    nr = np.array([norm_ratio(m, d) for m in range(w.size)])
+                    terms.setdefault(d, []).append((i, on_p, sign ** d * nr * w))
+    return terms
+
+
+class TestOffsetPlan:
+    @staticmethod
+    def assert_same_plan(got, want):
+        assert list(got) == list(want)
+        for d in want:
+            assert [(i, on_p) for i, on_p, _ in got[d]] == [(i, on_p) for i, on_p, _ in want[d]]
+            for (_, _, wg), (_, _, ww) in zip(got[d], want[d]):
+                assert wg.dtype == ww.dtype and np.array_equal(wg, ww)
+
+    @pytest.mark.parametrize("k_select", [None, 0, 2, 5, 6])
+    def test_pair_matches_reference(self, k_select):
+        # trailing holes on some diagonals, so the cut after the last nonzero
+        # entry is exercised
+        pos, neg = random_slice(0.9, seed=21), random_slice(-0.9, seed=22)
+        pos.coef[6, :] = 0.0
+        neg.coef[:, 9] = 0.0
+        group = [pos, neg]
+        self.assert_same_plan(_offset_plan(group, k_select),
+                              offset_plan_reference(group, k_select))
+
+    @pytest.mark.parametrize("lam", [1.3, -1.3])
+    @pytest.mark.parametrize("k_select", [None, 3])
+    def test_one_member_group(self, lam, k_select):
+        group = [random_slice(lam, kmax=8, acap=5, seed=23)]
+        self.assert_same_plan(_offset_plan(group, k_select),
+                              offset_plan_reference(group, k_select))
+
+    def test_all_zero_slice(self):
+        zero = ModalSlice(-0.7, np.zeros((7, 10), complex))
+        live = random_slice(0.7, seed=24)
+        for group in ([zero], [zero, live], [live, zero]):
+            for k_select in (None, 1):
+                self.assert_same_plan(_offset_plan(group, k_select),
+                                      offset_plan_reference(group, k_select))
+        assert _offset_plan([zero]) == {}
+
+    def test_plan_follows_in_place_coefficient_changes(self):
+        # nothing is cached per slice: a coefficient changed after a first
+        # evaluation shows in the next plan
+        ms = random_slice(0.5, seed=25)
+        before = _offset_plan([ms])
+        ms.coef[:] = 0.0
+        ms.coef[3, 1] = 2.0
+        self.assert_same_plan(_offset_plan([ms]), offset_plan_reference([ms]))
+        assert list(_offset_plan([ms])) == [2] and list(before) != [2]
+
+
+class TestConjugateTable:
+    """At real points E^{-lam}_{ak}(z) = conj E^{lam}_{ak}(z), bit for bit:
+    analyze contracts the slice at -lam with the table it built at lam."""
+
+    @staticmethod
+    def real_points():
+        x = fft_grid(12, 5.0)
+        return x[:, None] + 1j * x[None, :]
+
+    @pytest.mark.parametrize("lam", [0.05, 0.4, 1.0, 2.75])
+    def test_masked_table(self, lam):
+        Z = self.real_points()
+        mask = np.ones((7, 10), dtype=bool)
+        mask[4:, 6:] = False
+        mask[2, 8] = False
+        pos = basis_matrix(lam, 6, 9, Z, mask=mask)
+        neg = basis_matrix(-lam, 6, 9, Z, mask=mask)
+        assert np.array_equal(neg, np.conj(pos)) and np.any(pos[2, 7])
+
+    @pytest.mark.parametrize("lam", [0.3, 1.7])
+    def test_unmasked_table(self, lam):
+        Z = self.real_points()
+        assert np.array_equal(basis_matrix(-lam, 5, 8, Z), np.conj(basis_matrix(lam, 5, 8, Z)))
+
+    @pytest.mark.parametrize("acap", [0, 1, 6])
+    def test_one_row_table(self, acap):
+        # level 0 alone; acap 1 with one masked entry is analyze's table of a
+        # one-mode slice
+        Z = self.real_points()
+        mask = np.arange(acap + 1)[None, :] == 0 if acap == 1 else None
+        pos = basis_matrix(0.8, 0, acap, Z, mask=mask)
+        assert pos.shape[:2] == (1, acap + 1)
+        assert np.array_equal(basis_matrix(-0.8, 0, acap, Z, mask=mask), np.conj(pos))
 
 
 def test_abs_lam_groups_pairs_a_symmetric_grid():

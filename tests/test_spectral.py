@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import small_spec
-from gutzmerlab import spectral
+from gutzmerlab import hermite_modes, spectral
 from gutzmerlab.grids import QuadratureSpec, fft_grid
 from gutzmerlab.heisenberg_core import ComplexPoint
 from gutzmerlab.hermite_modes import ModalSliceND, basis_matrix, e1d, multiindices, multiindices_upto
@@ -500,6 +500,37 @@ class TestAnalyzeN2:
         assert abs(invert(sd, p) - back.samples[i + (m,)]) <= 1e-12 * np.max(np.abs(back.samples))
 
 
+    def test_views_scan_the_grid_once(self, monkeypatch):
+        # projections and slices scan the sample grid once per access; the
+        # values equal per-slice, per-level field calls exactly
+        spec = QuadratureSpec(**N2_SPEC)
+        lgrid = LambdaGrid.build(spec, 1.0)
+        rng = np.random.default_rng(9)
+        modal = []
+        for lv in lgrid.lam:
+            modes = pair_fits_modes(spec, spec.kmax, lv, 2)
+            coef = rng.standard_normal(len(modes)) + 1j * rng.standard_normal(len(modes))
+            modal.append(ModalSliceND(lv, 2, modes, coef))
+        xg = fft_grid(spec.nx, spec.lx)
+        sd = spectral.SpectralData(2, lgrid, spec.kmax, xg, xg,
+                                   np.zeros((spec.kmax + 1, lgrid.lam.size)), modal,
+                                   np.zeros(lgrid.lam.size))
+        scans = []
+        scan = hermite_modes.point_planes
+        for mod in (spectral, hermite_modes):
+            monkeypatch.setattr(mod, "point_planes",
+                                lambda zc, zm: scans.append(1) or scan(zc, zm))
+        projs, sls = sd.projections, sd.slices
+        assert scans == [1, 1]
+        monkeypatch.undo()
+        zc, zm = grid_coords(2, xg, xg)
+        for ms, proj, sl in zip(modal, projs, sls):
+            scale = (2 * np.pi / abs(ms.lam)) ** 2
+            want = np.stack([scale * ms.field(zc, zm, k_select=k) for k in range(spec.kmax + 1)])
+            assert np.array_equal(proj, want) and np.array_equal(sl, ms.field(zc, zm))
+        assert sum(np.any(p) for p in projs) == 2
+
+
 class TestAnalyzeN1:
     def test_matches_full_table_product(self, fixture_small, analyzed_small):
         # the per-plane path at n = 1 against conj(B) @ slice over the whole
@@ -513,6 +544,102 @@ class TestAnalyzeN1:
                     * f.hx ** 2).reshape(mask.shape)
             got = analyzed_small.modal[j].coef
             assert np.max(np.abs(got - want)) <= 1e-14 * max(np.max(np.abs(want)), 1e-300)
+
+
+def analyze_per_node(f, lgrid, kmax, spec):
+    """(coef list, norms2, tail) as analyze computed them node by node, one
+    mask and one conjugated table per lambda: the reference for the path that
+    shares them across each +-lambda pair."""
+    n = f.n
+    Z, _ = grid_coords(1, f.xgrid, f.ugrid)
+    harea = f.hx ** (2 * n)
+    planes = [ax for j in range(n) for ax in (j, n + j)]
+    coefs = []
+    norms2 = np.zeros((kmax + 1, lgrid.lam.size))
+    tail = np.zeros(lgrid.lam.size)
+    for j, lv in enumerate(lgrid.lam):
+        sl = partial_fourier_t(f, lv)
+        mask = _mode_mask(spec, kmax, lv)
+        kt, at = int(mask.any(axis=1).sum()), int(mask.any(axis=0).sum())
+        at = min(max(at, 2), spec.beta_cap + 1)
+        B = basis_matrix(lv, kt - 1, at - 1, Z, mask=mask[:kt, :at] if n == 1 else None)
+        Bc = np.conjugate(B, out=B).reshape(kt * at, Z.size)
+        T = sl.transpose(planes).reshape((Z.size,) * n)
+        for _ in range(n):
+            T = np.moveaxis(np.tensordot(Bc, T, axes=(1, 0)), 0, -1)
+        T = (T * harea).reshape((kt, at) * n)
+        if n == 1:
+            coef = np.zeros((kmax + 1, spec.beta_cap + 1), dtype=complex)
+            coef[:kt, :at] = T
+            norms2[:, j] = spectral.ModalSlice(lv, coef).proj_norms2()
+        else:
+            modes = [(alpha, beta) for k in range(kt) for beta in multiindices(n, k)
+                     for alpha in multiindices_upto(n, at - 1) if mask[k, sum(alpha)]]
+            coef = np.array([T[sum(zip(beta, alpha), ())] for alpha, beta in modes],
+                            dtype=complex)
+            norms2[:, j] = ModalSliceND(lv, n, modes, coef).proj_norms2(kmax)
+        coefs.append(coef)
+        tail[j] = max(0.0, float(np.sum(np.abs(sl) ** 2) * harea - np.sum(np.abs(coef) ** 2)))
+    return coefs, norms2, tail
+
+
+class TestAnalyzePairs:
+    """analyze builds one mask and one table per +-lambda pair; the results
+    equal the node-by-node path exactly."""
+
+    @staticmethod
+    def assert_same(sd, ref):
+        coefs, norms2, tail = ref
+        assert len(sd.modal) == len(coefs)
+        for ms, lv, coef in zip(sd.modal, sd.lam, coefs):
+            assert ms.lam == lv and np.array_equal(ms.coef, coef)
+        assert np.array_equal(sd.norms2, norms2) and np.array_equal(sd.tail, tail)
+
+    def test_n1_fixture(self, fixture_small, analyzed_small):
+        spec, f, sd = fixture_small
+        self.assert_same(analyzed_small, analyze_per_node(f, sd.lgrid, spec.kmax, spec))
+
+    def test_unpaired_node(self, fixture_small):
+        spec, f, _ = fixture_small
+        dual = np.pi / f.t_half_window
+        # pairs +-5, +-8 and a lone 6: populated dual-lattice nodes of the fixture
+        lam = np.array([-8.0, -5.0, 5.0, 8.0, 6.0]) * dual
+        lgrid = LambdaGrid(lam, dual, np.ones(lam.size))
+        sd = analyze(f, lgrid, spec.kmax, spec)
+        assert all(np.any(ms.coef) for ms in sd.modal)
+        self.assert_same(sd, analyze_per_node(f, lgrid, spec.kmax, spec))
+
+    def test_n2_fixture(self):
+        spec = QuadratureSpec(**N2_SPEC)
+        lgrid = LambdaGrid.build(spec, 1.0)
+        rng = np.random.default_rng(8)
+        slices = {}
+        for j, lv in enumerate(lgrid.lam):
+            modes = pair_fits_modes(spec, spec.kmax, lv, 2)
+            coef = rng.standard_normal(len(modes)) + 1j * rng.standard_normal(len(modes))
+            slices[j] = ModalSliceND(lv, 2, modes, coef)
+        f = n2_gridfn(spec, lgrid, slices)
+        sd = analyze(f, lgrid, spec.kmax, spec)
+        assert sum(ms.coef.size > 0 for ms in sd.modal) == 2
+        self.assert_same(sd, analyze_per_node(f, lgrid, spec.kmax, spec))
+        assert all(ms.modes == pair_fits_modes(spec, spec.kmax, lv, 2)
+                   for ms, lv in zip(sd.modal, sd.lam))
+
+    def test_desk_grid_tables_conjugate(self):
+        # the identity analyze relies on, on every pair of the desk grid
+        spec = QuadratureSpec()
+        lam = LambdaGrid.build(spec, 1.0).lam
+        Z, _ = grid_coords(1, fft_grid(spec.nx, spec.lx), fft_grid(spec.nx, spec.lx))
+        pairs = [g for g in spectral.abs_lam_groups(lam) if len(g) == 2]
+        assert len(pairs) == 16
+        for j, jm in pairs:
+            mask = _mode_mask(spec, spec.kmax, lam[j])
+            assert np.array_equal(mask, _mode_mask(spec, spec.kmax, lam[jm]))
+            kt, at = int(mask.any(axis=1).sum()), int(mask.any(axis=0).sum())
+            at = min(max(at, 2), spec.beta_cap + 1)
+            B = basis_matrix(lam[j], kt - 1, at - 1, Z, mask=mask[:kt, :at])
+            Bm = basis_matrix(lam[jm], kt - 1, at - 1, Z, mask=mask[:kt, :at])
+            assert np.array_equal(Bm, np.conj(B))
 
 
 class TestSynth:
