@@ -168,6 +168,25 @@ def flat_phi_lambda(lam: float, y) -> float:
     return float(np.real(_bessel_j_norm_real_order(nu, 1j * lam * r)))
 
 
+def _flat_power(f: FlatFunction):
+    """Lattice frequencies [M, n] and their powers box_volume * |amplitude|^2."""
+    freqs, amps = flat_dft_modes(f)
+    return freqs, f.box_volume * np.abs(amps) ** 2
+
+
+def _orbital_mean(freqs, power, y) -> float:
+    """Motion-group orbital integral at offset y from the lattice power:
+    sum power e^{-2 xi . R y}, averaged over 64 uniform rotations R."""
+    n_ang = 64
+    th = 2.0 * np.pi * np.arange(n_ang) / n_ang
+    lhs = 0.0
+    for t in th:
+        R = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+        ry = R @ y
+        lhs += float(np.sum(power * np.exp(-2.0 * freqs @ ry)))
+    return lhs / n_ang
+
+
 def flat_gutzmer(f: FlatFunction, y):
     """(lhs, rhs, relative error) of the flat Gutzmer identity at offset y.
 
@@ -180,20 +199,10 @@ def flat_gutzmer(f: FlatFunction, y):
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if y.size != 2:
         raise FlatError("offset y must be a 2-vector")
-    freqs, amps = flat_dft_modes(f)
-    V = f.box_volume
-    power = V * np.abs(amps) ** 2
+    freqs, power = _flat_power(f)
     if power.size == 0 or np.sum(power) == 0.0:
         return 0.0, 0.0, 0.0
-
-    n_ang = 64
-    th = 2.0 * np.pi * np.arange(n_ang) / n_ang
-    lhs = 0.0
-    for t in th:
-        R = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
-        ry = R @ y
-        lhs += float(np.sum(power * np.exp(-2.0 * freqs @ ry)))
-    lhs /= n_ang
+    lhs = _orbital_mean(freqs, power, y)
 
     mags = np.linalg.norm(freqs, axis=1)
     rings = {}
@@ -210,19 +219,18 @@ def flat_gutzmer(f: FlatFunction, y):
     return float(lhs), float(rhs), float(rel)
 
 
-def flat_orbital(f: FlatFunction, y) -> float:
-    return flat_gutzmer(f, y)[0]
-
-
 def flat_pw_check(f: FlatFunction, a: Optional[float] = None,
                   n_ray: int = 13, two_pass: bool = True):
     """Growth fit of the orbital integral along an imaginary ray.
 
     Fits log lhs(|y|) (Bessel envelope removed) on the tail half; returns
     (GrowthFit, a_hat = slope/2, verdict).  With a given, the slope is also
-    checked against 2a + 5%.  Degenerate data is flagged inconclusive."""
+    checked against 2a + 5%.  Degenerate data is flagged inconclusive.  The
+    spectrum is computed once; each ray point is flat_gutzmer's left side."""
+    freqs, power = _flat_power(f)
+
     def logs(ys):
-        return _log_values([flat_orbital(f, [yy, 0.0]) for yy in ys])
+        return _log_values([_orbital_mean(freqs, power, np.array([yy, 0.0])) for yy in ys])
 
     ys = np.linspace(0.0, 3.0, n_ray)
     fit = fit_growth(ys, logs(ys), "radial")

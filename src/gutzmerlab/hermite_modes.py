@@ -27,13 +27,16 @@ private generator _offset_sums runs these recurrences and yields each slice's
 parts of U(1) weight q = +-d: slice_fields adds them up, slice_powers adds
 their squared moduli, the mean of |field|^2 over the U(1) rotations.
 
-basis_matrix tabulates every mode of one plane separately (one laguerre_all
-table per offset, real arithmetic at real points, independent (zc, zm) at
-complexified ones).  At real points its table at -lam is the complex
-conjugate of the one at lam, bit for bit (the monomial bases swap into each
-other's conjugates and the Laguerre values and the Gaussian are real), so
-analyze builds one table per +-lam pair and conjugates it in place for the
-second member.  It serves analyze and the n >= 2 fields: the product basis
+basis_matrix tabulates the admitted modes of one plane separately, one row
+each in row-major (k, a) order: per index offset one laguerre_all table up
+to the offset's largest admitted m and one broadcast product for its rows
+(real arithmetic at real points, independent (zc, zm) at complexified
+ones).  Each entry is the same product in the same order whatever else the
+mask admits.  At real points its table at -lam is the complex conjugate of
+the one at lam, bit for bit (the monomial bases swap into each other's
+conjugates and the Laguerre values and the Gaussian are real), so analyze
+builds one table per +-lam pair and conjugates it in place for the second
+member.  It serves analyze and the n >= 2 fields: the product basis
 factorizes over the axes, so ModalSliceND.field evaluates one 1-D table per
 axis, holding only the (beta_j, alpha_j) pairs its modes use, on the points
 of that axis's plane alone (N^2 on the tensor grid, every point of a
@@ -269,15 +272,32 @@ def modal_fields(modal, zc, zm) -> list:
 
 def basis_matrix(lam: float, kmax: int, acap: int, Z: np.ndarray,
                  mask: np.ndarray | None = None, zm: np.ndarray | None = None) -> np.ndarray:
-    """Orthonormal basis fields Etilde_{a k}^lam at the points Z.
+    """Orthonormal basis fields Etilde_{a k}^lam at the points Z, admitted rows only.
 
-    Returns array [kmax+1, acap+1, *Z.shape] (complex).  Row (k, a) holds
-    sqrt(|lam|/2pi) E_{a k}(z); rows outside the boolean mask stay zero.
-    zm is the independent conjugate coordinate of complexified points (same
-    shape as Z); without it the points are real (zm = conj(Z)) and rho, s and
-    the Gaussian are computed in real arithmetic.  One Laguerre table per
-    index offset d and the monomial powers serve every row of that offset.
+    Returns array [n_rows, *Z.shape] (complex): one row per pair (k, a) that
+    the boolean mask [kmax+1, acap+1] admits, in row-major order (the order
+    of np.nonzero(mask)); row (k, a) holds sqrt(|lam|/2pi) E_{a k}(z).
+    Without a mask every pair is admitted, and .reshape(kmax + 1, acap + 1,
+    *Z.shape) gives the full rectangle.  zm is the independent conjugate
+    coordinate of complexified points (same shape as Z); without it the
+    points are real (zm = conj(Z)) and rho, s and the Gaussian are computed
+    in real arithmetic.
+
+    The table is built one index offset d = |k - a| at a time: one
+    laguerre_all table up to the largest admitted m = min(k, a) of the
+    offset, and one broadcast product per monomial for all its admitted
+    column-dominant (k >= a) or row-dominant (a > k) rows.  Every entry is
+    onorm * norm_ratio(m, d) * monomial^d * L_m^d(s) * gauss, multiplied in
+    this order, the monomial powers taken by one multiplication per offset:
+    L_m^d does not depend on the depth of the table it is read from, so an
+    entry is the same float whatever else the mask admits.
     """
+    if mask is None:
+        mask = np.ones((kmax + 1, acap + 1), dtype=bool)
+    ks, as_ = np.nonzero(mask)
+    out = np.empty((ks.size,) + Z.shape, dtype=complex)
+    if not ks.size:
+        return out
     al = abs(lam)
     zc = Z
     if zm is None:
@@ -289,29 +309,28 @@ def basis_matrix(lam: float, kmax: int, acap: int, Z: np.ndarray,
     var_row, var_col = mode_monomial_base(lam, zc, zm)
     gauss = np.exp(-0.25 * al * rho)
     onorm = np.sqrt(al / (2.0 * np.pi))
-    out = np.zeros((kmax + 1, acap + 1) + Z.shape, dtype=complex)
-    dmax = max(kmax, acap)
-    mono_row = np.ones_like(zc)
-    mono_col = np.ones_like(zc)
-
-    def wanted(k, a):
-        return mask is None or bool(mask[k, a])
-
-    for d in range(dmax + 1):
-        mmax_col = min(kmax - d, acap)
-        mmax_row = min(kmax, acap - d)
-        mtop = max(mmax_col, mmax_row)
-        if mtop >= 0:
-            Ltab = laguerre_all(mtop, d, s)
-            for m in range(mtop + 1):
-                nr = norm_ratio(m, d)
-                if m <= mmax_col and wanted(m + d, m):
-                    out[m + d, m] = onorm * nr * mono_col * Ltab[m] * gauss
-                if d > 0 and m <= mmax_row and wanted(m, m + d):
-                    out[m, m + d] = onorm * nr * mono_row * Ltab[m] * gauss
-        if d < dmax:
+    offset, low = np.abs(ks - as_), np.minimum(ks, as_)
+    col = ks >= as_
+    rows_of = (-1,) + (1,) * Z.ndim
+    mono_row = mono_col = np.ones_like(zc)
+    for d in range(int(offset.max()) + 1):
+        if d:
             mono_row = mono_row * var_row
             mono_col = mono_col * var_col
+        on_d = offset == d
+        if not on_d.any():
+            continue
+        mtop = int(low[on_d].max())
+        Ltab = laguerre_all(mtop, d, s)
+        nr = np.array([norm_ratio(m, d) for m in range(mtop + 1)])
+        for rows, mono in ((np.flatnonzero(on_d & col), mono_col),
+                           (np.flatnonzero(on_d & ~col), mono_row)):
+            if rows.size:
+                m = low[rows]
+                block = (onorm * nr[m]).reshape(rows_of) * mono
+                block *= Ltab[m]
+                block *= gauss
+                out[rows] = block
     return out
 
 
@@ -400,7 +419,7 @@ class ModalSliceND:
             pc, pm = axes[j]
             mask = masks[j]
             T = basis_matrix(self.lam, mask.shape[0] - 1, mask.shape[1] - 1,
-                             pc, mask, zm=pm)[mask]
+                             pc, mask, zm=pm)
             acc = np.einsum(acc, [*range(j + 1), ...], T, [j, ...], [*range(j), ...],
                             optimize=True)
         return acc if acc.shape == shape else np.broadcast_to(acc, shape).copy()

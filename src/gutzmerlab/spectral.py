@@ -31,7 +31,8 @@ exact by discrete Fourier orthogonality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -296,12 +297,23 @@ def twisted_conv(F: np.ndarray, G: np.ndarray, lam: float, xgrid: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def _mode_mask(spec: QuadratureSpec, kmax: int, lam: float) -> np.ndarray:
-    """Boolean admissibility of mode pairs (k, a) at scale lam: mask[k, a]."""
-    kfit = min(kmax, spec.max_radial_level(lam))
+    """Boolean admissibility of mode pairs (k, a) at scale lam: mask[k, a].
+
+    Depends on every spec field, kmax and |lam| only, so it is memoized on
+    them; the mask is read-only, shared by every caller.
+    """
+    return _mode_mask_of(astuple(spec), kmax, abs(float(lam)))
+
+
+@lru_cache(maxsize=256)
+def _mode_mask_of(fields: tuple, kmax: int, al: float) -> np.ndarray:
+    spec = QuadratureSpec(*fields)
+    kfit = min(kmax, spec.max_radial_level(al))
     mask = np.zeros((kmax + 1, spec.beta_cap + 1), dtype=bool)
     for k in range(kfit + 1):
-        atop = spec.acap_for_k(k, lam, spec.beta_cap)
+        atop = spec.acap_for_k(k, al, spec.beta_cap)
         mask[k, : atop + 1] = True
+    mask.flags.writeable = False
     return mask
 
 
@@ -312,10 +324,12 @@ def analyze(f: GridFunction, lgrid: LambdaGrid, kmax: int,
     The product basis (|lam|/2pi)^{n/2} prod_j E_{alpha_j beta_j}(z_j) is a
     tensor product over the planes (x_j, u_j), so each slice is contracted
     with one conjugated 1-D table from basis_matrix plane by plane: O(M1
-    N^{2n}) per plane for M1 table rows and N points per axis.  The table
-    covers the admissible levels k and free indices a only; at n = 1 the
-    contraction is the single product conj(B) @ slice.  Mode (alpha, beta) is
-    kept iff _mode_mask admits (|beta|, |alpha|).
+    N^{2n}) per plane for M1 table rows and N points per axis.  Mode
+    (alpha, beta) is kept iff _mode_mask admits (|beta|, |alpha|).  At n = 1
+    the table holds the admitted rows alone, M1 of them, the contraction is
+    the single product conj(B) @ slice, and its result is scattered into
+    coef[mask].  At n >= 2 a plane may carry any (beta_j, alpha_j) of the
+    admissible rectangle, so the table is the unmasked rectangle.
 
     Admissibility depends on |lambda| only, and at real points
     E^{-lambda}_{ak}(z) = conj E^{lambda}_{ak}(z) bit for bit, so each
@@ -337,19 +351,20 @@ def analyze(f: GridFunction, lgrid: LambdaGrid, kmax: int,
     norms2 = np.zeros((kmax + 1, lam.size))
     tail = np.zeros(lam.size)
 
-    def project(j, Bc, kt, at, modes):
-        """Contract slice j with the conjugated table Bc [kt * at, N^2]."""
+    def project(j, Bc, mask, modes, kt, at):
+        """Contract slice j with the conjugated table Bc [rows, N^2]."""
         T = sls[j].transpose(planes).reshape((Z.size,) * n)
         for _ in range(n):
             # contract the leading plane; its mode axis moves to the back
             T = np.moveaxis(np.tensordot(Bc, T, axes=(1, 0)), 0, -1)
-        T = (T * harea).reshape((kt, at) * n)          # [beta_1, alpha_1, beta_2, ...]
+        T = T * harea
         if n == 1:
-            coef = np.zeros((kmax + 1, spec.beta_cap + 1), dtype=complex)
-            coef[:kt, :at] = T
+            coef = np.zeros(mask.shape, dtype=complex)
+            coef[mask] = T[: np.count_nonzero(mask)]     # drop the pad row, if any
             ms = ModalSlice(lam[j], coef)
             norms2[:, j] = ms.proj_norms2()
         else:
+            T = T.reshape((kt, at) * n)                 # [beta_1, alpha_1, beta_2, ...]
             coef = np.array([T[sum(zip(beta, alpha), ())] for alpha, beta in modes],
                             dtype=complex)
             ms = ModalSliceND(lam[j], n, list(modes), coef)
@@ -361,25 +376,30 @@ def analyze(f: GridFunction, lgrid: LambdaGrid, kmax: int,
         l0 = lam[group[0]]
         mask = _mode_mask(spec, kmax, l0)
         kt, at = int(mask.any(axis=1).sum()), int(mask.any(axis=0).sum())
-        # numpy takes a one-row product as a dot product, which sums in another
-        # order than the matrix-vector kernel; a second (masked) row keeps
-        # one-mode slices bit-identical to the full-table product
-        at = min(max(at, 2), spec.beta_cap + 1)
-        # at n = 1 the table rows are the modes; at n >= 2 a plane may carry
-        # any (beta_j, alpha_j) of the admissible rectangle
-        B = basis_matrix(l0, kt - 1, at - 1, Z, mask=mask[:kt, :at] if n == 1 else None)
-        B = B.reshape(kt * at, Z.size)
-        modes = None if n == 1 else [
-            (alpha, beta) for k in range(kt) for beta in multiindices(n, k)
-            for alpha in multiindices_upto(n, at - 1) if mask[k, sum(alpha)]]
+        modes = None
+        if n == 1:
+            B = basis_matrix(l0, kmax, spec.beta_cap, Z, mask=mask).reshape(-1, Z.size)
+            if B.shape[0] == 1:
+                # numpy takes a one-row product as a dot product, which sums in
+                # another order than the matrix-vector kernel; a zero row keeps
+                # one-mode slices bit-identical to the full-table product
+                B = np.concatenate([B, np.zeros_like(B)])
+        else:
+            # a plane may carry any (beta_j, alpha_j) of the admissible
+            # rectangle; a second column keeps a one-row table off the dot
+            # product here too
+            at = min(max(at, 2), spec.beta_cap + 1)
+            B = basis_matrix(l0, kt - 1, at - 1, Z).reshape(kt * at, Z.size)
+            modes = [(alpha, beta) for k in range(kt) for beta in multiindices(n, k)
+                     for alpha in multiindices_upto(n, at - 1) if mask[k, sum(alpha)]]
         # B is the conjugated table of -l0, and conj(B) that of l0
         for j in group:
             if lam[j] != l0:
-                project(j, B, kt, at, modes)
+                project(j, B, mask, modes, kt, at)
         np.conjugate(B, out=B)
         for j in group:
             if lam[j] == l0:
-                project(j, B, kt, at, modes)
+                project(j, B, mask, modes, kt, at)
     return SpectralData(
         n=n, lgrid=lgrid, kmax=kmax, xgrid=f.xgrid, ugrid=f.ugrid,
         norms2=norms2, modal=modal, tail=tail,

@@ -23,3 +23,11 @@ def fixture_small():
 def analyzed_small(fixture_small):
     spec, f, sd = fixture_small
     return analyze(f, sd.lgrid, spec.kmax, spec)
+
+
+def rectangle(rows, mask):
+    """basis_matrix rows (the pairs mask admits, in row-major order) scattered
+    into the zero [*mask.shape, *points] rectangle, rows outside mask zero."""
+    out = np.zeros(mask.shape + rows.shape[1:], dtype=rows.dtype)
+    out[mask] = rows
+    return out

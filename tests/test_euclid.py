@@ -133,6 +133,14 @@ class TestFlatPW:
         fit, a_hat, verdict = flat_pw_check(f)
         assert fit.slope <= a * 1.05
 
+    def test_ray_samples_are_gutzmer_left_sides(self, flat_fixture):
+        # the spectrum is taken once per check; each ray point is exactly
+        # flat_gutzmer's orbital integral there
+        fit, _, _ = flat_pw_check(flat_fixture)
+        assert len(fit.samples) == 13
+        for y, logv in fit.samples:
+            assert logv == np.log(flat_gutzmer(flat_fixture, [y, 0.0])[0])
+
     def test_zero_inconclusive(self):
         g = fft_grid(64, 8.0)
         f = FlatFunction(2, g, np.zeros((64, 64), complex))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import rectangle
 from gutzmerlab import hermite_modes
 from gutzmerlab.grids import fft_grid
 from gutzmerlab.hermite_modes import (
@@ -17,6 +18,7 @@ from gutzmerlab.hermite_modes import (
     slice_fields,
     slice_powers,
 )
+from gutzmerlab.specfun import laguerre_all
 from gutzmerlab.spectral import grid_coords
 
 
@@ -85,7 +87,7 @@ class TestSliceFields:
         Z = x[:, None] + 1j * x[None, :]
         for lam in (0.7, -0.7):
             ms = random_slice(lam, seed=8)
-            basis = basis_matrix(lam, ms.kmax, ms.acap, Z)
+            basis = basis_matrix(lam, ms.kmax, ms.acap, Z).reshape(ms.coef.shape + Z.shape)
             want = np.einsum("ka,ka...->...", ms.coef, basis)
             assert_close(ms.field(Z, np.conj(Z)), want)
 
@@ -228,7 +230,7 @@ class TestConjugateTable:
         mask[2, 8] = False
         pos = basis_matrix(lam, 6, 9, Z, mask=mask)
         neg = basis_matrix(-lam, 6, 9, Z, mask=mask)
-        assert np.array_equal(neg, np.conj(pos)) and np.any(pos[2, 7])
+        assert np.array_equal(neg, np.conj(pos)) and np.any(rectangle(pos, mask)[2, 7])
 
     @pytest.mark.parametrize("lam", [0.3, 1.7])
     def test_unmasked_table(self, lam):
@@ -237,13 +239,102 @@ class TestConjugateTable:
 
     @pytest.mark.parametrize("acap", [0, 1, 6])
     def test_one_row_table(self, acap):
-        # level 0 alone; acap 1 with one masked entry is analyze's table of a
+        # level 0 alone; acap 1 with one masked entry is the table of a
         # one-mode slice
         Z = self.real_points()
         mask = np.arange(acap + 1)[None, :] == 0 if acap == 1 else None
         pos = basis_matrix(0.8, 0, acap, Z, mask=mask)
-        assert pos.shape[:2] == (1, acap + 1)
+        full = np.ones((1, acap + 1), bool) if mask is None else mask
+        assert rectangle(pos, full).shape[:2] == (1, acap + 1)
         assert np.array_equal(basis_matrix(-0.8, 0, acap, Z, mask=mask), np.conj(pos))
+
+
+def basis_matrix_per_row(lam, kmax, acap, Z, mask=None, zm=None):
+    """The rectangle basis_matrix built row by row: one laguerre_all table
+    per offset up to the rectangle's depth, one product per row, rows
+    outside mask zero.  The reference for the compact per-offset build."""
+    al = abs(lam)
+    zc = Z
+    if zm is None:
+        zm = np.conj(Z)
+        rho = (zc * zm).real
+    else:
+        rho = zc * zm
+    s = 0.5 * al * rho
+    var_row, var_col = hermite_modes.mode_monomial_base(lam, zc, zm)
+    gauss = np.exp(-0.25 * al * rho)
+    onorm = np.sqrt(al / (2.0 * np.pi))
+    out = np.zeros((kmax + 1, acap + 1) + Z.shape, dtype=complex)
+    dmax = max(kmax, acap)
+    mono_row = np.ones_like(zc)
+    mono_col = np.ones_like(zc)
+    for d in range(dmax + 1):
+        mmax_col = min(kmax - d, acap)
+        mmax_row = min(kmax, acap - d)
+        mtop = max(mmax_col, mmax_row)
+        if mtop >= 0:
+            Ltab = laguerre_all(mtop, d, s)
+            for m in range(mtop + 1):
+                nr = norm_ratio(m, d)
+                if m <= mmax_col and (mask is None or mask[m + d, m]):
+                    out[m + d, m] = onorm * nr * mono_col * Ltab[m] * gauss
+                if d > 0 and m <= mmax_row and (mask is None or mask[m, m + d]):
+                    out[m, m + d] = onorm * nr * mono_row * Ltab[m] * gauss
+        if d < dmax:
+            mono_row = mono_row * var_row
+            mono_col = mono_col * var_col
+    return out
+
+
+class TestCompactRows:
+    """basis_matrix returns the admitted rows alone, in row-major order, each
+    entry equal to the row-by-row rectangle's bit for bit."""
+
+    @staticmethod
+    def check(lam, kmax, acap, Z, mask=None, zm=None):
+        rows = basis_matrix(lam, kmax, acap, Z, mask=mask, zm=zm)
+        ref = basis_matrix_per_row(lam, kmax, acap, Z, mask=mask, zm=zm)
+        full = np.ones((kmax + 1, acap + 1), bool) if mask is None else mask
+        assert rows.shape == (int(full.sum()),) + Z.shape
+        assert np.array_equal(rows, ref[full])
+        return rows
+
+    @pytest.mark.parametrize("lam", [0.35, -1.2])
+    def test_masked_n1_table(self, lam):
+        # a staircase like _mode_mask's, with a hole
+        Z = TestConjugateTable.real_points()
+        mask = np.arange(10)[None, :] <= np.array([9, 8, 8, 6, 4, 2, 0])[:, None]
+        mask[1, 3] = False
+        self.check(lam, 6, 9, Z, mask=mask)
+
+    @pytest.mark.parametrize("lam", [0.7, -0.7])
+    def test_unmasked_table(self, lam):
+        Z = TestConjugateTable.real_points()
+        rows = self.check(lam, 5, 8, Z)
+        assert np.array_equal(rows.reshape((6, 9) + Z.shape), basis_matrix_per_row(lam, 5, 8, Z))
+
+    @pytest.mark.parametrize("lam", [0.9, -0.45])
+    def test_complexified_points(self, lam):
+        zc, zm = complex_points(seed=5)
+        mask = np.random.default_rng(3).random((5, 7)) < 0.6
+        self.check(lam, 4, 6, zc, mask=mask, zm=zm)
+        self.check(lam, 4, 6, zc, zm=zm)
+
+    def test_one_pair_mask(self):
+        Z = TestConjugateTable.real_points()
+        mask = np.zeros((4, 6), dtype=bool)
+        mask[2, 5] = True
+        assert self.check(0.6, 3, 5, Z, mask=mask).shape[0] == 1
+
+    def test_empty_mask(self):
+        Z = TestConjugateTable.real_points()
+        assert self.check(0.6, 3, 5, Z, mask=np.zeros((4, 6), dtype=bool)).shape[0] == 0
+
+    @pytest.mark.parametrize("acap", [0, 7])
+    def test_kmax_zero(self, acap):
+        zc, zm = complex_points(seed=6)
+        self.check(1.3, 0, acap, zc, zm=zm)
+        self.check(-1.3, 0, acap, TestConjugateTable.real_points())
 
 
 def test_abs_lam_groups_pairs_a_symmetric_grid():

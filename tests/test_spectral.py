@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from conftest import small_spec
+from conftest import rectangle, small_spec
 from gutzmerlab import hermite_modes, spectral
 from gutzmerlab.grids import QuadratureSpec, fft_grid
 from gutzmerlab.heisenberg_core import ComplexPoint
@@ -199,6 +199,38 @@ class TestTwistedConv:
         with pytest.raises(SpectralError):
             twisted_conv(np.zeros((4, 4), complex), np.zeros((5, 5), complex),
                          1.0, fft_grid(4, 1.0), fft_grid(5, 1.0))
+
+
+def mode_mask_by_hand(spec, kmax, lv):
+    mask = np.zeros((kmax + 1, spec.beta_cap + 1), dtype=bool)
+    for k in range(min(kmax, spec.max_radial_level(lv)) + 1):
+        mask[k, : spec.acap_for_k(k, lv, spec.beta_cap) + 1] = True
+    return mask
+
+
+class TestModeMask:
+    """_mode_mask is memoized on every spec field, kmax and |lambda|."""
+
+    def test_matches_hand_mask(self):
+        spec = small_spec()
+        for lv in LambdaGrid.build(spec, 1.0).lam:
+            assert np.array_equal(_mode_mask(spec, spec.kmax, lv),
+                                  mode_mask_by_hand(spec, spec.kmax, lv))
+
+    @pytest.mark.parametrize("field, value", [("fit_tol", 1e-4), ("beta_cap", 10), ("lx", 6.0)])
+    def test_changed_field_is_no_stale_hit(self, field, value):
+        spec = small_spec()
+        before = _mode_mask(spec, spec.kmax, 0.75)
+        setattr(spec, field, value)
+        after = _mode_mask(spec, spec.kmax, 0.75)
+        assert np.array_equal(after, mode_mask_by_hand(spec, spec.kmax, 0.75))
+        assert not np.array_equal(before, after)
+
+    def test_read_only(self):
+        mask = _mode_mask(small_spec(), 8, -0.75)
+        assert not mask.flags.writeable
+        with pytest.raises(ValueError):
+            mask[0, 0] = False
 
 
 class TestAnalyze:
@@ -539,7 +571,7 @@ class TestAnalyzeN1:
         Z = f.xgrid[:, None] + 1j * f.ugrid[None, :]
         for j, lv in enumerate(analyzed_small.lam):
             mask = _mode_mask(spec, spec.kmax, lv)
-            B = basis_matrix(lv, spec.kmax, spec.beta_cap, Z, mask=mask)
+            B = rectangle(basis_matrix(lv, spec.kmax, spec.beta_cap, Z, mask=mask), mask)
             want = (np.conj(B.reshape(mask.size, -1)) @ partial_fourier_t(f, lv).ravel()
                     * f.hx ** 2).reshape(mask.shape)
             got = analyzed_small.modal[j].coef
@@ -548,8 +580,10 @@ class TestAnalyzeN1:
 
 def analyze_per_node(f, lgrid, kmax, spec):
     """(coef list, norms2, tail) as analyze computed them node by node, one
-    mask and one conjugated table per lambda: the reference for the path that
-    shares them across each +-lambda pair."""
+    mask and one conjugated table per lambda, at n = 1 the table scattered
+    into the (kmax+1) x (acap+1) rectangle, widened to two columns: the
+    reference for the path that shares them across each +-lambda pair and
+    contracts the admitted rows alone."""
     n = f.n
     Z, _ = grid_coords(1, f.xgrid, f.ugrid)
     harea = f.hx ** (2 * n)
@@ -562,7 +596,10 @@ def analyze_per_node(f, lgrid, kmax, spec):
         mask = _mode_mask(spec, kmax, lv)
         kt, at = int(mask.any(axis=1).sum()), int(mask.any(axis=0).sum())
         at = min(max(at, 2), spec.beta_cap + 1)
-        B = basis_matrix(lv, kt - 1, at - 1, Z, mask=mask[:kt, :at] if n == 1 else None)
+        if n == 1:
+            B = rectangle(basis_matrix(lv, kt - 1, at - 1, Z, mask=mask[:kt, :at]), mask[:kt, :at])
+        else:
+            B = basis_matrix(lv, kt - 1, at - 1, Z)
         Bc = np.conjugate(B, out=B).reshape(kt * at, Z.size)
         T = sl.transpose(planes).reshape((Z.size,) * n)
         for _ in range(n):
@@ -609,6 +646,19 @@ class TestAnalyzePairs:
         assert all(np.any(ms.coef) for ms in sd.modal)
         self.assert_same(sd, analyze_per_node(f, lgrid, spec.kmax, spec))
 
+    def test_one_pair_group(self, fixture_small):
+        # |lambda| = 4/8 admits the single pair (0, 0) on this grid: analyze
+        # pads its one-row table with a zero row
+        spec, f, sd = fixture_small
+        lam = sd.lgrid.lam
+        keep = np.flatnonzero(np.isin(np.round(np.abs(lam) * 8), (4, 5)))
+        lgrid = LambdaGrid(lam[keep], sd.lgrid.dl, sd.lgrid.wmu[keep])
+        counts = [int(_mode_mask(spec, spec.kmax, lv).sum()) for lv in lgrid.lam]
+        assert sorted(counts) == [1, 1, 6, 6]
+        sd1 = analyze(f, lgrid, spec.kmax, spec)
+        assert all(np.count_nonzero(ms.coef) == c for ms, c in zip(sd1.modal, counts))
+        self.assert_same(sd1, analyze_per_node(f, lgrid, spec.kmax, spec))
+
     def test_n2_fixture(self):
         spec = QuadratureSpec(**N2_SPEC)
         lgrid = LambdaGrid.build(spec, 1.0)
@@ -635,10 +685,8 @@ class TestAnalyzePairs:
         for j, jm in pairs:
             mask = _mode_mask(spec, spec.kmax, lam[j])
             assert np.array_equal(mask, _mode_mask(spec, spec.kmax, lam[jm]))
-            kt, at = int(mask.any(axis=1).sum()), int(mask.any(axis=0).sum())
-            at = min(max(at, 2), spec.beta_cap + 1)
-            B = basis_matrix(lam[j], kt - 1, at - 1, Z, mask=mask[:kt, :at])
-            Bm = basis_matrix(lam[jm], kt - 1, at - 1, Z, mask=mask[:kt, :at])
+            B = rectangle(basis_matrix(lam[j], spec.kmax, spec.beta_cap, Z, mask=mask), mask)
+            Bm = rectangle(basis_matrix(lam[jm], spec.kmax, spec.beta_cap, Z, mask=mask), mask)
             assert np.array_equal(Bm, np.conj(B))
 
 
