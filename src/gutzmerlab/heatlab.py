@@ -76,7 +76,7 @@ def gauss_bessel_check(k: int, lam: float, t: float, n: int = 1,
 
 def heat_apply(sd: SpectralData, t: float) -> SpectralData:
     """Heat semigroup on the spectral side: each (k, lambda) projection, and
-    so each modal coefficient at level k, is multiplied by
+    so each modal coefficient at level k = |beta|, is multiplied by
     e^{-t lambda^2} e^{-(2k+n)|lambda| t}."""
     if t < 0:
         raise HeatError("heat time must be non-negative")
@@ -85,13 +85,9 @@ def heat_apply(sd: SpectralData, t: float) -> SpectralData:
     ks = np.arange(sd.kmax + 1)
     mult = np.exp(-t * sd.lam[None, :] ** 2
                   - (2 * ks[:, None] + sd.n) * np.abs(sd.lam)[None, :] * t)
-    modal = []
-    for j, ms in enumerate(sd.modal):
-        if isinstance(ms, ModalSlice):
-            scal = mult[: ms.coef.shape[0], j][:, None]
-        else:
-            scal = np.array([mult[sum(beta), j] for (_, beta) in ms.modes])
-        modal.append(replace(ms, coef=ms.coef * scal))
+    modal = [ModalSlice(ms.lam, ms.coef * np.exp(-t * lv ** 2
+                                                  - (2 * ms.levels() + sd.n) * abs(lv) * t))
+             for ms, lv in zip(sd.modal, sd.lam)]
     return replace(sd, modal=modal, norms2=sd.norms2 * mult ** 2)
 
 
@@ -228,11 +224,13 @@ def thm35_forward(sd: SpectralData, alpha: float, beta: float,
         for t in tg:
             # log of e^{2 t lambda^2} p_{2t}^lambda(4y, 4v): twisted_heat_kernel_nd
             # at generalized squared radius 16 r^2, whose Gaussian factor
-            # underflows in linear scale at large r
+            # underflows in linear scale at large r; log sinh x = x +
+            # log1p(-e^{-2x}) - log 2 stays finite where sinh overflows
             x = 2.0 * t * lam
+            log_sinh = x + np.log1p(-np.exp(-2.0 * x)) - np.log(2.0)
             log_g = np.zeros(sd.lam.size)
             log_g[pos] = (2.0 * t * lam * lam + np.log(twisted_heat_prefactor(sd.n))
-                          + sd.n * np.log(lam / np.sinh(x)) - 4.0 * lam * r2 / np.tanh(x))
+                          + sd.n * (np.log(lam) - log_sinh) - 4.0 * lam * r2 / np.tanh(x))
             logs.append(_log_spectral_sum(sd, r2, log_g, cells=cells))
         logs = np.asarray(logs)
         fit = fit_growth(tg, logs, "eta")

@@ -16,6 +16,11 @@ slices get evaluated at complexified points.
 All of this was fixed against brute-force Gauss-Hermite quadrature of
 (pi_lam(z,0) Phi_a^lam, Phi_b^lam); the unit tests re-derive it.
 
+A slice is one ModalSlice at every n: the dense coefficient tensor
+coef[beta_1, alpha_1, ..., beta_n, alpha_n] of the product basis, zero
+outside the modes in use, with |beta| the projection level (coef[k, a] at
+n = 1).  ModalSliceND builds one from a list of (alpha, beta) modes.
+
 n = 1 slice fields (slice_fields, ModalSlice.field) group the modes by index
 offset d = |a - k|: every mode of one offset shares L_m^d(s), so one forward
 Laguerre recurrence per offset, carried by specfun.laguerre_sums as running
@@ -37,13 +42,13 @@ the one at lam, bit for bit (the monomial bases swap into each other's
 conjugates and the Laguerre values and the Gaussian are real), so analyze
 builds one table per +-lam pair and conjugates it in place for the second
 member.  It serves analyze and the n >= 2 fields: the product basis
-factorizes over the axes, so ModalSliceND.field evaluates one 1-D table per
-axis, holding only the (beta_j, alpha_j) pairs its modes use, on the points
-of that axis's plane alone (N^2 on the tensor grid, every point of a
-scattered list; point_planes finds them, once per point set), and contracts
-the coefficient tensor with the tables one axis at a time.  e1d, the closed
-form of a single mode, is the reference the tests compare both evaluators
-against.
+factorizes over the axes, so ModalSlice.field_on_planes evaluates one 1-D
+table per axis, holding only the (beta_j, alpha_j) pairs in the tensor's
+nonzero support, on the points of that axis's plane alone (N^2 on the
+tensor grid, every point of a scattered list; point_planes finds them, once
+per point set), and contracts the coefficient tensor with the tables one
+axis at a time.  e1d, the closed form of a single mode, is the reference the
+tests compare both evaluators against.
 """
 
 from __future__ import annotations
@@ -93,16 +98,22 @@ def e1d(lam: float, a: int, b: int, zc, zm):
 
 @dataclass
 class ModalSlice:
-    """One lambda-slice in the orthonormal E-basis (n = 1).
+    """One lambda-slice in the orthonormal product E-basis, any n.
 
-    coef[k, a] holds the coefficient of Etilde_{a k} = sqrt(|lam|/2pi) E_{a k}
-    in the slice; k is the Laguerre projection index (column of E), a the
-    free row index.  Orthonormality makes sum_a |coef[k,a]|^2 the squared L2
-    norm of the k-th true projection of the slice.
+    coef[beta_1, alpha_1, ..., beta_n, alpha_n] holds the coefficient of
+    (|lam|/2pi)^{n/2} prod_j E_{alpha_j beta_j} in the slice; |beta| is the
+    Laguerre projection level, alpha the free row multi-index.  At n = 1 this
+    is coef[k, a], the coefficient of Etilde_{a k} = sqrt(|lam|/2pi) E_{a k}.
+    Orthonormality makes the sum of |coef|^2 over the entries of level
+    |beta| = k the squared L2 norm of the k-th true projection of the slice.
     """
 
     lam: float
-    coef: np.ndarray  # complex [kmax+1, acap+1]
+    coef: np.ndarray  # complex [kmax+1, acap+1] * n
+
+    @property
+    def n(self) -> int:
+        return self.coef.ndim // 2
 
     @property
     def kmax(self) -> int:
@@ -112,24 +123,67 @@ class ModalSlice:
     def acap(self) -> int:
         return self.coef.shape[1] - 1
 
-    def proj_norms2(self) -> np.ndarray:
-        """||slice *_lam phi_k||^2 in the d-mu normalization:
+    def levels(self) -> np.ndarray:
+        """|beta| of every entry of coef, broadcasting against it."""
+        return sum(np.indices(self.coef.shape, sparse=True)[0::2])
 
-        (2 pi / |lam|)^n  sum_a |coef[k, a]|^2   (n = 1 here).
+    def proj_norms2(self, kmax: int | None = None) -> np.ndarray:
+        """||slice *_lam phi_k||^2 in the d-mu normalization, k = 0..kmax:
+
+        (2 pi / |lam|)^n  sum_{|beta| = k} |coef|^2,
+
+        summed over the alpha axes first, then gathered by |beta|.  kmax
+        defaults to the highest level coef can hold.
         """
-        return (2.0 * np.pi / abs(self.lam)) * np.sum(np.abs(self.coef) ** 2, axis=1)
+        if kmax is None:
+            kmax = sum(self.coef.shape[::2]) - self.n
+        per_beta = np.sum(np.abs(self.coef) ** 2, axis=tuple(range(1, self.coef.ndim, 2)))
+        out = np.bincount(np.indices(per_beta.shape).sum(axis=0).ravel(), per_beta.ravel(),
+                          minlength=max(kmax + 1, 0))
+        return (2.0 * np.pi / abs(self.lam)) ** self.n * out[: kmax + 1]
 
     def field(self, zc, zm, k_select=None):
-        """Evaluate the slice (or its k-th projection) at (zc, zm).
+        """Evaluate the slice (or its level-k_select projection) at points.
 
-        A one-slice call to slice_fields: per index offset d = |a - k| one
-        forward Laguerre recurrence feeds a running weighted sum over every
-        mode of that offset (no monomial re-expansion of Laguerre
-        polynomials, so high offsets stay stable).  To evaluate the slices at
-        lambda and -lambda together, sharing each recurrence, call
-        slice_fields on the pair.
+        n = 1: a one-slice call to slice_fields (call it on the pair to
+        evaluate the slices at lambda and -lambda together, sharing each
+        Laguerre recurrence).  n >= 2: zc, zm are arrays [..., n] of the
+        per-axis coordinates, scanned once by point_planes and evaluated by
+        field_on_planes; the result has shape zc.shape[:-1].
         """
-        return slice_fields([self], zc, zm, k_select)[0]
+        if self.n == 1:
+            return slice_fields([self], zc, zm, k_select)[0]
+        return self.field_on_planes(point_planes(zc, zm), k_select)
+
+    def field_on_planes(self, planes, k_select=None):
+        """field on the points that point_planes scanned.
+
+        The product basis factorizes over the axes, so each axis j gets one
+        basis_matrix table of the (beta_j, alpha_j) pairs in the nonzero
+        support of the selected coefficients, built on the points of its
+        plane.  The coefficient tensor cut to those pairs, C[p_0, ...,
+        p_{n-1}], is contracted with the tables one axis at a time, the point
+        axes broadcasting: the transpose of analyze's per-plane contraction.
+        """
+        shape, axes = planes
+        C = self.coef
+        if k_select is not None:
+            C = np.where(self.levels() == k_select, C, 0)
+        live = C != 0
+        if not live.any():
+            return np.zeros(shape, dtype=complex)
+        # per axis: mask[beta_j, alpha_j] of the pairs in use
+        masks = [live.any(axis=tuple(ax for ax in range(C.ndim) if ax // 2 != j))
+                 for j in range(self.n)]
+        acc = C.reshape([m.size for m in masks])
+        for j, mask in enumerate(masks):
+            acc = np.compress(mask.ravel(), acc, axis=j)
+        for j in reversed(range(self.n)):
+            (pc, pm), mask = axes[j], masks[j]
+            T = basis_matrix(self.lam, mask.shape[0] - 1, mask.shape[1] - 1, pc, mask, zm=pm)
+            acc = np.einsum(acc, [*range(j + 1), ...], T, [j, ...], [*range(j), ...],
+                            optimize=True)
+        return acc if acc.shape == shape else np.broadcast_to(acc, shape).copy()
 
 
 def abs_lam_groups(lam) -> list:
@@ -335,7 +389,7 @@ def basis_matrix(lam: float, kmax: int, acap: int, Z: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# general n: tensor products of 1-D matrix elements
+# general n: mode lists and point planes
 # ---------------------------------------------------------------------------
 
 def multiindices(n: int, degree: int):
@@ -356,73 +410,20 @@ def multiindices_upto(n: int, cap: int):
     return out
 
 
-@dataclass
-class ModalSliceND:
-    """Lambda-slice in the product E-basis for ambient dimension n >= 1.
+class ModalSliceND(ModalSlice):
+    """A ModalSlice built from a mode list: modes[i] = (alpha, beta) carries
+    coef[i], scattered into the dense tensor of the n axis pairs (repeated
+    modes add up)."""
 
-    modes: list of (alpha, beta) multi-index pairs with |beta| = projection
-    level; coef: matching coefficient list for the orthonormal fields
-    (|lam|/2pi)^{n/2} prod_j E_{alpha_j beta_j}.
-    """
+    def __init__(self, lam: float, n: int, modes, coef):
+        idx = np.array([sum(zip(beta, alpha), ()) for alpha, beta in modes],
+                       dtype=int).reshape(-1, 2 * n)
+        dense = np.zeros(tuple(int(idx[:, p::2].max(initial=-1)) + 1 for p in (0, 1)) * n,
+                         dtype=complex)
+        np.add.at(dense, tuple(idx.T), np.asarray(coef, dtype=complex))
+        super().__init__(lam, dense)
 
-    lam: float
-    n: int
-    modes: list
-    coef: np.ndarray
-
-    def proj_norms2(self, kmax: int) -> np.ndarray:
-        scale = (2.0 * np.pi / abs(self.lam)) ** self.n
-        out = np.zeros(kmax + 1)
-        for (alpha, beta), c in zip(self.modes, self.coef):
-            k = sum(beta)
-            if k <= kmax:
-                out[k] += scale * abs(c) ** 2
-        return out
-
-    def field(self, zc, zm, k_select=None):
-        """Evaluate the slice (or its level-k_select projection) at points.
-
-        zc, zm: arrays [..., n] of the independent complex coordinates.
-        Scans them once through point_planes and evaluates on the planes
-        with field_on_planes.  Returns an array of shape zc.shape[:-1].
-        """
-        return self.field_on_planes(point_planes(zc, zm), k_select)
-
-    def field_on_planes(self, planes, k_select=None):
-        """field on the points that point_planes scanned.
-
-        The product basis factorizes over the axes, so each axis j gets one
-        basis_matrix table of the (beta_j, alpha_j) pairs that carry a
-        selected nonzero coefficient, built on the points of its plane.  The
-        coefficient tensor C[p_0, ..., p_{n-1}] over those pairs is
-        contracted with the tables one axis at a time, the point axes
-        broadcasting: the transpose of analyze's per-plane contraction.
-        """
-        shape, axes = planes
-        live = [(alpha, beta, c) for (alpha, beta), c in zip(self.modes, self.coef)
-                if c != 0 and (k_select is None or sum(beta) == k_select)]
-        if not live:
-            return np.zeros(shape, dtype=complex)
-        # per axis: mask[k, a] of the pairs in use, each mode's row among them
-        masks, rows = [], []
-        for j in range(self.n):
-            ks = np.array([beta[j] for _, beta, _ in live])
-            as_ = np.array([alpha[j] for alpha, _, _ in live])
-            mask = np.zeros((ks.max() + 1, as_.max() + 1), dtype=bool)
-            mask[ks, as_] = True
-            masks.append(mask)
-            rows.append(np.cumsum(mask).reshape(mask.shape)[ks, as_] - 1)
-        C = np.zeros([int(m.sum()) for m in masks], dtype=complex)
-        np.add.at(C, tuple(rows), [c for _, _, c in live])
-        acc = C
-        for j in reversed(range(self.n)):
-            pc, pm = axes[j]
-            mask = masks[j]
-            T = basis_matrix(self.lam, mask.shape[0] - 1, mask.shape[1] - 1,
-                             pc, mask, zm=pm)
-            acc = np.einsum(acc, [*range(j + 1), ...], T, [j, ...], [*range(j), ...],
-                            optimize=True)
-        return acc if acc.shape == shape else np.broadcast_to(acc, shape).copy()
+    field = ModalSlice.field    # own class-dict entry: wrapping it touches ModalSliceND calls only
 
 
 def point_planes(zc, zm) -> tuple:
@@ -433,7 +434,7 @@ def point_planes(zc, zm) -> tuple:
     On the tensor grid that leaves the N^2 points of the (x_j, u_j) plane,
     scattered points keep them all.  The scan reads every point once per
     axis; evaluating many slices or levels on one point set, scan once and
-    pass the result to ModalSliceND.field_on_planes.
+    pass the result to ModalSlice.field_on_planes.
     """
     zc, zm = np.broadcast_arrays(zc, zm)
     axes = []

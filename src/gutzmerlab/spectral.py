@@ -40,12 +40,9 @@ import numpy as np
 from .grids import DECAY_TOL, QuadratureSpec, fft_grid
 from .hermite_modes import (
     ModalSlice,
-    ModalSliceND,
     abs_lam_groups,
     basis_matrix,
     modal_fields,
-    multiindices,
-    multiindices_upto,
     point_planes,
 )
 from .heisenberg_core import ComplexPoint
@@ -147,7 +144,10 @@ class SpectralData:
     """Per-(k, lambda) content of a function on H^n.
 
     modal[j] holds the Hermite-Laguerre coefficients of the slice at
-    lambda_j; they are the only stored copy of the spectral content.
+    lambda_j, one ModalSlice at every n: the dense tensor
+    coef[beta_1, alpha_1, ..., beta_n, alpha_n] (coef[k, a] at n = 1), zero
+    outside the admitted modes.  They are the only stored copy of the
+    spectral content.
     norms2[k, j] = (2 pi)^{-n} |lambda_j|^n ||projections[j][k]||^2 is filled
     from them once (ModalSlice.proj_norms2).  projections and slices are not
     stored: each access evaluates them on the sample grid from modal, so
@@ -329,7 +329,9 @@ def analyze(f: GridFunction, lgrid: LambdaGrid, kmax: int,
     the table holds the admitted rows alone, M1 of them, the contraction is
     the single product conj(B) @ slice, and its result is scattered into
     coef[mask].  At n >= 2 a plane may carry any (beta_j, alpha_j) of the
-    admissible rectangle, so the table is the unmasked rectangle.
+    admissible rectangle, so the table is the unmasked rectangle, and the
+    contracted tensor [beta_1, alpha_1, ..., beta_n, alpha_n] is zeroed
+    outside the admitted modes.
 
     Admissibility depends on |lambda| only, and at real points
     E^{-lambda}_{ak}(z) = conj E^{lambda}_{ak}(z) bit for bit, so each
@@ -351,7 +353,7 @@ def analyze(f: GridFunction, lgrid: LambdaGrid, kmax: int,
     norms2 = np.zeros((kmax + 1, lam.size))
     tail = np.zeros(lam.size)
 
-    def project(j, Bc, mask, modes, kt, at):
+    def project(j, Bc, keep):
         """Contract slice j with the conjugated table Bc [rows, N^2]."""
         T = sls[j].transpose(planes).reshape((Z.size,) * n)
         for _ in range(n):
@@ -359,16 +361,12 @@ def analyze(f: GridFunction, lgrid: LambdaGrid, kmax: int,
             T = np.moveaxis(np.tensordot(Bc, T, axes=(1, 0)), 0, -1)
         T = T * harea
         if n == 1:
-            coef = np.zeros(mask.shape, dtype=complex)
-            coef[mask] = T[: np.count_nonzero(mask)]     # drop the pad row, if any
-            ms = ModalSlice(lam[j], coef)
-            norms2[:, j] = ms.proj_norms2()
+            coef = np.zeros(keep.shape, dtype=complex)
+            coef[keep] = T[: np.count_nonzero(keep)]     # drop the pad row, if any
         else:
-            T = T.reshape((kt, at) * n)                 # [beta_1, alpha_1, beta_2, ...]
-            coef = np.array([T[sum(zip(beta, alpha), ())] for alpha, beta in modes],
-                            dtype=complex)
-            ms = ModalSliceND(lam[j], n, list(modes), coef)
-            norms2[:, j] = ms.proj_norms2(kmax)
+            coef = np.where(keep, T.reshape(keep.shape), 0)
+        ms = ModalSlice(lam[j], coef)
+        norms2[:, j] = ms.proj_norms2(kmax)
         modal[j] = ms
         tail[j] = max(0.0, float(np.sum(np.abs(sls[j]) ** 2) * harea - np.sum(np.abs(coef) ** 2)))
 
@@ -376,7 +374,7 @@ def analyze(f: GridFunction, lgrid: LambdaGrid, kmax: int,
         l0 = lam[group[0]]
         mask = _mode_mask(spec, kmax, l0)
         kt, at = int(mask.any(axis=1).sum()), int(mask.any(axis=0).sum())
-        modes = None
+        keep = mask
         if n == 1:
             B = basis_matrix(l0, kmax, spec.beta_cap, Z, mask=mask).reshape(-1, Z.size)
             if B.shape[0] == 1:
@@ -390,16 +388,17 @@ def analyze(f: GridFunction, lgrid: LambdaGrid, kmax: int,
             # product here too
             at = min(max(at, 2), spec.beta_cap + 1)
             B = basis_matrix(l0, kt - 1, at - 1, Z).reshape(kt * at, Z.size)
-            modes = [(alpha, beta) for k in range(kt) for beta in multiindices(n, k)
-                     for alpha in multiindices_upto(n, at - 1) if mask[k, sum(alpha)]]
+            # mask[|beta|, |alpha|] over the tensor [beta_1, alpha_1, ...]
+            idx = np.indices((kt, at) * n, sparse=True)
+            keep = np.pad(mask, ((0, n * kt), (0, n * at)))[sum(idx[0::2]), sum(idx[1::2])]
         # B is the conjugated table of -l0, and conj(B) that of l0
         for j in group:
             if lam[j] != l0:
-                project(j, B, mask, modes, kt, at)
+                project(j, B, keep)
         np.conjugate(B, out=B)
         for j in group:
             if lam[j] == l0:
-                project(j, B, mask, modes, kt, at)
+                project(j, B, keep)
     return SpectralData(
         n=n, lgrid=lgrid, kmax=kmax, xgrid=f.xgrid, ugrid=f.ugrid,
         norms2=norms2, modal=modal, tail=tail,
@@ -437,17 +436,13 @@ def invert(sd: SpectralData, p) -> complex:
         z, w, zeta = p.z, p.w, p.zeta
     else:
         raise SpectralError("invert expects a ComplexPoint")
+    zc, zm = z + 1j * w, z - 1j * w
+    if sd.n == 1:
+        zc, zm = zc[0], zm[0]                   # a point, not a 1-axis stack
     total = 0.0 + 0.0j
     for j, lv in enumerate(sd.lam):
         scale = (2.0 * np.pi / abs(lv)) ** sd.n
-        ms = sd.modal[j]
-        if sd.n == 1:
-            val = ms.field(np.asarray(z[0] + 1j * w[0]), np.asarray(z[0] - 1j * w[0]))
-        else:
-            zc = np.asarray(z + 1j * w)[None, :]
-            zm = np.asarray(z - 1j * w)[None, :]
-            val = ms.field(zc, zm)[0]
-        total += sd.wmu[j] * scale * complex(val) * np.exp(-1j * lv * zeta)
+        total += sd.wmu[j] * scale * complex(sd.modal[j].field(zc, zm)) * np.exp(-1j * lv * zeta)
     return total
 
 

@@ -1,4 +1,5 @@
 import copy
+import warnings
 
 import numpy as np
 import pytest
@@ -222,6 +223,17 @@ class TestThm35:
         rep = thm35_forward(positive_sd, bl.A, bl.B, t_grid=(1.0, 2.0, 4.0))
         for pt in rep["points"]:
             assert pt["sup_scaled"] < np.inf
+
+    def test_long_t_grid_stays_finite(self, positive_sd):
+        # 2 t lambda reaches 800 at lambda = 1, t = 400, where sinh overflows
+        bl = positive_sd.achieved_band()
+        assert np.max(positive_sd.lam[np.any(positive_sd.norms2 > 0, axis=0)]) >= 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = thm35_forward(positive_sd, bl.A, bl.B, t_grid=(2, 4, 8, 16, 32, 400))
+        for pt in rep["points"]:
+            assert np.all(np.isfinite(pt["values"])) and np.all(np.asarray(pt["values"]) > 0)
+            assert np.isfinite(pt["slope"])
 
     def test_single_mode_slope_bound(self):
         spec = small_spec()

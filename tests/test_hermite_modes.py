@@ -369,7 +369,8 @@ def e1d_reference_nd(ms, zc, zm, k_select=None):
     """sum c (|lam|/2pi)^{n/2} prod_j E_{alpha_j beta_j}(zc_j, zm_j): each mode
     built on all points through e1d, as the per-mode evaluator did."""
     out = np.zeros(np.broadcast(zc, zm).shape[:-1], dtype=complex)
-    for (alpha, beta), c in zip(ms.modes, ms.coef):
+    for idx in zip(*np.nonzero(ms.coef)):
+        beta, alpha, c = idx[0::2], idx[1::2], ms.coef[idx]
         if k_select is not None and sum(beta) != k_select:
             continue
         term = np.ones_like(out)
@@ -477,8 +478,83 @@ class TestModalSliceNDField:
         empty = ModalSliceND(0.8, 2, [], np.zeros(0, complex))
         zero = random_slice_nd(0.8)
         zero.coef[:] = 0.0
+        assert empty.n == 2 and empty.coef.size == 0
         for ms in (empty, zero):
             got = ms.field(zc, zm)
             assert got.shape == (9,) and not np.any(got)
+            assert np.array_equal(ms.proj_norms2(3), np.zeros(4))
         # a level that no mode carries
         assert not np.any(random_slice_nd(0.8, kcap=1).field(zc, zm, k_select=3))
+
+
+# ---------------------------------------------------------------------------
+# the dense coefficient tensor coef[beta_1, alpha_1, ..., beta_n, alpha_n]
+# ---------------------------------------------------------------------------
+
+def brute_proj_norms2(ms, kmax):
+    """(2pi/|lam|)^n sum |coef|^2 per level |beta|, entry by entry."""
+    out = np.zeros(kmax + 1)
+    for idx in np.ndindex(ms.coef.shape):
+        k = sum(idx[0::2])
+        if k <= kmax:
+            out[k] += abs(ms.coef[idx]) ** 2
+    return (2 * np.pi / abs(ms.lam)) ** ms.n * out
+
+
+class TestCoefficientTensor:
+    @pytest.mark.parametrize("n, shape", [(2, (3, 4, 2, 5)), (3, (2, 3, 3, 2, 2, 2))])
+    @pytest.mark.parametrize("kmax", [None, 0, 2, 9])
+    def test_proj_norms2_by_level(self, n, shape, kmax):
+        rng = np.random.default_rng(len(shape))
+        coef = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        coef[rng.random(shape) < 0.2] = 0.0
+        ms = ModalSlice(-0.7, coef)
+        assert ms.n == n
+        top = sum(shape[0::2]) - n if kmax is None else kmax
+        got = ms.proj_norms2(kmax)
+        assert got.shape == (top + 1,)
+        np.testing.assert_allclose(got, brute_proj_norms2(ms, top), rtol=1e-14, atol=0)
+
+    def test_proj_norms2_n1_is_the_row_sum(self):
+        ms = random_slice(0.6, seed=4)
+        want = (2 * np.pi / 0.6) * np.sum(np.abs(ms.coef) ** 2, axis=1)
+        assert np.array_equal(ms.proj_norms2(), want)
+        assert np.array_equal(ms.proj_norms2(ms.kmax), want)
+
+    def test_levels(self):
+        ms = ModalSlice(1.0, np.zeros((3, 2, 4, 5)))
+        assert ms.levels().shape == (3, 1, 4, 1)
+        assert ms.levels()[2, 0, 3, 0] == 5 and ms.levels()[1, 0, 0, 0] == 1
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_mode_list_scatters_into_the_tensor(self, n):
+        rng = np.random.default_rng(21)
+        modes = [(alpha, beta) for beta in multiindices_upto(n, 2)
+                 for alpha in multiindices_upto(n, 2)]
+        coef = rng.normal(size=len(modes)) + 1j * rng.normal(size=len(modes))
+        ms = ModalSliceND(0.9, n, modes, coef)
+        assert ms.coef.shape == (3, 3) * n and ms.n == n
+        dense = np.zeros((3, 3) * n, dtype=complex)
+        for (alpha, beta), c in zip(modes, coef):
+            dense[sum(zip(beta, alpha), ())] = c
+        assert np.array_equal(ms.coef, dense)
+        ref = ModalSlice(0.9, dense)
+        zc, zm = complex_points_nd(23, n=n, seed=22)
+        for k in (None, 0, 2):
+            assert np.array_equal(ms.field(zc, zm, k), ref.field(zc, zm, k))
+        assert np.array_equal(ms.proj_norms2(4), ref.proj_norms2(4))
+        assert_close(ms.proj_norms2(4), brute_proj_norms2(ref, 4), rel=1e-14)
+
+    def test_repeated_modes_add_up(self):
+        # c and -c on one mode cancel: the field and the norms both vanish
+        m = ((0, 1), (1, 0))
+        ms = ModalSliceND(0.8, 2, [m, m], [1.0, -1.0])
+        zc, zm = complex_points_nd(9)
+        assert not np.any(ms.field(zc, zm))
+        assert np.array_equal(ms.proj_norms2(2), np.zeros(3))
+        twice = ModalSliceND(0.8, 2, [m, m, ((1, 0), (0, 0))], [0.5, 0.25j, 2.0])
+        once = ModalSliceND(0.8, 2, [m, ((1, 0), (0, 0))], [0.5 + 0.25j, 2.0])
+        assert np.array_equal(twice.coef, once.coef)
+        assert_close(twice.field(zc, zm), e1d_reference_nd(once, zc, zm), rel=1e-13)
+        assert twice.proj_norms2(1)[1] == pytest.approx((2 * np.pi / 0.8) ** 2 * 0.3125,
+                                                        rel=1e-15)

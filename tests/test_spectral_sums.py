@@ -211,8 +211,7 @@ def spectra(draw, n):
         parts = draw(hnp.arrays(np.float64, shape + (2,), elements=PARTS))
         coef = parts[..., 0] + 1j * parts[..., 1]
         modal.append(ModalSlice(lv, coef) if n == 1 else ModalSliceND(lv, 2, N2_MODES, coef))
-    norms2 = np.stack([ms.proj_norms2() if n == 1 else ms.proj_norms2(KMAX)
-                       for ms in modal], axis=1)
+    norms2 = np.stack([ms.proj_norms2(KMAX) for ms in modal], axis=1)
     grid = fft_grid(8, 5.0)
     return SpectralData(n=n, lgrid=LGRID, kmax=KMAX, xgrid=grid, ugrid=grid,
                         norms2=norms2, modal=modal, tail=np.zeros(LGRID.lam.size))
