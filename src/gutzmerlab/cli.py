@@ -2,12 +2,15 @@
 band-limit detection, and the flat-model checks.
 
     gutzmerlab synth  --A 1 --B 9 --seed 42 -o fixture
-    gutzmerlab verify plancherel [-i fixture] [--tol 1e-4]
+    gutzmerlab verify plancherel [--A 1 --B 9 --seed 42] [--tol 1e-4]
+    gutzmerlab verify gutzmer [-i fixture] [--tol 1e-3]
     gutzmerlab detect -i fixture.spd -o report.json
     gutzmerlab euclid [--seed 7] [-o rows.csv]
 
-verify emits one CSV row per check (name, params, lhs, rhs, relerr, pass) and
-exits 0 only if every check passes its tolerance; usage/config errors exit 2.
+Each command, and each verify suite, accepts only the flags it reads (the
+COMMANDS and SUITES tables); verify flags follow the suite name.  verify
+emits one CSV row per check (name, params, lhs, rhs, relerr, pass) and exits
+0 only if every check passes its tolerance; usage/config errors exit 2.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import itertools
 import json
 import math
 import sys
@@ -41,22 +45,16 @@ USAGE_EXIT = 2
 
 
 def _spec_from_args(args) -> QuadratureSpec:
-    for name in ("grid", "kmax", "lambda_grid", "n"):
-        value = getattr(args, name, None)
-        if value is not None and value <= 0:
-            raise SystemExit(f"--{name.replace('_', '-')} must be positive, got {value}")
-    kw = {}
-    if getattr(args, "grid", None) is not None:
+    kw = {"n": args.n}
+    if args.grid is not None:
         kw["nx"] = args.grid
-    if getattr(args, "kmax", None) is not None:
+    if args.kmax is not None:
         kw["kmax"] = args.kmax
-    if getattr(args, "lambda_grid", None) is not None:
+    if args.lambda_grid is not None:
         nlam = args.lambda_grid
         if nlam < 9 or nlam % 2 == 0:
             raise SystemExit("--lambda-grid must be an odd count >= 9")
         kw["nodes_per_A"] = (nlam - 1) // 2 - QuadratureSpec().margin_nodes
-    if getattr(args, "n", None) is not None:
-        kw["n"] = args.n
     return QuadratureSpec(**kw)
 
 
@@ -76,21 +74,13 @@ def _emit_rows(rows, out_path):
 
 
 def _load_or_synth(args, spec):
-    if getattr(args, "input", None):
-        try:
-            f = containers.read_gfn(args.input + ".gfn")
-            sd = containers.read_spd(args.input + ".spd")
-        except FileNotFoundError as exc:
-            raise SystemExit(f"missing input file: {exc}") from exc
-        return f, sd
-    f, sd = synth_bandlimited(args.A, args.B, args.seed, spec=spec)
-    return f, sd
+    if args.input:
+        return containers.read_gfn(args.input + ".gfn"), containers.read_spd(args.input + ".spd")
+    return synth_bandlimited(args.A, args.B, args.seed, spec=spec)
 
 
 def cmd_synth(args) -> int:
     spec = _spec_from_args(args)
-    if args.A <= 0 or args.B <= 0:
-        raise SystemExit("band limits must be positive")
     lam_max = args.A * (1 + spec.margin_nodes / spec.nodes_per_A)
     if lam_max * spec.hx >= np.pi:
         raise SystemExit("A larger than the grid can resolve")
@@ -103,36 +93,39 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _suite_plancherel(args, tol):
+def _synth_analyze_rows(args, name, count, check):
+    """One row per seed args.seed, ..., args.seed + count - 1: check(f, sd)
+    -> (lhs, rhs, relerr) on a fresh fixture f and its analysis sd."""
     spec = _spec_from_args(args)
     rows = []
-    for seed in range(args.seed, args.seed + 3):
+    for seed in range(args.seed, args.seed + count):
         f, sd = synth_bandlimited(args.A, args.B, seed, spec=spec)
-        sd2 = analyze(f, sd.lgrid, spec.kmax, spec)
-        lhs, rhs, rel = plancherel_check(f, sd2)
-        rows.append({"name": "plancherel", "params": f"A={args.A};B={args.B};seed={seed}",
-                     "lhs": lhs, "rhs": rhs, "relerr": rel, "ok": rel <= tol})
+        lhs, rhs, rel = check(f, analyze(f, sd.lgrid, spec.kmax, spec))
+        rows.append({"name": name, "params": f"A={args.A};B={args.B};seed={seed}",
+                     "lhs": lhs, "rhs": rhs, "relerr": rel, "ok": rel <= args.tol})
     return rows
 
 
-def _suite_inversion(args, tol):
-    spec = _spec_from_args(args)
-    rows = []
-    for seed in range(args.seed, args.seed + 2):
-        f, sd = synth_bandlimited(args.A, args.B, seed, spec=spec)
-        sd2 = analyze(f, sd.lgrid, spec.kmax, spec)
-        f2 = invert_grid(sd2, f.tgrid)
-        N = f.xgrid.size
-        sl = (slice(N // 4, 3 * N // 4),) * 2 + (slice(None),)
-        num = float(np.max(np.abs(f2.samples[sl] - f.samples[sl])))
-        den = float(np.max(np.abs(f.samples[sl])))
-        rel = num / den
-        rows.append({"name": "inversion", "params": f"A={args.A};B={args.B};seed={seed}",
-                     "lhs": den, "rhs": den + num, "relerr": rel, "ok": rel <= tol})
-    return rows
+def _inversion_check(f, sd):
+    """(max |f|, that + max |f2 - f|, relative error) of f2 = invert_grid(sd)
+    on the central half of the x/u box."""
+    f2 = invert_grid(sd, f.tgrid)
+    N = f.xgrid.size
+    sl = (slice(N // 4, 3 * N // 4),) * 2 + (slice(None),)
+    num = float(np.max(np.abs(f2.samples[sl] - f.samples[sl])))
+    den = float(np.max(np.abs(f.samples[sl])))
+    return den, den + num, num / den
 
 
-def _suite_gutzmer(args, tol):
+def _suite_plancherel(args):
+    return _synth_analyze_rows(args, "plancherel", 3, plancherel_check)
+
+
+def _suite_inversion(args):
+    return _synth_analyze_rows(args, "inversion", 2, _inversion_check)
+
+
+def _suite_gutzmer(args):
     spec = _spec_from_args(args)
     f, sd = _load_or_synth(args, spec)
     pts = [(0.4, 0.0, 0.0), (0.5, 0.5, 0.5), (0.0, 0.9, 1.0)]
@@ -143,51 +136,38 @@ def _suite_gutzmer(args, tol):
         rhs = gutzmer_spectral(sd, p)
         rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
         rows.append({"name": "gutzmer", "params": f"y={y};v={v};eta={eta}",
-                     "lhs": lhs, "rhs": rhs, "relerr": rel, "ok": rel <= tol})
+                     "lhs": lhs, "rhs": rhs, "relerr": rel, "ok": rel <= args.tol})
     return rows
 
 
-def _suite_heat_image(args, tol):
+def _suite_heat_image(args):
     spec = _spec_from_args(args)
     f, sd = _load_or_synth(args, spec)
     base = f.squared_norm()
-    rows = []
-    vals = []
-    for t in (0.1, 0.2, 0.4):
-        v = heat_image_norm(heat_apply(sd, t), t) / base
-        vals.append(v)
-        rows.append({"name": "heat-image", "params": f"t={t}", "lhs": v, "rhs": vals[0],
-                     "relerr": abs(v - vals[0]) / vals[0], "ok": True})
+    ts = (0.1, 0.2, 0.4)
+    vals = [heat_image_norm(heat_apply(sd, t), t) / base for t in ts]
     spread = (max(vals) - min(vals)) / vals[0]
-    for r in rows:
-        r["ok"] = spread <= tol
-        r["relerr"] = spread
+    return [{"name": "heat-image", "params": f"t={t}", "lhs": v, "rhs": vals[0],
+             "relerr": spread, "ok": spread <= args.tol} for t, v in zip(ts, vals)]
+
+
+def _case_rows(name, check, ns, tol):
+    """One row per case (k, lam, t, n), n in ns: check(k, lam, t, n) is the
+    relative error, and lhs = rhs = 0."""
+    rows = []
+    for n, k, lam, t in itertools.product(ns, (0, 1, 4), (0.25, 1.0), (0.1, 0.5)):
+        rel = check(k, lam, t, n)
+        rows.append({"name": name, "params": f"k={k};lam={lam};t={t};n={n}",
+                     "lhs": 0.0, "rhs": 0.0, "relerr": rel, "ok": rel <= tol})
     return rows
 
 
-def _suite_gauss_bessel(args, tol):
-    cases = [(k, lam, t, n) for n in (1, 2) for k in (0, 1, 4)
-             for lam in (0.25, 1.0) for t in (0.1, 0.5)]
-
-    def one(c):
-        k, lam, t, n = c
-        rel = gauss_bessel_check(k, lam, t, n)
-        return {"name": "gauss-bessel", "params": f"k={k};lam={lam};t={t};n={n}",
-                "lhs": 0.0, "rhs": 0.0, "relerr": rel, "ok": rel <= tol}
-
-    return list(map(one, cases))
+def _suite_gauss_bessel(args):
+    return _case_rows("gauss-bessel", gauss_bessel_check, (1, 2), args.tol)
 
 
-def _suite_lemma63(args, tol):
-    cases = [(k, lam, t) for k in (0, 1, 4) for lam in (0.25, 1.0) for t in (0.1, 0.5)]
-
-    def one(c):
-        k, lam, t = c
-        rel = lemma63_check(k, lam, t, n=1)
-        return {"name": "lemma63", "params": f"k={k};lam={lam};t={t};n=1",
-                "lhs": 0.0, "rhs": 0.0, "relerr": rel, "ok": rel <= tol}
-
-    return list(map(one, cases))
+def _suite_lemma63(args):
+    return _case_rows("lemma63", lemma63_check, (1,), args.tol)
 
 
 def _positive_half(sd):
@@ -199,7 +179,8 @@ def _positive_half(sd):
     return replace(sd, modal=modal, norms2=np.where(neg, 0.0, sd.norms2))
 
 
-def _suite_thm35(args, tol):
+def _suite_thm35(args):
+    """Criterion 8's slope bound and tail verdict; no --tol."""
     spec = _spec_from_args(args)
     f, sd = _load_or_synth(args, spec)
     sd = _positive_half(sd)
@@ -217,7 +198,7 @@ def _suite_thm35(args, tol):
     return rows
 
 
-def _suite_euclid(args, tol):
+def _suite_euclid(args):
     """Flat Gutzmer rows at |y| = 0.5, 1, 2, then the growth-fit row, which
     also carries the fit document that `euclid` writes."""
     f = flat_synth_bandlimited(2.0, args.seed)
@@ -225,7 +206,7 @@ def _suite_euclid(args, tol):
     for ymag in (0.5, 1.0, 2.0):
         lhs, rhs, rel = flat_gutzmer(f, [ymag, 0.0])
         rows.append({"name": "euclid-gutzmer", "params": f"|y|={ymag}", "y": ymag,
-                     "lhs": lhs, "rhs": rhs, "relerr": rel, "ok": rel <= tol})
+                     "lhs": lhs, "rhs": rhs, "relerr": rel, "ok": rel <= args.tol})
     astar = flat_band_limit(f)
     fit, a_hat, verdict = flat_pw_check(f, astar)
     rel = abs(a_hat - astar) / astar
@@ -237,36 +218,14 @@ def _suite_euclid(args, tol):
     return rows
 
 
-SUITES = {
-    "plancherel": (_suite_plancherel, 1e-4),
-    "inversion": (_suite_inversion, 1e-4),
-    "gutzmer": (_suite_gutzmer, 1e-3),
-    "heat-image": (_suite_heat_image, 1e-3),
-    "gauss-bessel": (_suite_gauss_bessel, 1e-6),
-    "lemma63": (_suite_lemma63, 1e-5),
-    "thm35": (_suite_thm35, 0.0),
-    "euclid": (_suite_euclid, 1e-4),
-}
-
-
 def cmd_verify(args) -> int:
-    if args.suite not in SUITES:
-        print(f"unknown suite '{args.suite}'; choose from {sorted(SUITES)}",
-              file=sys.stderr)
-        return USAGE_EXIT
-    fn, default_tol = SUITES[args.suite]
-    tol = args.tol if args.tol is not None else default_tol
-    rows = fn(args, tol)
+    rows = args.rows(args)
     _emit_rows(rows, args.output)
     return 0 if all(r["ok"] for r in rows) else 1
 
 
 def cmd_detect(args) -> int:
-    try:
-        sd = containers.read_spd(args.input)
-    except FileNotFoundError:
-        print(f"missing input file: {args.input}", file=sys.stderr)
-        return USAGE_EXIT
+    sd = containers.read_spd(args.input)
     report = detect_bandlimit(sd)
     doc = report.to_dict()
     if sd.requested_band is not None:
@@ -283,8 +242,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_euclid(args) -> int:
-    tol = args.tol if args.tol is not None else SUITES["euclid"][1]
-    rows = _suite_euclid(args, tol)
+    rows = _suite_euclid(args)
     _write_csv(args.output, ["y", "lhs", "rhs", "relerr"],
                [[r["y"], f"{r['lhs']:.10g}", f"{r['rhs']:.10g}", f"{r['relerr']:.3e}"]
                 for r in rows[:-1]])
@@ -298,65 +256,97 @@ def cmd_euclid(args) -> int:
 
 
 def tolerance(text: str) -> float:
-    """--tol: a finite number >= 0 (0 is thm35's default)."""
+    """--tol: a finite number >= 0."""
     value = float(text)
     if not math.isfinite(value) or value < 0:
         raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
     return value
 
 
+def positive(kind):
+    """Argument type: a finite `kind` (int or float) > 0."""
+    def parse(text: str):
+        value = kind(text)
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
+
+
+# flag group -> ((flag names), add_argument keywords) per flag; --tol is added
+# apart, with the default of the command or suite that reads it
+FLAGS = {
+    "band": [(("--A",), {"type": positive(float), "default": 1.0}),
+             (("--B",), {"type": positive(float), "default": 9.0})],
+    "seed": [(("--seed",), {"type": int, "default": 42})],
+    "spec": [(("--n",), {"type": positive(int), "default": 1}),
+             (("--grid",), {"type": positive(int), "help": "x/u points per axis"}),
+             (("--kmax",), {"type": positive(int)}),
+             (("--lambda-grid",), {"type": positive(int), "help": "lambda node count "
+                                   "(odd, before the central puncture)"})],
+    "input": [(("-i", "--input"), {"help": "fixture: verify reads <prefix>.gfn/.spd, "
+                                           "detect the .spd file"})],
+    "output": [(("-o", "--output"), {})],
+    "tune": [(("--tune-grid",), {"action": "store_true",
+                                 "help": "retune lambda spacing so B is exactly realizable"})],
+}
+
+# suite -> (rows function, default --tol or None for a suite without --tol,
+# the other flag groups it reads)
+SUITES = {
+    "plancherel": (_suite_plancherel, 1e-4, ("band", "seed", "spec", "output")),
+    "inversion": (_suite_inversion, 1e-4, ("band", "seed", "spec", "output")),
+    "gutzmer": (_suite_gutzmer, 1e-3, ("input", "band", "seed", "spec", "output")),
+    "heat-image": (_suite_heat_image, 1e-3, ("input", "band", "seed", "spec", "output")),
+    "gauss-bessel": (_suite_gauss_bessel, 1e-6, ("output",)),
+    "lemma63": (_suite_lemma63, 1e-5, ("output",)),
+    "thm35": (_suite_thm35, None, ("input", "band", "seed", "spec", "output")),
+    "euclid": (_suite_euclid, 1e-4, ("seed", "output")),
+}
+
+# command -> (function, help, default --tol or None, flag groups; a trailing
+# "!" makes the group's flags required); verify takes its flags per suite
+COMMANDS = {
+    "synth": (cmd_synth, "write a GFN1 + SPD1 fixture", None,
+              ("band", "seed", "spec", "tune", "output!")),
+    "verify": (cmd_verify, "run an identity suite; CSV per check", None, ()),
+    "detect": (cmd_detect, "band-limit detection report (JSON)", None, ("input!", "output")),
+    "euclid": (cmd_euclid, "flat-model Gutzmer + growth fit", SUITES["euclid"][1],
+               ("seed", "output")),
+}
+
+
+def _add_flags(parser, tol, groups) -> None:
+    for group in groups:
+        for names, kw in FLAGS[group.rstrip("!")]:
+            parser.add_argument(*names, required=group.endswith("!"), **kw)
+    if tol is not None:
+        parser.add_argument("--tol", type=tolerance, default=tol)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="gutzmerlab", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--n", type=int, default=1)
-        sp.add_argument("--A", type=float, default=1.0)
-        sp.add_argument("--B", type=float, default=9.0)
-        sp.add_argument("--seed", type=int, default=42)
-        sp.add_argument("--tol", type=tolerance, default=None)
-        sp.add_argument("--grid", type=int, default=None, help="x/u points per axis")
-        sp.add_argument("--kmax", type=int, default=None)
-        sp.add_argument("--lambda-grid", type=int, default=None, dest="lambda_grid",
-                        help="lambda node count (odd, before the central puncture)")
-        sp.add_argument("-i", "--input", default=None,
-                        help="fixture path prefix (reads <prefix>.gfn/.spd)")
-        sp.add_argument("-o", "--output", default=None)
-
-    ps = sub.add_parser("synth", help="write a GFN1 + SPD1 fixture")
-    common(ps)
-    ps.add_argument("--tune-grid", action="store_true",
-                    help="retune lambda spacing so B is exactly realizable")
-    ps.set_defaults(func=cmd_synth)
-
-    pv = sub.add_parser("verify", help="run an identity suite; CSV per check")
-    pv.add_argument("suite", help="|".join(sorted(SUITES)))
-    common(pv)
-    pv.set_defaults(func=cmd_verify)
-
-    pd = sub.add_parser("detect", help="band-limit detection report (JSON)")
-    common(pd)
-    pd.set_defaults(func=cmd_detect)
-
-    pe = sub.add_parser("euclid", help="flat-model Gutzmer + growth fit")
-    common(pe)
-    pe.set_defaults(func=cmd_euclid)
+    for name, (func, help_text, tol, groups) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        _add_flags(sp, tol, groups)
+        sp.set_defaults(func=func)
+    suites = sub.choices["verify"].add_subparsers(dest="suite", required=True, metavar="suite",
+                                                  help="|".join(sorted(SUITES)))
+    for name, (rows, tol, groups) in SUITES.items():
+        sp = suites.add_parser(name)
+        _add_flags(sp, tol, groups)
+        sp.set_defaults(rows=rows)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
-        return USAGE_EXIT if exc.code not in (0,) else 0
-    if args.command == "synth" and not args.output:
-        print("synth requires -o output prefix", file=sys.stderr)
-        return USAGE_EXIT
-    if args.command == "detect" and not args.input:
-        print("detect requires -i input .spd file", file=sys.stderr)
-        return USAGE_EXIT
+        return 0 if exc.code == 0 else USAGE_EXIT
     try:
         return args.func(args)
     except SystemExit as exc:

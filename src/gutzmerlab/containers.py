@@ -123,6 +123,8 @@ def read_spd(path: str) -> SpectralData:
             raise ContainerError("SPD1 file carries no modal coefficient blocks")
         _require(all(np.isfinite(v) and v > 0 for v in (lx, lu, dl)),
                  f"SPD1 extents must be finite and positive (lx={lx}, lu={lu}, dl={dl})")
+        _require(np.isfinite(areq) and np.isfinite(breq),
+                 f"SPD1 requested band must be finite (A={areq}, B={breq})")
         # check every declared size against the file before reading or
         # allocating anything
         tables = (2 + kk) * nlam * 8

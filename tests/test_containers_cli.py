@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import small_spec
 from gutzmerlab import containers
-from gutzmerlab.cli import _positive_half, build_parser, main
+from gutzmerlab.cli import COMMANDS, SUITES, _positive_half, build_parser, main
 from gutzmerlab.grids import QuadratureSpec
 from gutzmerlab.spectral import synth_bandlimited
 
@@ -48,6 +48,8 @@ BAD_VALUES = {
     "spd-lx-nan": ("spd", lambda nl, kk: 28, np.nan),
     "spd-lu-negative": ("spd", lambda nl, kk: 36, -10.0),
     "spd-dl-zero": ("spd", lambda nl, kk: 44, 0.0),
+    "spd-requested-A-nan": ("spd", lambda nl, kk: 52, np.nan),
+    "spd-requested-B-inf": ("spd", lambda nl, kk: 60, np.inf),
     "gfn-lx-nan": ("gfn", lambda nl, kk: 20, np.nan),
     "gfn-lu-inf": ("gfn", lambda nl, kk: 28, np.inf),
     "gfn-lt-zero": ("gfn", lambda nl, kk: 36, 0.0),
@@ -225,6 +227,38 @@ class TestContainers:
         assert (tmp_path / "s1.spd").read_bytes() != (tmp_path / "s2.spd").read_bytes()
 
 
+# every CLI flag but synth's --tune-grid
+ALL_FLAGS = ("--n", "--A", "--B", "--seed", "--tol", "--grid", "--kmax", "--lambda-grid",
+             "-i", "-o")
+SYNTH_FLAGS = {"--A", "--B", "--seed", "--n", "--grid", "--kmax", "--lambda-grid"}
+# argv head of each command and suite -> the flags it reads
+READS = {
+    ("synth",): SYNTH_FLAGS | {"-o"},
+    ("detect",): {"-i", "-o"},
+    ("euclid",): {"--seed", "--tol", "-o"},
+    ("verify", "plancherel"): SYNTH_FLAGS | {"--tol", "-o"},
+    ("verify", "inversion"): SYNTH_FLAGS | {"--tol", "-o"},
+    ("verify", "gutzmer"): SYNTH_FLAGS | {"--tol", "-i", "-o"},
+    ("verify", "heat-image"): SYNTH_FLAGS | {"--tol", "-i", "-o"},
+    ("verify", "gauss-bessel"): {"--tol", "-o"},
+    ("verify", "lemma63"): {"--tol", "-o"},
+    ("verify", "thm35"): SYNTH_FLAGS | {"-i", "-o"},
+    ("verify", "euclid"): {"--seed", "--tol", "-o"},
+}
+UNREAD = [(cmd, flag) for cmd, reads in READS.items() for flag in ALL_FLAGS
+          if flag not in reads]
+READ = [(cmd, flag) for cmd, reads in READS.items() for flag in ALL_FLAGS if flag in reads]
+
+
+def flag_argv(cmd, flag, d):
+    """argv of cmd with its required flags and `flag` set, every path inside d."""
+    value = {"-i": str(d / "fx"), "-o": str(d / "out"), "--lambda-grid": "11",
+             "--tol": "1e-3"}.get(flag, "2")
+    required = {"synth": ["-o", str(d / "out")], "detect": ["-i", str(d / "fx.spd")]}
+    head = required.get(cmd[0], [])
+    return [*cmd, *([] if flag in head else head), flag, value]
+
+
 class TestCLI:
     def run_cli(self, *args):
         return main(list(args))
@@ -268,6 +302,16 @@ class TestCLI:
         out = tmp_path / "g"
         assert self.run_cli("synth", flag, value, "-o", str(out)) == 2
         assert "must be positive" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [["synth", "--B", "inf"], ["synth", "--A", "nan"],
+                                      ["verify", "plancherel", "--A", "nan"],
+                                      ["verify", "plancherel", "--B", "inf"]])
+    def test_non_finite_band_exits_2(self, tmp_path, capsys, argv):
+        assert self.run_cli(*argv, "-o", str(tmp_path / "x")) == 2
+        err = capsys.readouterr().err
+        assert "must be positive" in err
+        assert "configuration error" not in err and "Traceback" not in err
         assert not list(tmp_path.iterdir())
 
     def test_positive_half_zeroes_negative_lambda(self, fixture_files):
@@ -321,7 +365,7 @@ class TestCLI:
         assert not (tmp_path / "r.csv").exists()
 
     def test_zero_tolerance_accepted(self, tmp_path):
-        assert build_parser().parse_args(["verify", "thm35", "--tol", "0"]).tol == 0.0
+        assert build_parser().parse_args(["verify", "gauss-bessel", "--tol", "0"]).tol == 0.0
         code = self.run_cli("verify", "gauss-bessel", "--tol", "0", "-o", str(tmp_path / "r.csv"))
         assert code in (0, 1)
         assert len(open(tmp_path / "r.csv").read().strip().splitlines()) == 25
@@ -338,6 +382,26 @@ class TestCLI:
         assert len(rows) == 4
         fit = json.loads(open(out + ".fit.json").read())
         assert fit["verdict"] == "ok"
+
+    @pytest.mark.parametrize("cmd", [(c,) for c in COMMANDS] + [("verify", s) for s in SUITES],
+                             ids=" ".join)
+    def test_help_for_every_table_row(self, capsys, cmd):
+        assert self.run_cli(*cmd, "--help") == 0
+        assert "usage: gutzmerlab " + " ".join(cmd) in capsys.readouterr().out
+
+    @pytest.mark.parametrize("cmd,flag", UNREAD, ids=[f"{' '.join(c)} {f}" for c, f in UNREAD])
+    def test_unread_flag_exits_2(self, tmp_path, monkeypatch, capsys, cmd, flag):
+        monkeypatch.chdir(tmp_path)
+        assert self.run_cli(*flag_argv(cmd, flag, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {flag}" in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("cmd,flag", READ, ids=[f"{' '.join(c)} {f}" for c, f in READ])
+    def test_read_flag_parses(self, tmp_path, cmd, flag):
+        args = build_parser().parse_args(flag_argv(cmd, flag, tmp_path))
+        dest = {"-i": "input", "-o": "output"}.get(flag, flag[2:].replace("-", "_"))
+        assert getattr(args, dest) is not None
 
     def test_console_entry_point(self):
         out = subprocess.run([sys.executable, "-m", "gutzmerlab.cli", "--help"],
