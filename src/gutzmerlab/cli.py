@@ -80,11 +80,7 @@ def _load_or_synth(args, spec):
 
 
 def cmd_synth(args) -> int:
-    spec = _spec_from_args(args)
-    lam_max = args.A * (1 + spec.margin_nodes / spec.nodes_per_A)
-    if lam_max * spec.hx >= np.pi:
-        raise SystemExit("A larger than the grid can resolve")
-    f, sd = synth_bandlimited(args.A, args.B, args.seed, spec=spec,
+    f, sd = synth_bandlimited(args.A, args.B, args.seed, spec=_spec_from_args(args),
                               tune_grid=args.tune_grid)
     containers.write_gfn(args.output + ".gfn", f)
     containers.write_spd(args.output + ".spd", sd)

@@ -71,7 +71,6 @@ class RayPlan:
 
     etas: np.ndarray = field(default_factory=lambda: np.arange(0.0, 6.01, 0.5))
     rs: np.ndarray = field(default_factory=lambda: np.arange(0.0, 3.01, 0.25))
-    residual_threshold: float = 0.1
 
     def scaled(self, a_scale: float, b_scale: float) -> "RayPlan":
         """Rescale rays so the dimensionless products A*eta, sqrt(B)*r reach
@@ -79,11 +78,13 @@ class RayPlan:
         return RayPlan(
             etas=np.linspace(0.0, self.etas[-1] / max(a_scale, 1e-9), len(self.etas)),
             rs=np.linspace(0.0, 3.0 * self.rs[-1] / max(np.sqrt(b_scale), 1e-9), len(self.rs)),
-            residual_threshold=self.residual_threshold,
         )
 
 
-def _require_purely_imaginary(p: ComplexPoint):
+def _require_point(sd: SpectralData, p: ComplexPoint):
+    """p must be a purely imaginary point of the data's C^{2n+1}."""
+    if p.n != sd.n:
+        raise OrbitalError(f"point of dimension {p.n} for data of dimension {sd.n}")
     if not p.is_purely_imaginary:
         raise OrbitalError("evaluation point must be purely imaginary (x = u = xi = 0)")
 
@@ -127,15 +128,15 @@ def _exp(log_value: float) -> float:
         return float(np.exp(log_value))
 
 
-def _radius2(p: ComplexPoint) -> float:
-    _require_purely_imaginary(p)
+def _radius2(sd: SpectralData, p: ComplexPoint) -> float:
+    _require_point(sd, p)
     return float(np.sum(p.zi ** 2) + np.sum(p.wi ** 2))
 
 
 def gutzmer_spectral(sd: SpectralData, p: ComplexPoint) -> float:
     """Spectral side of the Gutzmer identity at a purely imaginary point
     (inf past the float range)."""
-    return _exp(_log_spectral_sum(sd, _radius2(p), 2.0 * sd.lam * p.zeta_i))
+    return _exp(_log_spectral_sum(sd, _radius2(sd, p), 2.0 * sd.lam * p.zeta_i))
 
 
 def apply_D(sd: SpectralData, p: ComplexPoint) -> float:
@@ -145,7 +146,7 @@ def apply_D(sd: SpectralData, p: ComplexPoint) -> float:
     [k!(n-1)!/(k+n-1)!] phi_k^lambda(2iy,2iv) replaced by
     j_{n-1}(2i sqrt((2k+n)|lambda|) r); inf past the float range.
     """
-    return _exp(_log_spectral_sum(sd, _radius2(p), 2.0 * sd.lam * p.zeta_i, bessel=True))
+    return _exp(_log_spectral_sum(sd, _radius2(sd, p), 2.0 * sd.lam * p.zeta_i, bessel=True))
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +170,7 @@ def orbital_direct(sd: SpectralData, p: ComplexPoint,
     """
     if sd.n != 1:
         raise OrbitalError("direct orbital integrals are implemented for n=1 only")
-    _require_purely_imaginary(p)
+    _require_point(sd, p)
     if spec is None:
         spec = QuadratureSpec(nx=sd.xgrid.size, lx=float(-sd.xgrid[0]))
     w0 = float(p.zi[0]) + 1j * float(p.wi[0])
@@ -318,21 +319,22 @@ class DetectReport:
         }
 
 
-def _tail_test(sd: SpectralData, B_hat: float, ts=(1.0, 2.0, 4.0, 8.0),
-               C: Optional[float] = None) -> dict:
+def _tail_test(sd: SpectralData, B_hat: float, C: Optional[float] = None) -> dict:
     """Spectral tail boundedness: for C > B_hat (default 1.1 B_hat) the
     weighted tail mass
 
         e^{2tC} sum_{(2k+n)|lambda| > C} norms2 d mu
 
-    stays below C' e^{2 t B_hat} for growing t only when the tail is empty."""
+    stays below C' e^{2 t B_hat} for growing t only when the tail is empty;
+    ratios reports it over e^{2 t B_hat} at t = 1, 2, 4, 8."""
     if C is None:
         C = 1.1 * B_hat + 1e-9
     fan = (2 * np.arange(sd.kmax + 1)[:, None] + sd.n) * np.abs(sd.lam)[None, :]
     sel = fan > C
     mass = float(np.sum(sd.norms2[sel] * np.broadcast_to(sd.wmu, sd.norms2.shape)[sel]))
     total = sd.total_mass()
-    ratios = [mass * np.exp(2.0 * t * (C - B_hat)) / max(total, 1e-300) for t in ts]
+    ratios = [mass * np.exp(2.0 * t * (C - B_hat)) / max(total, 1e-300)
+              for t in (1.0, 2.0, 4.0, 8.0)]
     bounded = mass <= 1e-10 * max(total, 1e-300)
     cells = []
     if not bounded:
@@ -346,8 +348,7 @@ def _tail_test(sd: SpectralData, B_hat: float, ts=(1.0, 2.0, 4.0, 8.0),
 
 
 def detect_bandlimit(source: Union[SpectralData, Callable[[float, float, float], float]],
-                     plan: Optional[RayPlan] = None,
-                     two_pass: bool = True) -> DetectReport:
+                     plan: Optional[RayPlan] = None) -> DetectReport:
     """Recover (A, B) from the growth of the shifted orbital integral.
 
     A_hat is half the tail slope of log D O(0,0,i eta); B_hat the square of
@@ -366,12 +367,11 @@ def detect_bandlimit(source: Union[SpectralData, Callable[[float, float, float],
     if not (np.isfinite(fe.slope) and np.isfinite(fr.slope)) or fe.slope <= 0:
         return DetectReport(np.nan, np.nan, [fe, fr], {}, "inconclusive")
     A_hat, B_hat = fe.slope / 2.0, (fr.slope / 2.0) ** 2
-    if two_pass:
-        fe, fr = run(plan.scaled(A_hat, max(B_hat, 1e-9)))
-        if np.isfinite(fe.slope) and np.isfinite(fr.slope):
-            A_hat, B_hat = fe.slope / 2.0, (fr.slope / 2.0) ** 2
+    fe, fr = run(plan.scaled(A_hat, max(B_hat, 1e-9)))
+    if np.isfinite(fe.slope) and np.isfinite(fr.slope):
+        A_hat, B_hat = fe.slope / 2.0, (fr.slope / 2.0) ** 2
     verdict = "ok"
-    if fe.residual > plan.residual_threshold or fr.residual > plan.residual_threshold:
+    if fe.residual > 0.1 or fr.residual > 0.1:
         verdict = "inconclusive"
     tail = {}
     if isinstance(source, SpectralData):

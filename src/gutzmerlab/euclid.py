@@ -64,16 +64,14 @@ class FlatFunction:
         return float(np.sum(np.abs(self.samples) ** 2) * self.h ** self.n)
 
 
-def flat_synth_bandlimited(a: float, seed: int, n: int = 2, nx: int = 128,
-                           lx: float = 16.0, n_inner: int = 24,
-                           ring_boost: float = 4.0) -> FlatFunction:
-    """Seeded fixture with lattice spectrum inside |xi| <= a.
+def flat_synth_bandlimited(a: float, seed: int) -> FlatFunction:
+    """Seeded n = 2 fixture, 128^2 samples of [-16, 16)^2, with lattice
+    spectrum inside |xi| <= a.
 
     The outermost populated ring sits at the largest lattice magnitude <= a
     (the achieved band limit; read it back with flat_band_limit), carrying
-    boosted mass so growth fits see it cleanly."""
-    if n != 2:
-        raise FlatError("flat fixtures are implemented for n = 2")
+    4x boosted mass so growth fits see it cleanly, and 24 inner points."""
+    nx, lx = 128, 16.0
     rng = np.random.default_rng(seed)
     dxi = np.pi / lx
     mmax = int(np.floor(a / dxi)) + 1
@@ -93,8 +91,8 @@ def flat_synth_bandlimited(a: float, seed: int, n: int = 2, nx: int = 128,
     rng.shuffle(inner)
     chosen = {}
     for mv in ring:
-        chosen[mv] = ring_boost * (0.5 + rng.random()) * np.exp(2j * np.pi * rng.random())
-    for mv in inner[:n_inner]:
+        chosen[mv] = 4.0 * (0.5 + rng.random()) * np.exp(2j * np.pi * rng.random())
+    for mv in inner[:24]:
         if mv not in chosen:
             chosen[mv] = (0.3 + rng.random()) * np.exp(2j * np.pi * rng.random())
     grid = _fft_grid(nx, lx)
@@ -119,9 +117,7 @@ def flat_dft_modes(f: FlatFunction):
     F = np.fft.fftn(f.samples) / N ** f.n
     m = np.fft.fftfreq(N, d=1.0 / N)  # signed integer indices
     # grid x_j = (j - N/2) h  ->  phase correction (-1)^{sum m}
-    phase = np.ones(N)
-    phase[np.asarray(m, dtype=int) % 2 != 0] = -1.0
-    corr = np.multiply.outer(phase, phase) if f.n == 2 else phase
+    corr = (-1.0) ** sum(np.ix_(*[m.astype(int)] * f.n))
     amps = (F * corr).reshape(-1)
     dxi = np.pi / f.half_extent
     idx = np.stack(np.meshgrid(*([m] * f.n), indexing="ij"), axis=-1).reshape(-1, f.n)
@@ -219,28 +215,27 @@ def flat_gutzmer(f: FlatFunction, y):
     return float(lhs), float(rhs), float(rel)
 
 
-def flat_pw_check(f: FlatFunction, a: Optional[float] = None,
-                  n_ray: int = 13, two_pass: bool = True):
+def flat_pw_check(f: FlatFunction, a: Optional[float] = None):
     """Growth fit of the orbital integral along an imaginary ray.
 
-    Fits log lhs(|y|) (Bessel envelope removed) on the tail half; returns
-    (GrowthFit, a_hat = slope/2, verdict).  With a given, the slope is also
-    checked against 2a + 5%.  Degenerate data is flagged inconclusive.  The
-    spectrum is computed once; each ray point is flat_gutzmer's left side."""
+    Fits log lhs(|y|) (Bessel envelope removed) on the tail half of 13
+    points, |y| <= 3, then of 13 points |y| <= 6 / a_hat; returns (GrowthFit,
+    a_hat = slope/2, verdict).  With a given, the slope is also checked
+    against 2a + 5%.  Degenerate data is flagged inconclusive.  The spectrum
+    is computed once; each ray point is flat_gutzmer's left side."""
     freqs, power = _flat_power(f)
 
     def logs(ys):
         return _log_values([_orbital_mean(freqs, power, np.array([yy, 0.0])) for yy in ys])
 
-    ys = np.linspace(0.0, 3.0, n_ray)
+    ys = np.linspace(0.0, 3.0, 13)
     fit = fit_growth(ys, logs(ys), "radial")
     if not np.isfinite(fit.slope) or fit.slope <= 0:
         return fit, np.nan, "inconclusive"
-    if two_pass:
-        ys = np.linspace(0.0, 6.0 / max(fit.slope / 2.0, 1e-9), n_ray)
-        fit = fit_growth(ys, logs(ys), "radial")
-        if not np.isfinite(fit.slope):
-            return fit, np.nan, "inconclusive"
+    ys = np.linspace(0.0, 6.0 / max(fit.slope / 2.0, 1e-9), 13)
+    fit = fit_growth(ys, logs(ys), "radial")
+    if not np.isfinite(fit.slope):
+        return fit, np.nan, "inconclusive"
     a_hat = fit.slope / 2.0
     verdict = "ok"
     if fit.residual > 0.1:

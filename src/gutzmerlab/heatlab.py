@@ -39,8 +39,7 @@ def gauss_heat(d: int, t: float, w) -> float:
     return (4.0 * np.pi * t) ** (-d / 2.0) * np.exp(-r2 / (4.0 * t))
 
 
-def gauss_bessel_check(k: int, lam: float, t: float, n: int = 1,
-                       quad_n: int = 800) -> float:
+def gauss_bessel_check(k: int, lam: float, t: float, n: int = 1) -> float:
     """Relative error of the Gaussian-Bessel identity
 
         integral p_{t/2}(y,v,eta) e^{2 lambda eta}
@@ -48,7 +47,7 @@ def gauss_bessel_check(k: int, lam: float, t: float, n: int = 1,
           = e^{2 t lambda^2} e^{2 (2k+n)|lambda| t},
 
     jhat the origin-normalized Bessel factor and r = |(y,v)|.  Both factor
-    integrals are evaluated by Gauss-Legendre quadrature."""
+    integrals are evaluated by 800-node Gauss-Legendre quadrature."""
     if t <= 0:
         raise HeatError("heat time must be positive")
     from math import gamma
@@ -58,7 +57,7 @@ def gauss_bessel_check(k: int, lam: float, t: float, n: int = 1,
     # Gaussian width sqrt(t), so the domain scales with both
     surf = 2.0 * np.pi ** n / gamma(n)
     rmax = 2.0 * a * t + 14.0 * np.sqrt(t)
-    r, wr = gauss_legendre_on(0.0, rmax, quad_n)
+    r, wr = gauss_legendre_on(0.0, rmax, 800)
     dens = (2.0 * np.pi * t) ** (-n) * np.exp(-r * r / (2.0 * t))
     rad = float(np.sum(dens * jhat_imag(n - 1, 2.0 * a * r) * r ** (2 * n - 1) * wr) * surf)
     if not np.isfinite(rad):
@@ -66,7 +65,7 @@ def gauss_bessel_check(k: int, lam: float, t: float, n: int = 1,
     # eta integral, centered on its peak 2 lambda t
     ec = 2.0 * lam * t
     ew = 14.0 * np.sqrt(t)
-    e, we = gauss_legendre_on(ec - ew, ec + ew, quad_n)
+    e, we = gauss_legendre_on(ec - ew, ec + ew, 800)
     etai = float(np.sum((2.0 * np.pi * t) ** -0.5 * np.exp(-e * e / (2.0 * t))
                         * np.exp(2.0 * lam * e) * we))
     val = rad * etai
@@ -139,13 +138,13 @@ def twisted_heat_kernel_nd(lam: float, t: float, rho, n: int = 1) -> complex:
     return out
 
 
-def lemma63_check(k: int, lam: float, t: float, n: int = 1, quad_n: int = 600) -> float:
+def lemma63_check(k: int, lam: float, t: float, n: int = 1) -> float:
     """Relative error of
 
         integral phi_k^lam(iy, iv) p_t^lam(y, v) dy dv
           = LEMMA63_C * binom(k+n-1, k) * e^{(2k+n)|lam| t}
 
-    over R^{2n} (radial Gauss-Legendre x exact sphere factor)."""
+    over R^{2n} (600-node radial Gauss-Legendre x exact sphere factor)."""
     if t <= 0:
         raise HeatError("heat time must be positive")
     from math import gamma
@@ -157,7 +156,7 @@ def lemma63_check(k: int, lam: float, t: float, n: int = 1, quad_n: int = 600) -
     if width <= 0:
         raise HeatError("kernel does not decay; check parameters")
     rmax = np.sqrt((60.0 + 8.0 * k) / width)
-    r, wr = gauss_legendre_on(0.0, rmax, quad_n)
+    r, wr = gauss_legendre_on(0.0, rmax, 600)
     surf = 2.0 * np.pi ** n / gamma(n)
     phi = np.real(laguerre_phi(LaguerreArg(k, n - 1, -(r * r)), lam))
     dens = np.real(twisted_heat_kernel_nd(lam, t, r * r, n=n))
@@ -248,13 +247,12 @@ def thm35_forward(sd: SpectralData, alpha: float, beta: float,
     }
 
 
-def thm35_converse_tail(sd: SpectralData, B: float, t_grid=(1.0, 2.0, 4.0, 8.0),
-                        C: Optional[float] = None) -> dict:
+def thm35_converse_tail(sd: SpectralData, B: float, C: Optional[float] = None) -> dict:
     """Tail criterion: for C > B,  e^{2tC} * (spectral mass above C)  must stay
     below a multiple of e^{2tB}; any surviving tail cell violates it.  Returns
     verdict 'supported' or 'violated' with the offending cells."""
     _require_positive_lambda(sd)
-    rep = _tail_test(sd, B, t_grid, C)
+    rep = _tail_test(sd, B, C)
     if rep["C"] <= B:
         raise HeatError("tail test requires C > B")
     bounded = rep.pop("bounded")

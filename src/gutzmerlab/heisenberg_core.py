@@ -263,25 +263,25 @@ def _gh_nodes(nq: int):
     return _gh_cache[nq]
 
 
-def _matrix_element_1d(lam: float, a: int, b: int, x: float, u: float, nq: int) -> complex:
+def _matrix_element_1d(lam: float, a: int, b: int, x: float, u: float) -> complex:
     """integral e^{i lam x xi} Phi_a^lam(xi+u) Phi_b^lam(xi) d xi, 1-D.
 
     After rescaling s = sqrt|lam| xi the Gaussian weight of the pair of
     Hermite functions is e^{-s^2 - c s - c^2/2} (c = sqrt|lam| u); centering
-    the Gauss-Hermite rule at -c/2 absorbs it exactly, leaving stable
-    normalized-polynomial factors.
+    the 160-node Gauss-Hermite rule at -c/2 absorbs it exactly, leaving
+    stable normalized-polynomial factors.
     """
     al = abs(lam)
     c = np.sqrt(al) * u
     om = np.sign(lam) * np.sqrt(al) * x
-    y, wq = _gh_nodes(nq)
+    y, wq = _gh_nodes(160)
     pa = hermite_poly_normalized_all(a, y + c / 2)[a]
     pb = hermite_poly_normalized_all(b, y - c / 2)[b]
     vals = pa * pb * np.exp(1j * om * y)
     return np.exp(-c * c / 4.0) * np.exp(-1j * om * c / 2.0) * np.dot(wq, vals)
 
 
-def matrix_element(lam: float, alpha, beta, z, t: float = 0.0, nq: int = 160) -> complex:
+def matrix_element(lam: float, alpha, beta, z, t: float = 0.0) -> complex:
     """E_{alpha beta}^lambda(z, t) = (pi_lambda(z,t) Phi_alpha^lam, Phi_beta^lam).
 
     z is the pair (x, u) of real n-vectors.  Inner product linear in the
@@ -300,5 +300,5 @@ def matrix_element(lam: float, alpha, beta, z, t: float = 0.0, nq: int = 160) ->
         raise GroupError("alpha/beta dimension mismatch")
     out = np.exp(1j * lam * t) * np.exp(0.5j * lam * np.dot(x, u))
     for j in range(alpha.n):
-        out *= _matrix_element_1d(lam, alpha.entries[j], beta.entries[j], x[j], u[j], nq)
+        out *= _matrix_element_1d(lam, alpha.entries[j], beta.entries[j], x[j], u[j])
     return complex(out)

@@ -44,11 +44,14 @@ builds one table per +-lam pair and conjugates it in place for the second
 member.  It serves analyze and the n >= 2 fields: the product basis
 factorizes over the axes, so ModalSlice.field_on_planes evaluates one 1-D
 table per axis, holding only the (beta_j, alpha_j) pairs in the tensor's
-nonzero support, on the points of that axis's plane alone (N^2 on the
-tensor grid, every point of a scattered list; point_planes finds them, once
-per point set), and contracts the coefficient tensor with the tables one
-axis at a time.  e1d, the closed form of a single mode, is the reference the
-tests compare both evaluators against.
+nonzero support, on the points of that axis's plane alone, and contracts the
+coefficient tensor with the tables one axis at a time.  Point sets come as
+planes (shape, axes), per axis j the pair (zc_j, zm_j) cut to the point axes
+it varies along: spectral.grid_planes builds the tensor grid's (N^2 points
+per axis), point_planes scans scattered [..., n] coordinates.  modal_fields
+evaluates every slice on one point set, by slice_fields per |lambda| group
+at n = 1.  e1d, the closed form of a single mode, is the reference the tests
+compare both evaluators against.
 """
 
 from __future__ import annotations
@@ -145,10 +148,10 @@ class ModalSlice:
     def field(self, zc, zm, k_select=None):
         """Evaluate the slice (or its level-k_select projection) at points.
 
-        n = 1: a one-slice call to slice_fields (call it on the pair to
-        evaluate the slices at lambda and -lambda together, sharing each
-        Laguerre recurrence).  n >= 2: zc, zm are arrays [..., n] of the
-        per-axis coordinates, scanned once by point_planes and evaluated by
+        n = 1: a one-slice call to slice_fields (modal_fields evaluates the
+        slices at lambda and -lambda together, sharing each Laguerre
+        recurrence).  n >= 2: zc, zm are arrays [..., n] of the per-axis
+        coordinates, scanned by point_planes and evaluated by
         field_on_planes; the result has shape zc.shape[:-1].
         """
         if self.n == 1:
@@ -156,7 +159,7 @@ class ModalSlice:
         return self.field_on_planes(point_planes(zc, zm), k_select)
 
     def field_on_planes(self, planes, k_select=None):
-        """field on the points that point_planes scanned.
+        """field on the planes of grid_planes or point_planes.
 
         The product basis factorizes over the axes, so each axis j gets one
         basis_matrix table of the (beta_j, alpha_j) pairs in the nonzero
@@ -314,13 +317,21 @@ def slice_powers(group, zc, zm) -> list:
     return out
 
 
-def modal_fields(modal, zc, zm) -> list:
-    """ModalSlice fields of every slice in modal, one slice_fields call per
-    |lambda| group."""
+def modal_fields(modal, planes, k_select=None) -> list:
+    """Fields of every slice in modal (or their level-k_select projections)
+    on the planes of spectral.grid_planes or point_planes, each of their
+    shape, in the order of modal.  n = 1: one slice_fields call per |lambda|
+    group, so lambda and -lambda share each Laguerre recurrence; n >= 2:
+    field_on_planes per slice.
+    """
+    shape, axes = planes
+    if len(axes) > 1:
+        return [ms.field_on_planes(planes, k_select) for ms in modal]
+    (zc, zm), = axes
     out = [None] * len(modal)
     for g in abs_lam_groups([ms.lam for ms in modal]):
-        for j, fld in zip(g, slice_fields([modal[j] for j in g], zc, zm)):
-            out[j] = fld
+        for j, fld in zip(g, slice_fields([modal[j] for j in g], zc, zm, k_select)):
+            out[j] = fld if fld.shape == shape else np.broadcast_to(fld, shape).copy()
     return out
 
 
@@ -431,10 +442,9 @@ def point_planes(zc, zm) -> tuple:
     and per axis j the pair (zc[..., j], zm[..., j]) cut to length 1 along
     every point axis where both are constant.
 
-    On the tensor grid that leaves the N^2 points of the (x_j, u_j) plane,
-    scattered points keep them all.  The scan reads every point once per
-    axis; evaluating many slices or levels on one point set, scan once and
-    pass the result to ModalSlice.field_on_planes.
+    Scattered points keep them all; the tensor grid needs no scan
+    (spectral.grid_planes).  The scan reads every point once per axis: scan
+    once and pass the result to modal_fields or ModalSlice.field_on_planes.
     """
     zc, zm = np.broadcast_arrays(zc, zm)
     axes = []

@@ -121,22 +121,20 @@ class GridFunction:
         return float(np.sum(np.abs(self.samples) ** 2) * self.hx ** (2 * self.n) * self.ht)
 
 
-def grid_coords(n: int, xgrid: np.ndarray, ugrid: np.ndarray):
-    """(zc, zm) = (z, zbar) on the tensor sample grid: (nx, nu) arrays at
-    n = 1, [(nx,)*n + (nu,)*n, n] stacks of per-axis coordinates otherwise."""
-    if n == 1:
-        Z = xgrid[:, None] + 1j * ugrid[None, :]
-        return Z, np.conj(Z)
+def grid_planes(n: int, xgrid: np.ndarray, ugrid: np.ndarray) -> tuple:
+    """(shape, axes) of the tensor sample grid, as point_planes returns them:
+    shape = (nx,)*n + (nu,)*n, and per axis j the plane (z_j, conj z_j),
+    z_j = x_j + i u_j, with length nx on grid axis j, nu on axis n + j and
+    1 elsewhere, so it broadcasts over the grid.  At n = 1 the plane is the
+    whole (nx, nu) grid."""
     shape = (xgrid.size,) * n + (ugrid.size,) * n
-    Zax = []
+    axes = []
     for j in range(n):
-        sx = [1] * (2 * n)
-        sx[j] = xgrid.size
-        su = [1] * (2 * n)
-        su[n + j] = ugrid.size
-        Zax.append((xgrid.reshape(sx) + 1j * ugrid.reshape(su)) * np.ones(shape))
-    Zc = np.stack(Zax, axis=-1)
-    return Zc, np.conj(Zc)
+        sx, su = [1] * (2 * n), [1] * (2 * n)
+        sx[j], su[n + j] = xgrid.size, ugrid.size
+        Z = xgrid.reshape(sx) + 1j * ugrid.reshape(su)
+        axes.append((Z, np.conj(Z)))
+    return shape, axes
 
 
 @dataclass
@@ -180,24 +178,18 @@ class SpectralData:
     @property
     def slices(self) -> list:
         """slices[j]: the slice at lambda_j rebuilt from its coefficients."""
-        zc, zm = grid_coords(self.n, self.xgrid, self.ugrid)
-        if self.n == 1:
-            return modal_fields(self.modal, zc, zm)
-        pts = point_planes(zc, zm)
-        return [ms.field_on_planes(pts) for ms in self.modal]
+        return modal_fields(self.modal, grid_planes(self.n, self.xgrid, self.ugrid))
 
     @property
     def projections(self) -> list:
-        """projections[j][k] = f^lambda_j *_lam phi_k on the sample grid."""
-        zc, zm = grid_coords(self.n, self.xgrid, self.ugrid)
-        if self.n == 1:
-            level = lambda ms, k: ms.field(zc, zm, k_select=k)
-        else:
-            pts = point_planes(zc, zm)         # one scan of the grid for every level
-            level = lambda ms, k: ms.field_on_planes(pts, k_select=k)
-        return [np.stack([(2.0 * np.pi / abs(ms.lam)) ** self.n * level(ms, k)
-                          for k in range(self.kmax + 1)])
-                for ms in self.modal]
+        """projections[j][k] = f^lambda_j *_lam phi_k on the sample grid,
+        one [kmax+1, *grid] array per slice, filled level by level."""
+        planes = grid_planes(self.n, self.xgrid, self.ugrid)
+        out = [np.empty((self.kmax + 1,) + planes[0], dtype=complex) for _ in self.modal]
+        for k in range(self.kmax + 1):
+            for proj, ms, fld in zip(out, self.modal, modal_fields(self.modal, planes, k)):
+                proj[k] = (2.0 * np.pi / abs(ms.lam)) ** self.n * fld
+        return out
 
     def total_mass(self) -> float:
         """integral sum_k norms2 d mu: the Plancherel right side."""
@@ -323,15 +315,17 @@ def analyze(f: GridFunction, lgrid: LambdaGrid, kmax: int,
 
     The product basis (|lam|/2pi)^{n/2} prod_j E_{alpha_j beta_j}(z_j) is a
     tensor product over the planes (x_j, u_j), so each slice is contracted
-    with one conjugated 1-D table from basis_matrix plane by plane: O(M1
-    N^{2n}) per plane for M1 table rows and N points per axis.  Mode
-    (alpha, beta) is kept iff _mode_mask admits (|beta|, |alpha|).  At n = 1
-    the table holds the admitted rows alone, M1 of them, the contraction is
-    the single product conj(B) @ slice, and its result is scattered into
-    coef[mask].  At n >= 2 a plane may carry any (beta_j, alpha_j) of the
-    admissible rectangle, so the table is the unmasked rectangle, and the
-    contracted tensor [beta_1, alpha_1, ..., beta_n, alpha_n] is zeroed
-    outside the admitted modes.
+    with one conjugated 1-D table from basis_matrix plane by plane: O(R
+    N^{2n}) per plane for R table rows and N points per axis.  The table
+    holds the R pairs (k, a) that _mode_mask admits, in the order of
+    np.nonzero(mask), and row r of every plane carries (beta_j, alpha_j) =
+    (ks[r], as_[r]).  A product of rows, mode (alpha, beta), is kept iff the
+    mask admits (|beta|, |alpha|); the mask is down-closed on every grid
+    checked, so the rows cover every kept mode's factors.  The kept products
+    are scattered into coef[(kmax+1, beta_cap+1)^n], the layout
+    [beta_1, alpha_1, ..., beta_n, alpha_n] of ModalSlice, zero elsewhere.
+    At n = 1 the contraction is the single product conj(B) @ slice and every
+    product is kept: coef[mask] = T.
 
     Admissibility depends on |lambda| only, and at real points
     E^{-lambda}_{ak}(z) = conj E^{lambda}_{ak}(z) bit for bit, so each
@@ -344,27 +338,25 @@ def analyze(f: GridFunction, lgrid: LambdaGrid, kmax: int,
         spec = QuadratureSpec(n=f.n, nx=f.xgrid.size, lx=float(-f.xgrid[0]))
     n = f.n
     lam = lgrid.lam
-    Z, _ = grid_coords(1, f.xgrid, f.ugrid)
+    _, [(Z, _)] = grid_planes(1, f.xgrid, f.ugrid)      # the (x_j, u_j) plane of every axis
     harea = f.hx ** (2 * n)
     # slice axes (x_1..x_n, u_1..u_n) -> one (x_j, u_j) plane per axis
     planes = [ax for j in range(n) for ax in (j, n + j)]
     sls = [partial_fourier_t(f, lv) for lv in lam]
+    layout = (kmax + 1, spec.beta_cap + 1) * n
     modal = [None] * lam.size
     norms2 = np.zeros((kmax + 1, lam.size))
     tail = np.zeros(lam.size)
 
-    def project(j, Bc, keep):
+    def project(j, Bc, kept, at):
         """Contract slice j with the conjugated table Bc [rows, N^2]."""
         T = sls[j].transpose(planes).reshape((Z.size,) * n)
         for _ in range(n):
             # contract the leading plane; its mode axis moves to the back
             T = np.moveaxis(np.tensordot(Bc, T, axes=(1, 0)), 0, -1)
-        T = T * harea
-        if n == 1:
-            coef = np.zeros(keep.shape, dtype=complex)
-            coef[keep] = T[: np.count_nonzero(keep)]     # drop the pad row, if any
-        else:
-            coef = np.where(keep, T.reshape(keep.shape), 0)
+        T = T[tuple(slice(m) for m in kept.shape)] * harea      # drop the pad row, if any
+        coef = np.zeros(layout, dtype=complex)
+        coef[at] = T[kept]
         ms = ModalSlice(lam[j], coef)
         norms2[:, j] = ms.proj_norms2(kmax)
         modal[j] = ms
@@ -373,32 +365,26 @@ def analyze(f: GridFunction, lgrid: LambdaGrid, kmax: int,
     for group in abs_lam_groups(lam):
         l0 = lam[group[0]]
         mask = _mode_mask(spec, kmax, l0)
-        kt, at = int(mask.any(axis=1).sum()), int(mask.any(axis=0).sum())
-        keep = mask
-        if n == 1:
-            B = basis_matrix(l0, kmax, spec.beta_cap, Z, mask=mask).reshape(-1, Z.size)
-            if B.shape[0] == 1:
-                # numpy takes a one-row product as a dot product, which sums in
-                # another order than the matrix-vector kernel; a zero row keeps
-                # one-mode slices bit-identical to the full-table product
-                B = np.concatenate([B, np.zeros_like(B)])
-        else:
-            # a plane may carry any (beta_j, alpha_j) of the admissible
-            # rectangle; a second column keeps a one-row table off the dot
-            # product here too
-            at = min(max(at, 2), spec.beta_cap + 1)
-            B = basis_matrix(l0, kt - 1, at - 1, Z).reshape(kt * at, Z.size)
-            # mask[|beta|, |alpha|] over the tensor [beta_1, alpha_1, ...]
-            idx = np.indices((kt, at) * n, sparse=True)
-            keep = np.pad(mask, ((0, n * kt), (0, n * at)))[sum(idx[0::2]), sum(idx[1::2])]
+        ks, as_ = np.nonzero(mask)
+        B = basis_matrix(l0, kmax, spec.beta_cap, Z, mask=mask).reshape(ks.size, Z.size)
+        if ks.size == 1:
+            # numpy takes a one-row product as a dot product, which sums in
+            # another order than the matrix-vector kernel; a zero row keeps
+            # one-mode slices bit-identical to the full-table product
+            B = np.concatenate([B, np.zeros_like(B)])
+        # kept[r_1, ..., r_n]: does the mask admit the product of rows r_j?
+        kb, ka = sum(np.ix_(*[ks] * n)), sum(np.ix_(*[as_] * n))
+        kept = (kb <= kmax) & (ka <= spec.beta_cap)
+        kept[kept] = mask[kb[kept], ka[kept]]
+        at = tuple(idx[r] for r in np.nonzero(kept) for idx in (ks, as_))
         # B is the conjugated table of -l0, and conj(B) that of l0
         for j in group:
             if lam[j] != l0:
-                project(j, B, keep)
+                project(j, B, kept, at)
         np.conjugate(B, out=B)
         for j in group:
             if lam[j] == l0:
-                project(j, B, keep)
+                project(j, B, kept, at)
     return SpectralData(
         n=n, lgrid=lgrid, kmax=kmax, xgrid=f.xgrid, ugrid=f.ugrid,
         norms2=norms2, modal=modal, tail=tail,
@@ -432,17 +418,16 @@ def invert(sd: SpectralData, p) -> complex:
     At real points this is the inversion formula (round trip with analyze);
     the e^{lambda eta} factor implements the entire extension in zeta.
     """
-    if isinstance(p, ComplexPoint):
-        z, w, zeta = p.z, p.w, p.zeta
-    else:
+    if not isinstance(p, ComplexPoint):
         raise SpectralError("invert expects a ComplexPoint")
-    zc, zm = z + 1j * w, z - 1j * w
-    if sd.n == 1:
-        zc, zm = zc[0], zm[0]                   # a point, not a 1-axis stack
+    if p.n != sd.n:
+        raise SpectralError(f"point of dimension {p.n} for data of dimension {sd.n}")
+    z, w, zeta = p.z, p.w, p.zeta
+    fields = modal_fields(sd.modal, point_planes(z + 1j * w, z - 1j * w))
     total = 0.0 + 0.0j
     for j, lv in enumerate(sd.lam):
         scale = (2.0 * np.pi / abs(lv)) ** sd.n
-        total += sd.wmu[j] * scale * complex(sd.modal[j].field(zc, zm)) * np.exp(-1j * lv * zeta)
+        total += sd.wmu[j] * scale * complex(fields[j]) * np.exp(-1j * lv * zeta)
     return total
 
 
@@ -488,8 +473,7 @@ def _tune_grid(spec: QuadratureSpec, A: float, B: float, kmax: int) -> Quadratur
 
 def synth_bandlimited(A: float, B: float, seed: int,
                       spec: Optional[QuadratureSpec] = None,
-                      tune_grid: bool = False,
-                      spike: float = 16.0):
+                      tune_grid: bool = False):
     """Seeded band-limited test fixture: returns (GridFunction, SpectralData).
 
     Coefficient masses m(k, lambda) >= 0 vanish outside |lambda| <= A,
@@ -497,12 +481,16 @@ def synth_bandlimited(A: float, B: float, seed: int,
     bulk is tapered to (2k+n)|lambda| <= 0.75 B, with heavy cells planted at
     |lambda| = A and at the largest admissible fan value (those extremes are
     what growth-based detection must see).  Fixture lambda nodes sit on the
-    dual lattice of the t-window, so analysis round trips are exact.
+    dual lattice of the t-window, so analysis round trips are exact.  A whose
+    lambda grid reaches the Nyquist frequency pi/hx of the spec it is given
+    is refused.
     """
     if spec is None:
         spec = QuadratureSpec()
     if spec.n != 1:
         raise SpectralError("synth_bandlimited is implemented for n=1")
+    if A * (1 + spec.margin_nodes / spec.nodes_per_A) * spec.hx >= np.pi:
+        raise SpectralError("A larger than the grid can resolve")
     kmax = spec.kmax
     if tune_grid:
         spec = _tune_grid(spec, A, B, kmax)
@@ -530,11 +518,12 @@ def synth_bandlimited(A: float, B: float, seed: int,
                 0.3 + rng.random()
             )
     mean_mass = np.mean(masses[masses > 0]) if np.any(masses > 0) else 1.0
+    spike = 16.0 * mean_mass            # the mass planted at each extreme cell
     # spike at |lambda| = A (k = 0)
     for sgn in (+1, -1):
         jA = int(np.argmin(np.abs(lgrid.lam - sgn * A)))
         if abs(abs(lgrid.lam[jA]) - A) < 1e-9 and masks[jA][0, 0]:
-            masses[0, jA] += spike * mean_mass
+            masses[0, jA] += spike
     # spike at the largest admissible fan value
     best = None
     for j, lv in enumerate(lgrid.lam):
@@ -548,10 +537,10 @@ def synth_bandlimited(A: float, B: float, seed: int,
     if best is None:
         raise SpectralError("empty admissible (k, lambda) set")
     _, kB, jB = best
-    masses[kB, jB] += spike * mean_mass
+    masses[kB, jB] += spike
     jBm = int(np.argmin(np.abs(lgrid.lam + lgrid.lam[jB])))
     if masks[jBm][kB, 0]:
-        masses[kB, jBm] += spike * mean_mass
+        masses[kB, jBm] += spike
 
     # coefficients per cell, scaled so norms2 equals the target mass
     modal = []

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gutzmerlab.grids import QuadratureSpec
-from gutzmerlab.spectral import analyze, synth_bandlimited
+from gutzmerlab.spectral import analyze, grid_planes, synth_bandlimited
 
 
 def small_spec(**over):
@@ -31,3 +31,12 @@ def rectangle(rows, mask):
     out = np.zeros(mask.shape + rows.shape[1:], dtype=rows.dtype)
     out[mask] = rows
     return out
+
+
+def grid_stacks(n, xgrid, ugrid):
+    """(zc, zm): [(nx,)*n + (nu,)*n, n] stacks of the per-axis coordinates
+    z_j, conj z_j on the tensor grid, spectral.grid_planes broadcast over it
+    (the scattered-point form of the grid, for ModalSlice.field)."""
+    shape, axes = grid_planes(n, xgrid, ugrid)
+    return tuple(np.stack([np.broadcast_to(ax[i], shape) for ax in axes], axis=-1)
+                 for i in (0, 1))

@@ -168,6 +168,15 @@ class TestGutzmerIdentity:
         with pytest.raises(OrbitalError, match="n=1"):
             orbital_direct(sd2, ComplexPoint.purely_imaginary([0, 0], [0, 0], 0.0))
 
+    @pytest.mark.parametrize("func", [orbital_direct, gutzmer_spectral, apply_D])
+    def test_point_of_other_dimension_rejected(self, fixture_small, func):
+        # a 2-D point on n = 1 data: neither its first coordinate alone nor
+        # its full radius belongs to the data's C^3
+        _, _, sd = fixture_small
+        p = ComplexPoint.purely_imaginary([0.3, 0.9], [0.0, 0.0], 0.2)
+        with pytest.raises(OrbitalError, match="point of dimension 2 for data of dimension 1"):
+            func(sd, p)
+
 
 @pytest.fixture(scope="module")
 def desk_seed7():

@@ -314,6 +314,17 @@ class TestCLI:
         assert "configuration error" not in err and "Traceback" not in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [["synth"], ["verify", "plancherel"],
+                                      ["verify", "inversion"], ["verify", "gutzmer"],
+                                      ["verify", "heat-image"], ["verify", "thm35"]])
+    def test_band_beyond_grid_exits_2(self, tmp_path, capsys, argv):
+        # the grid-resolution check of synth_bandlimited reaches every command
+        # that synthesizes a fixture
+        assert self.run_cli(*argv, "--A", "50", "-o", str(tmp_path / "x")) == 2
+        err = capsys.readouterr().err
+        assert "A larger than the grid can resolve" in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
     def test_positive_half_zeroes_negative_lambda(self, fixture_files):
         d, spec, f, sd = fixture_files
         norms2 = sd.norms2.copy()

@@ -60,6 +60,22 @@ class TestFlatFourier:
             rec += a * np.exp(1j * (f1 * X1 + f2 * X2))
         assert np.max(np.abs(rec - f.samples)) <= 1e-6 * np.max(np.abs(f.samples))
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_dft_modes_phase_on_every_axis(self, n):
+        # e^{i (pi/L) m.x} at one lattice point m with an odd entry on each
+        # axis in turn: the FFT-offset correction (-1)^{m_1+...+m_n} must
+        # give amplitude +1 whichever axis carries it
+        g = fft_grid(8, 4.0)
+        X = np.meshgrid(*([g] * n), indexing="ij")
+        for ax in range(n):
+            m = np.zeros(n, dtype=int)
+            m[ax] = 1
+            phase = (np.pi / 4.0) * sum(mj * xj for mj, xj in zip(m, X))
+            f = FlatFunction(n, g, np.exp(1j * phase))
+            freqs, amps = flat_dft_modes(f)
+            assert freqs.shape == (1, n) and np.allclose(freqs[0], m * np.pi / 4.0)
+            assert abs(amps[0] - 1.0) <= 1e-12
+
     def test_aliasing_guard(self):
         f = gaussian_flat()
         with pytest.raises(FlatError, match="alias"):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import rectangle
+from conftest import grid_stacks, rectangle
 from gutzmerlab import hermite_modes
 from gutzmerlab.grids import fft_grid
 from gutzmerlab.hermite_modes import (
@@ -15,11 +15,11 @@ from gutzmerlab.hermite_modes import (
     multiindices,
     multiindices_upto,
     norm_ratio,
+    point_planes,
     slice_fields,
     slice_powers,
 )
 from gutzmerlab.specfun import laguerre_all
-from gutzmerlab.spectral import grid_coords
 
 
 def random_slice(lam, kmax=6, acap=9, seed=0):
@@ -347,8 +347,41 @@ def test_abs_lam_groups_pairs_a_symmetric_grid():
 def test_modal_fields_keeps_slice_order():
     zc, zm = complex_points()
     modal = [random_slice(lv, seed=i) for i, lv in enumerate((-0.9, -0.4, 0.4, 0.9, 1.3))]
-    for ms, fld in zip(modal, modal_fields(modal, zc, zm)):
+    for ms, fld in zip(modal, modal_fields(modal, point_planes(zc[..., None], zm[..., None]))):
         assert np.array_equal(fld, ms.field(zc, zm))
+
+
+@pytest.mark.parametrize("k", [0, 3, 6])
+def test_modal_fields_k_select_equals_field(k):
+    # n = 1: the +-lambda groups share each recurrence and still give each
+    # slice's own level-k field bit for bit
+    zc, zm = complex_points(seed=3)
+    modal = [random_slice(lv, seed=i) for i, lv in enumerate((-0.9, 0.4, 0.9, -0.4, 1.3))]
+    fields = modal_fields(modal, point_planes(zc[..., None], zm[..., None]), k_select=k)
+    for ms, fld in zip(modal, fields):
+        assert np.array_equal(fld, ms.field(zc, zm, k_select=k))
+
+
+@pytest.mark.parametrize("k", [None, 0, 2])
+def test_modal_fields_n2_equals_field_on_planes(k):
+    zc, zm = complex_points_nd(41, seed=16)
+    modal = [random_slice_nd(lv, seed=i) for i, lv in enumerate((0.7, -0.7, 1.1))]
+    planes = point_planes(zc, zm)
+    for ms, fld in zip(modal, modal_fields(modal, planes, k_select=k)):
+        assert np.array_equal(fld, ms.field_on_planes(planes, k))
+        assert np.array_equal(fld, ms.field(zc, zm, k))
+
+
+def test_modal_fields_broadcasts_a_cut_plane():
+    # n = 1 points constant along an axis: point_planes cuts it, and the
+    # fields come back in the points' shape
+    zc, zm = complex_points(seed=4)
+    zc, zm = np.broadcast_to(zc[0], (3, 4)), np.broadcast_to(zm[0], (3, 4))
+    planes = point_planes(zc[..., None], zm[..., None])
+    assert planes[1][0][0].shape == (1, 4)
+    ms = random_slice(0.6, seed=5)
+    (fld,) = modal_fields([ms], planes)
+    assert fld.shape == (3, 4) and np.array_equal(fld, ms.field(zc, zm))
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +425,7 @@ class TestModalSliceNDField:
     @pytest.mark.parametrize("k_select", [None, 0, 1, 2, 3])
     def test_real_grid(self, lam, k_select):
         xg = fft_grid(10, 4.0)
-        zc, zm = grid_coords(2, xg, xg)
+        zc, zm = grid_stacks(2, xg, xg)
         assert zc.shape[:-1] == (10,) * 4
         ms = random_slice_nd(lam, seed=2)
         assert_close(ms.field(zc, zm, k_select), e1d_reference_nd(ms, zc, zm, k_select),
@@ -420,7 +453,7 @@ class TestModalSliceNDField:
     def test_tensor_grid_matches_scattered_points(self, lam, k_select):
         # the per-plane tables of the grid against every point evaluated on its own
         xg = fft_grid(8, 4.0)
-        zc, zm = grid_coords(2, xg, xg)
+        zc, zm = grid_stacks(2, xg, xg)
         ms = random_slice_nd(lam, seed=9)
         flat = ms.field(zc.reshape(-1, 2), zm.reshape(-1, 2), k_select)
         assert flat.shape == (8 ** 4,)
@@ -431,7 +464,7 @@ class TestModalSliceNDField:
         # x_1 = u_1 = c: the second axis's table has one point; with zm left
         # varying, zc alone is constant and nothing may be cut
         xg = fft_grid(10, 4.0)
-        zc, zm = grid_coords(2, xg, xg)
+        zc, zm = grid_stacks(2, xg, xg)
         zc[..., 1] = 0.4 - 0.3j
         if hold_zm:
             zm[..., 1] = np.conj(zc[..., 1])
@@ -443,7 +476,7 @@ class TestModalSliceNDField:
     @pytest.mark.parametrize("lam", [1.1, -1.1])
     def test_n3_tensor_grid(self, lam):
         xg = fft_grid(4, 3.0)
-        zc, zm = grid_coords(3, xg, xg)
+        zc, zm = grid_stacks(3, xg, xg)
         assert zc.shape == (4,) * 6 + (3,)
         ms = random_slice_nd(lam, n=3, kcap=2, acap=2, seed=11)
         for k in (None, 1):

@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from conftest import rectangle, small_spec
+from conftest import grid_stacks, rectangle, small_spec
 from gutzmerlab import hermite_modes, spectral
 from gutzmerlab.grids import QuadratureSpec, fft_grid
 from gutzmerlab.heisenberg_core import ComplexPoint
@@ -16,7 +16,7 @@ from gutzmerlab.spectral import (
     SpectralError,
     _mode_mask,
     analyze,
-    grid_coords,
+    grid_planes,
     invert,
     invert_grid,
     partial_fourier_t,
@@ -358,6 +358,11 @@ class TestInversion:
         val = invert(sd, p)
         assert val == pytest.approx(complex(f.samples[i, j, m]), abs=1e-8 * np.max(np.abs(f.samples)))
 
+    def test_point_of_other_dimension_rejected(self, analyzed_small):
+        p = ComplexPoint([0.1, 0.2], [0.0, 0.0], [0.3, -0.1], [0.0, 0.0], 0.0, 0.0)
+        with pytest.raises(SpectralError, match="point of dimension 2 for data of dimension 1"):
+            invert(analyzed_small, p)
+
     def test_eta_growth_envelope(self, fixture_small, analyzed_small):
         spec, f, _ = fixture_small
         sd = analyzed_small
@@ -407,7 +412,7 @@ def n2_gridfn(spec, lgrid, slices):
     (lambda nodes without one stay empty)."""
     xg = fft_grid(spec.nx, spec.lx)
     tg = fft_grid(spec.nt, lgrid.t_half_window)
-    zc, zm = grid_coords(2, xg, xg)
+    zc, zm = grid_stacks(2, xg, xg)
     samples = np.zeros(zc.shape[:-1] + (spec.nt,), dtype=complex)
     for j, ms in slices.items():
         lv = lgrid.lam[j]
@@ -443,7 +448,7 @@ def per_mode_coefs(f, lam, modes):
     projected on its own: the independent reference for the per-plane path."""
     n = f.n
     sl = partial_fourier_t(f, lam)
-    zc, zm = grid_coords(n, f.xgrid, f.ugrid)
+    zc, zm = grid_stacks(n, f.xgrid, f.ugrid)
     onorm = (abs(lam) / (2 * np.pi)) ** (n / 2)
     out = []
     for alpha, beta in modes:
@@ -451,6 +456,42 @@ def per_mode_coefs(f, lam, modes):
                                for ax in range(n)], axis=0)
         out.append(np.sum(sl * np.conj(fld)) * f.hx ** (2 * n))
     return np.asarray(out, dtype=complex)
+
+
+def grid_coords_stacks(n, xgrid, ugrid):
+    """The tensor grid's coordinates as the package once built them: (nx, nu)
+    arrays at n = 1, [(nx,)*n + (nu,)*n, n] stacks otherwise."""
+    if n == 1:
+        Z = xgrid[:, None] + 1j * ugrid[None, :]
+        return Z, np.conj(Z)
+    shape = (xgrid.size,) * n + (ugrid.size,) * n
+    Zax = []
+    for j in range(n):
+        sx = [1] * (2 * n)
+        sx[j] = xgrid.size
+        su = [1] * (2 * n)
+        su[n + j] = ugrid.size
+        Zax.append((xgrid.reshape(sx) + 1j * ugrid.reshape(su)) * np.ones(shape))
+    Zc = np.stack(Zax, axis=-1)
+    return Zc, np.conj(Zc)
+
+
+@pytest.mark.parametrize("n, nx, nu", [(1, 12, 10), (2, 6, 5), (3, 4, 3)])
+def test_grid_planes_broadcast_to_the_coordinate_stacks(n, nx, nu):
+    xg, ug = fft_grid(nx, 3.0), fft_grid(nu, 2.5)
+    shape, axes = grid_planes(n, xg, ug)
+    assert shape == (nx,) * n + (nu,) * n and len(axes) == n
+    stacks = grid_coords_stacks(n, xg, ug)
+    if n == 1:
+        stacks = tuple(s[..., None] for s in stacks)
+    for j, plane in enumerate(axes):
+        want = [1] * (2 * n)
+        want[j], want[n + j] = nx, nu
+        for got, stack in zip(plane, stacks):
+            assert got.shape == tuple(want)
+            full = np.broadcast_to(got, shape)
+            # bit for bit, signed zeros included
+            assert full.tobytes() == np.ascontiguousarray(stack[..., j]).tobytes()
 
 
 class TestAnalyzeN2:
@@ -490,7 +531,8 @@ class TestAnalyzeN2:
         assert support(sd.modal[0]) == set(modes) and not support(sd.modal[1])
         ref = per_mode_coefs(f, 1.0, modes)
         assert np.max(np.abs(coef_at(sd.modal[0], modes) - ref)) <= 1e-12 * np.max(np.abs(ref))
-        assert sd.modal[1].coef.size == 0 and np.all(sd.norms2[:, 1] == 0.0)
+        assert sd.modal[1].coef.shape == (spec.kmax + 1, spec.beta_cap + 1) * 2
+        assert not np.any(sd.modal[1].coef) and np.all(sd.norms2[:, 1] == 0.0)
 
     @pytest.mark.parametrize("kw", [N2_SPEC, N2_WIDE], ids=["nx16", "nx24"])
     def test_mode_lists_match_pair_fits_enumeration(self, kw):
@@ -508,6 +550,50 @@ class TestAnalyzeN2:
         for ms, lv in zip(sd.modal, lgrid.lam):
             assert support(ms) == set(pair_fits_modes(spec, spec.kmax, lv, 2))
             assert all(_mode_mask(spec, spec.kmax, lv)[sum(b), sum(a)] for a, b in support(ms))
+
+    def test_admitted_rows_and_layout(self, monkeypatch):
+        # one basis_matrix table per +-lambda pair, holding the mask's
+        # admitted rows alone; coef in the (kmax+1, beta_cap+1)^n layout
+        spec = QuadratureSpec(**N2_WIDE)
+        lgrid = LambdaGrid.build(spec, 1.0)
+        rng = np.random.default_rng(6)
+        slices = {j: ModalSliceND(lv, 2, modes, rng.standard_normal(len(modes)))
+                  for j, lv in enumerate(lgrid.lam)
+                  if (modes := pair_fits_modes(spec, spec.kmax, lv, 2))}
+        f = n2_gridfn(spec, lgrid, slices)
+        calls = []
+        table = spectral.basis_matrix
+
+        def spy(lam, kmax, acap, Z, mask=None, zm=None):
+            out = table(lam, kmax, acap, Z, mask=mask, zm=zm)
+            calls.append((lam, kmax, acap, mask, out.shape[0]))
+            return out
+
+        monkeypatch.setattr(spectral, "basis_matrix", spy)
+        sd = analyze(f, lgrid, spec.kmax, spec)
+        groups = spectral.abs_lam_groups(lgrid.lam)
+        assert len(calls) == len(groups)
+        for (lam, kmax, acap, mask, rows), g in zip(calls, groups):
+            assert lam == lgrid.lam[g[0]] and (kmax, acap) == (spec.kmax, spec.beta_cap)
+            assert np.array_equal(mask, _mode_mask(spec, spec.kmax, lam))
+            assert rows == mask.sum()
+        assert sum(rows > 0 for *_, rows in calls) == 2
+        for ms, lv in zip(sd.modal, sd.lam):
+            assert ms.coef.shape == (spec.kmax + 1, spec.beta_cap + 1) * 2
+            assert support(ms) == set(pair_fits_modes(spec, spec.kmax, lv, 2))
+
+    @pytest.mark.parametrize("kw", [N2_SPEC, N2_WIDE, {}], ids=["nx16", "nx24", "desk"])
+    def test_mode_mask_is_down_closed(self, kw):
+        # analyze's row tables rely on it: mask[k, a] admits every (k', a')
+        # <= (k, a), so each factor (beta_j, alpha_j) of an admitted mode is
+        # itself an admitted row
+        spec = QuadratureSpec(**kw)
+        for A in (1.0, 1.5):
+            for lv in LambdaGrid.build(spec, A).lam:
+                mask = _mode_mask(spec, spec.kmax, lv)
+                closed = np.flip(np.logical_or.accumulate(
+                    np.logical_or.accumulate(np.flip(mask), axis=0), axis=1))
+                assert np.array_equal(closed, mask)
 
     def test_derived_views(self):
         # lambda = +-1 carry every admissible mode (tapered to stay above the
@@ -551,8 +637,9 @@ class TestAnalyzeN2:
 
 
     def test_views_scan_the_grid_once(self, monkeypatch):
-        # projections and slices scan the sample grid once per access; the
-        # values equal per-slice, per-level field calls exactly
+        # projections and slices take the grid's planes from grid_planes and
+        # scan no point set; the values equal per-slice, per-level field
+        # calls exactly
         spec = QuadratureSpec(**N2_SPEC)
         lgrid = LambdaGrid.build(spec, 1.0)
         rng = np.random.default_rng(9)
@@ -571,9 +658,9 @@ class TestAnalyzeN2:
             monkeypatch.setattr(mod, "point_planes",
                                 lambda zc, zm: scans.append(1) or scan(zc, zm))
         projs, sls = sd.projections, sd.slices
-        assert scans == [1, 1]
+        assert scans == []
         monkeypatch.undo()
-        zc, zm = grid_coords(2, xg, xg)
+        zc, zm = grid_stacks(2, xg, xg)
         for ms, proj, sl in zip(modal, projs, sls):
             scale = (2 * np.pi / abs(ms.lam)) ** 2
             want = np.stack([scale * ms.field(zc, zm, k_select=k) for k in range(spec.kmax + 1)])
@@ -600,11 +687,12 @@ def analyze_per_node(f, lgrid, kmax, spec):
     """(coef list, norms2, tail) as analyze computed them node by node, one
     mask and one conjugated table per lambda, at n = 1 the table scattered
     into the (kmax+1) x (acap+1) rectangle, widened to two columns, at n >= 2
-    the contracted tensor zeroed outside the enumerated admissible modes: the
-    reference for the path that shares them across each +-lambda pair and
-    contracts the admitted rows alone."""
+    the unmasked rectangle table, its contracted tensor zeroed outside the
+    enumerated admissible modes; both placed in the (kmax+1, beta_cap+1)^n
+    layout: the reference for the path that shares them across each +-lambda
+    pair and contracts the admitted rows alone."""
     n = f.n
-    Z, _ = grid_coords(1, f.xgrid, f.ugrid)
+    _, [(Z, _)] = grid_planes(1, f.xgrid, f.ugrid)
     harea = f.hx ** (2 * n)
     planes = [ax for j in range(n) for ax in (j, n + j)]
     coefs = []
@@ -634,7 +722,8 @@ def analyze_per_node(f, lgrid, kmax, spec):
                 for beta in multiindices(n, k):
                     for alpha in multiindices_upto(n, at - 1):
                         keep[sum(zip(beta, alpha), ())] = mask[k, sum(alpha)]
-            coef = np.where(keep, T, 0)
+            coef = np.zeros((kmax + 1, spec.beta_cap + 1) * n, dtype=complex)
+            coef[tuple(slice(m) for m in T.shape)] = np.where(keep, T, 0)
             norms2[:, j] = spectral.ModalSlice(lv, coef).proj_norms2(kmax)
         coefs.append(coef)
         tail[j] = max(0.0, float(np.sum(np.abs(sl) ** 2) * harea - np.sum(np.abs(coef) ** 2)))
@@ -691,7 +780,7 @@ class TestAnalyzePairs:
             slices[j] = ModalSliceND(lv, 2, modes, coef)
         f = n2_gridfn(spec, lgrid, slices)
         sd = analyze(f, lgrid, spec.kmax, spec)
-        assert sum(ms.coef.size > 0 for ms in sd.modal) == 2
+        assert sum(bool(np.any(ms.coef)) for ms in sd.modal) == 2
         self.assert_same(sd, analyze_per_node(f, lgrid, spec.kmax, spec))
         assert all(support(ms) == set(pair_fits_modes(spec, spec.kmax, lv, 2))
                    for ms, lv in zip(sd.modal, sd.lam))
@@ -700,7 +789,7 @@ class TestAnalyzePairs:
         # the identity analyze relies on, on every pair of the desk grid
         spec = QuadratureSpec()
         lam = LambdaGrid.build(spec, 1.0).lam
-        Z, _ = grid_coords(1, fft_grid(spec.nx, spec.lx), fft_grid(spec.nx, spec.lx))
+        _, [(Z, _)] = grid_planes(1, fft_grid(spec.nx, spec.lx), fft_grid(spec.nx, spec.lx))
         pairs = [g for g in spectral.abs_lam_groups(lam) if len(g) == 2]
         assert len(pairs) == 16
         for j, jm in pairs:
