@@ -12,8 +12,6 @@ from .grids import QuadratureSpec
 from .specfun import (
     MultiIndex,
     LaguerreArg,
-    hermite_phi,
-    hermite_phi_scaled,
     laguerre,
     laguerre_phi,
     bessel_j_norm,
@@ -21,12 +19,7 @@ from .specfun import (
 )
 from .heisenberg_core import (
     HeisPoint,
-    MotionElement,
     ComplexPoint,
-    hgroup_mul,
-    hgroup_inverse,
-    motion_action,
-    schrodinger_apply,
     matrix_element,
 )
 from .spectral import (
@@ -42,7 +35,6 @@ from .spectral import (
     synth_bandlimited,
 )
 from .complexification import (
-    OrbitalSample,
     GrowthFit,
     RayPlan,
     orbital_direct,
@@ -52,13 +44,11 @@ from .complexification import (
     detect_bandlimit,
 )
 from .heatlab import (
-    gauss_heat,
     gauss_bessel_check,
     heat_apply,
     heat_image_norm,
     twisted_heat_kernel,
     lemma63_check,
-    reproducing_bound_check,
     thm35_forward,
     thm35_converse_tail,
 )
@@ -66,7 +56,6 @@ from .euclid import (
     FlatFunction,
     flat_synth_bandlimited,
     flat_fourier,
-    flat_phi_lambda,
     flat_gutzmer,
     flat_pw_check,
 )

@@ -34,21 +34,6 @@ class OrbitalError(SpectralError):
     pass
 
 
-@dataclass(frozen=True)
-class OrbitalSample:
-    """One orbital-integral evaluation at a purely imaginary point."""
-
-    point: ComplexPoint
-    value: float
-    method: str  # "direct" | "spectral"
-
-    def __post_init__(self):
-        if self.method not in ("direct", "spectral"):
-            raise OrbitalError("method must be 'direct' or 'spectral'")
-        if self.value < 0:
-            raise OrbitalError("orbital integrand |F|^2 cannot integrate negative")
-
-
 @dataclass
 class GrowthFit:
     """Least-squares exponential-growth fit along one ray.

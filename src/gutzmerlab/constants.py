@@ -27,9 +27,3 @@ def heat_image_c(n: int) -> float:
 # Measured 1.0 for n = 1 and n = 2 (Gauss-Legendre radial quadrature,
 # relative deviation < 1e-13 over the reference box).
 LEMMA63_C = 1.0
-
-# Twisted Bergman norm constant in ||phi_k^lambda|| = C binom(k+n-1,k)
-# e^{2(2k+n)|lambda| t}.  Measured as the smallest constant making the
-# reproducing-kernel bound hold over the reference box (worst cell
-# k=0, lambda=0.25, t=0.5, r=0 needs 9.89); frozen with headroom.
-BERGMAN_NORM_C = 16.0

@@ -10,8 +10,8 @@ SPD1 (spectral data): magic b"SPD1".
     float64 lambda[nlam], wmu[nlam]; float64 norms2 stored row-major [k, j];
     flags bit1: modal coefficient blocks follow as complex float64
     [nlam, kmax+1, acap+1] preceded by uint32 acap+1.  Writers set bit1
-    only; files with bit0 set carry projection blocks, complex float64
-    [nlam, kmax+1, nx, nu], before the modal blocks, which readers skip.
+    only, and readers require it.  Bit0 once marked projection blocks ahead
+    of the modal blocks; no writer produces them, and readers reject it.
 """
 
 from __future__ import annotations
@@ -78,7 +78,6 @@ def read_gfn(path: str) -> GridFunction:
                         samples, schwartz=bool(schwartz))
 
 
-FLAG_PROJECTIONS = 1
 FLAG_MODAL = 2
 
 
@@ -121,6 +120,8 @@ def read_spd(path: str) -> SpectralData:
                                  f"kmax+1={kk}, nx={nx}, nu={nu}")
         if not flags & FLAG_MODAL:
             raise ContainerError("SPD1 file carries no modal coefficient blocks")
+        if flags & 1:
+            raise ContainerError("SPD1 flags bit 0 (legacy projection blocks) is not supported")
         _require(all(np.isfinite(v) and v > 0 for v in (lx, lu, dl)),
                  f"SPD1 extents must be finite and positive (lx={lx}, lu={lu}, dl={dl})")
         _require(np.isfinite(areq) and np.isfinite(breq),
@@ -128,10 +129,9 @@ def read_spd(path: str) -> SpectralData:
         # check every declared size against the file before reading or
         # allocating anything
         tables = (2 + kk) * nlam * 8
-        skip = nlam * kk * nx * nu * 16 if flags & FLAG_PROJECTIONS else 0
         if size < 68 + tables:
             raise ContainerError("SPD1 file ends inside its lambda / wmu / norms2 tables")
-        if size < 68 + tables + skip + 4:
+        if size < 68 + tables + 4:
             raise ContainerError("SPD1 file ends before its modal coefficient blocks")
         lam = np.frombuffer(fh.read(nlam * 8), dtype="<f8").astype(float)
         wmu = np.frombuffer(fh.read(nlam * 8), dtype="<f8").astype(float)
@@ -141,9 +141,8 @@ def read_spd(path: str) -> SpectralData:
         for name, table in (("wmu", wmu), ("norms2", norms2)):
             _require(np.all(np.isfinite(table) & (table >= 0)),
                      f"SPD1 {name} table holds a negative or non-finite value")
-        fh.seek(skip, 1)
         (acap,) = struct.unpack("<I", fh.read(4))
-        if size < 68 + tables + skip + 4 + nlam * kk * acap * 16:
+        if size < 68 + tables + 4 + nlam * kk * acap * 16:
             raise ContainerError("SPD1 file ends inside its modal coefficient blocks")
         modal = []
         for j in range(nlam):

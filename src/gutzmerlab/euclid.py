@@ -20,7 +20,7 @@ import numpy as np
 
 from .complexification import GrowthFit, _log_values, fit_growth
 from .grids import fft_grid as _fft_grid
-from .specfun import _bessel_j_norm_real_order, jhat_imag
+from .specfun import jhat_imag
 
 
 class FlatError(ValueError):
@@ -149,19 +149,6 @@ def flat_fourier(f: FlatFunction, n_lam: int = 64, lam_max: Optional[float] = No
     phases = np.exp(-1j * (np.outer(xi1, pts[0]) + np.outer(xi2, pts[1])))
     vals = phases @ f.samples.reshape(-1) * f.h ** 2
     return lam, ang, vals.reshape(n_lam, n_angles)
-
-
-def flat_phi_lambda(lam: float, y) -> float:
-    """Spherical growth kernel phi_lambda(iy) ~ (lam|y|)^{-n/2+1} J_{n/2-1}(i lam |y|),
-    evaluated through the normalized Bessel series at imaginary argument
-    (real, positive, removable singularity at lam|y| = 0; normalization
-    j_nu(0) = 1/(2^nu Gamma(nu+1)) with nu = n/2 - 1)."""
-    if lam < 0:
-        raise FlatError("lam must be >= 0")
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    nu = y.size / 2.0 - 1.0
-    r = float(np.linalg.norm(y))
-    return float(np.real(_bessel_j_norm_real_order(nu, 1j * lam * r)))
 
 
 def _flat_power(f: FlatFunction):

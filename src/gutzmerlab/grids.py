@@ -60,9 +60,11 @@ def laguerre_tail_mass(m: int, d: int, S: float) -> float:
 
     This is the radial mass of a special Hermite mode with indices
     (min, min+d) beyond generalized radius s = |lam| r^2 / 2 = S; the
-    mode-fit rule compares it against fit_tol.  Cached.
+    mode-fit rule compares it against fit_tol.  Cached under S rounded to 6
+    decimals, and integrated at that rounded S, so no call order matters.
     """
-    key = (m, d, round(float(S), 6))
+    S = round(float(S), 6)
+    key = (m, d, S)
     if key in _tail_cache:
         return _tail_cache[key]
     tp = 4.0 * m + 2.0 * d + 2.0

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .constants import BERGMAN_NORM_C, LEMMA63_C, heat_image_c, twisted_heat_prefactor
+from .constants import LEMMA63_C, heat_image_c, twisted_heat_prefactor
 from .grids import gauss_legendre_on
 from .hermite_modes import ModalSlice
 from .spectral import SpectralData, SpectralError
@@ -26,17 +26,6 @@ from .complexification import _exp, _log_spectral_sum, _tail_test, fit_growth
 
 class HeatError(SpectralError):
     pass
-
-
-def gauss_heat(d: int, t: float, w) -> float:
-    """Euclidean heat kernel (4 pi t)^{-d/2} e^{-|w|^2/(4t)} on R^d."""
-    if t <= 0:
-        raise HeatError("heat time must be positive")
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    if w.shape[-1] != d:
-        raise HeatError("dimension mismatch in gauss_heat")
-    r2 = np.sum(w * w, axis=-1)
-    return (4.0 * np.pi * t) ** (-d / 2.0) * np.exp(-r2 / (4.0 * t))
 
 
 def gauss_bessel_check(k: int, lam: float, t: float, n: int = 1) -> float:
@@ -97,27 +86,22 @@ def heat_image_norm(sd_heated: SpectralData, t: float) -> float:
     if t <= 0:
         raise HeatError("heat time must be positive")
     ks = np.arange(sd_heated.kmax + 1)
-    gain = np.exp(2.0 * t * sd_heated.lam[None, :] ** 2
-                  + 2.0 * (2 * ks[:, None] + sd_heated.n)
-                  * np.abs(sd_heated.lam)[None, :] * t)
+    expo = (2.0 * t * sd_heated.lam[None, :] ** 2
+            + 2.0 * (2 * ks[:, None] + sd_heated.n) * np.abs(sd_heated.lam)[None, :] * t)
+    # an empty cell contributes 0; its exponent may overflow exp, and inf * 0 is nan
+    gain = np.exp(np.where(sd_heated.norms2 == 0, 0.0, expo))
     return float(heat_image_c(sd_heated.n)
                  * np.sum(sd_heated.wmu[None, :] * sd_heated.norms2 * gain))
 
 
-def twisted_heat_kernel(lam: float, t: float, rho) -> complex:
+def twisted_heat_kernel(lam: float, t: float, rho, n: int = 1) -> complex:
     """Twisted (special Hermite) heat kernel at generalized squared radius rho:
 
-        (4 pi)^{-n} ... for n=1:  (4 pi)^{-1} (lam/sinh(lam t))
-                                   e^{-(lam/4) coth(lam t) rho}
+        p_t^lam = (4 pi)^{-n} (lam/sinh(lam t))^n e^{-(lam/4) coth(lam t) rho}
 
     rho = z^2 + w^2 read as the generalized squared radius (|x|^2+|u|^2 at
     real points, negative at purely imaginary ones).  lam -> 0 is the
-    series limit (Euclidean heat kernel).  Only the n=1 kernel is exposed;
-    higher n raises the prefactor power accordingly via `n`."""
-    return twisted_heat_kernel_nd(lam, t, rho, n=1)
-
-
-def twisted_heat_kernel_nd(lam: float, t: float, rho, n: int = 1) -> complex:
+    series limit (Euclidean heat kernel)."""
     if t <= 0:
         raise HeatError("heat time must be positive")
     c = twisted_heat_prefactor(n)
@@ -159,31 +143,12 @@ def lemma63_check(k: int, lam: float, t: float, n: int = 1) -> float:
     r, wr = gauss_legendre_on(0.0, rmax, 600)
     surf = 2.0 * np.pi ** n / gamma(n)
     phi = np.real(laguerre_phi(LaguerreArg(k, n - 1, -(r * r)), lam))
-    dens = np.real(twisted_heat_kernel_nd(lam, t, r * r, n=n))
+    dens = np.real(twisted_heat_kernel(lam, t, r * r, n=n))
     val = float(np.sum(phi * dens * r ** (2 * n - 1) * wr) * surf)
     tgt = LEMMA63_C * comb(k + n - 1, k) * np.exp((2 * k + n) * al * t)
     if not np.isfinite(val):
         raise HeatError("lemma 6.3 quadrature diverged; enlarge domain guard")
     return float(abs(val - tgt) / tgt)
-
-
-def reproducing_bound_check(k: int, lam: float, t: float, r: float, n: int = 1):
-    """Pointwise reproducing-kernel bound in the twisted Bergman space:
-
-        |phi_k^lam(2iy,2iv)| <= K_t^lam((2iy,2iv),(2iy,2iv)) * ||phi_k^lam||
-
-    with K_t^lam((z,w),(a,b)) = p_{2t}^lam(z-abar, w-bbar)
-    e^{-(i lam/2)(w.abar - z.bbar)} (diagonal phase vanishes) and the frozen
-    norm convention ||phi_k^lam|| = C binom(k+n-1,k) e^{2(2k+n)|lam| t}.
-    Returns (passes, margin = rhs - lhs)."""
-    if t <= 0:
-        raise HeatError("heat time must be positive")
-    r2 = r * r
-    lhs = abs(np.real(laguerre_phi(LaguerreArg(k, n - 1, -4.0 * r2), lam)))
-    kdiag = np.real(twisted_heat_kernel_nd(lam, 2.0 * t, -16.0 * r2, n=n))
-    norm = BERGMAN_NORM_C * comb(k + n - 1, k) * np.exp(2.0 * (2 * k + n) * abs(lam) * t)
-    rhs = float(kdiag * norm)
-    return bool(lhs <= rhs), float(rhs - lhs)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +186,7 @@ def thm35_forward(sd: SpectralData, alpha: float, beta: float,
         r2 = r * r
         logs = []
         for t in tg:
-            # log of e^{2 t lambda^2} p_{2t}^lambda(4y, 4v): twisted_heat_kernel_nd
+            # log of e^{2 t lambda^2} p_{2t}^lambda(4y, 4v): twisted_heat_kernel
             # at generalized squared radius 16 r^2, whose Gaussian factor
             # underflows in linear scale at large r; log sinh x = x +
             # log1p(-e^{-2x}) - log 2 stays finite where sinh overflows

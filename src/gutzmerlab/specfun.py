@@ -4,7 +4,7 @@ All evaluators work on the weighted / normalized functions directly (never on
 bare orthogonal polynomials followed by normalization), so they stay finite
 far past the degrees where naive evaluation overflows:
 
-* ``hermite_phi`` uses the three-term recurrence on the L2-normalized
+* ``hermite_fn_1d`` uses the three-term recurrence on the L2-normalized
   Hermite functions h_m(x) = H_m(x) e^{-x^2/2} / sqrt(2^m m! sqrt(pi)).
 * ``laguerre`` runs the upward Laguerre recurrence (complex arguments OK).
 * ``bessel_j_norm`` evaluates j_nu(s) = s^{-nu} J_nu(s) through its entire
@@ -105,30 +105,6 @@ def hermite_poly_normalized_all(max_deg: int, x):
     for k in range(1, max_deg):
         out[k + 1] = np.sqrt(2.0 / (k + 1.0)) * x * out[k] - np.sqrt(k / (k + 1.0)) * out[k - 1]
     return out
-
-
-def hermite_phi(alpha, x) -> float:
-    """Phi_alpha(x) = prod_j h_{alpha_j}(x_j) for alpha in N^n, x in R^n."""
-    alpha = alpha if isinstance(alpha, MultiIndex) else MultiIndex(alpha)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape[-1] != alpha.n:
-        raise SpecfunError(f"dimension mismatch: alpha has n={alpha.n}, x has {x.shape[-1]}")
-    if not np.all(np.isfinite(x)):
-        raise SpecfunError("non-finite evaluation point")
-    out = 1.0
-    for j, aj in enumerate(alpha.entries):
-        out = out * hermite_fn_1d(aj, x[..., j])
-    return out
-
-
-def hermite_phi_scaled(alpha, lam: float, x) -> float:
-    """Phi_alpha^lambda(x) = |lambda|^{n/4} Phi_alpha(|lambda|^{1/2} x)."""
-    if lam == 0:
-        raise SpecfunError("zero central parameter")
-    alpha = alpha if isinstance(alpha, MultiIndex) else MultiIndex(alpha)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    al = abs(lam)
-    return al ** (alpha.n / 4.0) * hermite_phi(alpha, np.sqrt(al) * x)
 
 
 def laguerre(k: int, order: int, s):

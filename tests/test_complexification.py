@@ -7,7 +7,6 @@ from conftest import small_spec
 from gutzmerlab.complexification import (
     GrowthFit,
     OrbitalError,
-    OrbitalSample,
     RayPlan,
     apply_D,
     detect_bandlimit,
@@ -16,7 +15,7 @@ from gutzmerlab.complexification import (
     orbital_direct,
     pw_forward_check,
 )
-from gutzmerlab.heatlab import gauss_heat, heat_apply, heat_image_norm
+from gutzmerlab.heatlab import heat_apply, heat_image_norm
 from gutzmerlab.heisenberg_core import ComplexPoint
 from gutzmerlab.grids import QuadratureSpec, gauss_legendre_on
 from gutzmerlab.hermite_modes import mode_monomial_base, norm_ratio
@@ -376,14 +375,3 @@ class TestDetector:
 
         rep = detect_bandlimit(evaluator)
         assert abs(rep.A_hat - sd.band.A) <= 0.05 * sd.band.A
-
-
-class TestOrbitalSampleType:
-    def test_validation(self):
-        p = imag_pt(0.1, 0.2, 0.3)
-        s = OrbitalSample(p, 1.0, "direct")
-        assert s.method == "direct"
-        with pytest.raises(OrbitalError):
-            OrbitalSample(p, -1.0, "direct")
-        with pytest.raises(OrbitalError):
-            OrbitalSample(p, 1.0, "weird")

@@ -94,23 +94,16 @@ class TestContainers:
         d, spec, f, sd = fixture_files
         assert (d / "fx.spd").read_bytes() == spd1_bytes(sd, flags=2)
 
-    def test_spd_with_projection_blocks_reads(self, fixture_files, tmp_path):
-        # flags 3: projection blocks ahead of the modal blocks, which older
-        # writers produced; the reader skips them
+    def test_spd_with_projection_blocks_rejected(self, fixture_files, tmp_path, capsys):
+        # flags 3: legacy projection blocks ahead of the modal blocks
         d, spec, f, sd = fixture_files
         path = tmp_path / "both.spd"
         path.write_bytes(spd1_bytes(sd, flags=3))
-        sd2 = containers.read_spd(str(path))
-        assert np.array_equal(sd2.norms2, sd.norms2)
-        for ms2, ms in zip(sd2.modal, sd.modal):
-            assert np.array_equal(ms2.coef, ms.coef)
-
-    def test_spd_truncated_in_projection_blocks_rejected(self, fixture_files, tmp_path):
-        d, spec, f, sd = fixture_files
-        path = tmp_path / "cut.spd"
-        path.write_bytes(spd1_bytes(sd, flags=3)[:200000])
-        with pytest.raises(containers.ContainerError, match="ends before"):
+        with pytest.raises(containers.ContainerError, match="bit 0"):
             containers.read_spd(str(path))
+        assert main(["detect", "-i", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "bit 0" in err and "Traceback" not in err
 
     def test_spd_without_modal_blocks_rejected(self, fixture_files, tmp_path):
         d, spec, f, sd = fixture_files
@@ -279,6 +272,18 @@ class TestCLI:
 
     def test_detect_missing_input(self):
         assert self.run_cli("detect", "-i", "/nonexistent/f.spd") == 2
+
+    def test_heat_image_nan_row_fails(self, monkeypatch, capsys):
+        # nan at the last t only, as an overflow gives it: the spread must
+        # not skip it
+        from gutzmerlab import cli
+
+        real = cli.heat_image_norm
+        monkeypatch.setattr(cli, "heat_image_norm",
+                            lambda sd, t: float("nan") if t == 0.4 else real(sd, t))
+        assert self.run_cli("verify", "heat-image", "--grid", "24", "--kmax", "4") == 1
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert rows and all(r.endswith(",FAIL") for r in rows)
 
     def test_detect_without_modal_blocks_exits_2(self, fixture_files, tmp_path, capsys):
         d, spec, f, sd = fixture_files

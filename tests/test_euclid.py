@@ -8,11 +8,11 @@ from gutzmerlab.euclid import (
     flat_dft_modes,
     flat_fourier,
     flat_gutzmer,
-    flat_phi_lambda,
     flat_pw_check,
     flat_synth_bandlimited,
 )
 from gutzmerlab.grids import fft_grid
+from gutzmerlab.specfun import jhat_imag
 
 
 @pytest.fixture(scope="module")
@@ -83,29 +83,29 @@ class TestFlatFourier:
 
 
 class TestFlatPhi:
+    """The flat spherical kernel phi_lambda(iy) = jhat_{n/2-1}(lam |y|), which
+    flat_gutzmer sums against (origin-normalized, real and positive)."""
+
     def test_removable_singularity(self):
-        assert flat_phi_lambda(0.0, [0.3, 0.4]) == pytest.approx(1.0)  # n=2: j_0(0)
+        assert jhat_imag(0.0, 0.0) == pytest.approx(1.0)   # n = 2
+        assert jhat_imag(0.5, 0.0) == pytest.approx(1.0)   # n = 3
 
     def test_n2_is_modified_bessel_growth(self):
         from scipy.special import iv
 
         for lam, r in [(1.0, 2.0), (0.5, 3.0)]:
-            got = flat_phi_lambda(lam, [r, 0.0])
+            got = jhat_imag(0.0, lam * r)
             assert got == pytest.approx(iv(0, lam * r), rel=1e-10)
 
     def test_monotone_in_argument(self):
-        vals = [flat_phi_lambda(lam, [1.0, 0.0]) for lam in (0.0, 0.5, 1.0, 2.0)]
+        vals = jhat_imag(0.0, np.array([0.0, 0.5, 1.0, 2.0]))
         assert np.all(np.diff(vals) > 0)
 
     def test_n3_half_integer_order(self):
-        # phi ~ sinh(s)/s up to the series normalization j_{1/2}(0) = ...
+        # j_{1/2}(is) normalized at 0 is sinh(s)/s
         y = np.array([0.4, 0.4, 0.2])
         s = 1.3 * np.linalg.norm(y)
-        got = flat_phi_lambda(1.3, y)
-        from math import gamma
-
-        want = np.sinh(s) / s / (2 ** 0.5 * gamma(1.5))
-        assert got == pytest.approx(want, rel=1e-10)
+        assert jhat_imag(0.5, s) == pytest.approx(np.sinh(s) / s, rel=1e-10)
 
 
 class TestFlatGutzmer:

@@ -1,135 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from gutzmerlab.heisenberg_core import (
-    ComplexPoint,
-    GroupError,
-    HeisPoint,
-    MotionElement,
-    hgroup_inverse,
-    hgroup_mul,
-    matrix_element,
-    motion_action,
-    motion_mul,
-    schrodinger_apply,
-)
+from gutzmerlab.heisenberg_core import matrix_element
 from gutzmerlab.hermite_modes import e1d
-
-coords = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
-
-
-def _pt(x, u, t):
-    return HeisPoint([x], [u], t)
-
-
-class TestGroupLaw:
-    def test_identity(self):
-        p = _pt(0.3, -1.1, 0.7)
-        e = _pt(0.0, 0.0, 0.0)
-        q = hgroup_mul(p, e)
-        assert np.allclose([q.x[0], q.u[0], q.t], [0.3, -1.1, 0.7])
-
-    def test_inverse(self):
-        p = _pt(1.2, 0.4, -0.6)
-        q = hgroup_mul(p, hgroup_inverse(p))
-        assert np.allclose([q.x[0], q.u[0], q.t], 0.0, atol=1e-15)
-
-    def test_direct_substitution(self):
-        q = hgroup_mul(_pt(1, 0, 0), _pt(0, 1, 0))
-        assert np.allclose([q.x[0], q.u[0], q.t], [1.0, 1.0, -0.5])
-
-    @settings(max_examples=40, deadline=None)
-    @given(*[coords] * 9)
-    def test_associativity(self, a, b, c, d, e, f, g, h, i):
-        p, q, r = _pt(a, b, c), _pt(d, e, f), _pt(g, h, i)
-        lhs = hgroup_mul(hgroup_mul(p, q), r)
-        rhs = hgroup_mul(p, hgroup_mul(q, r))
-        assert np.allclose([lhs.x[0], lhs.u[0], lhs.t], [rhs.x[0], rhs.u[0], rhs.t],
-                           atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(GroupError):
-            hgroup_mul(_pt(0, 0, 0), HeisPoint([0, 0], [0, 0], 0.0))
-
-
-class TestMotionAction:
-    def test_identity_element(self):
-        g = MotionElement(0.0, _pt(0, 0, 0))
-        p = ComplexPoint([0.1], [0.2], [0.3], [0.4], 0.5, 0.6)
-        q = motion_action(g, p)
-        assert np.allclose([q.zr[0], q.zi[0], q.wr[0], q.wi[0], q.zeta_r, q.zeta_i],
-                           [0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
-
-    def test_reduces_to_group_law_on_real_points(self):
-        g = MotionElement(0.0, _pt(0.7, -0.2, 0.9))
-        preal = _pt(0.4, 1.1, -0.3)
-        q = motion_action(g, ComplexPoint.from_real(preal))
-        ref = hgroup_mul(g.translation, preal)
-        assert np.allclose([q.zr[0], q.wr[0], q.zeta_r], [ref.x[0], ref.u[0], ref.t],
-                           atol=1e-14)
-        assert abs(q.zeta_i) < 1e-15
-
-    def test_left_action_composition(self):
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            g1 = MotionElement(rng.uniform(0, 2 * np.pi), _pt(*rng.uniform(-1, 1, 3)))
-            g2 = MotionElement(rng.uniform(0, 2 * np.pi), _pt(*rng.uniform(-1, 1, 3)))
-            p = ComplexPoint(*rng.uniform(-1, 1, 4).reshape(4, 1), *rng.uniform(-1, 1, 2))
-            q1 = motion_action(g1, motion_action(g2, p))
-            q2 = motion_action(motion_mul(g1, g2), p)
-            assert np.allclose(
-                [q1.zr[0], q1.zi[0], q1.wr[0], q1.wi[0], q1.zeta_r, q1.zeta_i],
-                [q2.zr[0], q2.zi[0], q2.wr[0], q2.wi[0], q2.zeta_r, q2.zeta_i],
-                atol=1e-10,
-            )
-
-    def test_rotation_preserves_imaginary_norm(self):
-        g = MotionElement(1.1, _pt(0, 0, 0))
-        p = ComplexPoint.purely_imaginary([0.8], [0.6], 0.5)
-        q = motion_action(g, p)
-        assert q.zi[0] ** 2 + q.wi[0] ** 2 == pytest.approx(0.8 ** 2 + 0.6 ** 2)
-        assert q.is_purely_imaginary
-
-    def test_nonunitary_rejected(self):
-        with pytest.raises(GroupError, match="unitary"):
-            MotionElement(np.array([[1.2]]), _pt(0, 0, 0))
-
-
-class TestSchrodinger:
-    grid = np.linspace(-12, 12, 481)
-
-    def gaussian(self, c=0.0, s=1.0):
-        return np.exp(-((self.grid - c) ** 2) / (2 * s * s)) / (np.pi * s * s) ** 0.25
-
-    def test_central_action(self):
-        phi = self.gaussian()
-        out = schrodinger_apply(1.0, _pt(0, 0, 0.7), phi, self.grid)
-        assert np.allclose(out, np.exp(0.7j) * phi, atol=1e-12)
-
-    def test_pure_translation(self):
-        phi = self.gaussian()
-        u = 0.8
-        out = schrodinger_apply(1.0, _pt(0, u, 0), phi, self.grid)
-        ref = self.gaussian(c=-u)  # phi(xi + u) shifts the bump to -u
-        keep = np.abs(self.grid) < 8
-        assert np.max(np.abs(out[keep] - ref[keep])) < 5e-5  # cubic interp error
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_unitarity_on_random_gaussians(self, seed):
-        rng = np.random.default_rng(seed)
-        phi = self.gaussian(c=rng.uniform(-1, 1), s=rng.uniform(0.7, 1.6))
-        p = _pt(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1))
-        out = schrodinger_apply(1.0, p, phi, self.grid)
-        h = self.grid[1] - self.grid[0]
-        n0 = np.sum(np.abs(phi) ** 2) * h
-        n1 = np.sum(np.abs(out) ** 2) * h
-        assert n1 == pytest.approx(n0, rel=1e-6)
-
-    def test_out_of_grid_shift(self):
-        with pytest.raises(GroupError, match="out-of-grid"):
-            schrodinger_apply(1.0, _pt(0, 30.0, 0), self.gaussian(), self.grid)
 
 
 class TestMatrixElements:

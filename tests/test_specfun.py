@@ -11,8 +11,6 @@ from gutzmerlab.specfun import (
     bessel_j_norm,
     binom_weight,
     hermite_fn_1d,
-    hermite_phi,
-    hermite_phi_scaled,
     hilb_compare,
     laguerre,
     laguerre_all,
@@ -25,11 +23,11 @@ from gutzmerlab.specfun import (
 
 class TestHermite:
     def test_ground_state_normalization(self):
-        assert hermite_phi((0,), [0.0]) == pytest.approx(np.pi ** -0.25, abs=1e-15)
+        assert hermite_fn_1d(0, 0.0) == pytest.approx(np.pi ** -0.25, abs=1e-15)
 
     def test_degree_one_recurrence_oracle(self):
         # h1(x) = sqrt(2) x h0(x); frozen at x = 1
-        assert hermite_phi((1,), [1.0]) == pytest.approx(0.6442883651134752, rel=1e-14)
+        assert hermite_fn_1d(1, 1.0) == pytest.approx(0.6442883651134752, rel=1e-14)
 
     def test_orthonormality_gauss_hermite(self):
         # quadrature of Phi_a Phi_b over >= 2*maxdeg nodes
@@ -42,34 +40,17 @@ class TestHermite:
                 assert ip == pytest.approx(1.0 if a == b else 0.0, abs=1e-8)
 
     def test_product_form(self):
+        # elementwise on an array: entry j is h_{m_j}(x_j) with the recurrence
+        # run to each degree, as Phi_alpha(x) = prod_j h_{alpha_j}(x_j) needs
         x = np.array([0.3, -1.2])
-        got = hermite_phi((2, 3), x)
-        want = hermite_fn_1d(2, np.array(0.3)) * hermite_fn_1d(3, np.array(-1.2))
+        got = hermite_fn_1d(2, x) * hermite_fn_1d(3, x[::-1])
+        want = np.array([hermite_fn_1d(2, 0.3) * hermite_fn_1d(3, -1.2),
+                         hermite_fn_1d(2, -1.2) * hermite_fn_1d(3, 0.3)])
         assert got == pytest.approx(want, rel=1e-14)
 
     def test_degree_cap(self):
         with pytest.raises(SpecfunError, match="degree cap"):
-            hermite_phi((121,), [0.0])
-
-    def test_scaled_identity_at_lambda_one(self):
-        x = np.array([0.7])
-        assert hermite_phi_scaled((0,), 1.0, x) == pytest.approx(hermite_phi((0,), x))
-
-    def test_scaled_at_origin(self):
-        assert hermite_phi_scaled((0,), 4.0, [0.0]) == pytest.approx(
-            1.062251932027197, rel=1e-14
-        )
-
-    @pytest.mark.parametrize("lam", [0.3, 1.0, 4.7])
-    def test_scaled_norm_preserved(self, lam):
-        x = np.linspace(-30, 30, 6001)
-        h = x[1] - x[0]
-        vals = np.array([hermite_phi_scaled((3,), lam, [xx]) for xx in x])
-        assert np.sum(vals ** 2) * h == pytest.approx(1.0, abs=1e-8)
-
-    def test_zero_lambda_rejected(self):
-        with pytest.raises(SpecfunError, match="zero central parameter"):
-            hermite_phi_scaled((0,), 0.0, [0.0])
+            hermite_fn_1d(121, 0.0)
 
     def test_multiindex_validation(self):
         with pytest.raises(SpecfunError):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import grid_stacks, rectangle, small_spec
-from gutzmerlab import hermite_modes, spectral
-from gutzmerlab.grids import QuadratureSpec, fft_grid
+from gutzmerlab import grids, hermite_modes, spectral
+from gutzmerlab.grids import QuadratureSpec, fft_grid, laguerre_tail_mass
 from gutzmerlab.heisenberg_core import ComplexPoint
 from gutzmerlab.hermite_modes import ModalSliceND, basis_matrix, e1d, multiindices, multiindices_upto
 from gutzmerlab.specfun import LaguerreArg, laguerre_phi
@@ -206,6 +206,18 @@ def mode_mask_by_hand(spec, kmax, lv):
     for k in range(min(kmax, spec.max_radial_level(lv)) + 1):
         mask[k, : spec.acap_for_k(k, lv, spec.beta_cap) + 1] = True
     return mask
+
+
+def test_tail_mass_does_not_depend_on_call_order():
+    # both S round to the cache key (3, 2, 30.0); the value must be the same
+    # whichever of them fills the key
+    values = []
+    for first, second in ((30.0000004, 29.9999996), (29.9999996, 30.0000004)):
+        grids._tail_cache.clear()
+        laguerre_tail_mass(3, 2, first)
+        values.append(laguerre_tail_mass(3, 2, second))
+    grids._tail_cache.clear()
+    assert values[0] == values[1] == laguerre_tail_mass(3, 2, 30.0)
 
 
 class TestModeMask:

@@ -19,7 +19,7 @@ from gutzmerlab.complexification import (
     pw_forward_check,
 )
 from gutzmerlab.grids import QuadratureSpec, fft_grid
-from gutzmerlab.heatlab import heat_apply, thm35_forward, twisted_heat_kernel_nd
+from gutzmerlab.heatlab import heat_apply, thm35_forward, twisted_heat_kernel
 from gutzmerlab.heisenberg_core import ComplexPoint
 from gutzmerlab.hermite_modes import ModalSlice, ModalSliceND, multiindices, multiindices_upto
 from gutzmerlab.specfun import LaguerreArg, bessel_j_norm, binom_weight, laguerre_phi
@@ -74,7 +74,7 @@ def loop_thm35_values(sd, alpha, beta, t_grid=(1.0, 2.0, 4.0),
             for j, lv in enumerate(sd.lam):
                 if lv <= 0 or lv > alpha + 1e-12:
                     continue
-                pk = np.real(twisted_heat_kernel_nd(lv, 2.0 * t, 16.0 * r2, n=sd.n))
+                pk = np.real(twisted_heat_kernel(lv, 2.0 * t, 16.0 * r2, n=sd.n))
                 s = 0.0
                 for k in range(sd.kmax + 1):
                     if (2 * k + sd.n) * lv > beta + 1e-12 or sd.norms2[k, j] == 0:
