@@ -145,13 +145,14 @@ def orbital_direct(sd: SpectralData, p: ComplexPoint,
     theta: by Parseval.  The substitution z' -> e^{i theta} z' leaves the
     phase -Im(zbar' w) alone and rotates the displacement w = y + iv, and the
     slice's U(1) parts G_q pick up e^{i q theta}, so the theta-mean of |F|^2
-    is sum_q |G_q|^2 at the one displacement w (hermite_modes.slice_powers).
-    (x',u'): the padded sample grid; t': one period of the fixture's
-    lambda-comb, summed in closed form by Parseval (the integrand is
-    trigonometric in t', so the period sum is the integral).  F is evaluated
-    through the entire extension of each slice at the imaginary displacement,
-    and the share of the sum in the grid's outer frame is checked against
-    spec.shell_tol.
+    is sum_q |G_q|^2 at the one displacement w (hermite_modes.slice_powers,
+    one call for all populated slices, in real arithmetic; an all-zero slice
+    adds nothing and is skipped).  (x',u'): the padded sample grid; t': one
+    period of the fixture's lambda-comb, summed in closed form by Parseval
+    (the integrand is trigonometric in t', so the period sum is the
+    integral).  F is evaluated through the entire extension of each slice at
+    the imaginary displacement, and the share of the sum in the grid's outer
+    frame is checked against spec.shell_tol.
     """
     if sd.n != 1:
         raise OrbitalError("direct orbital integrals are implemented for n=1 only")
@@ -175,14 +176,14 @@ def orbital_direct(sd: SpectralData, p: ComplexPoint,
 
     total = 0.0
     shell = 0.0
-    # each (lambda, -lambda) pair shares one evaluation
-    for group in abs_lam_groups(sd.lam):
-        for j, power in zip(group, slice_powers([sd.modal[j] for j in group], zc, zm)):
-            lv = sd.lam[j]
-            pref = sd.wmu[j] * 2.0 * np.pi / abs(lv) * np.exp(2.0 * lv * eta) * hx * hx
-            cell = power * np.exp(lv * phase)
-            total += pref * float(np.sum(cell))
-            shell += pref * float(np.sum(cell[frame]))
+    # the populated slices, each (lambda, -lambda) pair next to each other
+    live = [j for group in abs_lam_groups(sd.lam) for j in group if sd.modal[j].coef.any()]
+    for j, power in zip(live, slice_powers([sd.modal[j] for j in live], zc, zm)):
+        lv = sd.lam[j]
+        pref = sd.wmu[j] * 2.0 * np.pi / abs(lv) * np.exp(2.0 * lv * eta) * hx * hx
+        cell = power * np.exp(lv * phase)
+        total += pref * float(np.sum(cell))
+        shell += pref * float(np.sum(cell[frame]))
     if total > 0 and shell > spec.shell_tol * total:
         raise OrbitalError(
             f"orbital quadrature truncation {shell/total:.2e} above tolerance "

@@ -11,7 +11,8 @@ SPD1 (spectral data): magic b"SPD1".
     flags bit1: modal coefficient blocks follow as complex float64
     [nlam, kmax+1, acap+1] preceded by uint32 acap+1.  Writers set bit1
     only, and readers require it.  Bit0 once marked projection blocks ahead
-    of the modal blocks; no writer produces them, and readers reject it.
+    of the modal blocks; no writer produces them, and readers reject it, as
+    they reject every other bit.
 """
 
 from __future__ import annotations
@@ -122,6 +123,9 @@ def read_spd(path: str) -> SpectralData:
             raise ContainerError("SPD1 file carries no modal coefficient blocks")
         if flags & 1:
             raise ContainerError("SPD1 flags bit 0 (legacy projection blocks) is not supported")
+        if flags & ~FLAG_MODAL:
+            raise ContainerError(f"SPD1 flags {flags:#x} set bits this reader does not know "
+                                 f"({flags & ~FLAG_MODAL:#x})")
         _require(all(np.isfinite(v) and v > 0 for v in (lx, lu, dl)),
                  f"SPD1 extents must be finite and positive (lx={lx}, lu={lu}, dl={dl})")
         _require(np.isfinite(areq) and np.isfinite(breq),

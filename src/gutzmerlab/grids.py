@@ -19,6 +19,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from math import lgamma, log
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -52,6 +54,31 @@ def gauss_legendre_on(a: float, b: float, n: int):
 
 _tail_cache: dict = {}
 
+# highest projection level max_radial_level tests
+RADIAL_LEVEL_CAP = 400
+
+
+@lru_cache(maxsize=4)
+def _log_factorials(count: int) -> np.ndarray:
+    """log i! for i = 0..count-1 (read-only)."""
+    out = np.array([lgamma(i + 1.0) for i in range(count)])
+    out.flags.writeable = False
+    return out
+
+
+def _poisson_tail(dmax: int, S: float) -> np.ndarray:
+    """Q(d+1, S) = e^{-S} sum_{i <= d} S^i / i!  for d = 0..dmax.
+
+    The tail mass of the m = 0 Laguerre functions, s^d e^{-s} / d! outside
+    [0, S]: one running log-sum-exp (np.logaddexp.accumulate) of the log
+    terms i log S - log i! - S, so entry d does not depend on dmax.
+    """
+    if S <= 0.0:
+        return np.ones(dmax + 1)
+    log_fact = _log_factorials(max(dmax, RADIAL_LEVEL_CAP) + 1)[: dmax + 1]
+    log_terms = np.arange(dmax + 1) * log(S) - log_fact - S
+    return np.exp(np.logaddexp.accumulate(log_terms))
+
 
 def laguerre_tail_mass(m: int, d: int, S: float) -> float:
     """Mass of the orthonormal Laguerre function ell_m^d outside [0, S]:
@@ -60,36 +87,36 @@ def laguerre_tail_mass(m: int, d: int, S: float) -> float:
 
     This is the radial mass of a special Hermite mode with indices
     (min, min+d) beyond generalized radius s = |lam| r^2 / 2 = S; the
-    mode-fit rule compares it against fit_tol.  Cached under S rounded to 6
-    decimals, and integrated at that rounded S, so no call order matters.
+    mode-fit rule compares it against fit_tol.  At m = 0 it is the Poisson
+    tail Q(d+1, S) of _poisson_tail, in closed form; at m >= 1 a quadrature
+    (_tail_quadrature).  Cached under S rounded to 6 decimals, and evaluated
+    at that rounded S, so no call order matters.
     """
     S = round(float(S), 6)
     key = (m, d, S)
-    if key in _tail_cache:
-        return _tail_cache[key]
+    if key not in _tail_cache:
+        _tail_cache[key] = float(_poisson_tail(d, S)[d]) if m == 0 else _tail_quadrature(m, d, S)
+    return _tail_cache[key]
+
+
+def _tail_quadrature(m: int, d: int, S: float) -> float:
+    """laguerre_tail_mass by a 400-node Gauss-Legendre rule on [S, S + 60 + ...],
+    m >= 1."""
     tp = 4.0 * m + 2.0 * d + 2.0
     hi = max(tp, S) + 60.0 + 10.0 * np.sqrt(tp)
     s, w = gauss_legendre_on(S, hi, 400)
     # orthonormal recurrence on ell_m(s) = sqrt(m!/(m+d)!) L_m^d(s) s^{d/2} e^{-s/2}
-    from math import lgamma
-
     log0 = 0.5 * (d * np.log(np.maximum(s, 1e-300)) - lgamma(d + 1)) - 0.5 * s
     l0 = np.exp(np.maximum(log0, -700.0))
     l0[log0 < -700.0] = 0.0
-    if m == 0:
-        vals = l0
-    else:
-        l1 = (d + 1.0 - s) * l0 / np.sqrt(d + 1.0)
-        lm1, lm = l0, l1
-        for j in range(1, m):
-            lp = ((2.0 * j + d + 1.0 - s) * lm - np.sqrt(j * (j + d)) * lm1) / np.sqrt(
-                (j + 1.0) * (j + 1.0 + d)
-            )
-            lm1, lm = lm, lp
-        vals = lm
-    out = float(np.sum(vals * vals * w))
-    _tail_cache[key] = out
-    return out
+    l1 = (d + 1.0 - s) * l0 / np.sqrt(d + 1.0)
+    lm1, lm = l0, l1
+    for j in range(1, m):
+        lp = ((2.0 * j + d + 1.0 - s) * lm - np.sqrt(j * (j + d)) * lm1) / np.sqrt(
+            (j + 1.0) * (j + 1.0 + d)
+        )
+        lm1, lm = lm, lp
+    return float(np.sum(lm * lm * w))
 
 
 @dataclass
@@ -162,11 +189,17 @@ class QuadratureSpec:
                 and laguerre_tail_mass(m, d, s_mom) <= self.fit_tol)
 
     def max_radial_level(self, lam: float) -> int:
-        """Largest k admitting any mode (a = 0 column): the populable level."""
-        m = -1
-        while m < 400 and self.pair_fits(0, m + 1, lam):
-            m += 1
-        return m
+        """Largest k admitting any mode (a = 0 column): the populable level.
+
+        The column's modes (0, k) fit when pair_fits says so, that is when
+        the Poisson tails Q(k+1, S) at both fit radii stay below fit_tol.
+        Reads k = 0..RADIAL_LEVEL_CAP in one vector operation per radius and
+        returns the last k before the first misfit (-1 if k = 0 misfits).
+        """
+        fits = np.ones(RADIAL_LEVEL_CAP + 1, dtype=bool)
+        for S in self._fit_radii(lam):
+            fits &= _poisson_tail(RADIAL_LEVEL_CAP, round(float(S), 6)) <= self.fit_tol
+        return RADIAL_LEVEL_CAP if fits.all() else int(np.argmin(fits)) - 1
 
     def acap_for_k(self, k: int, lam: float, cap: int) -> int:
         """Largest admissible free index a <= cap for projection level k."""

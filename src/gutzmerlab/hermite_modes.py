@@ -27,10 +27,15 @@ Laguerre recurrence per offset, carried by specfun.laguerre_sums as running
 weighted sums, evaluates them all without storing an (m, grid) table.  s,
 the Gaussian and the two monomial bases depend on |lam| only, so the slices
 at lam and -lam share each recurrence; the sign of lam only decides which
-monomial a mode multiplies and contributes (-1)^d to its weight.  The
-private generator _offset_sums runs these recurrences and yields each slice's
-parts of U(1) weight q = +-d: slice_fields adds them up, slice_powers adds
-their squared moduli, the mean of |field|^2 over the U(1) rotations.
+monomial a mode multiplies and contributes (-1)^d to its weight.  Every
+weight of a call comes from one scatter (_offset_plan) of the nonzero
+coefficients into rows indexed by (|lam| group, d, slice x diagonal), each
+sum starting at its m = 0 weight.  The private generator _offset_sums runs
+one recurrence per (group, offset) and yields each slice's parts G_q of U(1)
+weight q = +-d without their monomial: slice_fields multiplies them by P^d
+or Q^d and adds them up; slice_powers, the mean of |field|^2 over the U(1)
+rotations, adds |G_q|^2 |P|^2d (or |Q|^2d) in real arithmetic, for slices of
+any |lam| in one call.
 
 basis_matrix tabulates the admitted modes of one plane separately, one row
 each in row-major (k, a) order: per index offset one laguerre_all table up
@@ -209,87 +214,115 @@ def _norm_ratio_table(shape: tuple) -> np.ndarray:
     return nr
 
 
-def _offset_plan(group, k_select=None) -> dict:
-    """Running-sum weights of the slices in group, per index offset d.
+def _offset_plan(slices, k_select=None) -> list:
+    """Running-sum weights of every slice of a call, from one scatter.
 
-    Maps d to a list of (i, on_p, w): slice i, whether the sum multiplies the
-    monomial P^d (else Q^d), and the weights w[m] = (+-1)^d norm_ratio(m, d)
-    coef[...] of L_m^d, cut after the last nonzero coefficient.  Per slice the
-    offsets come in increasing order, the P sum of an offset before its Q sum.
+    Returns the blocks (g, d, idx, on_p, W) in the order _offset_sums runs
+    them: |lambda| groups g in the order of abs_lam_groups, offsets d
+    increasing within a group.  A block holds the running sums of offset d:
+    row r belongs to slice idx[r] and multiplies the monomial P^d if on_p[r]
+    (else Q^d); the rows run in slice order, diagonal -d (k = m + d) before
+    diagonal +d (a = m + d).  W[r, m] = (+-1)^d norm_ratio(m, d) coef[...]
+    weighs L_m^d, zero past the row's last nonzero coefficient up to the
+    block's.
+
+    The coefficients (cut to level k_select, if given) are stacked into one
+    zero-padded [slice, k, a] array, and every nonzero one is scattered to
+    the weight row (g, d, slot) with slot = 2 * (position of the slice in g)
+    + (a > k), column m = min(k, a).  All-zero slices give no rows.
     """
-    terms = {}
-    for i, ms in enumerate(group):
-        coef = ms.coef
-        if k_select is not None:
-            coef = np.zeros_like(coef)
-            coef[k_select] = ms.coef[k_select]
-        ks, as_ = np.nonzero(coef)
-        if not ks.size:
-            continue
-        nr = _norm_ratio_table(coef.shape)
-        sign = 1.0 if ms.lam > 0 else -1.0
-        for d in np.unique(np.abs(ks - as_)).tolist():
-            # diagonal -d: (k, a) = (m + d, m); diagonal +d: (m, m + d)
-            diags = ((-d, ms.lam > 0), (d, ms.lam < 0)) if d else ((0, ms.lam > 0),)
-            for off, on_p in diags:
-                w = np.diagonal(coef, off)
-                nz = np.flatnonzero(w)
-                if nz.size:
-                    top = nz[-1] + 1
-                    terms.setdefault(d, []).append(
-                        (i, on_p, sign ** d * np.diagonal(nr, off)[:top] * w[:top]))
-    return terms
+    if not slices:
+        return []
+    groups = abs_lam_groups([ms.lam for ms in slices])
+    shape = tuple(max(ms.coef.shape[ax] for ms in slices) for ax in (0, 1))
+    C = np.zeros((len(slices),) + shape, dtype=complex)
+    for i, ms in enumerate(slices):
+        kk, aa = ms.coef.shape
+        lev = slice(0, kk) if k_select is None else slice(k_select, min(k_select + 1, kk))
+        C[i, lev, :aa] = ms.coef[lev]
+    sl, ks, as_ = np.nonzero(C)
+    if not sl.size:
+        return []
+    nslot = 2 * max(len(g) for g in groups)
+    member = np.empty((len(groups), nslot // 2), dtype=int)
+    where = np.empty((len(slices), 2), dtype=int)   # (g, position in g) per slice
+    for g, idx in enumerate(groups):
+        member[g, : len(idx)] = idx
+        where[idx, 0], where[idx, 1] = g, np.arange(len(idx))
+    lam_pos = np.array([ms.lam > 0 for ms in slices])
+    d = np.abs(ks - as_)
+    m = np.minimum(ks, as_)
+    nd = int(d.max()) + 1
+    nr = _norm_ratio_table(shape)[ks, as_]
+    w = np.where(~lam_pos[sl] & (d % 2 == 1), -nr, nr) * C[sl, ks, as_]
+    key = (where[sl, 0] * nd + d) * nslot + 2 * where[sl, 1] + (as_ > ks)
+    W = np.zeros((len(groups) * nd * nslot, min(shape)), dtype=complex)
+    W[key, m] = w
+    top = np.zeros(W.shape[0], dtype=int)
+    np.maximum.at(top, key, m)
+    used = np.zeros(W.shape[0], dtype=bool)
+    used[key] = True
+    rows = np.flatnonzero(used)
+    gd, slot = np.divmod(rows, nslot)
+    starts = np.flatnonzero(np.diff(gd, prepend=-1))
+    tops = np.maximum.reduceat(top[rows], starts)
+    idx = member[gd // nd, slot // 2]
+    on_p = (slot % 2 == 0) == lam_pos[idx]
+    W, idx, on_p = W[rows], idx.tolist(), on_p.tolist()
+    bounds = [*starts.tolist(), rows.size]
+    return [(b // nd, b % nd, idx[lo:hi], on_p[lo:hi], W[lo:hi, : t + 1])
+            for b, lo, hi, t in zip(gd[starts].tolist(), bounds, bounds[1:], tops.tolist())]
 
 
-def _offset_sums(group, zc, zm, k_select=None):
-    """Yield (i, q, G) for every running sum of the slices in group.
+def _offset_sums(slices, zc, zm, k_select=None):
+    """Yield (i, q, G) for every running sum of the slices, any |lambda|.
 
     G is the part of slice i (or of its k-th projection) with U(1) weight q,
-    without the Gaussian and the sqrt(|lambda|/2pi) normalization: the modes
-    of offset d on the monomial P^d give q = +d, those on Q^d give q = -d.
+    without its monomial, the Gaussian and the sqrt(|lambda|/2pi)
+    normalization: the modes of offset d on the monomial P^d give q = +d,
+    those on Q^d give q = -d, and G P^d (or G Q^d) is the part itself.
     s = |lambda| zc zm / 2, the Gaussian and the monomials P = i
     sqrt(|lambda|/2) zc, Q = i sqrt(|lambda|/2) zm are the same for lambda and
     -lambda: at lambda > 0 column-dominant modes (a = m, k = m + d) carry P^d
     and row-dominant ones (a = m + d, k = m) Q^d, at lambda < 0 the roles
     swap and (-1)^d folds into the weights.  So each offset d needs one
-    Laguerre recurrence for the whole group, run by specfun.laguerre_sums
-    with one running sum per (slice, monomial) of _offset_plan.  The d = 0
-    modes form one running sum, so each (i, q) is yielded once.
+    Laguerre recurrence per |lambda| group, run by specfun.laguerre_sums
+    over one block of _offset_plan.  Per slice the parts come in the plan's
+    order, d increasing; the d = 0 modes form one running sum, so each (i, q)
+    is yielded once.
     """
-    al = abs(group[0].lam)
-    if any(abs(ms.lam) != al for ms in group):
-        raise ValueError("the slices of one group must share |lambda|")
-    terms = _offset_plan(group, k_select)
-    if not terms:
-        return
-    s = 0.5 * al * (zc * zm)
-    var_q, var_p = mode_monomial_base(al, zc, zm)
-    mono_p = mono_q = 1.0  # P^d, Q^d
-    power = 0
-    for d in sorted(terms):
-        for _ in range(d - power):
-            mono_p = mono_p * var_p
-            mono_q = mono_q * var_q
-        power = d
-        W = np.zeros((len(terms[d]), max(w.size for _, _, w in terms[d])), dtype=complex)
-        for row, (_, _, w) in zip(W, terms[d]):
-            row[: w.size] = w
-        for acc, (i, on_p, _) in zip(laguerre_sums(W.shape[1] - 1, d, s, W), terms[d]):
-            acc *= mono_p if on_p else mono_q
-            yield i, (d if on_p else -d), acc
+    g_now, s = None, None
+    for g, d, idx, on_p, W in _offset_plan(slices, k_select):
+        if g != g_now:
+            g_now = g
+            s = 0.5 * abs(slices[idx[0]].lam) * (zc * zm)
+        for i, p, acc in zip(idx, on_p, laguerre_sums(W.shape[1] - 1, d, s, W)):
+            yield i, (d if p else -d), acc
 
 
 def slice_fields(group, zc, zm, k_select=None) -> list:
     """Evaluate ModalSlices that share |lambda| (or their k-th projections).
 
-    Sums the U(1) parts of _offset_sums, one Laguerre recurrence per index
-    offset for the whole group, and applies the Gaussian and the
-    normalization.  Returns one field per slice of the group, in its order.
+    Multiplies each part of _offset_sums by its monomial P^d or Q^d, the
+    powers taken by one multiplication per offset, and sums the parts; one
+    Laguerre recurrence per index offset serves the whole group.  Applies
+    the Gaussian and the normalization and returns one field per slice of
+    the group, in its order.
     """
-    out = [np.zeros(np.broadcast(zc, zm).shape, dtype=complex) for _ in group]
-    for i, _, acc in _offset_sums(group, zc, zm, k_select):
-        out[i] += acc
     al = abs(group[0].lam)
+    if any(abs(ms.lam) != al for ms in group):
+        raise ValueError("the slices of one group must share |lambda|")
+    out = [np.zeros(np.broadcast(zc, zm).shape, dtype=complex) for _ in group]
+    var_q, var_p = mode_monomial_base(al, zc, zm)
+    mono_p = mono_q = 1.0  # P^d, Q^d
+    power = 0
+    for i, q, acc in _offset_sums(group, zc, zm, k_select):
+        for _ in range(abs(q) - power):
+            mono_p = mono_p * var_p
+            mono_q = mono_q * var_q
+            power += 1
+        acc *= mono_p if q >= 0 else mono_q
+        out[i] += acc
     gauss = np.exp(-0.25 * al * (zc * zm))
     for fld in out:
         fld *= np.sqrt(al / (2.0 * np.pi))
@@ -297,23 +330,42 @@ def slice_fields(group, zc, zm, k_select=None) -> list:
     return out
 
 
-def slice_powers(group, zc, zm) -> list:
-    """Mean of |field|^2 over the U(1) orbit of each slice in group.
+def slice_powers(slices, zc, zm) -> list:
+    """Mean of |field|^2 over the U(1) orbit of each slice, any |lambda|.
 
     The modes are U(1)-equivariant, E_ab(e^{i theta} zc, e^{-i theta} zm) =
     e^{i q theta} E_ab(zc, zm), so the theta-mean of |field|^2 at the rotated
-    points is sum_q |G_q|^2 |gauss|^2 |lambda|/2pi over the U(1) parts G_q of
-    _offset_sums (Parseval in theta).  Returns one real array per slice of
-    the group, in its order.
+    points is sum_q |G_q P^d|^2 |gauss|^2 |lambda|/2pi over the parts G_q of
+    _offset_sums (Parseval in theta).  |P|^2 = (|lambda|/2) |zc|^2 and |Q|^2
+    = (|lambda|/2) |zm|^2, so each part adds |G_q|^2 ((|lambda|/2)|zc|^2)^d
+    (or |zm|^2) in real arithmetic, and no complex monomial is formed.
+    Returns one real array per slice, in the order given.
     """
-    out = [np.zeros(np.broadcast(zc, zm).shape) for _ in group]
-    for i, _, acc in _offset_sums(group, zc, zm):
-        out[i] += acc.real ** 2 + acc.imag ** 2
-    al = abs(group[0].lam)
-    gauss2 = np.exp(-0.5 * al * np.real(zc * zm))
-    for pw in out:
+    out = [np.zeros(np.broadcast(zc, zm).shape) for _ in slices]
+    abs2_c = zc.real ** 2 + zc.imag ** 2
+    abs2_m = zm.real ** 2 + zm.imag ** 2
+    al_now = None
+    for i, q, acc in _offset_sums(slices, zc, zm):
+        al = abs(slices[i].lam)
+        if al != al_now:
+            al_now, power = al, 0
+            base_p, base_q = 0.5 * al * abs2_c, 0.5 * al * abs2_m
+            pow_p = pow_q = 1.0  # |P|^2d, |Q|^2d
+        for _ in range(abs(q) - power):
+            pow_p = pow_p * base_p
+            pow_q = pow_q * base_q
+            power += 1
+        part = acc.real ** 2
+        part += acc.imag ** 2
+        part *= pow_p if q >= 0 else pow_q
+        out[i] += part
+    gauss2 = {}
+    for pw, ms in zip(out, slices):
+        al = abs(ms.lam)
+        if al not in gauss2:
+            gauss2[al] = np.exp(-0.5 * al * np.real(zc * zm))
         pw *= al / (2.0 * np.pi)
-        pw *= gauss2
+        pw *= gauss2[al]
     return out
 
 

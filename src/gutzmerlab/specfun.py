@@ -132,10 +132,12 @@ def laguerre_sums(mtop: int, order: int, s, W):
     """sum_m W[i, m] L_m^order(s), m = 0..mtop, for each weight vector W[i].
 
     Runs the laguerre_all recurrence keeping only two rows, one scratch row
-    and one running sum per vector, all updated in place.  The real scalings
-    act on the float view of the row: numpy's complex-by-real division is not
-    correctly rounded (1 ulp off at most), the float view's is.  Zero weights
-    are skipped.  W is [nvec, >= mtop+1]; returns [nvec, *s.shape].
+    and one running sum per vector, all updated in place.  Every sum starts
+    at its m = 0 weight (L_0 = 1), added to all sums at once, and from m = 1
+    on takes W[i, m] L_m one vector at a time, zero weights skipped.  The
+    real scalings act on the float view of the row: numpy's complex-by-real
+    division is not correctly rounded (1 ulp off at most), the float view's
+    is.  W is [nvec, >= mtop+1]; returns [nvec, *s.shape].
     """
     if mtop > LAGUERRE_DEGREE_CAP:
         raise SpecfunError(f"degree cap exceeded: Laguerre k {mtop} > {LAGUERRE_DEGREE_CAP}")
@@ -156,10 +158,10 @@ def laguerre_sums(mtop: int, order: int, s, W):
                 np.multiply(row, w, out=term)
                 acc += term
 
-    prev = np.ones(s.shape, dtype=rdt)
-    accumulate(0, prev)
+    out += W[:, :1]
     if mtop == 0:
         return result
+    prev = np.ones(s.shape, dtype=rdt)
     cur = np.subtract(1.0 + order, s, dtype=rdt)
     accumulate(1, cur)
     for m in range(1, mtop):

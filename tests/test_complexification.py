@@ -18,9 +18,9 @@ from gutzmerlab.complexification import (
 from gutzmerlab.heatlab import heat_apply, heat_image_norm
 from gutzmerlab.heisenberg_core import ComplexPoint
 from gutzmerlab.grids import QuadratureSpec, gauss_legendre_on
-from gutzmerlab.hermite_modes import mode_monomial_base, norm_ratio
+from gutzmerlab.hermite_modes import ModalSlice, mode_monomial_base, norm_ratio
 from gutzmerlab.specfun import LaguerreArg, bessel_j_norm, laguerre_all, laguerre_phi
-from gutzmerlab.spectral import synth_bandlimited
+from gutzmerlab.spectral import LambdaGrid, synth_bandlimited
 
 
 def imag_pt(y, v, eta):
@@ -122,6 +122,20 @@ class TestGutzmerIdentity:
         p = imag_pt(*pt)
         assert orbital_direct(sd, p, spec) == pytest.approx(
             table_orbital_direct(sd, p, spec), rel=1e-12)
+
+    @pytest.mark.parametrize("pt", [(0.0, 0.0, 0.0), (0.3, -0.4, 0.5)])
+    def test_all_zero_slice_adds_nothing(self, fixture_small, pt):
+        # a node past the grid whose slice is all zero: same value, bit for bit
+        spec, f, sd = fixture_small
+        lam = np.append(sd.lam, sd.lam[-1] + sd.lgrid.dl)
+        wmu = np.append(sd.wmu, 1.0)
+        wider = type(sd)(n=1, lgrid=LambdaGrid(lam, sd.lgrid.dl, wmu), kmax=sd.kmax,
+                         xgrid=sd.xgrid, ugrid=sd.ugrid,
+                         norms2=np.hstack([sd.norms2, np.zeros((sd.kmax + 1, 1))]),
+                         modal=sd.modal + [ModalSlice(lam[-1], np.zeros_like(sd.modal[0].coef))],
+                         tail=np.append(sd.tail, 0.0))
+        p = imag_pt(*pt)
+        assert orbital_direct(wider, p, spec) == orbital_direct(sd, p, spec)
 
     def test_rotation_invariance(self, fixture_small):
         spec, f, sd = fixture_small

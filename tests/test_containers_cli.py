@@ -105,6 +105,20 @@ class TestContainers:
         err = capsys.readouterr().err
         assert "bit 0" in err and "Traceback" not in err
 
+    def test_spd_with_unknown_flag_bits_rejected(self, fixture_files, tmp_path, capsys):
+        # flags 0x10e: the modal bit 1 with bits 2, 3 and 8, which no writer sets
+        d, spec, f, sd = fixture_files
+        data = bytearray((d / "fx.spd").read_bytes())
+        assert struct.unpack("<I", data[16:20]) == (2,)
+        data[16:20] = struct.pack("<I", 0x10e)
+        path = tmp_path / "flags.spd"
+        path.write_bytes(bytes(data))
+        with pytest.raises(containers.ContainerError, match="0x10c"):
+            containers.read_spd(str(path))
+        assert main(["detect", "-i", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "flags" in err and "Traceback" not in err
+
     def test_spd_without_modal_blocks_rejected(self, fixture_files, tmp_path):
         d, spec, f, sd = fixture_files
         path = tmp_path / "proj.spd"
@@ -418,6 +432,18 @@ class TestCLI:
         args = build_parser().parse_args(flag_argv(cmd, flag, tmp_path))
         dest = {"-i": "input", "-o": "output"}.get(flag, flag[2:].replace("-", "_"))
         assert getattr(args, dest) is not None
+
+    def test_synth_never_imports_numpy_ma(self, tmp_path):
+        # numpy.ma costs a cold CLI process about 14 ms to import, and no
+        # step of synth needs it (np.unique, for one, imports it)
+        out = subprocess.run([sys.executable, "-X", "importtime", "-m", "gutzmerlab.cli",
+                              "synth", "--A", "1", "--B", "9", "--tune-grid",
+                              "-o", str(tmp_path / "fx")], capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        imported = [line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines()
+                    if line.startswith("import time:")]
+        assert "gutzmerlab.spectral" in imported
+        assert not [m for m in imported if m == "numpy.ma" or m.startswith("numpy.ma.")]
 
     def test_console_entry_point(self):
         out = subprocess.run([sys.executable, "-m", "gutzmerlab.cli", "--help"],

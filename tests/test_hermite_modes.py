@@ -105,6 +105,23 @@ class TestSliceFields:
             slice_fields([random_slice(0.5), random_slice(0.6)], 1.0 + 0j, 1.0 + 0j)
 
 
+def slice_powers_reference(group, zc, zm):
+    """slice_powers as it was before its real-arithmetic form, for one
+    |lambda| group: sum over the U(1) parts of |G_q P^d|^2 (or Q^d), each
+    monomial power formed in complex arithmetic."""
+    al = abs(group[0].lam)
+    var_q, var_p = hermite_modes.mode_monomial_base(al, zc, zm)
+    out = [np.zeros(np.broadcast(zc, zm).shape) for _ in group]
+    for i, q, acc in hermite_modes._offset_sums(group, zc, zm):
+        acc = acc * (var_p if q >= 0 else var_q) ** abs(q)
+        out[i] += acc.real ** 2 + acc.imag ** 2
+    gauss2 = np.exp(-0.5 * al * np.real(zc * zm))
+    for pw in out:
+        pw *= al / (2.0 * np.pi)
+        pw *= gauss2
+    return out
+
+
 class TestSlicePowers:
     """slice_powers against the mean of |slice_fields|^2 over rotated points
     (e^{i theta} zc, e^{-i theta} zm) at uniform theta nodes, which are exact
@@ -125,16 +142,32 @@ class TestSlicePowers:
         for got, want in zip(slice_powers(pair, zc, zm), self.theta_mean(pair, zc, zm)):
             assert_close(got, want)
 
+    def test_mixed_groups_match_complex_monomials(self):
+        # one call over three |lambda| groups against the complex-arithmetic
+        # powers, group by group
+        zc, zm = complex_points(seed=18)
+        slices = [random_slice(0.6, seed=19), random_slice(-1.4, seed=20),
+                  random_slice(-0.6, seed=21), random_slice(2.2, kmax=4, acap=12, seed=22)]
+        got = slice_powers(slices, zc, zm)
+        for g in ([0, 2], [1], [3]):
+            for j, want in zip(g, slice_powers_reference([slices[j] for j in g], zc, zm)):
+                assert_close(got[j], want, rel=1e-13)
+
     def test_u1_parts_are_equivariant(self):
-        # the part of weight q picks up e^{i q theta} under the rotation
+        # the part of weight q, times its monomial, picks up e^{i q theta}
+        # under the rotation
         zc, zm = complex_points(seed=13)
         pair = [random_slice(1.3, seed=14), random_slice(-1.3, seed=15)]
         rot = np.exp(0.7j)
-        moved = {(i, q): g for i, q, g in
-                 hermite_modes._offset_sums(pair, rot * zc, zm / rot)}
-        parts = list(hermite_modes._offset_sums(pair, zc, zm))
-        assert len(parts) == len(moved)
-        for i, q, g in parts:
+
+        def parts(zc, zm):
+            var_q, var_p = hermite_modes.mode_monomial_base(1.3, zc, zm)
+            return {(i, q): g * (var_p if q >= 0 else var_q) ** abs(q)
+                    for i, q, g in hermite_modes._offset_sums(pair, zc, zm)}
+
+        moved, fixed = parts(rot * zc, zm / rot), parts(zc, zm)
+        assert len(fixed) == len(moved) == len(list(hermite_modes._offset_sums(pair, zc, zm)))
+        for (i, q), g in fixed.items():
             assert_close(moved[i, q], rot ** q * g)
 
     def test_zero_slice(self):
@@ -142,6 +175,7 @@ class TestSlicePowers:
         zero = ModalSlice(-0.4, np.zeros((3, 4), complex))
         pz, pl = slice_powers([zero, random_slice(0.4, seed=17)], zc, zm)
         assert pz.shape == zc.shape and not np.any(pz) and np.all(pl > 0)
+        assert slice_powers([], zc, zm) == []
 
 
 def offset_plan_reference(group, k_select=None):
@@ -166,6 +200,22 @@ def offset_plan_reference(group, k_select=None):
     return terms
 
 
+def plan_terms(plan, group=0, members=None):
+    """The blocks of _offset_plan for |lambda| group `group` in the form of
+    offset_plan_reference: per offset d the rows (i, on_p, w), slice i
+    renumbered by its position in members and w cut after its last nonzero
+    weight.  Each block must be as wide as its longest row."""
+    terms = {}
+    for g, d, idx, on_p, W in plan:
+        if g != group:
+            continue
+        assert d not in terms and W.shape[0] == len(idx)
+        assert W.shape[1] == max(np.flatnonzero(row)[-1] + 1 for row in W)
+        terms[d] = [(members.index(i) if members else i, p, np.trim_zeros(row, "b"))
+                    for i, p, row in zip(idx, on_p, W)]
+    return terms
+
+
 class TestOffsetPlan:
     @staticmethod
     def assert_same_plan(got, want):
@@ -183,24 +233,37 @@ class TestOffsetPlan:
         pos.coef[6, :] = 0.0
         neg.coef[:, 9] = 0.0
         group = [pos, neg]
-        self.assert_same_plan(_offset_plan(group, k_select),
+        self.assert_same_plan(plan_terms(_offset_plan(group, k_select)),
                               offset_plan_reference(group, k_select))
 
     @pytest.mark.parametrize("lam", [1.3, -1.3])
     @pytest.mark.parametrize("k_select", [None, 3])
     def test_one_member_group(self, lam, k_select):
         group = [random_slice(lam, kmax=8, acap=5, seed=23)]
-        self.assert_same_plan(_offset_plan(group, k_select),
+        self.assert_same_plan(plan_terms(_offset_plan(group, k_select)),
                               offset_plan_reference(group, k_select))
+
+    @pytest.mark.parametrize("k_select", [None, 1, 4])
+    def test_groups_and_shapes_share_one_scatter(self, k_select):
+        # three |lambda| groups, coefficient arrays of different shapes, and
+        # an all-zero slice: each group's blocks are its own reference plan
+        slices = [random_slice(0.9, seed=26), random_slice(-1.6, kmax=4, acap=12, seed=27),
+                  ModalSlice(2.0, np.zeros((5, 3), complex)), random_slice(-0.9, seed=28),
+                  random_slice(1.6, kmax=8, acap=5, seed=29)]
+        plan = _offset_plan(slices, k_select)
+        assert [g for g, *_ in plan] == sorted(g for g, *_ in plan)
+        for g, members in enumerate(abs_lam_groups([ms.lam for ms in slices])):
+            want = offset_plan_reference([slices[j] for j in members], k_select)
+            self.assert_same_plan(plan_terms(plan, g, members), want)
 
     def test_all_zero_slice(self):
         zero = ModalSlice(-0.7, np.zeros((7, 10), complex))
         live = random_slice(0.7, seed=24)
         for group in ([zero], [zero, live], [live, zero]):
             for k_select in (None, 1):
-                self.assert_same_plan(_offset_plan(group, k_select),
+                self.assert_same_plan(plan_terms(_offset_plan(group, k_select)),
                                       offset_plan_reference(group, k_select))
-        assert _offset_plan([zero]) == {}
+        assert _offset_plan([zero]) == [] and _offset_plan([]) == []
 
     def test_plan_follows_in_place_coefficient_changes(self):
         # nothing is cached per slice: a coefficient changed after a first
@@ -209,8 +272,9 @@ class TestOffsetPlan:
         before = _offset_plan([ms])
         ms.coef[:] = 0.0
         ms.coef[3, 1] = 2.0
-        self.assert_same_plan(_offset_plan([ms]), offset_plan_reference([ms]))
-        assert list(_offset_plan([ms])) == [2] and list(before) != [2]
+        self.assert_same_plan(plan_terms(_offset_plan([ms])), offset_plan_reference([ms]))
+        assert [d for _, d, *_ in _offset_plan([ms])] == [2]
+        assert [d for _, d, *_ in before] != [2]
 
 
 class TestConjugateTable:

@@ -149,6 +149,64 @@ class TestLaguerreSums:
         with pytest.raises(SpecfunError, match="degree cap"):
             laguerre_sums(513, 0, 1.0, np.ones((1, 514)))
 
+    @staticmethod
+    def loop_reference(mtop, order, s, W):
+        """laguerre_sums as it ran before its sums started at their m = 0
+        weights: every sum from zero, the m = 0 row of ones multiplied and
+        added sum by sum like every other row."""
+        s = np.asarray(s)
+        rdt = np.dtype(complex if s.dtype.kind == "c" else float)
+        out = np.zeros((W.shape[0], s.size), dtype=np.result_type(rdt, W.dtype))
+        s = s.reshape(-1)
+        scratch = np.empty(s.shape, dtype=rdt)
+        term = scratch if out.dtype == rdt else np.empty(s.shape, dtype=out.dtype)
+
+        def accumulate(m, row):
+            for acc, w in zip(out, W[:, m]):
+                if w != 0:
+                    np.multiply(row, w, out=term)
+                    acc += term
+
+        prev = np.ones(s.shape, dtype=rdt)
+        accumulate(0, prev)
+        if mtop >= 1:
+            cur = np.subtract(1.0 + order, s, dtype=rdt)
+            accumulate(1, cur)
+        for m in range(1, mtop):
+            np.subtract(2.0 * m + order + 1.0, s, out=scratch)
+            scratch *= cur
+            flat = prev.view(float)
+            flat *= m + order
+            np.subtract(scratch, prev, out=prev)
+            flat /= m + 1.0
+            prev, cur = cur, prev
+            accumulate(m + 1, cur)
+        return out
+
+    @pytest.mark.parametrize("mtop", [0, 1, 2, 9])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("wkind", ["real", "complex"])
+    def test_matches_the_loop_bit_for_bit(self, mtop, kind, wkind):
+        # zero m = 0 weights (plain, negative-zero and complex zero) among
+        # nonzero ones, and weights with a zero real or imaginary part
+        rng = np.random.default_rng(mtop)
+        s = rng.uniform(0.0, 25.0, 40)
+        if kind == "complex":
+            s = s + 1j * rng.uniform(-8.0, 8.0, s.shape)
+        W = rng.normal(size=(6, mtop + 1))
+        if wkind == "complex":
+            W = W + 1j * rng.normal(size=W.shape)
+            W[4, 0] = complex(-0.0, 2.5)
+            W[5, 0] = complex(1.5, -0.0)
+        W[0, 0] = 0.0
+        W[1, 0] = -0.0
+        W[2, :] = 0.0
+        got = laguerre_sums(mtop, 3, s, W)
+        want = self.loop_reference(mtop, 3, s, W)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
+
 
 class TestLaguerrePhi:
     def test_origin_binomial(self):

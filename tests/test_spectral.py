@@ -220,6 +220,93 @@ def test_tail_mass_does_not_depend_on_call_order():
     assert values[0] == values[1] == laguerre_tail_mass(3, 2, 30.0)
 
 
+def quadrature_tail_mass(m, d, S, cache={}):
+    """laguerre_tail_mass as it was computed at every m before the closed
+    form of its m = 0 column: a 400-node Gauss-Legendre rule on the
+    orthonormal recurrence, cached under S rounded to 6 decimals."""
+    from math import lgamma
+
+    S = round(float(S), 6)
+    if (m, d, S) not in cache:
+        tp = 4.0 * m + 2.0 * d + 2.0
+        hi = max(tp, S) + 60.0 + 10.0 * np.sqrt(tp)
+        s, w = grids.gauss_legendre_on(S, hi, 400)
+        log0 = 0.5 * (d * np.log(np.maximum(s, 1e-300)) - lgamma(d + 1)) - 0.5 * s
+        l0 = np.exp(np.maximum(log0, -700.0))
+        l0[log0 < -700.0] = 0.0
+        lm1, lm = None, l0
+        if m:
+            lm1, lm = l0, (d + 1.0 - s) * l0 / np.sqrt(d + 1.0)
+        for j in range(1, m):
+            lm1, lm = lm, (((2.0 * j + d + 1.0 - s) * lm - np.sqrt(j * (j + d)) * lm1)
+                           / np.sqrt((j + 1.0) * (j + 1.0 + d)))
+        cache[m, d, S] = float(np.sum(lm * lm * w))
+    return cache[m, d, S]
+
+
+def quadrature_max_radial_level(spec, lam):
+    """QuadratureSpec.max_radial_level as the pair_fits loop it was."""
+    m = -1
+    while m < 400 and spec.pair_fits(0, m + 1, lam):
+        m += 1
+    return m
+
+
+CLI_BANDS = ((1.0, 9.0), (0.5, 2.0))
+
+
+class TestPoissonColumn:
+    """The a = 0 column of the tail masses in closed form, against the
+    quadrature it replaces."""
+
+    @staticmethod
+    def desk_radii():
+        spec = QuadratureSpec()
+        lam, _, _ = spec.lambda_grid(1.0)
+        return sorted({round(float(S), 6) for lv in lam for S in spec._fit_radii(lv)})
+
+    def test_matches_quadrature(self):
+        for S in self.desk_radii():
+            col = grids._poisson_tail(400, S)
+            want = np.array([quadrature_tail_mass(0, d, S) for d in range(401)])
+            assert np.all(np.abs(col - want) <= 1e-11 * np.maximum(want, 1e-290))
+            for d in (0, 1, 7, 64, 400):
+                assert laguerre_tail_mass(0, d, S) == col[d]
+
+    def test_zero_radius_holds_all_mass(self):
+        assert np.array_equal(grids._poisson_tail(5, 0.0), np.ones(6))
+        assert laguerre_tail_mass(0, 3, 0.0) == 1.0
+
+    @staticmethod
+    def specs_and_grids():
+        """(spec, lambda nodes): the desk, n = 2 and unit-test specs at A = 1,
+        and the tuned spec of each CLI band at its A."""
+        out = [(sp, sp.lambda_grid(1.0)[0])
+               for sp in (QuadratureSpec(), QuadratureSpec(**N2_SPEC), small_spec())]
+        for A, B in CLI_BANDS:
+            tuned = spectral._tune_grid(QuadratureSpec(), A, B, QuadratureSpec().kmax)
+            out.append((tuned, tuned.lambda_grid(A)[0]))
+        return out
+
+    def test_levels_masks_and_tuned_specs_match_quadrature(self, monkeypatch):
+        from dataclasses import astuple
+
+        def masks(cases):
+            return [[(sp.max_radial_level(lv),
+                      spectral._mode_mask_of.__wrapped__(astuple(sp), sp.kmax, abs(float(lv))))
+                     for lv in lam] for sp, lam in cases]
+
+        cases = self.specs_and_grids()
+        got = masks(cases)
+        monkeypatch.setattr(grids, "laguerre_tail_mass", quadrature_tail_mass)
+        monkeypatch.setattr(QuadratureSpec, "max_radial_level", quadrature_max_radial_level)
+        want_cases = self.specs_and_grids()
+        assert [sp for sp, _ in want_cases] == [sp for sp, _ in cases]
+        for g, w in zip(got, masks(want_cases)):
+            assert [lv for lv, _ in g] == [lv for lv, _ in w]
+            assert all(np.array_equal(gm, wm) for (_, gm), (_, wm) in zip(g, w))
+
+
 class TestModeMask:
     """_mode_mask is memoized on every spec field, kmax and |lambda|."""
 
