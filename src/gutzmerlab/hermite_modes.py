@@ -244,18 +244,18 @@ def _offset_plan(slices, k_select=None) -> list:
     if not sl.size:
         return []
     nslot = 2 * max(len(g) for g in groups)
-    member = np.empty((len(groups), nslot // 2), dtype=int)
-    where = np.empty((len(slices), 2), dtype=int)   # (g, position in g) per slice
+    member = np.empty((len(groups), nslot // 2), dtype=int)   # slice at (g, position)
+    group_of, pos_of = np.empty(len(slices), dtype=int), np.empty(len(slices), dtype=int)
     for g, idx in enumerate(groups):
         member[g, : len(idx)] = idx
-        where[idx, 0], where[idx, 1] = g, np.arange(len(idx))
+        group_of[idx], pos_of[idx] = g, np.arange(len(idx))
     lam_pos = np.array([ms.lam > 0 for ms in slices])
     d = np.abs(ks - as_)
     m = np.minimum(ks, as_)
     nd = int(d.max()) + 1
     nr = _norm_ratio_table(shape)[ks, as_]
     w = np.where(~lam_pos[sl] & (d % 2 == 1), -nr, nr) * C[sl, ks, as_]
-    key = (where[sl, 0] * nd + d) * nslot + 2 * where[sl, 1] + (as_ > ks)
+    key = (group_of[sl] * nd + d) * nslot + 2 * pos_of[sl] + (as_ > ks)
     W = np.zeros((len(groups) * nd * nslot, min(shape)), dtype=complex)
     W[key, m] = w
     top = np.zeros(W.shape[0], dtype=int)
