@@ -21,21 +21,35 @@ coef[beta_1, alpha_1, ..., beta_n, alpha_n] of the product basis, zero
 outside the modes in use, with |beta| the projection level (coef[k, a] at
 n = 1).  ModalSliceND builds one from a list of (alpha, beta) modes.
 
+Every n = 1 mode is a monomial z^d or conj(z)^d times a radial factor
+L_m^d(|lam| rho/2) e^{-|lam| rho/4} of rho = |z|^2 alone.  So on a real plane
+(zm exactly conj(zc): real_radii) the radial factor is computed once per
+distinct rho (radial_shells groups the points into shells of equal rho by
+one sort; radial_table holds L_m^d there), in real arithmetic: the 48^2
+desk plane has 298 distinct rho.  basis_matrix tables, one row per mode at
+every point, serve the n >= 2 planes, where one table is amortized over the
+N^{2(n-1)} columns of each plane, and complexified points, where rho =
+zc zm has no shells.
+
 n = 1 slice fields (slice_fields, ModalSlice.field) group the modes by index
-offset d = |a - k|: every mode of one offset shares L_m^d(s), so one forward
-Laguerre recurrence per offset, carried by specfun.laguerre_sums as running
-weighted sums, evaluates them all without storing an (m, grid) table.  s,
-the Gaussian and the two monomial bases depend on |lam| only, so the slices
-at lam and -lam share each recurrence; the sign of lam only decides which
-monomial a mode multiplies and contributes (-1)^d to its weight.  Every
-weight of a call comes from one scatter (_offset_plan) of the nonzero
-coefficients into rows indexed by (|lam| group, d, slice x diagonal), each
-sum starting at its m = 0 weight.  The private generator _offset_sums runs
-one recurrence per (group, offset) and yields each slice's parts G_q of U(1)
-weight q = +-d without their monomial: slice_fields multiplies them by P^d
-or Q^d and adds them up; slice_powers, the mean of |field|^2 over the U(1)
-rotations, adds |G_q|^2 |P|^2d (or |Q|^2d) in real arithmetic, for slices of
-any |lam| in one call.
+offset d = |a - k|: every mode of one offset shares L_m^d(s), so one
+Laguerre sum per offset evaluates them all.  s, the Gaussian and the two
+monomial bases depend on |lam| only, so the slices at lam and -lam share
+each sum; the sign of lam only decides which monomial a mode multiplies and
+contributes (-1)^d to its weight.  Every weight of a call comes from one
+scatter (_offset_plan) of the nonzero coefficients into rows indexed by
+(|lam| group, d, slice x diagonal).  The private generator _offset_sums
+runs one sum per (group, offset) and yields each slice's parts G_q of U(1)
+weight q = +-d without their monomial: on a real plane as the product of
+the weights with the group's radial table on the distinct rho, gathered
+back to the points; at complexified points as a forward recurrence at every
+point, carried by specfun.laguerre_sums as running weighted sums without
+an (m, points) table.  slice_fields multiplies the parts by P^d or Q^d and
+adds them up; slice_powers, the mean of |field|^2 over the U(1) rotations,
+adds |G_q|^2 |P|^2d (or |Q|^2d) in real arithmetic, for slices of any |lam|
+in one call.  modal_fields evaluates every slice of a set in one such call
+at n = 1.  analyze (spectral) projects n = 1 slices through the same
+factorization, contracting shell moments with the radial table.
 
 basis_matrix tabulates the admitted modes of one plane separately, one row
 each in row-major (k, a) order: per index offset one laguerre_all table up
@@ -45,18 +59,16 @@ ones).  Each entry is the same product in the same order whatever else the
 mask admits.  At real points its table at -lam is the complex conjugate of
 the one at lam, bit for bit (the monomial bases swap into each other's
 conjugates and the Laguerre values and the Gaussian are real), so analyze
-builds one table per +-lam pair and conjugates it in place for the second
-member.  It serves analyze and the n >= 2 fields: the product basis
-factorizes over the axes, so ModalSlice.field_on_planes evaluates one 1-D
-table per axis, holding only the (beta_j, alpha_j) pairs in the tensor's
-nonzero support, on the points of that axis's plane alone, and contracts the
-coefficient tensor with the tables one axis at a time.  Point sets come as
-planes (shape, axes), per axis j the pair (zc_j, zm_j) cut to the point axes
-it varies along: spectral.grid_planes builds the tensor grid's (N^2 points
-per axis), point_planes scans scattered [..., n] coordinates.  modal_fields
-evaluates every slice on one point set, by slice_fields per |lambda| group
-at n = 1.  e1d, the closed form of a single mode, is the reference the tests
-compare both evaluators against.
+builds one table per +-lam pair at n >= 2 and conjugates it in place for
+the second member.  The product basis factorizes over the axes, so
+ModalSlice.field_on_planes evaluates one 1-D table per axis, holding only
+the (beta_j, alpha_j) pairs in the tensor's nonzero support, on the points
+of that axis's plane alone, and contracts the coefficient tensor with the
+tables one axis at a time.  Point sets come as planes (shape, axes), per
+axis j the pair (zc_j, zm_j) cut to the point axes it varies along:
+spectral.grid_planes builds the tensor grid's (N^2 points per axis),
+point_planes scans scattered [..., n] coordinates.  e1d, the closed form of
+a single mode, is the reference the tests compare both evaluators against.
 """
 
 from __future__ import annotations
@@ -274,6 +286,53 @@ def _offset_plan(slices, k_select=None) -> list:
             for b, lo, hi, t in zip(gd[starts].tolist(), bounds, bounds[1:], tops.tolist())]
 
 
+def real_radii(zc, zm):
+    """rho = |z|^2 = x^2 + u^2 at real points, None at complexified ones.
+
+    The points are real when zm is exactly conj(zc), shape included; rho is
+    then taken in real arithmetic (zc * zm carries rounding noise in its
+    imaginary part).
+    """
+    zc, zm = np.asarray(zc), np.asarray(zm)
+    if zc.shape != zm.shape or not np.array_equal(zm, np.conj(zc)):
+        return None
+    return zc.real ** 2 + zc.imag ** 2
+
+
+def radial_shells(rho):
+    """The shells of equal value of the real array rho, by one stable sort.
+
+    Returns (values, inverse, members): values holds the distinct values in
+    increasing order, inverse[p] is the shell of point p (values[inverse] is
+    rho.ravel()), and members[u] lists the points of shell u, padded with
+    rho.size, one past the last point.  (np.unique would sort as well, but
+    it imports numpy.ma, which no step of synth needs.)
+    """
+    flat = np.ravel(rho)
+    order = np.argsort(flat, kind="stable")
+    srt = flat[order]
+    new = np.empty(srt.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(srt[1:], srt[:-1], out=new[1:])
+    shell = np.cumsum(new) - 1                  # of each point, in sorted order
+    inverse = np.empty_like(shell)
+    inverse[order] = shell
+    starts = np.flatnonzero(new)
+    slot = np.arange(srt.size) - starts[shell]
+    members = np.full((starts.size, int(slot.max(initial=0)) + 1), srt.size)
+    members[shell, slot] = order
+    return srt[new], inverse, members
+
+
+def radial_table(al: float, values: np.ndarray, dtop: int, mtop: int) -> np.ndarray:
+    """L_m^d(al rho / 2) at the distinct values rho of a real plane, for
+    d = 0..dtop and m = 0..mtop: [d, m, value], one laguerre_all recurrence
+    run over every order at once, in real arithmetic."""
+    s = np.broadcast_to(0.5 * al * values, (dtop + 1, values.size))
+    L = laguerre_all(mtop, np.arange(dtop + 1)[:, None], s)
+    return np.ascontiguousarray(L.transpose(1, 0, 2))
+
+
 def _offset_sums(slices, zc, zm, k_select=None):
     """Yield (i, q, G) for every running sum of the slices, any |lambda|.
 
@@ -286,48 +345,91 @@ def _offset_sums(slices, zc, zm, k_select=None):
     -lambda: at lambda > 0 column-dominant modes (a = m, k = m + d) carry P^d
     and row-dominant ones (a = m + d, k = m) Q^d, at lambda < 0 the roles
     swap and (-1)^d folds into the weights.  So each offset d needs one
-    Laguerre recurrence per |lambda| group, run by specfun.laguerre_sums
-    over one block of _offset_plan.  Per slice the parts come in the plan's
-    order, d increasing; the d = 0 modes form one running sum, so each (i, q)
-    is yielded once.
+    Laguerre sum per |lambda| group, over one block of _offset_plan.  At
+    real points (real_radii) G depends on rho = |z|^2 alone: a block's sums
+    are its weights times the group's radial_table on the distinct rho
+    (radial_shells), one real product for the real parts of the weights and
+    the imaginary ones together (a complex weight times a real value has no
+    cross terms), gathered back to the points.  At complexified points
+    specfun.laguerre_sums runs the recurrence at every point.  Per slice the
+    parts come in the plan's order, d increasing; the d = 0 modes form one
+    running sum, so each (i, q) is yielded once.
     """
-    g_now, s = None, None
-    for g, d, idx, on_p, W in _offset_plan(slices, k_select):
+    rho = real_radii(zc, zm)
+    plan = _offset_plan(slices, k_select)
+    if rho is not None:
+        values, inverse, _ = radial_shells(rho)
+        tops = {}   # group -> (largest offset, largest m) of its blocks
+        for g, d, *_, W in plan:
+            dtop, mtop = tops.get(g, (0, 0))
+            tops[g] = (max(dtop, d), max(mtop, W.shape[1] - 1))
+    g_now = None
+    for g, d, idx, on_p, W in plan:
         if g != g_now:
             g_now = g
-            s = 0.5 * abs(slices[idx[0]].lam) * (zc * zm)
-        for i, p, acc in zip(idx, on_p, laguerre_sums(W.shape[1] - 1, d, s, W)):
+            al = abs(slices[idx[0]].lam)
+            if rho is None:
+                s = 0.5 * al * (zc * zm)
+            else:
+                table = radial_table(al, values, *tops[g])
+        if rho is None:
+            sums = laguerre_sums(W.shape[1] - 1, d, s, W)
+        else:
+            parts = np.concatenate([W.real, W.imag]) @ table[d, : W.shape[1]]
+            sums = np.empty((len(idx), values.size), dtype=complex)
+            sums.real, sums.imag = parts[: len(idx)], parts[len(idx):]
+            sums = np.take(sums, inverse, axis=1).reshape((-1,) + rho.shape)
+        for i, p, acc in zip(idx, on_p, sums):
             yield i, (d if p else -d), acc
 
 
-def slice_fields(group, zc, zm, k_select=None) -> list:
-    """Evaluate ModalSlices that share |lambda| (or their k-th projections).
+def _fields(slices, zc, zm, k_select=None) -> list:
+    """The fields of slices of any |lambda| (or their k-th projections).
 
     Multiplies each part of _offset_sums by its monomial P^d or Q^d, the
-    powers taken by one multiplication per offset, and sums the parts; one
-    Laguerre recurrence per index offset serves the whole group.  Applies
-    the Gaussian and the normalization and returns one field per slice of
-    the group, in its order.
+    powers of each |lambda| group taken by one multiplication per offset,
+    and sums the parts; then applies the Gaussian (in real arithmetic at
+    real points) and the normalization.  One field per slice, in the order
+    given.
     """
-    al = abs(group[0].lam)
-    if any(abs(ms.lam) != al for ms in group):
-        raise ValueError("the slices of one group must share |lambda|")
-    out = [np.zeros(np.broadcast(zc, zm).shape, dtype=complex) for _ in group]
-    var_q, var_p = mode_monomial_base(al, zc, zm)
-    mono_p = mono_q = 1.0  # P^d, Q^d
-    power = 0
-    for i, q, acc in _offset_sums(group, zc, zm, k_select):
+    rho = real_radii(zc, zm)
+    out = [np.zeros(np.broadcast(zc, zm).shape, dtype=complex) for _ in slices]
+    al_now = None
+    for i, q, acc in _offset_sums(slices, zc, zm, k_select):
+        al = abs(slices[i].lam)
+        if al != al_now:
+            al_now, power = al, 0
+            var_q, var_p = mode_monomial_base(al, zc, zm)
+            mono_p = mono_q = 1.0  # P^d, Q^d
         for _ in range(abs(q) - power):
             mono_p = mono_p * var_p
             mono_q = mono_q * var_q
             power += 1
         acc *= mono_p if q >= 0 else mono_q
         out[i] += acc
-    gauss = np.exp(-0.25 * al * (zc * zm))
-    for fld in out:
+    gauss = {}
+    for fld, ms in zip(out, slices):
+        al = abs(ms.lam)
+        if al not in gauss:
+            gauss[al] = np.exp(-0.25 * al * (zc * zm if rho is None else rho))
         fld *= np.sqrt(al / (2.0 * np.pi))
-        fld *= gauss
+        fld *= gauss[al]
     return out
+
+
+def slice_fields(group, zc, zm, k_select=None) -> list:
+    """Evaluate ModalSlices that share |lambda| (or their k-th projections).
+
+    One Laguerre sum per index offset serves the whole group (see _fields
+    and _offset_sums).  On a real plane (zm exactly conj(zc)) the radial
+    factor is computed once per distinct rho = |z|^2, in real arithmetic;
+    at complexified points at every point.  Returns one field per slice of
+    the group, in its order.
+    """
+    al = abs(group[0].lam)
+    if any(abs(ms.lam) != al for ms in group):
+        raise ValueError("the slices of one group must share |lambda|")
+    return _fields(group, zc, zm, k_select)
 
 
 def slice_powers(slices, zc, zm) -> list:
@@ -372,19 +474,16 @@ def slice_powers(slices, zc, zm) -> list:
 def modal_fields(modal, planes, k_select=None) -> list:
     """Fields of every slice in modal (or their level-k_select projections)
     on the planes of spectral.grid_planes or point_planes, each of their
-    shape, in the order of modal.  n = 1: one slice_fields call per |lambda|
-    group, so lambda and -lambda share each Laguerre recurrence; n >= 2:
-    field_on_planes per slice.
+    shape, in the order of modal.  n = 1: one _fields call for every slice,
+    so lambda and -lambda share each Laguerre recurrence and a real plane is
+    sorted into its shells once; n >= 2: field_on_planes per slice.
     """
     shape, axes = planes
     if len(axes) > 1:
         return [ms.field_on_planes(planes, k_select) for ms in modal]
     (zc, zm), = axes
-    out = [None] * len(modal)
-    for g in abs_lam_groups([ms.lam for ms in modal]):
-        for j, fld in zip(g, slice_fields([modal[j] for j in g], zc, zm, k_select)):
-            out[j] = fld if fld.shape == shape else np.broadcast_to(fld, shape).copy()
-    return out
+    return [fld if fld.shape == shape else np.broadcast_to(fld, shape).copy()
+            for fld in _fields(modal, zc, zm, k_select)]
 
 
 def basis_matrix(lam: float, kmax: int, acap: int, Z: np.ndarray,

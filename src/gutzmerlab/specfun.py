@@ -115,7 +115,10 @@ def laguerre(k: int, order: int, s):
 
 
 def laguerre_all(kmax: int, order: int, s):
-    """L_m^order(s) for m = 0..kmax stacked on a new leading axis."""
+    """L_m^order(s) for m = 0..kmax stacked on a new leading axis.
+
+    order may be an integer array of s's shape (or broadcasting to it): one
+    recurrence then runs every order at once."""
     if kmax > LAGUERRE_DEGREE_CAP:
         raise SpecfunError(f"degree cap exceeded: Laguerre k {kmax} > {LAGUERRE_DEGREE_CAP}")
     s = np.asarray(s)

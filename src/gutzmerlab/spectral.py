@@ -31,7 +31,7 @@ exact by discrete Fourier orthogonality.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -40,10 +40,13 @@ import numpy as np
 from .grids import DECAY_TOL, QuadratureSpec, fft_grid
 from .hermite_modes import (
     ModalSlice,
+    _norm_ratio_table,
     abs_lam_groups,
     basis_matrix,
     modal_fields,
     point_planes,
+    radial_shells,
+    radial_table,
 )
 from .heisenberg_core import ComplexPoint
 
@@ -117,8 +120,10 @@ class GridFunction:
         return float(-self.tgrid[0])
 
     def squared_norm(self) -> float:
-        """integral |f|^2 dz dt by the grid rule (one t-period)."""
-        return float(np.sum(np.abs(self.samples) ** 2) * self.hx ** (2 * self.n) * self.ht)
+        """integral |f|^2 dz dt by the grid rule (one t-period); |f|^2 is
+        summed in real arithmetic, over the float view of the samples."""
+        parts = np.ravel(np.asarray(self.samples, dtype=complex)).view(float)
+        return float(np.einsum("i,i->", parts, parts) * self.hx ** (2 * self.n) * self.ht)
 
 
 def grid_planes(n: int, xgrid: np.ndarray, ugrid: np.ndarray) -> tuple:
@@ -292,9 +297,10 @@ def _mode_mask(spec: QuadratureSpec, kmax: int, lam: float) -> np.ndarray:
     """Boolean admissibility of mode pairs (k, a) at scale lam: mask[k, a].
 
     Depends on every spec field, kmax and |lam| only, so it is memoized on
-    them; the mask is read-only, shared by every caller.
+    them (the fields as one flat tuple, in declaration order); the mask is
+    read-only, shared by every caller.
     """
-    return _mode_mask_of(astuple(spec), kmax, abs(float(lam)))
+    return _mode_mask_of(tuple(vars(spec).values()), kmax, abs(float(lam)))
 
 
 @lru_cache(maxsize=256)
@@ -309,30 +315,119 @@ def _mode_mask_of(fields: tuple, kmax: int, al: float) -> np.ndarray:
     return mask
 
 
+def _shell_powers(z: np.ndarray, dtop: int) -> np.ndarray:
+    """zq[dtop + q] = z^q for q = 0..dtop and conj(z)^|q| for q = -dtop..-1:
+    the monomials of U(1) weight q at the points z, the powers taken by one
+    multiplication per degree."""
+    pw = np.empty((2 * dtop + 1,) + z.shape, dtype=complex)
+    pw[dtop] = 1.0
+    for d in range(1, dtop + 1):
+        np.multiply(pw[dtop + d - 1], z, out=pw[dtop + d])
+    np.conjugate(pw[dtop + 1:], out=pw[dtop - 1:: -1][:dtop])
+    return pw
+
+
+def _radial_contract(al: float, mask: np.ndarray, moments: np.ndarray, values: np.ndarray,
+                     harea: float) -> np.ndarray:
+    """n = 1 coefficients [pair (k, a) that mask admits, member] at lambda =
+    -al from the shell moments [dtop + q, shell, member] of the members.
+
+    At lambda = -al the conjugated mode of (k, a), offset q = k - a, m =
+    min(k, a), d = |q|, is sqrt(al/2pi) nr(m, d) (i c)^d zq[q] L_m^d(al rho/2)
+    e^{-al rho/4} with c = sqrt(al/2), zq[q] = z^d on the column-dominant
+    side q >= 0, conj(z)^d on the other.  So the real radial table
+    L_m^d e^{-al rho/4} on the distinct rho contracts the moments of offset
+    q, the sums of zq[q] f over each shell, into C[q, m].
+    """
+    ks, as_ = np.nonzero(mask)
+    q = ks - as_
+    m = np.minimum(ks, as_)
+    qlo, qhi = int(q.min()), int(q.max())
+    dtop = (moments.shape[0] - 1) // 2
+    d = np.arange(max(-qlo, qhi) + 1)
+    table = radial_table(al, values, d.size - 1, int(m.max()))[np.abs(np.arange(qlo, qhi + 1))]
+    table *= np.exp(-0.25 * al * values)                                 # [q, m, u]
+    # the real table times the complex moments, on their float view
+    mv = moments[dtop + qlo: dtop + qhi + 1].view(float)                 # [q, u, 2 member]
+    C = (table @ mv).view(complex)                                       # [q, m, member]
+    unit = np.array([1.0, 1j, -1.0, -1j])[d % 4] * np.sqrt(al / 2.0) ** d     # (i c)^d
+    scale = (harea * np.sqrt(al / (2.0 * np.pi)) * unit[np.abs(q)]
+             * _norm_ratio_table(mask.shape)[ks, as_])
+    return scale[:, None] * C[q - qlo, m]
+
+
+def _plane_coefs(sls: list, lam: np.ndarray, groups: list, Z: np.ndarray,
+                 harea: float) -> list:
+    """n = 1 coefficients coef[k, a] of the slices sls at the nodes lam, one
+    array per node, zero outside the mask of its group (the (indices, mask)
+    pairs of groups).
+
+    The grid's points fall into shells of equal rho = |z|^2 (radial_shells,
+    each shell padded with a zero point).  One batched product of the
+    shells' monomials zq (_shell_powers, offsets up to the largest any mask
+    admits) with the samples of every slice whose mask admits a mode gives
+    all shell moments at once; _radial_contract turns each group's into its
+    coefficients.  A slice at lambda > 0 enters conjugated, and so do its
+    coefficients: at real points E^{lambda} = conj E^{-lambda}.
+    """
+    coefs = [np.zeros(groups[0][1].shape, dtype=complex) for _ in lam]
+    live = [(g, mask) for g, mask in groups if mask.any()]
+    if not live:
+        return coefs
+    values, _, members = radial_shells(Z.real ** 2 + Z.imag ** 2)
+    dtop = max(int(np.abs(np.subtract(*np.nonzero(mask))).max()) for _, mask in live)
+    zq = _shell_powers(np.append(Z.ravel(), 0.0)[members], dtop)
+    cols = [j for g, _ in live for j in g]
+    flip = lam[cols] > 0
+    samples = np.zeros((Z.size + 1, len(cols)), dtype=complex)        # [point, member]
+    for c, j in enumerate(cols):
+        samples[:-1, c] = np.conj(sls[j].ravel()) if flip[c] else sls[j].ravel()
+    moments = zq.transpose(1, 0, 2) @ samples[members]                   # [u, dtop + q, member]
+    moments = np.ascontiguousarray(moments.transpose(1, 0, 2))           # [dtop + q, u, member]
+    c0 = 0
+    for group, mask in live:
+        vals = _radial_contract(abs(lam[group[0]]), mask, moments[..., c0: c0 + len(group)],
+                                values, harea)
+        for j, v in zip(group, vals.T):
+            coefs[j][mask] = np.conj(v) if lam[j] > 0 else v
+        c0 += len(group)
+    return coefs
+
+
 def analyze(f: GridFunction, lgrid: LambdaGrid, kmax: int,
             spec: Optional[QuadratureSpec] = None) -> SpectralData:
     """Hermite-Laguerre coefficients of every slice, and their norms.
 
-    The product basis (|lam|/2pi)^{n/2} prod_j E_{alpha_j beta_j}(z_j) is a
-    tensor product over the planes (x_j, u_j), so each slice is contracted
-    with one conjugated 1-D table from basis_matrix plane by plane: O(R
-    N^{2n}) per plane for R table rows and N points per axis.  The table
-    holds the R pairs (k, a) that _mode_mask admits, in the order of
+    Admissibility depends on |lambda| only, and at real points
+    E^{-lambda}_{ak}(z) = conj E^{lambda}_{ak}(z), so each |lambda| group
+    (the pair lambda, -lambda) builds one mask at its first node l0.  Every
+    slice is taken first, in grid order, so a DecayError names the first
+    node that fails.
+
+    n = 1: every mode is z^d or conj(z)^d times a radial factor of rho =
+    |z|^2, so the radial factor is computed on the distinct rho of the grid
+    alone (_plane_coefs).  Each slice enters through its shell moments, the
+    sums of z^d f and conj(z)^d f over the points of equal rho, d up to the
+    mask's largest offset, and the real radial table contracts them: no
+    basis table over the grid, which would cost more than the one slice
+    vector it meets.  A member at lambda < 0 is projected as it is, one at
+    lambda > 0 through its conjugate slice, and its coefficients are
+    conjugated back.  coef[mask] holds the result.
+
+    n >= 2: the product basis (|lam|/2pi)^{n/2} prod_j E_{alpha_j beta_j}(z_j)
+    is a tensor product over the planes (x_j, u_j), so each slice is
+    contracted with one conjugated 1-D table from basis_matrix plane by
+    plane: O(R N^{2n}) per plane for R table rows and N points per axis,
+    the table amortized over the N^{2(n-1)} columns of each plane.  The
+    table holds the R pairs (k, a) that _mode_mask admits, in the order of
     np.nonzero(mask), and row r of every plane carries (beta_j, alpha_j) =
     (ks[r], as_[r]).  A product of rows, mode (alpha, beta), is kept iff the
     mask admits (|beta|, |alpha|); the mask is down-closed on every grid
     checked, so the rows cover every kept mode's factors.  The kept products
     are scattered into coef[(kmax+1, beta_cap+1)^n], the layout
     [beta_1, alpha_1, ..., beta_n, alpha_n] of ModalSlice, zero elsewhere.
-    At n = 1 the contraction is the single product conj(B) @ slice and every
-    product is kept: coef[mask] = T.
-
-    Admissibility depends on |lambda| only, and at real points
-    E^{-lambda}_{ak}(z) = conj E^{lambda}_{ak}(z) bit for bit, so each
-    |lambda| group (the pair lambda, -lambda) builds one mask and one table
-    B at its first node l0: the member at -l0 is contracted with B itself,
-    the member at l0 with B conjugated in place.  Every slice is taken first,
-    in grid order, so a DecayError names the first node that fails.
+    One table B serves each group: the member at -l0 is contracted with B
+    itself, the member at l0 with B conjugated in place.
     """
     if spec is None:
         spec = QuadratureSpec(n=f.n, nx=f.xgrid.size, lx=float(-f.xgrid[0]))
@@ -348,6 +443,12 @@ def analyze(f: GridFunction, lgrid: LambdaGrid, kmax: int,
     norms2 = np.zeros((kmax + 1, lam.size))
     tail = np.zeros(lam.size)
 
+    def store(j, coef):
+        ms = ModalSlice(lam[j], coef)
+        norms2[:, j] = ms.proj_norms2(kmax)
+        modal[j] = ms
+        tail[j] = max(0.0, float(np.sum(np.abs(sls[j]) ** 2) * harea - np.sum(np.abs(coef) ** 2)))
+
     def project(j, Bc, kept, at):
         """Contract slice j with the conjugated table Bc [rows, N^2]."""
         T = sls[j].transpose(planes).reshape((Z.size,) * n)
@@ -357,34 +458,35 @@ def analyze(f: GridFunction, lgrid: LambdaGrid, kmax: int,
         T = T[tuple(slice(m) for m in kept.shape)] * harea      # drop the pad row, if any
         coef = np.zeros(layout, dtype=complex)
         coef[at] = T[kept]
-        ms = ModalSlice(lam[j], coef)
-        norms2[:, j] = ms.proj_norms2(kmax)
-        modal[j] = ms
-        tail[j] = max(0.0, float(np.sum(np.abs(sls[j]) ** 2) * harea - np.sum(np.abs(coef) ** 2)))
+        store(j, coef)
 
-    for group in abs_lam_groups(lam):
-        l0 = lam[group[0]]
-        mask = _mode_mask(spec, kmax, l0)
-        ks, as_ = np.nonzero(mask)
-        B = basis_matrix(l0, kmax, spec.beta_cap, Z, mask=mask).reshape(ks.size, Z.size)
-        if ks.size == 1:
-            # numpy takes a one-row product as a dot product, which sums in
-            # another order than the matrix-vector kernel; a zero row keeps
-            # one-mode slices bit-identical to the full-table product
-            B = np.concatenate([B, np.zeros_like(B)])
-        # kept[r_1, ..., r_n]: does the mask admit the product of rows r_j?
-        kb, ka = sum(np.ix_(*[ks] * n)), sum(np.ix_(*[as_] * n))
-        kept = (kb <= kmax) & (ka <= spec.beta_cap)
-        kept[kept] = mask[kb[kept], ka[kept]]
-        at = tuple(idx[r] for r in np.nonzero(kept) for idx in (ks, as_))
-        # B is the conjugated table of -l0, and conj(B) that of l0
-        for j in group:
-            if lam[j] != l0:
-                project(j, B, kept, at)
-        np.conjugate(B, out=B)
-        for j in group:
-            if lam[j] == l0:
-                project(j, B, kept, at)
+    groups = [(g, _mode_mask(spec, kmax, lam[g[0]])) for g in abs_lam_groups(lam)]
+    if n == 1:
+        for j, coef in enumerate(_plane_coefs(sls, lam, groups, Z, harea)):
+            store(j, coef)
+    else:
+        for group, mask in groups:
+            l0 = lam[group[0]]
+            ks, as_ = np.nonzero(mask)
+            B = basis_matrix(l0, kmax, spec.beta_cap, Z, mask=mask).reshape(ks.size, Z.size)
+            if ks.size == 1:
+                # numpy takes a one-row product as a dot product, which sums in
+                # another order than the matrix-vector kernel; a zero row keeps
+                # one-mode slices bit-identical to the full-table product
+                B = np.concatenate([B, np.zeros_like(B)])
+            # kept[r_1, ..., r_n]: does the mask admit the product of rows r_j?
+            kb, ka = sum(np.ix_(*[ks] * n)), sum(np.ix_(*[as_] * n))
+            kept = (kb <= kmax) & (ka <= spec.beta_cap)
+            kept[kept] = mask[kb[kept], ka[kept]]
+            at = tuple(idx[r] for r in np.nonzero(kept) for idx in (ks, as_))
+            # B is the conjugated table of -l0, and conj(B) that of l0
+            for j in group:
+                if lam[j] != l0:
+                    project(j, B, kept, at)
+            np.conjugate(B, out=B)
+            for j in group:
+                if lam[j] == l0:
+                    project(j, B, kept, at)
     return SpectralData(
         n=n, lgrid=lgrid, kmax=kmax, xgrid=f.xgrid, ugrid=f.ugrid,
         norms2=norms2, modal=modal, tail=tail,
@@ -449,7 +551,9 @@ def _tune_grid(spec: QuadratureSpec, A: float, B: float, kmax: int) -> Quadratur
     """Retune lambda spacing and box extent so the admissible fan realizes B.
 
     Scans nodes_per_A and the box half-extent (small-lambda cells need wider
-    boxes); keeps the node count structure and everything else fixed.
+    boxes); keeps the node count structure and everything else fixed.  The
+    fan depends on |lambda| only, so each trial asks each |lambda| of its
+    grid once.
     """
     best = None
     for lx in (spec.lx, 12.0, 13.0, 14.0, 15.0):
@@ -458,12 +562,12 @@ def _tune_grid(spec: QuadratureSpec, A: float, B: float, kmax: int) -> Quadratur
             trial = QuadratureSpec(**{**trial_box.__dict__, "nodes_per_A": npa})
             lam, _, _ = trial.lambda_grid(A)
             bstar = 0.0
-            for lv in lam:
-                if abs(lv) > A + 1e-12:
+            for al in dict.fromkeys(np.abs(lam).tolist()):
+                if al > A + 1e-12:
                     continue
-                ktop = min(kmax, trial.max_radial_level(lv))
+                ktop = min(kmax, trial.max_radial_level(al))
                 for k in range(ktop + 1):
-                    fan = (2 * k + spec.n) * abs(lv)
+                    fan = (2 * k + spec.n) * al
                     if fan <= B + 1e-12:
                         bstar = max(bstar, fan)
             if best is None or bstar > best[0] + 1e-9:

@@ -16,10 +16,14 @@ from gutzmerlab.hermite_modes import (
     multiindices_upto,
     norm_ratio,
     point_planes,
+    radial_shells,
+    radial_table,
+    real_radii,
     slice_fields,
     slice_powers,
 )
-from gutzmerlab.specfun import laguerre_all
+from gutzmerlab.specfun import laguerre_all, laguerre_sums
+from gutzmerlab.spectral import grid_planes
 
 
 def random_slice(lam, kmax=6, acap=9, seed=0):
@@ -446,6 +450,108 @@ def test_modal_fields_broadcasts_a_cut_plane():
     ms = random_slice(0.6, seed=5)
     (fld,) = modal_fields([ms], planes)
     assert fld.shape == (3, 4) and np.array_equal(fld, ms.field(zc, zm))
+
+
+def slice_fields_by_point(group, zc, zm, k_select=None):
+    """slice_fields as it ran at every point set before the real-plane path:
+    each Laguerre recurrence at every point in complex arithmetic, s =
+    |lambda| zc zm / 2 and the Gaussian of zc zm."""
+    al = abs(group[0].lam)
+    out = [np.zeros(np.broadcast(zc, zm).shape, dtype=complex) for _ in group]
+    var_q, var_p = hermite_modes.mode_monomial_base(al, zc, zm)
+    mono_p = mono_q = 1.0
+    power = 0
+    s = 0.5 * al * (zc * zm)
+    for _, d, idx, on_p, W in _offset_plan(group, k_select):
+        for i, p, acc in zip(idx, on_p, laguerre_sums(W.shape[1] - 1, d, s, W)):
+            for _ in range(d - power):
+                mono_p = mono_p * var_p
+                mono_q = mono_q * var_q
+                power += 1
+            acc *= mono_p if p else mono_q
+            out[i] += acc
+    gauss = np.exp(-0.25 * al * (zc * zm))
+    for fld in out:
+        fld *= np.sqrt(al / (2.0 * np.pi))
+        fld *= gauss
+    return out
+
+
+class TestRealPlanes:
+    """Fields on real planes (zm exactly conj(zc)) run the radial sums on the
+    distinct rho = |z|^2 in real arithmetic; complexified points keep the
+    pointwise recurrence bit for bit."""
+
+    @staticmethod
+    def grid():
+        x = fft_grid(24, 6.0)
+        return x[:, None] + 1j * x[None, :]
+
+    @pytest.mark.parametrize("k_select", [None, 0, 3, 6])
+    def test_pair_matches_pointwise_recurrence(self, k_select):
+        Z = self.grid()
+        pair = [random_slice(0.8, seed=30), random_slice(-0.8, seed=31)]
+        for got, want in zip(slice_fields(pair, Z, np.conj(Z), k_select),
+                             slice_fields_by_point(pair, Z, np.conj(Z), k_select)):
+            assert got.shape == want.shape
+            assert_close(got, want, rel=1e-14)
+
+    @pytest.mark.parametrize("k_select", [None, 2])
+    def test_modal_fields_on_grid_planes(self, k_select):
+        # three |lambda| groups in one call, one of them a pair
+        Z = self.grid()
+        x = Z.real[:, 0]
+        modal = [random_slice(-1.3, seed=32), random_slice(0.5, kmax=4, acap=12, seed=33),
+                 random_slice(1.3, seed=34), random_slice(2.1, kmax=8, acap=5, seed=35)]
+        got = modal_fields(modal, grid_planes(1, x, x), k_select)
+        for g in ([0, 2], [1], [3]):
+            want = slice_fields_by_point([modal[j] for j in g], Z, np.conj(Z), k_select)
+            for j, w in zip(g, want):
+                assert_close(got[j], w, rel=1e-14)
+
+    @pytest.mark.parametrize("k_select", [None, 3])
+    def test_complexified_points_bit_for_bit(self, k_select):
+        zc, zm = complex_points(seed=36)
+        pair = [random_slice(1.1, seed=37), random_slice(-1.1, seed=38)]
+        want = slice_fields_by_point(pair, zc, zm, k_select)
+        got = slice_fields(pair, zc, zm, k_select)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        planes = point_planes(zc[..., None], zm[..., None])
+        assert all(np.array_equal(g, w) for g, w in zip(modal_fields(pair, planes, k_select), want))
+        # a grid with one point off the real plane is complexified as a whole
+        Z = self.grid()
+        Zm = np.conj(Z)
+        Zm[3, 5] += 1e-9j
+        assert real_radii(Z, Zm) is None
+        want = slice_fields_by_point(pair, Z, Zm, k_select)
+        assert all(np.array_equal(g, w) for g, w in zip(slice_fields(pair, Z, Zm, k_select), want))
+
+    def test_real_radii(self):
+        Z = self.grid()
+        assert np.array_equal(real_radii(Z, np.conj(Z)), Z.real ** 2 + Z.imag ** 2)
+        assert real_radii(Z, np.conj(Z[:1])) is None          # broadcast, not the same shape
+        zc, zm = complex_points(seed=39)
+        assert real_radii(zc, zm) is None
+        x = np.linspace(-1.0, 1.0, 5)
+        assert np.array_equal(real_radii(x, x), x ** 2)
+
+    def test_radial_table_runs_every_order_of_laguerre_all(self):
+        values = np.linspace(0.0, 40.0, 17)
+        table = radial_table(0.7, values, 5, 9)
+        assert table.shape == (6, 10, 17)
+        for d in range(6):
+            assert np.array_equal(table[d], laguerre_all(9, d, 0.5 * 0.7 * values))
+
+    def test_radial_shells(self):
+        Z = self.grid()
+        rho = Z.real ** 2 + Z.imag ** 2
+        values, inverse, members = radial_shells(rho)
+        assert np.all(np.diff(values) > 0)
+        assert np.array_equal(values[inverse], rho.ravel())
+        real = members < rho.size
+        assert np.array_equal(np.sort(members[real]), np.arange(rho.size))
+        assert np.all(inverse[members[real]] == np.nonzero(real)[0])
+        assert np.all(real[:, 0]) and members.shape == (values.size, np.bincount(inverse).max())
 
 
 # ---------------------------------------------------------------------------

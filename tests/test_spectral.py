@@ -307,6 +307,66 @@ class TestPoissonColumn:
             assert all(np.array_equal(gm, wm) for (_, gm), (_, wm) in zip(g, w))
 
 
+def test_tune_grid_asks_each_abs_lambda_once(monkeypatch):
+    # the +-lambda nodes of a trial grid share their populable level
+    calls = []
+    level = QuadratureSpec.max_radial_level
+
+    def counted(self, lam):
+        calls.append((tuple(vars(self).values()), abs(float(lam))))
+        return level(self, lam)
+
+    monkeypatch.setattr(QuadratureSpec, "max_radial_level", counted)
+    spectral._tune_grid(QuadratureSpec(), 1.0, 9.0, QuadratureSpec().kmax)
+    trials = {fields for fields, _ in calls}
+    assert len(trials) == 45
+    assert len(calls) == len(set(calls)) == 540
+
+
+def decimal_root(n, x0, digits=40):
+    """(root, weight) of the n-point Gauss-Legendre rule next to x0: Newton
+    on the Legendre recurrence in decimal arithmetic at `digits` digits."""
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = digits
+        x = Decimal(float(x0))
+        for _ in range(3):
+            p0, p1 = Decimal(1), x
+            for j in range(2, n + 1):
+                p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+            dp = n * (x * p1 - p0) / (x * x - 1)
+            x -= p1 / dp
+        return float(x), float(2 / ((1 - x * x) * dp * dp))
+
+
+class TestGaussLegendre:
+    """grids._leggauss: Newton on the recurrence instead of numpy's leggauss,
+    an eigensolve through LAPACK."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 64, 400, 401, 600, 800])
+    def test_matches_numpy_leggauss(self, n):
+        from numpy.polynomial.legendre import leggauss
+
+        x, w = grids._leggauss(n)
+        X, W = leggauss(n)
+        assert np.all(np.diff(x) > 0) and np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        assert np.max(np.abs(x - X)) <= 1e-14
+        # leggauss's own weights next to +-1 are off by up to 2.6e-14 at
+        # n = 400 (5.6e-10 of the weight), against the decimal reference
+        assert np.max(np.abs(w - W)) <= 5e-14
+        assert abs(np.sum(w) - 2.0) <= 1e-14 and not x.flags.writeable
+
+    @pytest.mark.parametrize("n", [400, 600, 800])
+    def test_matches_decimal_newton(self, n):
+        # the outermost nodes carry the largest relative weight error
+        x, w = grids._leggauss(n)
+        for i in (0, 1, 2, 7, n // 2):
+            xr, wr = decimal_root(n, x[i])
+            assert abs(x[i] - xr) <= 2.3e-16
+            assert abs(w[i] - wr) <= 1e-11 * wr
+
+
 class TestModeMask:
     """_mode_mask is memoized on every spec field, kmax and |lambda|."""
 
@@ -397,6 +457,17 @@ class TestAnalyze:
 
 
 class TestPlancherel:
+    def test_squared_norm_in_real_arithmetic(self, fixture_small):
+        # against the sum of |f|^2 through np.abs, at n = 1 and n = 2
+        _, f, _ = fixture_small
+        rng = np.random.default_rng(14)
+        shape = (10,) * 4 + (16,)
+        g = GridFunction(2, f.xgrid[::4], f.xgrid[::4], f.tgrid[::4],
+                         rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        for fn in (f, g):
+            want = np.sum(np.abs(fn.samples) ** 2) * fn.hx ** (2 * fn.n) * fn.ht
+            assert abs(fn.squared_norm() - want) <= 1e-14 * want
+
     def test_zero(self):
         spec = small_spec()
         lgrid = LambdaGrid.build(spec, 1.0)
@@ -782,6 +853,99 @@ class TestAnalyzeN1:
             assert np.max(np.abs(got - want)) <= 1e-14 * max(np.max(np.abs(want)), 1e-300)
 
 
+def analyze_by_table(f, lgrid, kmax, spec):
+    """n = 1 coefficients as analyze computed them through basis tables: per
+    +-lambda pair one basis_matrix table of the admitted rows at the first
+    node l0, padded by a zero row when it has one row, contracted by
+    tensordot with each slice (the table itself at -l0, its conjugate at l0)
+    and scattered into coef[mask]."""
+    _, [(Z, _)] = grid_planes(1, f.xgrid, f.ugrid)
+    lam = lgrid.lam
+    coefs = [None] * lam.size
+    for group in spectral.abs_lam_groups(lam):
+        l0 = lam[group[0]]
+        mask = _mode_mask(spec, kmax, l0)
+        B = basis_matrix(l0, kmax, spec.beta_cap, Z, mask=mask).reshape(-1, Z.size)
+        if B.shape[0] == 1:
+            B = np.concatenate([B, np.zeros_like(B)])
+        for j in group:
+            Bc = B if lam[j] != l0 else np.conj(B)
+            sl = partial_fourier_t(f, lam[j]).reshape(Z.size)
+            coef = np.zeros(mask.shape, dtype=complex)
+            coef[mask] = (np.tensordot(Bc, sl, axes=(1, 0)) * f.hx ** 2)[: mask.sum()]
+            coefs[j] = coef
+    return coefs
+
+
+class TestAnalyzeShellMoments:
+    """n = 1 analyze through shell moments and the radial table on the
+    distinct rho, against the table product it replaces."""
+
+    @staticmethod
+    def assert_close(sd, coefs, rel=1e-13):
+        for ms, coef in zip(sd.modal, coefs):
+            assert ms.coef.shape == coef.shape
+            assert np.all(np.abs(ms.coef - coef) <= rel * np.max(np.abs(coef)))
+            assert np.array_equal(ms.coef != 0, coef != 0)
+        norms2 = np.stack([spectral.ModalSlice(lv, c).proj_norms2()
+                           for lv, c in zip(sd.lam, coefs)], axis=1)
+        assert np.all(np.abs(sd.norms2 - norms2) <= rel * np.max(norms2, axis=0))
+        assert abs(np.sum(sd.norms2) - np.sum(norms2)) <= 1e-14 * np.sum(norms2)
+
+    @staticmethod
+    def noise_gridfn(spec, lgrid, seed):
+        """Complex noise in (x, u), the same at every node of lgrid: every
+        admitted mode carries content."""
+        xg = fft_grid(spec.nx, spec.lx)
+        tg = fft_grid(spec.nt, lgrid.t_half_window)
+        rng = np.random.default_rng(seed)
+        noise = rng.standard_normal((spec.nx,) * 2) + 1j * rng.standard_normal((spec.nx,) * 2)
+        samples = noise[..., None] * np.exp(-1j * np.outer(lgrid.lam, tg)).sum(axis=0)
+        return GridFunction(1, xg, xg, tg, samples)
+
+    def test_desk_fixture(self):
+        spec = QuadratureSpec()
+        f, sd = synth_bandlimited(1.0, 9.0, seed=3, spec=spec)
+        got = analyze(f, sd.lgrid, spec.kmax, spec)
+        self.assert_close(got, analyze_by_table(f, sd.lgrid, spec.kmax, spec))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_lone_members_of_either_sign(self, sign):
+        # one sign only, so every group is a lone member: nodes 16, 13 and 9
+        # (190, 105 and 25 rows), 5 (one row) and 4 (empty mask) of the desk
+        # grid at A = 1
+        spec = QuadratureSpec()
+        full = LambdaGrid.build(spec, 1.0)
+        lam = sign * np.array([16.0, 13.0, 9.0, 5.0, 4.0]) * full.dl
+        lgrid = LambdaGrid(lam, full.dl, np.ones(lam.size))
+        rows = [int(_mode_mask(spec, spec.kmax, lv).sum()) for lv in lam]
+        assert rows[-2:] == [1, 0] and min(rows[:-2]) > 1
+        f = self.noise_gridfn(spec, lgrid, seed=12)
+        got = analyze(f, lgrid, spec.kmax, spec)
+        assert [np.count_nonzero(ms.coef) for ms in got.modal] == rows
+        self.assert_close(got, analyze_by_table(f, lgrid, spec.kmax, spec))
+
+    def test_pairs_with_one_row_and_empty_masks(self):
+        spec = QuadratureSpec()
+        full = LambdaGrid.build(spec, 1.0)
+        lam = np.array([-16.0, -5.0, -4.0, 4.0, 5.0, 16.0]) * full.dl
+        lgrid = LambdaGrid(lam, full.dl, np.ones(lam.size))
+        f = self.noise_gridfn(spec, lgrid, seed=13)
+        got = analyze(f, lgrid, spec.kmax, spec)
+        assert [np.count_nonzero(ms.coef) for ms in got.modal] == [190, 1, 0, 0, 1, 190]
+        assert np.all(got.norms2[:, [2, 3]] == 0.0)
+        self.assert_close(got, analyze_by_table(f, lgrid, spec.kmax, spec))
+
+    def test_builds_no_basis_table(self, fixture_small, monkeypatch):
+        spec, f, sd = fixture_small
+        calls = []
+        table = spectral.basis_matrix
+        monkeypatch.setattr(spectral, "basis_matrix",
+                            lambda *a, **kw: calls.append(a) or table(*a, **kw))
+        analyze(f, sd.lgrid, spec.kmax, spec)
+        assert calls == []
+
+
 def analyze_per_node(f, lgrid, kmax, spec):
     """(coef list, norms2, tail) as analyze computed them node by node, one
     mask and one conjugated table per lambda, at n = 1 the table scattered
@@ -830,20 +994,26 @@ def analyze_per_node(f, lgrid, kmax, spec):
 
 
 class TestAnalyzePairs:
-    """analyze builds one mask and one table per +-lambda pair; the results
-    equal the node-by-node path exactly."""
+    """analyze builds one mask per +-lambda pair (and at n >= 2 one table);
+    the results equal the node-by-node path: exactly at n >= 2, to 1e-13 of
+    each slice's largest coefficient at n = 1, where the shell moments sum
+    in another order than the table product."""
 
     @staticmethod
-    def assert_same(sd, ref):
+    def assert_same(sd, ref, rel=0.0):
         coefs, norms2, tail = ref
         assert len(sd.modal) == len(coefs)
         for ms, lv, coef in zip(sd.modal, sd.lam, coefs):
-            assert ms.lam == lv and np.array_equal(ms.coef, coef)
-        assert np.array_equal(sd.norms2, norms2) and np.array_equal(sd.tail, tail)
+            assert ms.lam == lv and ms.coef.shape == coef.shape
+            assert np.all(np.abs(ms.coef - coef) <= rel * np.max(np.abs(coef)))
+        assert np.all(np.abs(sd.norms2 - norms2) <= rel * np.max(norms2, axis=0))
+        # the tail is the slice energy less the captured one
+        captured = np.array([np.sum(np.abs(c) ** 2) for c in coefs])
+        assert np.all(np.abs(sd.tail - tail) <= rel * captured)
 
     def test_n1_fixture(self, fixture_small, analyzed_small):
         spec, f, sd = fixture_small
-        self.assert_same(analyzed_small, analyze_per_node(f, sd.lgrid, spec.kmax, spec))
+        self.assert_same(analyzed_small, analyze_per_node(f, sd.lgrid, spec.kmax, spec), 1e-13)
 
     def test_unpaired_node(self, fixture_small):
         spec, f, _ = fixture_small
@@ -853,11 +1023,10 @@ class TestAnalyzePairs:
         lgrid = LambdaGrid(lam, dual, np.ones(lam.size))
         sd = analyze(f, lgrid, spec.kmax, spec)
         assert all(np.any(ms.coef) for ms in sd.modal)
-        self.assert_same(sd, analyze_per_node(f, lgrid, spec.kmax, spec))
+        self.assert_same(sd, analyze_per_node(f, lgrid, spec.kmax, spec), 1e-13)
 
     def test_one_pair_group(self, fixture_small):
-        # |lambda| = 4/8 admits the single pair (0, 0) on this grid: analyze
-        # pads its one-row table with a zero row
+        # |lambda| = 4/8 admits the single pair (0, 0) on this grid
         spec, f, sd = fixture_small
         lam = sd.lgrid.lam
         keep = np.flatnonzero(np.isin(np.round(np.abs(lam) * 8), (4, 5)))
@@ -866,7 +1035,7 @@ class TestAnalyzePairs:
         assert sorted(counts) == [1, 1, 6, 6]
         sd1 = analyze(f, lgrid, spec.kmax, spec)
         assert all(np.count_nonzero(ms.coef) == c for ms, c in zip(sd1.modal, counts))
-        self.assert_same(sd1, analyze_per_node(f, lgrid, spec.kmax, spec))
+        self.assert_same(sd1, analyze_per_node(f, lgrid, spec.kmax, spec), 1e-13)
 
     def test_n2_fixture(self):
         spec = QuadratureSpec(**N2_SPEC)
