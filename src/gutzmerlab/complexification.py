@@ -96,10 +96,10 @@ def _log_spectral_sum(sd: SpectralData, r2: float, log_g: np.ndarray,
     ks, js = np.nonzero(live)
     if ks.size == 0:
         return -np.inf
-    al = np.abs(sd.lam)
     if bessel:
-        log_k = log_bessel_j_imag(sd.n - 1, 2.0 * np.sqrt((2 * ks + sd.n) * al[js] * r2))
+        log_k = log_bessel_j_imag(sd.n - 1, 2.0 * np.sqrt(sd.fan[ks, js] * r2))
     else:
+        al = np.abs(sd.lam)
         table = laguerre_all(sd.kmax, sd.n - 1, -2.0 * al * r2)
         log_w = np.log([binom_weight(k, sd.n) for k in range(sd.kmax + 1)])
         log_k = np.log(table[ks, js]) + al[js] * r2 + log_w[ks]
@@ -315,7 +315,7 @@ def _tail_test(sd: SpectralData, B_hat: float, C: Optional[float] = None) -> dic
     ratios reports it over e^{2 t B_hat} at t = 1, 2, 4, 8."""
     if C is None:
         C = 1.1 * B_hat + 1e-9
-    fan = (2 * np.arange(sd.kmax + 1)[:, None] + sd.n) * np.abs(sd.lam)[None, :]
+    fan = sd.fan
     sel = fan > C
     mass = float(np.sum(sd.norms2[sel] * np.broadcast_to(sd.wmu, sd.norms2.shape)[sel]))
     total = sd.total_mass()

@@ -7,7 +7,9 @@ GFN1 (grid function): magic b"GFN1", little-endian throughout.
 SPD1 (spectral data): magic b"SPD1".
     uint32 n, nlam, kmax+1, flags, nx, nu; float64 lx, lu, dl,
     A_requested, B_requested (zero when absent);
-    float64 lambda[nlam], wmu[nlam]; float64 norms2 stored row-major [k, j];
+    float64 lambda[nlam], wmu[nlam]; float64 norms2 stored row-major [k, j],
+    which readers require to match the blocks' proj_norms2 to 1e-12 of
+    the largest entry;
     flags bit1: modal coefficient blocks follow as complex float64
     [nlam, kmax+1, acap+1] preceded by uint32 acap+1.  Writers set bit1
     only, and readers require it.  Bit0 once marked projection blocks ahead
@@ -153,6 +155,10 @@ def read_spd(path: str) -> SpectralData:
             raw = np.frombuffer(fh.read(kk * acap * 16), dtype="<c16")
             _require(np.all(np.isfinite(raw)), f"SPD1 modal block {j} holds a non-finite value")
             modal.append(ModalSlice(float(lam[j]), raw.reshape(kk, acap).astype(complex)))
+    # norms2 is derived data: it must be what the blocks give
+    derived = np.stack([ms.proj_norms2(kk - 1) for ms in modal], axis=1)
+    _require(np.max(np.abs(derived - norms2)) <= 1e-12 * np.max(derived),
+             "SPD1 norms2 table disagrees with its modal coefficient blocks")
     sd = SpectralData(
         n=n, lgrid=LambdaGrid(lam, dl, wmu), kmax=kk - 1,
         xgrid=_fft_grid(nx, lx), ugrid=_fft_grid(nu, lu), norms2=norms2, modal=modal,

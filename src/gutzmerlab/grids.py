@@ -10,7 +10,7 @@ Conventions used throughout the package:
 
 * The lambda grid is uniform with spacing  dl = A / nodes_per_A  and extends
   margin_nodes past |lambda| = A; nodes inside the central puncture
-  |lambda| < lam_min are dropped (the |lambda|^n Plancherel density
+  |lambda| < LAM_MIN are dropped (the |lambda|^n Plancherel density
   suppresses their contribution).  The matching central window half-length
   is T = pi / dl, which makes e^{i lambda t} sums over the t-grid exactly
   orthogonal across lambda nodes.
@@ -28,6 +28,9 @@ import numpy as np
 # edge decay, relative to the peak magnitude, required of "Schwartz" grid data
 # before a transform may treat the samples as zero past the grid
 DECAY_TOL = 1e-3
+
+LAM_MIN = 0.05      # lambda nodes with |lambda| < LAM_MIN are dropped (the central puncture)
+FIT_FRAC = 0.95     # usable fraction of the grid extent and Nyquist band (mode-fit rule)
 
 
 def fft_grid(n: int, half_extent: float) -> np.ndarray:
@@ -153,7 +156,7 @@ class QuadratureSpec:
 
     The defaults target n=1 desk scale: 48^2 spatial grid, 96 central nodes,
     33-node lambda grid (node count 2*(nodes_per_A+margin_nodes)+1 before the
-    central puncture removes |lambda| < lam_min).
+    central puncture removes |lambda| < LAM_MIN).
     """
 
     n: int = 1
@@ -162,10 +165,8 @@ class QuadratureSpec:
     nt: int = 96
     nodes_per_A: int = 13
     margin_nodes: int = 3
-    lam_min: float = 0.05
     kmax: int = 16
     beta_cap: int = 64          # free-index cap (4 * kmax) in Hermite-Laguerre expansions
-    fit_frac: float = 0.95     # usable fraction of grid extent / Nyquist band
     fit_tol: float = 1e-9      # admissible mode tail mass outside the usable box
     shell_tol: float = 1e-6     # orbital quadrature shell-truncation target
     pad_factor: float = 1.5     # orbital evaluation domain relative to lx
@@ -185,7 +186,7 @@ class QuadratureSpec:
         dl = A / self.nodes_per_A
         jmax = self.nodes_per_A + self.margin_nodes
         lam = np.arange(-jmax, jmax + 1) * dl
-        lam = lam[np.abs(lam) >= self.lam_min - 1e-12]
+        lam = lam[np.abs(lam) >= LAM_MIN - 1e-12]
         wmu = (2.0 * np.pi) ** (-self.n - 1) * np.abs(lam) ** self.n * dl
         return lam, dl, wmu
 
@@ -193,14 +194,14 @@ class QuadratureSpec:
     def _fit_radii(self, lam: float):
         """Generalized-radius cutoffs (spatial, momentum) at scale lam.
 
-        Spatial: s = |lam| r^2/2 at r = fit_frac * lx (inscribed circle of
+        Spatial: s = |lam| r^2/2 at r = FIT_FRAC * lx (inscribed circle of
         the box).  Momentum: the ordinary Fourier transform of a special
         Hermite mode is again one at dual scale, radius omega = (|lam|/2) r,
-        so the cutoff at fit_frac of the Nyquist band is s = 2 omega^2/|lam|.
+        so the cutoff at FIT_FRAC of the Nyquist band is s = 2 omega^2/|lam|.
         """
         al = abs(lam)
-        s_space = al * (self.fit_frac * self.lx) ** 2 / 2.0
-        s_mom = 2.0 * (self.fit_frac * np.pi / self.hx) ** 2 / al
+        s_space = al * (FIT_FRAC * self.lx) ** 2 / 2.0
+        s_mom = 2.0 * (FIT_FRAC * np.pi / self.hx) ** 2 / al
         return s_space, s_mom
 
     def pair_fits(self, a: int, k: int, lam: float) -> bool:

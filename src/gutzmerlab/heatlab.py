@@ -70,9 +70,7 @@ def heat_apply(sd: SpectralData, t: float) -> SpectralData:
         raise HeatError("heat time must be non-negative")
     if t == 0:
         return sd
-    ks = np.arange(sd.kmax + 1)
-    mult = np.exp(-t * sd.lam[None, :] ** 2
-                  - (2 * ks[:, None] + sd.n) * np.abs(sd.lam)[None, :] * t)
+    mult = np.exp(-t * sd.lam[None, :] ** 2 - sd.fan * t)
     modal = [ModalSlice(ms.lam, ms.coef * np.exp(-t * lv ** 2
                                                   - (2 * ms.levels() + sd.n) * abs(lv) * t))
              for ms, lv in zip(sd.modal, sd.lam)]
@@ -85,9 +83,7 @@ def heat_image_norm(sd_heated: SpectralData, t: float) -> float:
     form.  Equals heat_image_c(n) * ||f||_2^2 independently of t."""
     if t <= 0:
         raise HeatError("heat time must be positive")
-    ks = np.arange(sd_heated.kmax + 1)
-    expo = (2.0 * t * sd_heated.lam[None, :] ** 2
-            + 2.0 * (2 * ks[:, None] + sd_heated.n) * np.abs(sd_heated.lam)[None, :] * t)
+    expo = 2.0 * t * sd_heated.lam[None, :] ** 2 + 2.0 * sd_heated.fan * t
     # an empty cell contributes 0; its exponent may overflow exp, and inf * 0 is nan
     gain = np.exp(np.where(sd_heated.norms2 == 0, 0.0, expo))
     return float(heat_image_c(sd_heated.n)
@@ -176,9 +172,8 @@ def thm35_forward(sd: SpectralData, alpha: float, beta: float,
     tg = np.asarray(t_grid, dtype=float)
     if np.any(tg <= 0):
         raise HeatError("heat time must be positive")
-    ks = np.arange(sd.kmax + 1)[:, None]
     pos = (sd.lam > 0) & (sd.lam <= alpha + 1e-12)
-    cells = pos & ((2 * ks + sd.n) * sd.lam <= beta + 1e-12)
+    cells = pos & (sd.fan <= beta + 1e-12)
     lam = sd.lam[pos]
     out_pts = []
     worst = -np.inf

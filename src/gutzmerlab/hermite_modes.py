@@ -31,7 +31,7 @@ every point, serve the n >= 2 planes, where one table is amortized over the
 N^{2(n-1)} columns of each plane, and complexified points, where rho =
 zc zm has no shells.
 
-n = 1 slice fields (slice_fields, ModalSlice.field) group the modes by index
+n = 1 slice fields (_fields, ModalSlice.field) group the modes by index
 offset d = |a - k|: every mode of one offset shares L_m^d(s), so one
 Laguerre sum per offset evaluates them all.  s, the Gaussian and the two
 monomial bases depend on |lam| only, so the slices at lam and -lam share
@@ -44,7 +44,7 @@ weight q = +-d without their monomial: on a real plane as the product of
 the weights with the group's radial table on the distinct rho, gathered
 back to the points; at complexified points as a forward recurrence at every
 point, carried by specfun.laguerre_sums as running weighted sums without
-an (m, points) table.  slice_fields multiplies the parts by P^d or Q^d and
+an (m, points) table.  _fields multiplies the parts by P^d or Q^d and
 adds them up; slice_powers, the mean of |field|^2 over the U(1) rotations,
 adds |G_q|^2 |P|^2d (or |Q|^2d) in real arithmetic, for slices of any |lam|
 in one call.  modal_fields evaluates every slice of a set in one such call
@@ -165,14 +165,14 @@ class ModalSlice:
     def field(self, zc, zm, k_select=None):
         """Evaluate the slice (or its level-k_select projection) at points.
 
-        n = 1: a one-slice call to slice_fields (modal_fields evaluates the
+        n = 1: a one-slice call to _fields (modal_fields evaluates the
         slices at lambda and -lambda together, sharing each Laguerre
         recurrence).  n >= 2: zc, zm are arrays [..., n] of the per-axis
         coordinates, scanned by point_planes and evaluated by
         field_on_planes; the result has shape zc.shape[:-1].
         """
         if self.n == 1:
-            return slice_fields([self], zc, zm, k_select)[0]
+            return _fields([self], zc, zm, k_select)[0]
         return self.field_on_planes(point_planes(zc, zm), k_select)
 
     def field_on_planes(self, planes, k_select=None):
@@ -415,21 +415,6 @@ def _fields(slices, zc, zm, k_select=None) -> list:
         fld *= np.sqrt(al / (2.0 * np.pi))
         fld *= gauss[al]
     return out
-
-
-def slice_fields(group, zc, zm, k_select=None) -> list:
-    """Evaluate ModalSlices that share |lambda| (or their k-th projections).
-
-    One Laguerre sum per index offset serves the whole group (see _fields
-    and _offset_sums).  On a real plane (zm exactly conj(zc)) the radial
-    factor is computed once per distinct rho = |z|^2, in real arithmetic;
-    at complexified points at every point.  Returns one field per slice of
-    the group, in its order.
-    """
-    al = abs(group[0].lam)
-    if any(abs(ms.lam) != al for ms in group):
-        raise ValueError("the slices of one group must share |lambda|")
-    return _fields(group, zc, zm, k_select)
 
 
 def slice_powers(slices, zc, zm) -> list:

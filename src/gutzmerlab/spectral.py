@@ -87,6 +87,23 @@ class BandLimit:
             raise SpectralError("band limits must be positive")
 
 
+def fan_table(n: int, kmax: int, lam: np.ndarray) -> np.ndarray:
+    """fan[k, j] = (2k+n)|lambda_j|, the second band coordinate of the cell
+    (k, lambda_j)."""
+    return (2 * np.arange(kmax + 1)[:, None] + n) * np.abs(lam)[None, :]
+
+
+def band_cells(n: int, kmax: int, lam: np.ndarray, levels: np.ndarray,
+               A: float, B: float) -> tuple:
+    """(fan, cells) over the cells [k, j]: fan_table, and the cells a fixture
+    may populate, |lambda_j| <= A, fan <= B and k <= levels[j], the populable
+    level of |lambda_j| (-1 where no mode fits)."""
+    fan = fan_table(n, kmax, lam)
+    cells = ((np.abs(lam) <= A + 1e-12) & (fan <= B + 1e-12)
+             & (np.arange(kmax + 1)[:, None] <= levels))
+    return fan, cells
+
+
 @dataclass
 class GridFunction:
     """Complex samples of a function on H^n over tensor grids.
@@ -181,6 +198,11 @@ class SpectralData:
         return float(self.xgrid[1] - self.xgrid[0])
 
     @property
+    def fan(self) -> np.ndarray:
+        """fan[k, j] = (2k+n)|lambda_j| (fan_table)."""
+        return fan_table(self.n, self.kmax, self.lam)
+
+    @property
     def slices(self) -> list:
         """slices[j]: the slice at lambda_j rebuilt from its coefficients."""
         return modal_fields(self.modal, grid_planes(self.n, self.xgrid, self.ugrid))
@@ -205,10 +227,8 @@ class SpectralData:
         act = self.norms2 > thresh
         if not np.any(act):
             raise SpectralError("empty spectrum")
-        ks, js = np.nonzero(act)
-        A = float(np.max(np.abs(self.lam[js])))
-        B = float(np.max((2 * ks + self.n) * np.abs(self.lam[js])))
-        return BandLimit(A, B)
+        A = float(np.max(np.abs(self.lam[act.any(axis=0)])))
+        return BandLimit(A, float(np.max(self.fan[act])))
 
 
 # ---------------------------------------------------------------------------
@@ -551,8 +571,9 @@ def _tune_grid(spec: QuadratureSpec, A: float, B: float, kmax: int) -> Quadratur
     """Retune lambda spacing and box extent so the admissible fan realizes B.
 
     Scans nodes_per_A and the box half-extent (small-lambda cells need wider
-    boxes); keeps the node count structure and everything else fixed.  The
-    fan depends on |lambda| only, so each trial asks each |lambda| of its
+    boxes); keeps the node count structure and everything else fixed.  B* of
+    a trial is the largest fan over its band_cells.  The populable level
+    depends on |lambda| only, so each trial asks each |lambda| <= A of its
     grid once.
     """
     best = None
@@ -561,18 +582,45 @@ def _tune_grid(spec: QuadratureSpec, A: float, B: float, kmax: int) -> Quadratur
         for npa in range(8, 17):
             trial = QuadratureSpec(**{**trial_box.__dict__, "nodes_per_A": npa})
             lam, _, _ = trial.lambda_grid(A)
-            bstar = 0.0
-            for al in dict.fromkeys(np.abs(lam).tolist()):
-                if al > A + 1e-12:
-                    continue
-                ktop = min(kmax, trial.max_radial_level(al))
-                for k in range(ktop + 1):
-                    fan = (2 * k + spec.n) * al
-                    if fan <= B + 1e-12:
-                        bstar = max(bstar, fan)
+            al = np.abs(lam).tolist()
+            level = {a: trial.max_radial_level(a) for a in dict.fromkeys(al) if a <= A + 1e-12}
+            levels = np.array([level.get(a, -1) for a in al])
+            fan, cells = band_cells(spec.n, kmax, lam, levels, A, B)
+            bstar = float(np.max(fan[cells], initial=0.0))
             if best is None or bstar > best[0] + 1e-9:
                 best = (bstar, trial)
     return best[1]
+
+
+def _fixture_masses(n: int, kmax: int, lam: np.ndarray, levels: np.ndarray,
+                    A: float, B: float, rng) -> np.ndarray:
+    """Target masses m[k, j] of a fixture over its band_cells.
+
+    The bulk fills the cells with fan <= 0.75 B, drawn in (lambda, k) order
+    (np.float_power squares through libm's pow, as the fixtures always
+    have; x * x can round differently).  A spike of 16 times the mean bulk
+    mass goes to k = 0 at lambda = +-A where that level is populable, and to
+    the largest fan: the first cell, in (lambda, k) order, within 1e-12 of
+    it, and the same k at its mirror -lambda.
+    """
+    fan, cells = band_cells(n, kmax, lam, levels, A, B)
+    if not cells.any():
+        raise SpectralError("empty admissible (k, lambda) set")
+    js, ks = np.nonzero((cells & (fan <= 0.75 * B + 1e-12)).T)
+    masses = np.zeros(fan.shape)
+    masses[ks, js] = np.exp(-1.5 * np.float_power(np.abs(lam[js]) / A - 0.6, 2)
+                            - 0.15 * ks) * (0.3 + rng.random(ks.size))
+    spike = 16.0 * (np.mean(masses[masses > 0]) if np.any(masses > 0) else 1.0)
+    for sgn in (+1, -1):
+        jA = int(np.argmin(np.abs(lam - sgn * A)))
+        if abs(abs(lam[jA]) - A) < 1e-9 and levels[jA] >= 0:
+            masses[0, jA] += spike
+    jB, kB = (int(i[0]) for i in np.nonzero((cells & (fan >= np.max(fan[cells]) - 1e-12)).T))
+    masses[kB, jB] += spike
+    jBm = int(np.argmin(np.abs(lam + lam[jB])))
+    if kB <= levels[jBm]:
+        masses[kB, jBm] += spike
+    return masses
 
 
 def synth_bandlimited(A: float, B: float, seed: int,
@@ -580,8 +628,9 @@ def synth_bandlimited(A: float, B: float, seed: int,
                       tune_grid: bool = False):
     """Seeded band-limited test fixture: returns (GridFunction, SpectralData).
 
-    Coefficient masses m(k, lambda) >= 0 vanish outside |lambda| <= A,
-    (2k+n)|lambda| <= B and outside the set of modes the grid resolves; the
+    Coefficient masses m(k, lambda) >= 0 (_fixture_masses) live on the
+    band_cells: |lambda| <= A, (2k+n)|lambda| <= B, and k at most the
+    populable level of |lambda|, the a = 0 column of its mode mask.  The
     bulk is tapered to (2k+n)|lambda| <= 0.75 B, with heavy cells planted at
     |lambda| = A and at the largest admissible fan value (those extremes are
     what growth-based detection must see).  Fixture lambda nodes sit on the
@@ -605,62 +654,20 @@ def synth_bandlimited(A: float, B: float, seed: int,
     xg = fft_grid(spec.nx, spec.lx)
 
     # admissible cells and target masses
-    masks = [None] * lgrid.lam.size
-    for group in abs_lam_groups(lgrid.lam):
-        mask = _mode_mask(spec, kmax, lgrid.lam[group[0]])
-        for j in group:
-            masks[j] = mask
-    masses = np.zeros((kmax + 1, lgrid.lam.size))
-    for j, lv in enumerate(lgrid.lam):
-        for k in range(kmax + 1):
-            fan = (2 * k + 1) * abs(lv)
-            if abs(lv) > A + 1e-12 or fan > B + 1e-12 or not masks[j][k, 0]:
-                continue
-            if fan > 0.75 * B + 1e-12:
-                continue
-            masses[k, j] = np.exp(-1.5 * (abs(lv) / A - 0.6) ** 2 - 0.15 * k) * (
-                0.3 + rng.random()
-            )
-    mean_mass = np.mean(masses[masses > 0]) if np.any(masses > 0) else 1.0
-    spike = 16.0 * mean_mass            # the mass planted at each extreme cell
-    # spike at |lambda| = A (k = 0)
-    for sgn in (+1, -1):
-        jA = int(np.argmin(np.abs(lgrid.lam - sgn * A)))
-        if abs(abs(lgrid.lam[jA]) - A) < 1e-9 and masks[jA][0, 0]:
-            masses[0, jA] += spike
-    # spike at the largest admissible fan value
-    best = None
-    for j, lv in enumerate(lgrid.lam):
-        if abs(lv) > A + 1e-12:
-            continue
-        for k in range(kmax + 1):
-            fan = (2 * k + 1) * abs(lv)
-            if fan <= B + 1e-12 and masks[j][k, 0]:
-                if best is None or fan > best[0] + 1e-12:
-                    best = (fan, k, j)
-    if best is None:
-        raise SpectralError("empty admissible (k, lambda) set")
-    _, kB, jB = best
-    masses[kB, jB] += spike
-    jBm = int(np.argmin(np.abs(lgrid.lam + lgrid.lam[jB])))
-    if masks[jBm][kB, 0]:
-        masses[kB, jBm] += spike
+    masks = [_mode_mask(spec, kmax, lv) for lv in lgrid.lam]       # memoized on |lambda|
+    levels = np.array([np.count_nonzero(mask[:, 0]) - 1 for mask in masks])
+    masses = _fixture_masses(spec.n, kmax, lgrid.lam, levels, A, B, rng)
 
     # coefficients per cell, scaled so norms2 equals the target mass
-    modal = []
-    for j, lv in enumerate(lgrid.lam):
-        coef = np.zeros((kmax + 1, spec.beta_cap + 1), dtype=complex)
-        scale = 2.0 * np.pi / abs(lv)
-        for k in range(kmax + 1):
-            if masses[k, j] <= 0:
-                continue
-            amax = int(np.sum(masks[j][k])) - 1
-            raw = (rng.standard_normal(amax + 1) + 1j * rng.standard_normal(amax + 1)) * np.exp(
-                -np.arange(amax + 1) / 6.0
-            )
-            raw *= np.sqrt(masses[k, j] / (scale * np.sum(np.abs(raw) ** 2)))
-            coef[k, : amax + 1] = raw
-        modal.append(ModalSlice(lv, coef))
+    coefs = np.zeros((lgrid.lam.size, kmax + 1, spec.beta_cap + 1), dtype=complex)
+    for j, k in zip(*np.nonzero(masses.T > 0)):
+        width = np.count_nonzero(masks[j][k])
+        raw = (rng.standard_normal(width) + 1j * rng.standard_normal(width)) * np.exp(
+            -np.arange(width) / 6.0)
+        scale = 2.0 * np.pi / abs(lgrid.lam[j])
+        raw *= np.sqrt(masses[k, j] / (scale * np.sum(np.abs(raw) ** 2)))
+        coefs[j, k, :width] = raw
+    modal = [ModalSlice(lv, coef) for lv, coef in zip(lgrid.lam, coefs)]
 
     tgrid = fft_grid(spec.nt, lgrid.t_half_window)
     sdata = SpectralData(

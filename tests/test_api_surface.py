@@ -1,8 +1,10 @@
-"""Every name the package exports has a reader.
+"""Every public name of the package has a reader.
 
-A name that gutzmerlab/__init__.py imports must be used, as a Name or an
-Attribute in the syntax tree (a docstring mention does not count), in one of:
-another definition in src/gutzmerlab/*.py, a bench/*.py file, or
+A public name is one that gutzmerlab/__init__.py imports, or a module-level
+def, class or assignment of src/gutzmerlab/*.py whose name does not start
+with an underscore.  It must be used, as a Name or an Attribute in the syntax
+tree (a docstring or string mention does not count), in one of: a definition
+in src/gutzmerlab/*.py other than its own, a bench/*.py file, or
 tests/test_acceptance.py.  A name that none of them uses stays only as an
 entry of REFERENCES, with the reason it is kept."""
 
@@ -20,6 +22,8 @@ REFERENCES = {
     "twisted_conv": "direct-quadrature oracle of the modal projection path",
     "flat_fourier": "the only implementation of the pinned flat Fourier convention",
     "pw_forward_check": "the only statement of the forward bound D O <= C e^{2A|eta|+2 sqrt(B) r}",
+    "e1d": "closed form of one mode, the reference the tests check both field evaluators "
+           "against; bench/tracer.py names it as a span target",
 }
 
 
@@ -29,12 +33,33 @@ def exported_names() -> list:
             if isinstance(node, ast.ImportFrom) for alias in node.names]
 
 
+def module_names(path: Path) -> list:
+    """Names that `path` binds at module level by a def, a class or an
+    assignment (imports excluded)."""
+    names = []
+    for stmt in ast.parse(path.read_text()).body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names += [node.id for t in targets for node in ast.walk(t)
+                      if isinstance(node, ast.Name)]
+    return names
+
+
+def public_names() -> set:
+    defined = {name for p in PACKAGE.glob("*.py") if p.name != "__init__.py"
+               for name in module_names(p)}
+    return {name for name in defined if not name.startswith("_")} | set(exported_names())
+
+
 def used_names(path: Path) -> set:
     """Names read as a Name or an Attribute in `path`; a top-level def or class
     does not count as a use of its own name."""
     used = set()
     for stmt in ast.parse(path.read_text()).body:
-        names = {node.id for node in ast.walk(stmt) if isinstance(node, ast.Name)}
+        names = {node.id for node in ast.walk(stmt)
+                 if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
         names |= {node.attr for node in ast.walk(stmt) if isinstance(node, ast.Attribute)}
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names.discard(stmt.name)
@@ -54,7 +79,12 @@ def test_every_export_has_a_reader_or_a_reason():
     assert not unread, f"exported but used nowhere: {unread}"
 
 
-def test_every_reference_is_exported_and_unread():
-    # an entry whose name gained a reader, or left the exports, goes
-    stale = sorted(set(REFERENCES) - (set(exported_names()) - readers()))
+def test_every_unexported_public_name_has_a_reader_or_a_reason():
+    unread = sorted(public_names() - set(exported_names()) - readers() - set(REFERENCES))
+    assert not unread, f"public module-level name used nowhere: {unread}"
+
+
+def test_every_reference_is_public_and_unread():
+    # an entry whose name gained a reader, or left the public names, goes
+    stale = sorted(set(REFERENCES) - (public_names() - readers()))
     assert not stale, f"REFERENCES entries to drop: {stale}"

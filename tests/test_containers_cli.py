@@ -1,5 +1,6 @@
 import json
 import struct
+from dataclasses import replace
 import subprocess
 import sys
 
@@ -12,7 +13,7 @@ from conftest import small_spec
 from gutzmerlab import containers
 from gutzmerlab.cli import COMMANDS, SUITES, _positive_half, build_parser, main
 from gutzmerlab.grids import QuadratureSpec
-from gutzmerlab.spectral import synth_bandlimited
+from gutzmerlab.spectral import SpectralError, synth_bandlimited
 
 
 def spd1_bytes(sd, flags):
@@ -118,6 +119,22 @@ class TestContainers:
         assert main(["detect", "-i", str(path)]) == 2
         err = capsys.readouterr().err
         assert "flags" in err and "Traceback" not in err
+
+    def test_spd_norms2_disagreeing_with_blocks_exits_2(self, fixture_files, tmp_path, capsys):
+        # the heaviest cell zeroed in the table alone, its blocks untouched
+        d, spec, f, sd = fixture_files
+        norms2 = sd.norms2.copy()
+        norms2[np.unravel_index(np.argmax(norms2), norms2.shape)] = 0.0
+        (tmp_path / "x.gfn").write_bytes((d / "fx.gfn").read_bytes())
+        (tmp_path / "x.spd").write_bytes(spd1_bytes(replace(sd, norms2=norms2), flags=2))
+        with pytest.raises(containers.ContainerError, match="norms2"):
+            containers.read_spd(str(tmp_path / "x.spd"))
+        x = str(tmp_path / "x")
+        for argv in (["verify", "gutzmer", "-i", x], ["verify", "heat-image", "-i", x],
+                     ["detect", "-i", x + ".spd"]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "norms2" in err and "Traceback" not in err
 
     def test_spd_without_modal_blocks_rejected(self, fixture_files, tmp_path):
         d, spec, f, sd = fixture_files
@@ -502,3 +519,41 @@ def test_fuzz_read_gfn(tiny_files, data):
         containers.read_gfn(str(path))
     except containers.ContainerError:
         pass
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzz_norms2_table_against_the_blocks(tiny_files, data):
+    # one cell of the table rewritten: more than 1e-12 of the largest entry
+    # away from what the blocks give is refused, and detect exits 2
+    sd = containers.read_spd(str(tiny_files / "ok.spd"))
+    top = float(np.max(sd.norms2))
+    k = data.draw(st.integers(0, sd.kmax))
+    j = data.draw(st.integers(0, sd.lam.size - 1))
+    near = sd.norms2[k, j] + top * data.draw(st.floats(-1e-12, 1e-12))
+    value = data.draw(st.floats(0.0, 2.0 * top) | st.just(max(near, 0.0)) | st.just(0.0))
+    norms2 = sd.norms2.copy()
+    norms2[k, j] = value
+    path = tiny_files / "norms2.spd"
+    path.write_bytes(spd1_bytes(replace(sd, norms2=norms2), flags=2))
+    if abs(value - sd.norms2[k, j]) <= 1e-12 * top:
+        assert np.array_equal(containers.read_spd(str(path)).norms2, norms2)
+        return
+    with pytest.raises(containers.ContainerError, match="norms2"):
+        containers.read_spd(str(path))
+    assert main(["detect", "-i", str(path), "-o", str(tiny_files / "norms2.json")]) == 2
+
+
+@settings(max_examples=20, deadline=None)
+@given(A=st.floats(0.3, 1.6), B=st.floats(0.2, 12.0), seed=st.integers(0, 2 ** 32 - 1),
+       tune=st.booleans())
+def test_every_synth_spd_reads(tiny_files, A, B, seed, tune):
+    spec = QuadratureSpec(nx=24, lx=8.0, nt=16, nodes_per_A=4, margin_nodes=1, kmax=4,
+                          beta_cap=8)
+    try:
+        _, sd = synth_bandlimited(A, B, seed=seed, spec=spec, tune_grid=tune)
+    except SpectralError:
+        return
+    path = tiny_files / "synth.spd"
+    containers.write_spd(str(path), sd)
+    assert np.array_equal(containers.read_spd(str(path)).norms2, sd.norms2)

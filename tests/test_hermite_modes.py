@@ -7,6 +7,7 @@ from gutzmerlab.grids import fft_grid
 from gutzmerlab.hermite_modes import (
     ModalSlice,
     ModalSliceND,
+    _fields,
     _offset_plan,
     abs_lam_groups,
     basis_matrix,
@@ -19,7 +20,6 @@ from gutzmerlab.hermite_modes import (
     radial_shells,
     radial_table,
     real_radii,
-    slice_fields,
     slice_powers,
 )
 from gutzmerlab.specfun import laguerre_all, laguerre_sums
@@ -59,7 +59,7 @@ class TestSliceFields:
     def test_pair_equals_single_slice_fields(self):
         zc, zm = complex_points()
         pos, neg = random_slice(0.8, seed=2), random_slice(-0.8, seed=3)
-        fp, fn = slice_fields([pos, neg], zc, zm)
+        fp, fn = _fields([pos, neg], zc, zm)
         assert np.array_equal(fp, pos.field(zc, zm))
         assert np.array_equal(fn, neg.field(zc, zm))
 
@@ -67,14 +67,14 @@ class TestSliceFields:
     def test_lone_slice_matches_mode_by_mode_sum(self, lam):
         zc, zm = complex_points()
         ms = random_slice(lam, seed=4)
-        (fld,) = slice_fields([ms], zc, zm)
+        (fld,) = _fields([ms], zc, zm)
         assert_close(fld, e1d_reference(ms, zc, zm))
 
     @pytest.mark.parametrize("k", [0, 3, 6])
     def test_k_select(self, k):
         zc, zm = complex_points()
         pos, neg = random_slice(1.1, seed=5), random_slice(-1.1, seed=6)
-        fp, fn = slice_fields([pos, neg], zc, zm, k_select=k)
+        fp, fn = _fields([pos, neg], zc, zm, k_select=k)
         assert np.array_equal(fp, pos.field(zc, zm, k_select=k))
         assert np.array_equal(fn, neg.field(zc, zm, k_select=k))
         assert_close(fp, e1d_reference(pos, zc, zm, k_select=k))
@@ -100,13 +100,9 @@ class TestSliceFields:
         assert not np.any(ms.field(np.ones((2, 2)), np.ones((2, 2))))
         live = random_slice(0.5, seed=9)
         zc, zm = np.asarray(0.3 + 0.1j), np.asarray(0.2 - 0.4j)
-        fz, fl = slice_fields([ms, live], zc, zm)
+        fz, fl = _fields([ms, live], zc, zm)
         assert fz.shape == () and fz == 0
         assert_close(fl, e1d_reference(live, zc, zm))
-
-    def test_group_must_share_abs_lambda(self):
-        with pytest.raises(ValueError, match="share"):
-            slice_fields([random_slice(0.5), random_slice(0.6)], 1.0 + 0j, 1.0 + 0j)
 
 
 def slice_powers_reference(group, zc, zm):
@@ -127,7 +123,7 @@ def slice_powers_reference(group, zc, zm):
 
 
 class TestSlicePowers:
-    """slice_powers against the mean of |slice_fields|^2 over rotated points
+    """slice_powers against the mean of |_fields|^2 over rotated points
     (e^{i theta} zc, e^{-i theta} zm) at uniform theta nodes, which are exact
     for the field's harmonics -acap..kmax."""
 
@@ -137,7 +133,7 @@ class TestSlicePowers:
         m = ms.kmax + ms.acap + 2
         rot = np.exp(2j * np.pi * np.arange(m) / m)[:, None, None]
         return [np.mean(np.abs(f) ** 2, axis=0)
-                for f in slice_fields(group, rot * zc, zm / rot)]
+                for f in _fields(group, rot * zc, zm / rot)]
 
     def test_pair_matches_theta_mean(self):
         zc, zm = complex_points(seed=10)
@@ -453,7 +449,8 @@ def test_modal_fields_broadcasts_a_cut_plane():
 
 
 def slice_fields_by_point(group, zc, zm, k_select=None):
-    """slice_fields as it ran at every point set before the real-plane path:
+    """_fields as it ran at every point set before the real-plane path, for
+    one |lambda| group:
     each Laguerre recurrence at every point in complex arithmetic, s =
     |lambda| zc zm / 2 and the Gaussian of zc zm."""
     al = abs(group[0].lam)
@@ -491,7 +488,7 @@ class TestRealPlanes:
     def test_pair_matches_pointwise_recurrence(self, k_select):
         Z = self.grid()
         pair = [random_slice(0.8, seed=30), random_slice(-0.8, seed=31)]
-        for got, want in zip(slice_fields(pair, Z, np.conj(Z), k_select),
+        for got, want in zip(_fields(pair, Z, np.conj(Z), k_select),
                              slice_fields_by_point(pair, Z, np.conj(Z), k_select)):
             assert got.shape == want.shape
             assert_close(got, want, rel=1e-14)
@@ -514,7 +511,7 @@ class TestRealPlanes:
         zc, zm = complex_points(seed=36)
         pair = [random_slice(1.1, seed=37), random_slice(-1.1, seed=38)]
         want = slice_fields_by_point(pair, zc, zm, k_select)
-        got = slice_fields(pair, zc, zm, k_select)
+        got = _fields(pair, zc, zm, k_select)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
         planes = point_planes(zc[..., None], zm[..., None])
         assert all(np.array_equal(g, w) for g, w in zip(modal_fields(pair, planes, k_select), want))
@@ -524,7 +521,7 @@ class TestRealPlanes:
         Zm[3, 5] += 1e-9j
         assert real_radii(Z, Zm) is None
         want = slice_fields_by_point(pair, Z, Zm, k_select)
-        assert all(np.array_equal(g, w) for g, w in zip(slice_fields(pair, Z, Zm, k_select), want))
+        assert all(np.array_equal(g, w) for g, w in zip(_fields(pair, Z, Zm, k_select), want))
 
     def test_real_radii(self):
         Z = self.grid()

@@ -1,4 +1,5 @@
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -1107,3 +1108,111 @@ class TestSynth:
         got = np.stack([(abs(lv) / (2 * np.pi)) ** sd.n * harea * np.sum(np.abs(pk) ** 2, axis=(1, 2))
                         for lv, pk in zip(sd.lam, sd.projections)], axis=1)
         assert np.max(np.abs(got - sd.norms2)) <= 1e-8 * max(float(np.max(sd.norms2)), 1.0)
+
+
+def fixture_masses_by_loop(lam, masks, A, B, kmax, rng):
+    """The target masses of synth_bandlimited as it drew them cell by cell,
+    n = 1: the bulk loop, the |lambda| = A spikes and the running search for
+    the largest fan, with its mirror."""
+    masses = np.zeros((kmax + 1, lam.size))
+    for j, lv in enumerate(lam):
+        for k in range(kmax + 1):
+            fan = (2 * k + 1) * abs(lv)
+            if abs(lv) > A + 1e-12 or fan > B + 1e-12 or not masks[j][k, 0]:
+                continue
+            if fan > 0.75 * B + 1e-12:
+                continue
+            masses[k, j] = np.exp(-1.5 * (abs(lv) / A - 0.6) ** 2 - 0.15 * k) * (
+                0.3 + rng.random())
+    spike = 16.0 * (np.mean(masses[masses > 0]) if np.any(masses > 0) else 1.0)
+    for sgn in (+1, -1):
+        jA = int(np.argmin(np.abs(lam - sgn * A)))
+        if abs(abs(lam[jA]) - A) < 1e-9 and masks[jA][0, 0]:
+            masses[0, jA] += spike
+    best = None
+    for j, lv in enumerate(lam):
+        if abs(lv) > A + 1e-12:
+            continue
+        for k in range(kmax + 1):
+            fan = (2 * k + 1) * abs(lv)
+            if fan <= B + 1e-12 and masks[j][k, 0]:
+                if best is None or fan > best[0] + 1e-12:
+                    best = (fan, k, j)
+    if best is None:
+        raise SpectralError("empty admissible (k, lambda) set")
+    _, kB, jB = best
+    masses[kB, jB] += spike
+    jBm = int(np.argmin(np.abs(lam + lam[jB])))
+    if masks[jBm][kB, 0]:
+        masses[kB, jBm] += spike
+    return masses, (kB, jB)
+
+
+# (A, B) of the fixture sweep; B < n A in the third and fourth, where the
+# |lambda| = A spike sits past the fan bound
+BAND_SWEEP = ((1.0, 9.0), (0.5, 2.0), (1.0, 0.6), (0.8, 0.3), (1.2, 14.0), (0.7, 5.0),
+              (1.0, 40.0))
+
+
+class TestBandCells:
+    """One (k, lambda) cell table: fan_table, band_cells and SpectralData.fan."""
+
+    def test_level_column_is_the_populable_level(self):
+        # band_cells reads k <= level where synthesis used the mask's a = 0 column
+        for sp, lam in TestPoissonColumn.specs_and_grids():
+            for lv in lam:
+                want = np.arange(sp.kmax + 1) <= min(sp.kmax, sp.max_radial_level(lv))
+                assert np.array_equal(_mode_mask(sp, sp.kmax, lv)[:, 0], want)
+
+    @pytest.mark.parametrize("tune", [False, True])
+    @pytest.mark.parametrize("A,B", BAND_SWEEP)
+    def test_fixture_masses_match_the_cell_loops(self, A, B, tune):
+        for spec in (QuadratureSpec(), small_spec()):
+            if tune:
+                spec = spectral._tune_grid(spec, A, B, spec.kmax)
+            lam = spec.lambda_grid(A)[0]
+            masks = [_mode_mask(spec, spec.kmax, lv) for lv in lam]
+            levels = np.array([np.count_nonzero(m[:, 0]) - 1 for m in masks])
+            for seed in (3, 11, 663421593):
+                rng, rng_loop = np.random.default_rng(seed), np.random.default_rng(seed)
+                try:
+                    want, (kB, jB) = fixture_masses_by_loop(lam, masks, A, B, spec.kmax,
+                                                            rng_loop)
+                except SpectralError:
+                    with pytest.raises(SpectralError, match="empty admissible"):
+                        spectral._fixture_masses(1, spec.kmax, lam, levels, A, B, rng)
+                    continue
+                got = spectral._fixture_masses(1, spec.kmax, lam, levels, A, B, rng)
+                assert np.array_equal(got, want)
+                assert rng.random() == rng_loop.random()        # the same draws
+                # the loop's spike cell: the first in (lambda, k) order within
+                # 1e-12 of the largest fan of band_cells
+                fan, cells = spectral.band_cells(1, spec.kmax, lam, levels, A, B)
+                js, ks = np.nonzero((cells & (fan >= np.max(fan[cells]) - 1e-12)).T)
+                assert (ks[0], js[0]) == (kB, jB)
+
+    @pytest.mark.parametrize("A,B", BAND_SWEEP[:3])
+    def test_synth_norms2_are_the_masses(self, A, B):
+        spec = small_spec()
+        _, sd = synth_bandlimited(A, B, seed=5, spec=spec)
+        masks = [_mode_mask(spec, spec.kmax, lv) for lv in sd.lam]
+        want, _ = fixture_masses_by_loop(sd.lam, masks, A, B, spec.kmax,
+                                         np.random.default_rng(5))
+        assert np.array_equal(sd.norms2 > 0, want > 0)
+        assert np.max(np.abs(sd.norms2 - want)) <= 1e-13 * np.max(want)
+
+    def test_fan_is_the_band_coordinate(self, analyzed_small):
+        for sd in (analyzed_small,
+                   replace(analyzed_small, n=2, lgrid=LambdaGrid.build(QuadratureSpec(n=2), 1.0))):
+            want = [[(2 * k + sd.n) * abs(lv) for lv in sd.lam] for k in range(sd.kmax + 1)]
+            assert np.array_equal(sd.fan, want)
+
+    def test_band_cells(self):
+        lam = np.array([-1.5, -1.0, -0.5, 0.5, 1.0, 1.5])
+        fan, cells = spectral.band_cells(1, 3, lam, np.array([3, 0, -1, 3, 0, 3]), 1.0, 3.0)
+        assert np.array_equal(fan, spectral.fan_table(1, 3, lam))
+        # (j, k): |lambda| = 1.5 is past A and level -1 admits nothing; at
+        # |lambda| = 0.5 the fan bound stops level 3 at k = 2, at |lambda| = 1
+        # level 0 stops the fan bound's k = 1
+        assert [(int(j), int(k)) for j, k in zip(*np.nonzero(cells.T))] == [
+            (1, 0), (3, 0), (3, 1), (3, 2), (4, 0)]
