@@ -10,7 +10,8 @@ band-limit detection, and the flat-model checks.
 Each command, and each verify suite, accepts only the flags it reads (the
 COMMANDS and SUITES tables); verify flags follow the suite name.  verify
 emits one CSV row per check (name, params, lhs, rhs, relerr, pass) and exits
-0 only if every check passes its tolerance; usage/config errors exit 2.
+0 only if every check passes its tolerance; usage/config errors and a
+failed allocation exit 2.
 """
 
 from __future__ import annotations
@@ -128,7 +129,7 @@ def _suite_gutzmer(args):
     rows = []
     for (y, v, eta) in pts:
         p = ComplexPoint.purely_imaginary([y], [v], eta)
-        lhs = orbital_direct(sd, p, spec)
+        lhs = orbital_direct(sd, p)
         rhs = gutzmer_spectral(sd, p)
         rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
         rows.append({"name": "gutzmer", "params": f"y={y};v={v};eta={eta}",
@@ -356,6 +357,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         # domain/config errors from the numerics (band too large, bad grids...)
         print(f"configuration error: {exc}", file=sys.stderr)
+        return USAGE_EXIT
+    except MemoryError as exc:
+        print(f"out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return USAGE_EXIT
 
 

@@ -34,6 +34,10 @@ class OrbitalError(SpectralError):
     pass
 
 
+SHELL_TOL = 1e-6    # orbital quadrature: largest share of the sum in the outer frame
+PAD_FACTOR = 1.5    # orbital evaluation grid, in sample-grid points per axis
+
+
 @dataclass
 class GrowthFit:
     """Least-squares exponential-growth fit along one ray.
@@ -151,18 +155,17 @@ def orbital_direct(sd: SpectralData, p: ComplexPoint,
     period of the fixture's lambda-comb, summed in closed form by Parseval
     (the integrand is trigonometric in t', so the period sum is the
     integral).  F is evaluated through the entire extension of each slice at
-    the imaginary displacement, and the share of the sum in the grid's outer
-    frame is checked against spec.shell_tol.
+    the imaginary displacement on PAD_FACTOR times the sample grid's points
+    per axis, and the share of the sum in its outer frame is checked
+    against SHELL_TOL.  spec is not read.
     """
     if sd.n != 1:
         raise OrbitalError("direct orbital integrals are implemented for n=1 only")
     _require_point(sd, p)
-    if spec is None:
-        spec = QuadratureSpec(nx=sd.xgrid.size, lx=float(-sd.xgrid[0]))
     w0 = float(p.zi[0]) + 1j * float(p.wi[0])
     eta = p.zeta_i
 
-    npad = int(round(spec.pad_factor * sd.xgrid.size))
+    npad = int(round(PAD_FACTOR * sd.xgrid.size))
     hx = float(sd.xgrid[1] - sd.xgrid[0])
     xg = (np.arange(npad) - npad // 2) * hx
     Z = xg[:, None] + 1j * xg[None, :]
@@ -184,10 +187,10 @@ def orbital_direct(sd: SpectralData, p: ComplexPoint,
         cell = power * np.exp(lv * phase)
         total += pref * float(np.sum(cell))
         shell += pref * float(np.sum(cell[frame]))
-    if total > 0 and shell > spec.shell_tol * total:
+    if total > 0 and shell > SHELL_TOL * total:
         raise OrbitalError(
             f"orbital quadrature truncation {shell/total:.2e} above tolerance "
-            f"{spec.shell_tol:.1e}; enlarge pad_factor"
+            f"{SHELL_TOL:.1e}; enlarge PAD_FACTOR"
         )
     return float(total)
 

@@ -168,8 +168,6 @@ class QuadratureSpec:
     kmax: int = 16
     beta_cap: int = 64          # free-index cap (4 * kmax) in Hermite-Laguerre expansions
     fit_tol: float = 1e-9      # admissible mode tail mass outside the usable box
-    shell_tol: float = 1e-6     # orbital quadrature shell-truncation target
-    pad_factor: float = 1.5     # orbital evaluation domain relative to lx
 
     @property
     def hx(self) -> float:

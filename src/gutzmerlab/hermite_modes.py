@@ -19,56 +19,45 @@ All of this was fixed against brute-force Gauss-Hermite quadrature of
 A slice is one ModalSlice at every n: the dense coefficient tensor
 coef[beta_1, alpha_1, ..., beta_n, alpha_n] of the product basis, zero
 outside the modes in use, with |beta| the projection level (coef[k, a] at
-n = 1).  ModalSliceND builds one from a list of (alpha, beta) modes.
+n = 1).  ModalSliceND builds one from a list of (alpha, beta) modes.  All
+the slices of a function on one point set are one [slice, *points] array:
+modal_fields returns it at every n, and spectral reads and writes the t
+axis against it in one product each way.
 
 Every n = 1 mode is a monomial z^d or conj(z)^d times a radial factor
-L_m^d(|lam| rho/2) e^{-|lam| rho/4} of rho = |z|^2 alone.  So on a real plane
-(zm exactly conj(zc): real_radii) the radial factor is computed once per
-distinct rho (radial_shells groups the points into shells of equal rho by
-one sort; radial_table holds L_m^d there), in real arithmetic: the 48^2
-desk plane has 298 distinct rho.  basis_matrix tables, one row per mode at
-every point, serve the n >= 2 planes, where one table is amortized over the
-N^{2(n-1)} columns of each plane, and complexified points, where rho =
-zc zm has no shells.
+L_m^d(|lam| rho/2) e^{-|lam| rho/4} of rho = |z|^2.  On a real plane (zm
+exactly conj(zc): real_radii) that factor is computed once per distinct rho
+(radial_shells sorts the points into shells; radial_table holds L_m^d
+there) in real arithmetic: the 48^2 desk plane has 298 distinct rho.
+Complexified points, where rho = zc zm has no shells, run the recurrence at
+every point (specfun.laguerre_sums, running weighted sums, no (m, points)
+table).
 
-n = 1 slice fields (_fields, ModalSlice.field) group the modes by index
-offset d = |a - k|: every mode of one offset shares L_m^d(s), so one
-Laguerre sum per offset evaluates them all.  s, the Gaussian and the two
-monomial bases depend on |lam| only, so the slices at lam and -lam share
-each sum; the sign of lam only decides which monomial a mode multiplies and
-contributes (-1)^d to its weight.  Every weight of a call comes from one
-scatter (_offset_plan) of the nonzero coefficients into rows indexed by
-(|lam| group, d, slice x diagonal).  The private generator _offset_sums
-runs one sum per (group, offset) and yields each slice's parts G_q of U(1)
-weight q = +-d without their monomial: on a real plane as the product of
-the weights with the group's radial table on the distinct rho, gathered
-back to the points; at complexified points as a forward recurrence at every
-point, carried by specfun.laguerre_sums as running weighted sums without
-an (m, points) table.  _fields multiplies the parts by P^d or Q^d and
-adds them up; slice_powers, the mean of |field|^2 over the U(1) rotations,
-adds |G_q|^2 |P|^2d (or |Q|^2d) in real arithmetic, for slices of any |lam|
-in one call.  modal_fields evaluates every slice of a set in one such call
-at n = 1.  analyze (spectral) projects n = 1 slices through the same
+n = 1 fields (_fields) group the modes by index offset d = |a - k|: one
+Laguerre sum per offset evaluates them all.  s, the Gaussian and the
+monomials depend on |lam| only, so lam and -lam share each sum; the sign
+only picks the monomial of a mode and adds (-1)^d to its weight.  One
+scatter (_offset_plan) builds every weight of a call, in rows indexed by
+(|lam| group, d, slice x diagonal), and the generator _offset_sums yields
+each slice's U(1)-weight parts G_q, q = +-d, without their monomial.
+_fields multiplies them by P^d or Q^d and adds them up; slice_powers, the
+mean of |field|^2 over the U(1) orbit, adds |G_q|^2 |P|^2d (or |Q|^2d) in
+real arithmetic.  analyze (spectral) projects n = 1 slices through the same
 factorization, contracting shell moments with the radial table.
 
-basis_matrix tabulates the admitted modes of one plane separately, one row
-each in row-major (k, a) order: per index offset one laguerre_all table up
-to the offset's largest admitted m and one broadcast product for its rows
-(real arithmetic at real points, independent (zc, zm) at complexified
-ones).  Each entry is the same product in the same order whatever else the
-mask admits.  At real points its table at -lam is the complex conjugate of
-the one at lam, bit for bit (the monomial bases swap into each other's
-conjugates and the Laguerre values and the Gaussian are real), so analyze
-builds one table per +-lam pair at n >= 2 and conjugates it in place for
-the second member.  The product basis factorizes over the axes, so
-ModalSlice.field_on_planes evaluates one 1-D table per axis, holding only
-the (beta_j, alpha_j) pairs in the tensor's nonzero support, on the points
-of that axis's plane alone, and contracts the coefficient tensor with the
-tables one axis at a time.  Point sets come as planes (shape, axes), per
-axis j the pair (zc_j, zm_j) cut to the point axes it varies along:
-spectral.grid_planes builds the tensor grid's (N^2 points per axis),
-point_planes scans scattered [..., n] coordinates.  e1d, the closed form of
-a single mode, is the reference the tests compare both evaluators against.
+basis_matrix tabulates the admitted modes of one plane, one row each in
+row-major (k, a) order: per index offset one laguerre_all table and one
+broadcast product, each entry the same float whatever else the mask
+admits.  At real points its table at -lam is the complex conjugate of the
+one at lam, bit for bit, so analyze builds one table per +-lam pair at
+n >= 2.  The product basis factorizes over the axes, so
+ModalSlice.field_on_planes evaluates one 1-D table per axis on the points
+of that axis's plane alone and contracts the coefficient tensor one axis
+at a time.  Point sets come as planes (shape, axes), per axis j the pair
+(zc_j, zm_j) cut to the point axes it varies along: spectral.grid_planes
+builds the tensor grid's, point_planes scans scattered [..., n]
+coordinates.  e1d, the closed form of a single mode, is the reference the
+tests compare both evaluators against.
 """
 
 from __future__ import annotations
@@ -383,17 +372,17 @@ def _offset_sums(slices, zc, zm, k_select=None):
             yield i, (d if p else -d), acc
 
 
-def _fields(slices, zc, zm, k_select=None) -> list:
+def _fields(slices, zc, zm, k_select=None) -> np.ndarray:
     """The fields of slices of any |lambda| (or their k-th projections).
 
     Multiplies each part of _offset_sums by its monomial P^d or Q^d, the
     powers of each |lambda| group taken by one multiplication per offset,
     and sums the parts; then applies the Gaussian (in real arithmetic at
-    real points) and the normalization.  One field per slice, in the order
-    given.
+    real points) and the normalization.  One [slice, *points] array, in the
+    order given.
     """
     rho = real_radii(zc, zm)
-    out = [np.zeros(np.broadcast(zc, zm).shape, dtype=complex) for _ in slices]
+    out = np.zeros((len(slices),) + np.broadcast(zc, zm).shape, dtype=complex)
     al_now = None
     for i, q, acc in _offset_sums(slices, zc, zm, k_select):
         al = abs(slices[i].lam)
@@ -408,12 +397,12 @@ def _fields(slices, zc, zm, k_select=None) -> list:
         acc *= mono_p if q >= 0 else mono_q
         out[i] += acc
     gauss = {}
-    for fld, ms in zip(out, slices):
+    for i, ms in enumerate(slices):
         al = abs(ms.lam)
         if al not in gauss:
             gauss[al] = np.exp(-0.25 * al * (zc * zm if rho is None else rho))
-        fld *= np.sqrt(al / (2.0 * np.pi))
-        fld *= gauss[al]
+        out[i] *= np.sqrt(al / (2.0 * np.pi))
+        out[i] *= gauss[al]
     return out
 
 
@@ -456,19 +445,24 @@ def slice_powers(slices, zc, zm) -> list:
     return out
 
 
-def modal_fields(modal, planes, k_select=None) -> list:
+def modal_fields(modal, planes, k_select=None) -> np.ndarray:
     """Fields of every slice in modal (or their level-k_select projections)
-    on the planes of spectral.grid_planes or point_planes, each of their
-    shape, in the order of modal.  n = 1: one _fields call for every slice,
-    so lambda and -lambda share each Laguerre recurrence and a real plane is
-    sorted into its shells once; n >= 2: field_on_planes per slice.
+    on the planes of spectral.grid_planes or point_planes: one [len(modal),
+    *shape] array, in the order of modal.  n = 1: one _fields call for every
+    slice, so lambda and -lambda share each Laguerre recurrence and a real
+    plane is sorted into its shells once (a plane cut along constant point
+    axes is broadcast back once, for all slices); n >= 2: field_on_planes
+    per slice.
     """
     shape, axes = planes
     if len(axes) > 1:
-        return [ms.field_on_planes(planes, k_select) for ms in modal]
+        out = np.empty((len(modal),) + shape, dtype=complex)
+        for i, ms in enumerate(modal):
+            out[i] = ms.field_on_planes(planes, k_select)
+        return out
     (zc, zm), = axes
-    return [fld if fld.shape == shape else np.broadcast_to(fld, shape).copy()
-            for fld in _fields(modal, zc, zm, k_select)]
+    out = _fields(modal, zc, zm, k_select)
+    return out if out.shape[1:] == shape else np.broadcast_to(out, out.shape[:1] + shape).copy()
 
 
 def basis_matrix(lam: float, kmax: int, acap: int, Z: np.ndarray,

@@ -168,10 +168,10 @@ class SpectralData:
     coef[beta_1, alpha_1, ..., beta_n, alpha_n] (coef[k, a] at n = 1), zero
     outside the admitted modes.  They are the only stored copy of the
     spectral content.
-    norms2[k, j] = (2 pi)^{-n} |lambda_j|^n ||projections[j][k]||^2 is filled
+    norms2[k, j] = (2 pi)^{-n} |lambda_j|^n ||projections[j, k]||^2 is filled
     from them once (ModalSlice.proj_norms2).  projections and slices are not
-    stored: each access evaluates them on the sample grid from modal, so
-    hoist them out of loops.
+    stored: each access evaluates them on the sample grid from modal, as one
+    [node, ...] array, so hoist them out of loops.
     """
 
     n: int
@@ -203,19 +203,20 @@ class SpectralData:
         return fan_table(self.n, self.kmax, self.lam)
 
     @property
-    def slices(self) -> list:
-        """slices[j]: the slice at lambda_j rebuilt from its coefficients."""
+    def slices(self) -> np.ndarray:
+        """slices[j]: the slice at lambda_j rebuilt from its coefficients,
+        one [node, *grid] array."""
         return modal_fields(self.modal, grid_planes(self.n, self.xgrid, self.ugrid))
 
     @property
-    def projections(self) -> list:
-        """projections[j][k] = f^lambda_j *_lam phi_k on the sample grid,
-        one [kmax+1, *grid] array per slice, filled level by level."""
-        planes = grid_planes(self.n, self.xgrid, self.ugrid)
-        out = [np.empty((self.kmax + 1,) + planes[0], dtype=complex) for _ in self.modal]
+    def projections(self) -> np.ndarray:
+        """projections[j, k] = f^lambda_j *_lam phi_k on the sample grid, one
+        [node, kmax+1, *grid] array, filled level by level."""
+        shape, _ = planes = grid_planes(self.n, self.xgrid, self.ugrid)
+        scale = ((2.0 * np.pi / np.abs(self.lam)) ** self.n).reshape((-1,) + (1,) * len(shape))
+        out = np.empty((len(self.modal), self.kmax + 1) + shape, dtype=complex)
         for k in range(self.kmax + 1):
-            for proj, ms, fld in zip(out, self.modal, modal_fields(self.modal, planes, k)):
-                proj[k] = (2.0 * np.pi / abs(ms.lam)) ** self.n * fld
+            out[:, k] = scale * modal_fields(self.modal, planes, k)
         return out
 
     def total_mass(self) -> float:
@@ -237,34 +238,32 @@ class SpectralData:
 
 def _t_edges_decayed(f: GridFunction) -> bool:
     """Do both t-edge sample planes stay within DECAY_TOL of the peak?"""
-    edge = max(
-        float(np.max(np.abs(np.take(f.samples, 0, axis=-1)))),
-        float(np.max(np.abs(np.take(f.samples, -1, axis=-1)))),
-    )
+    edge = float(np.max(np.abs(f.samples[..., [0, -1]])))
     peak = float(np.max(np.abs(f.samples)))
     return not (peak > 0 and edge > DECAY_TOL * peak)
 
 
-def _on_dual(f: GridFunction, lam: float) -> bool:
-    """Is lambda on the dual lattice pi/T of the t-window?"""
-    dual = np.pi / f.t_half_window
-    return abs(lam / dual - round(lam / dual)) < 1e-9
+def partial_fourier_t(f: GridFunction, lam) -> np.ndarray:
+    """f^lambda(x,u) = integral f(x,u,t) e^{i lambda t} dt by the grid rule, at
+    one node or an array of nodes: shape lam.shape + grid, all slices of the
+    call from one product of the [node, nt] phase table with the samples.
 
-
-def partial_fourier_t(f: GridFunction, lam: float) -> np.ndarray:
-    """f^lambda(x,u) = integral f(x,u,t) e^{i lambda t} dt by the grid rule.
-
-    Requires either edge decay at the declared tolerance or lambda on the
-    dual lattice pi/T of the t-window (fixtures are trigonometric in t, for
-    which the one-period sum is exact by discrete orthogonality).  The edge
-    scan over every sample runs only off the lattice.
+    Requires the schwartz flag, and then either every node on the dual
+    lattice pi/T of the t-window (fixtures are trigonometric in t, for which
+    the one-period sum is exact by discrete orthogonality) or edge decay at
+    the declared tolerance: one edge scan, run only when some node is off
+    the lattice, whose DecayError names the first such node in grid order.
     """
     if not f.schwartz:
         raise DecayError("function not flagged as decaying (schwartz)")
-    if not _on_dual(f, lam) and not _t_edges_decayed(f):
-        raise DecayError("insufficient t-extent for this lambda")
-    phases = np.exp(1j * lam * f.tgrid) * f.ht
-    return np.tensordot(f.samples, phases, axes=([-1], [0]))
+    lam = np.asarray(lam, dtype=float)
+    dual = np.pi / f.t_half_window
+    off = np.abs(lam / dual - np.round(lam / dual)) >= 1e-9
+    if off.any() and not _t_edges_decayed(f):
+        raise DecayError(f"insufficient t-extent for lambda = {lam[off][0]:.12g}")
+    phases = np.exp(1j * np.multiply.outer(lam.ravel(), f.tgrid)) * f.ht     # [node, nt]
+    slices = phases @ f.samples.reshape(-1, f.tgrid.size).T
+    return slices.reshape(lam.shape + f.samples.shape[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -376,11 +375,11 @@ def _radial_contract(al: float, mask: np.ndarray, moments: np.ndarray, values: n
     return scale[:, None] * C[q - qlo, m]
 
 
-def _plane_coefs(sls: list, lam: np.ndarray, groups: list, Z: np.ndarray,
+def _plane_coefs(sls: np.ndarray, lam: np.ndarray, groups: list, Z: np.ndarray,
                  harea: float) -> list:
-    """n = 1 coefficients coef[k, a] of the slices sls at the nodes lam, one
-    array per node, zero outside the mask of its group (the (indices, mask)
-    pairs of groups).
+    """n = 1 coefficients coef[k, a] of the slices sls [node, *plane] at the
+    nodes lam, one array per node, zero outside the mask of its group (the
+    (indices, mask) pairs of groups).
 
     The grid's points fall into shells of equal rho = |z|^2 (radial_shells,
     each shell padded with a zero point).  One batched product of the
@@ -400,8 +399,8 @@ def _plane_coefs(sls: list, lam: np.ndarray, groups: list, Z: np.ndarray,
     cols = [j for g, _ in live for j in g]
     flip = lam[cols] > 0
     samples = np.zeros((Z.size + 1, len(cols)), dtype=complex)        # [point, member]
-    for c, j in enumerate(cols):
-        samples[:-1, c] = np.conj(sls[j].ravel()) if flip[c] else sls[j].ravel()
+    samples[:-1] = sls.reshape(lam.size, Z.size)[cols].T
+    samples[:, flip] = np.conj(samples[:, flip])
     moments = zq.transpose(1, 0, 2) @ samples[members]                   # [u, dtop + q, member]
     moments = np.ascontiguousarray(moments.transpose(1, 0, 2))           # [dtop + q, u, member]
     c0 = 0
@@ -420,19 +419,16 @@ def analyze(f: GridFunction, lgrid: LambdaGrid, kmax: int,
 
     Admissibility depends on |lambda| only, and at real points
     E^{-lambda}_{ak}(z) = conj E^{lambda}_{ak}(z), so each |lambda| group
-    (the pair lambda, -lambda) builds one mask at its first node l0.  Every
-    slice is taken first, in grid order, so a DecayError names the first
-    node that fails.
+    (the pair lambda, -lambda) builds one mask at its first node l0.  All
+    slices come from one partial_fourier_t call over the node array, [node,
+    *grid], and the coefficients and tail energies read from it.
 
-    n = 1: every mode is z^d or conj(z)^d times a radial factor of rho =
-    |z|^2, so the radial factor is computed on the distinct rho of the grid
-    alone (_plane_coefs).  Each slice enters through its shell moments, the
-    sums of z^d f and conj(z)^d f over the points of equal rho, d up to the
-    mask's largest offset, and the real radial table contracts them: no
-    basis table over the grid, which would cost more than the one slice
-    vector it meets.  A member at lambda < 0 is projected as it is, one at
-    lambda > 0 through its conjugate slice, and its coefficients are
-    conjugated back.  coef[mask] holds the result.
+    n = 1 (_plane_coefs): every mode is z^d or conj(z)^d times a radial
+    factor of rho = |z|^2, so each slice enters through its shell moments,
+    the sums of z^d f and conj(z)^d f over the points of equal rho, which
+    the real radial table on the distinct rho contracts: no basis table over
+    the grid.  A member at lambda > 0 is projected through its conjugate
+    slice, and its coefficients are conjugated back.
 
     n >= 2: the product basis (|lam|/2pi)^{n/2} prod_j E_{alpha_j beta_j}(z_j)
     is a tensor product over the planes (x_j, u_j), so each slice is
@@ -457,7 +453,7 @@ def analyze(f: GridFunction, lgrid: LambdaGrid, kmax: int,
     harea = f.hx ** (2 * n)
     # slice axes (x_1..x_n, u_1..u_n) -> one (x_j, u_j) plane per axis
     planes = [ax for j in range(n) for ax in (j, n + j)]
-    sls = [partial_fourier_t(f, lv) for lv in lam]
+    sls = partial_fourier_t(f, lam)                     # [node, *grid]
     layout = (kmax + 1, spec.beta_cap + 1) * n
     modal = [None] * lam.size
     norms2 = np.zeros((kmax + 1, lam.size))
@@ -545,22 +541,21 @@ def invert(sd: SpectralData, p) -> complex:
     if p.n != sd.n:
         raise SpectralError(f"point of dimension {p.n} for data of dimension {sd.n}")
     z, w, zeta = p.z, p.w, p.zeta
-    fields = modal_fields(sd.modal, point_planes(z + 1j * w, z - 1j * w))
-    total = 0.0 + 0.0j
-    for j, lv in enumerate(sd.lam):
-        scale = (2.0 * np.pi / abs(lv)) ** sd.n
-        total += sd.wmu[j] * scale * complex(fields[j]) * np.exp(-1j * lv * zeta)
-    return total
+    fields = modal_fields(sd.modal, point_planes(z + 1j * w, z - 1j * w))     # [node]
+    weights = sd.wmu * (2.0 * np.pi / np.abs(sd.lam)) ** sd.n * np.exp(-1j * sd.lam * zeta)
+    return complex(weights @ fields)
 
 
 def invert_grid(sd: SpectralData, tgrid: np.ndarray) -> GridFunction:
-    """Synthesize the real-grid samples from the modal coefficients."""
-    # sum_k projections[j][k] = (2 pi/|lambda_j|)^n slices[j]
-    proj_sum = np.stack([(2.0 * np.pi / abs(lv)) ** sd.n * sl
-                         for sl, lv in zip(sd.slices, sd.lam)])          # [J, ...grid]
-    phases = np.exp(-1j * np.outer(sd.lam, tgrid)) * sd.wmu[:, None]    # [J, nt]
-    samples = np.tensordot(proj_sum, phases, axes=([0], [0]))
-    return GridFunction(sd.n, sd.xgrid, sd.ugrid, tgrid, samples, schwartz=True)
+    """Synthesize the real-grid samples from the modal coefficients: the
+    [node, *grid] slices against one weighted [node, nt] phase table, one
+    product (sum_k projections[j, k] = (2 pi/|lambda_j|)^n slices[j])."""
+    slices = sd.slices
+    scale = sd.wmu * (2.0 * np.pi / np.abs(sd.lam)) ** sd.n
+    phases = np.exp(-1j * np.outer(sd.lam, tgrid)) * scale[:, None]     # [node, nt]
+    samples = slices.reshape(sd.lam.size, -1).T @ phases
+    return GridFunction(sd.n, sd.xgrid, sd.ugrid, tgrid,
+                        samples.reshape(slices.shape[1:] + tgrid.shape), schwartz=True)
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +594,7 @@ def _fixture_masses(n: int, kmax: int, lam: np.ndarray, levels: np.ndarray,
     The bulk fills the cells with fan <= 0.75 B, drawn in (lambda, k) order
     (np.float_power squares through libm's pow, as the fixtures always
     have; x * x can round differently).  A spike of 16 times the mean bulk
-    mass goes to k = 0 at lambda = +-A where that level is populable, and to
+    mass goes to k = 0 at lambda = +-A where that cell is a band cell, and to
     the largest fan: the first cell, in (lambda, k) order, within 1e-12 of
     it, and the same k at its mirror -lambda.
     """
@@ -613,7 +608,7 @@ def _fixture_masses(n: int, kmax: int, lam: np.ndarray, levels: np.ndarray,
     spike = 16.0 * (np.mean(masses[masses > 0]) if np.any(masses > 0) else 1.0)
     for sgn in (+1, -1):
         jA = int(np.argmin(np.abs(lam - sgn * A)))
-        if abs(abs(lam[jA]) - A) < 1e-9 and levels[jA] >= 0:
+        if abs(abs(lam[jA]) - A) < 1e-9 and cells[0, jA]:
             masses[0, jA] += spike
     jB, kB = (int(i[0]) for i in np.nonzero((cells & (fan >= np.max(fan[cells]) - 1e-12)).T))
     masses[kB, jB] += spike

@@ -6,10 +6,16 @@ with an underscore.  It must be used, as a Name or an Attribute in the syntax
 tree (a docstring or string mention does not count), in one of: a definition
 in src/gutzmerlab/*.py other than its own, a bench/*.py file, or
 tests/test_acceptance.py.  A name that none of them uses stays only as an
-entry of REFERENCES, with the reason it is kept."""
+entry of REFERENCES, with the reason it is kept.
+
+Every QuadratureSpec field is a knob some caller in src/gutzmerlab/*.py or
+bench/*.py sets; a field nobody sets is a constant."""
 
 import ast
+import dataclasses
 from pathlib import Path
+
+from gutzmerlab.grids import QuadratureSpec
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "gutzmerlab"
@@ -88,3 +94,28 @@ def test_every_reference_is_public_and_unread():
     # an entry whose name gained a reader, or left the public names, goes
     stale = sorted(set(REFERENCES) - (public_names() - readers()))
     assert not stale, f"REFERENCES entries to drop: {stale}"
+
+
+def names_set(path: Path) -> set:
+    """Keyword names of the calls in `path`, and the string keys of its dict
+    displays and of the subscripts it assigns to."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call):
+            found |= {kw.arg for kw in node.keywords if kw.arg}
+            continue
+        if isinstance(node, ast.Dict):
+            keys = node.keys
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            keys = [node.slice]
+        else:
+            continue
+        found |= {k.value for k in keys if isinstance(k, ast.Constant) and isinstance(k.value, str)}
+    return found
+
+
+def test_every_spec_field_is_set_by_a_caller():
+    paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    unset = ({f.name for f in dataclasses.fields(QuadratureSpec)}
+             - set().union(*(names_set(p) for p in paths)))
+    assert not unset, f"QuadratureSpec fields no caller sets: {sorted(unset)}"

@@ -1,9 +1,8 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from conftest import small_spec
+from gutzmerlab import complexification
 from gutzmerlab.complexification import (
     GrowthFit,
     OrbitalError,
@@ -74,7 +73,7 @@ def table_orbital_direct(sd, p, spec):
     w0 = float(p.zi[0]) + 1j * float(p.wi[0])
     acap = max(int(np.max(np.nonzero(ms.coef)[1], initial=0)) for ms in sd.modal)
     mtheta = acap + sd.kmax + 2
-    npad = int(round(spec.pad_factor * sd.xgrid.size))
+    npad = int(round(complexification.PAD_FACTOR * sd.xgrid.size))
     hx = float(sd.xgrid[1] - sd.xgrid[0])
     xg = (np.arange(npad) - npad // 2) * hx
     Z = xg[:, None] + 1j * xg[None, :]
@@ -202,20 +201,23 @@ class TestShellTruncation:
     """The outer-frame share of the orbital sum, on a desk fixture."""
 
     @pytest.mark.parametrize("pt", [(3.0, 0.0, 0.5), (0.0, 3.0, 0.5)])
-    def test_axis_points_need_padding(self, desk_seed7, pt):
+    def test_axis_points_need_padding(self, desk_seed7, pt, monkeypatch):
         spec, sd = desk_seed7
-        with pytest.raises(OrbitalError, match="enlarge pad_factor"):
-            orbital_direct(sd, imag_pt(*pt), replace(spec, pad_factor=1.0))
+        with monkeypatch.context() as mp:
+            mp.setattr(complexification, "PAD_FACTOR", 1.0)
+            with pytest.raises(OrbitalError, match="enlarge PAD_FACTOR"):
+                orbital_direct(sd, imag_pt(*pt), spec)
         p = imag_pt(*pt)
         assert orbital_direct(sd, p, spec) == pytest.approx(
             gutzmer_spectral(sd, p), rel=1e-12)
 
-    def test_diagonal_point_fits_the_unpadded_grid(self, desk_seed7):
+    def test_diagonal_point_fits_the_unpadded_grid(self, desk_seed7, monkeypatch):
         # the sum runs at the displacement itself, whose frame share on the
-        # diagonal is below shell_tol (the theta nodes' axis directions were not)
+        # diagonal is below SHELL_TOL (the theta nodes' axis directions were not)
         spec, sd = desk_seed7
         p = imag_pt(2.121, 2.121, 0.5)
-        got = orbital_direct(sd, p, replace(spec, pad_factor=1.0))
+        monkeypatch.setattr(complexification, "PAD_FACTOR", 1.0)
+        got = orbital_direct(sd, p, spec)
         assert got == pytest.approx(gutzmer_spectral(sd, p), rel=1e-6)
 
 

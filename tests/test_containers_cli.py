@@ -316,6 +316,22 @@ class TestCLI:
         rows = capsys.readouterr().out.strip().splitlines()[1:]
         assert rows and all(r.endswith(",FAIL") for r in rows)
 
+    @pytest.mark.parametrize("argv", [["synth", "-o", "x"], ["verify", "plancherel"]])
+    def test_memory_error_exits_2(self, monkeypatch, tmp_path, capsys, argv):
+        # a failed allocation is reported in one line, as a configuration
+        # error is; nothing large is allocated here
+        from gutzmerlab import cli
+
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 6.00 GiB for an array")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "synth_bandlimited", refuse)
+        assert self.run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err == "out of memory: Unable to allocate 6.00 GiB for an array\n"
+        assert not list(tmp_path.iterdir())
+
     def test_detect_without_modal_blocks_exits_2(self, fixture_files, tmp_path, capsys):
         d, spec, f, sd = fixture_files
         path = tmp_path / "proj.spd"

@@ -448,6 +448,23 @@ def test_modal_fields_broadcasts_a_cut_plane():
     assert fld.shape == (3, 4) and np.array_equal(fld, ms.field(zc, zm))
 
 
+@pytest.mark.parametrize("lams", [(), (0.6,), (0.6, -0.6, 1.1)])
+def test_modal_fields_returns_one_slice_by_point_array(lams):
+    # [len(modal), *shape] at n = 1 and n = 2, on grid planes and on
+    # scattered points that point_planes cuts along a constant axis
+    x = fft_grid(6, 3.0)
+    for n, make in ((1, random_slice), (2, random_slice_nd)):
+        zc, zm = complex_points_nd(4, n=n, seed=5)
+        zc, zm = np.broadcast_to(zc, (3, 4, n)), np.broadcast_to(zm, (3, 4, n))
+        modal = [make(lv, seed=i) for i, lv in enumerate(lams)]
+        for planes in (grid_planes(n, x, x[1:]), point_planes(zc, zm)):
+            got = modal_fields(modal, planes)
+            assert got.shape == (len(lams),) + planes[0] and got.dtype == complex
+            for ms, fld in zip(modal, got):
+                assert np.array_equal(fld, ms.field_on_planes(planes) if n > 1
+                                      else np.broadcast_to(ms.field(*planes[1][0]), planes[0]))
+
+
 def slice_fields_by_point(group, zc, zm, k_select=None):
     """_fields as it ran at every point set before the real-plane path, for
     one |lambda| group:

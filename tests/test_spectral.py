@@ -77,37 +77,66 @@ class TestPartialFourier:
 
     def test_insufficient_extent_error(self):
         f = self.fat_gaussian(small_spec(nt=32))
-        with pytest.raises(DecayError, match="insufficient t-extent"):
+        with pytest.raises(DecayError, match="insufficient t-extent for lambda = 0.333$"):
             partial_fourier_t(f, 0.333)  # off the dual lattice
+        # an array call names its first off-lattice node in grid order
+        dual = np.pi / f.t_half_window
+        with pytest.raises(DecayError, match="insufficient t-extent for lambda = 0.5$"):
+            partial_fourier_t(f, np.array([dual, 0.5, 2.0 * dual, 0.333]))
+
+    def test_node_array_matches_the_per_node_sum(self):
+        spec = small_spec()
+        lgrid = LambdaGrid.build(spec, 1.0)
+        f = make_gaussian_gridfn(spec, lgrid)
+        lam = lgrid.lam[:6].reshape(2, 3)
+        got = partial_fourier_t(f, lam)
+        assert got.shape == (2, 3, spec.nx, spec.nx)
+        for idx in np.ndindex(lam.shape):
+            # the node-by-node t sum; the product sums in another order
+            want = np.tensordot(f.samples, np.exp(1j * lam[idx] * f.tgrid) * f.ht, axes=(-1, 0))
+            one = partial_fourier_t(f, lam[idx])
+            assert one.shape == (spec.nx, spec.nx)
+            for sl in (got[idx], one):
+                assert np.max(np.abs(sl - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_analyze_raises_at_the_first_off_dual_lambda(self, monkeypatch):
-        # the t-edge scan runs only for lambda off the dual lattice, so
-        # analyze on lattice nodes never runs it
+        # no edge scan when every node is on the dual lattice, one scan for
+        # the whole call when a node is off it, and the schwartz flag checked
+        # before any scan
         spec = small_spec(nt=32)
         f = self.fat_gaussian(spec)
         dual = np.pi / f.t_half_window
-        seen, scans = [], []
+        scans = []
         scan = spectral._t_edges_decayed
-
-        def recording(g, lam):
-            seen.append(lam)
-            return partial_fourier_t(g, lam)
-
-        monkeypatch.setattr(spectral, "partial_fourier_t", recording)
         monkeypatch.setattr(spectral, "_t_edges_decayed", lambda g: scans.append(1) or scan(g))
-        on_dual = np.array([-2.0, -1.0, 1.0, 2.0]) * dual
-        sd = analyze(f, LambdaGrid(on_dual, dual, np.ones(4)), spec.kmax, spec)
-        assert sd.modal[0].lam == on_dual[0] and seen == list(on_dual) and scans == []
-        seen.clear()
-        lam = np.array([dual, 2.0 * dual, 0.333, 3.0 * dual])
-        with pytest.raises(DecayError, match="insufficient t-extent"):
-            analyze(f, LambdaGrid(lam, dual, np.ones(4)), spec.kmax, spec)
-        assert seen == [dual, 2.0 * dual, 0.333] and scans == [1]
+        on_dual = np.array([-2.0, -1.0, 1.0, 2.0, 3.0]) * dual
+        sd = analyze(f, LambdaGrid(on_dual, dual, np.ones(5)), spec.kmax, spec)
+        assert [ms.lam for ms in sd.modal] == list(on_dual) and scans == []
+        lam = on_dual.copy()
+        lam[3] = 0.333
+        with pytest.raises(DecayError, match="insufficient t-extent for lambda = 0.333$"):
+            analyze(f, LambdaGrid(lam, dual, np.ones(5)), spec.kmax, spec)
+        assert scans == [1]
         f.schwartz = False
-        seen.clear()
         with pytest.raises(DecayError, match="schwartz"):
-            analyze(f, LambdaGrid(on_dual, dual, np.ones(4)), spec.kmax, spec)
-        assert seen == [on_dual[0]]
+            analyze(f, LambdaGrid(lam, dual, np.ones(5)), spec.kmax, spec)
+        assert scans == [1]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_analyze_takes_every_slice_in_one_call(self, n, fixture_small, monkeypatch):
+        if n == 1:
+            spec, f, sd = fixture_small
+            lgrid = sd.lgrid
+        else:
+            spec = QuadratureSpec(**N2_SPEC)
+            lgrid = LambdaGrid.build(spec, 1.0)
+            f = n2_gridfn(spec, lgrid, {})
+        calls = []
+        pft = spectral.partial_fourier_t
+        monkeypatch.setattr(spectral, "partial_fourier_t",
+                            lambda g, lam: calls.append(lam) or pft(g, lam))
+        analyze(f, lgrid, spec.kmax, spec)
+        assert len(calls) == 1 and np.array_equal(calls[0], lgrid.lam)
 
     def test_unflagged_rejected(self):
         spec = small_spec()
@@ -845,10 +874,11 @@ class TestAnalyzeN1:
         # (kmax+1) x (beta_cap+1) table
         spec, f, _ = fixture_small
         Z = f.xgrid[:, None] + 1j * f.ugrid[None, :]
+        sls = partial_fourier_t(f, analyzed_small.lam)
         for j, lv in enumerate(analyzed_small.lam):
             mask = _mode_mask(spec, spec.kmax, lv)
             B = rectangle(basis_matrix(lv, spec.kmax, spec.beta_cap, Z, mask=mask), mask)
-            want = (np.conj(B.reshape(mask.size, -1)) @ partial_fourier_t(f, lv).ravel()
+            want = (np.conj(B.reshape(mask.size, -1)) @ sls[j].ravel()
                     * f.hx ** 2).reshape(mask.shape)
             got = analyzed_small.modal[j].coef
             assert np.max(np.abs(got - want)) <= 1e-14 * max(np.max(np.abs(want)), 1e-300)
@@ -859,9 +889,11 @@ def analyze_by_table(f, lgrid, kmax, spec):
     +-lambda pair one basis_matrix table of the admitted rows at the first
     node l0, padded by a zero row when it has one row, contracted by
     tensordot with each slice (the table itself at -l0, its conjugate at l0)
-    and scattered into coef[mask]."""
+    and scattered into coef[mask].  The slices come from the one
+    partial_fourier_t array analyze reads."""
     _, [(Z, _)] = grid_planes(1, f.xgrid, f.ugrid)
     lam = lgrid.lam
+    sls = partial_fourier_t(f, lam)
     coefs = [None] * lam.size
     for group in spectral.abs_lam_groups(lam):
         l0 = lam[group[0]]
@@ -871,7 +903,7 @@ def analyze_by_table(f, lgrid, kmax, spec):
             B = np.concatenate([B, np.zeros_like(B)])
         for j in group:
             Bc = B if lam[j] != l0 else np.conj(B)
-            sl = partial_fourier_t(f, lam[j]).reshape(Z.size)
+            sl = sls[j].reshape(Z.size)
             coef = np.zeros(mask.shape, dtype=complex)
             coef[mask] = (np.tensordot(Bc, sl, axes=(1, 0)) * f.hx ** 2)[: mask.sum()]
             coefs[j] = coef
@@ -954,7 +986,8 @@ def analyze_per_node(f, lgrid, kmax, spec):
     the unmasked rectangle table, its contracted tensor zeroed outside the
     enumerated admissible modes; both placed in the (kmax+1, beta_cap+1)^n
     layout: the reference for the path that shares them across each +-lambda
-    pair and contracts the admitted rows alone."""
+    pair and contracts the admitted rows alone.  The slices come from the one
+    partial_fourier_t array analyze reads."""
     n = f.n
     _, [(Z, _)] = grid_planes(1, f.xgrid, f.ugrid)
     harea = f.hx ** (2 * n)
@@ -962,8 +995,7 @@ def analyze_per_node(f, lgrid, kmax, spec):
     coefs = []
     norms2 = np.zeros((kmax + 1, lgrid.lam.size))
     tail = np.zeros(lgrid.lam.size)
-    for j, lv in enumerate(lgrid.lam):
-        sl = partial_fourier_t(f, lv)
+    for j, (lv, sl) in enumerate(zip(lgrid.lam, partial_fourier_t(f, lgrid.lam))):
         mask = _mode_mask(spec, kmax, lv)
         kt, at = int(mask.any(axis=1).sum()), int(mask.any(axis=0).sum())
         at = min(max(at, 2), spec.beta_cap + 1)
@@ -1112,8 +1144,8 @@ class TestSynth:
 
 def fixture_masses_by_loop(lam, masks, A, B, kmax, rng):
     """The target masses of synth_bandlimited as it drew them cell by cell,
-    n = 1: the bulk loop, the |lambda| = A spikes and the running search for
-    the largest fan, with its mirror."""
+    n = 1: the bulk loop, the |lambda| = A spikes where (0, +-A) is a band
+    cell and the running search for the largest fan, with its mirror."""
     masses = np.zeros((kmax + 1, lam.size))
     for j, lv in enumerate(lam):
         for k in range(kmax + 1):
@@ -1127,7 +1159,7 @@ def fixture_masses_by_loop(lam, masks, A, B, kmax, rng):
     spike = 16.0 * (np.mean(masses[masses > 0]) if np.any(masses > 0) else 1.0)
     for sgn in (+1, -1):
         jA = int(np.argmin(np.abs(lam - sgn * A)))
-        if abs(abs(lam[jA]) - A) < 1e-9 and masks[jA][0, 0]:
+        if abs(abs(lam[jA]) - A) < 1e-9 and masks[jA][0, 0] and abs(lam[jA]) <= B + 1e-12:
             masses[0, jA] += spike
     best = None
     for j, lv in enumerate(lam):
@@ -1149,7 +1181,7 @@ def fixture_masses_by_loop(lam, masks, A, B, kmax, rng):
 
 
 # (A, B) of the fixture sweep; B < n A in the third and fourth, where the
-# |lambda| = A spike sits past the fan bound
+# cell (0, +-A) is past the fan bound and takes no spike
 BAND_SWEEP = ((1.0, 9.0), (0.5, 2.0), (1.0, 0.6), (0.8, 0.3), (1.2, 14.0), (0.7, 5.0),
               (1.0, 40.0))
 
@@ -1190,6 +1222,17 @@ class TestBandCells:
                 fan, cells = spectral.band_cells(1, spec.kmax, lam, levels, A, B)
                 js, ks = np.nonzero((cells & (fan >= np.max(fan[cells]) - 1e-12)).T)
                 assert (ks[0], js[0]) == (kB, jB)
+
+    @pytest.mark.parametrize("tune", [False, True])
+    @pytest.mark.parametrize("A,B", BAND_SWEEP)
+    def test_achieved_band_within_the_requested_band(self, A, B, tune):
+        for spec in (QuadratureSpec(), small_spec()):
+            try:
+                _, sd = synth_bandlimited(A, B, seed=3, spec=spec, tune_grid=tune)
+            except SpectralError as exc:
+                assert "empty admissible" in str(exc)
+                continue
+            assert sd.band.A <= A + 1e-12 and sd.band.B <= B + 1e-12
 
     @pytest.mark.parametrize("A,B", BAND_SWEEP[:3])
     def test_synth_norms2_are_the_masses(self, A, B):
