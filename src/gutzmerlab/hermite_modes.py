@@ -46,10 +46,11 @@ real arithmetic.  analyze (spectral) projects n = 1 slices through the same
 factorization, contracting shell moments with the radial table.
 
 basis_matrix tabulates the admitted modes of one plane, one row each in
-row-major (k, a) order: per index offset one laguerre_all table and one
-broadcast product, each entry the same float whatever else the mask
-admits.  At real points its table at -lam is the complex conjugate of the
-one at lam, bit for bit, so analyze builds one table per +-lam pair at
+row-major (k, a) order: the fields of the unit-coefficient stack, one
+_fields call, so _offset_sums is the one evaluator at every n and at both
+kinds of point.  Each entry is the same float whatever else the mask
+admits, and at real points the table at -lam is the complex conjugate of
+the one at lam, bit for bit, so analyze builds one table per +-lam pair at
 n >= 2.  The product basis factorizes over the axes, so
 ModalSlice.field_on_planes evaluates one 1-D table per axis on the points
 of that axis's plane alone and contracts the coefficient tensor one axis
@@ -57,7 +58,7 @@ at a time.  Point sets come as planes (shape, axes), per axis j the pair
 (zc_j, zm_j) cut to the point axes it varies along: spectral.grid_planes
 builds the tensor grid's, point_planes scans scattered [..., n]
 coordinates.  e1d, the closed form of a single mode, is the reference the
-tests compare both evaluators against.
+tests compare the evaluator against.
 """
 
 from __future__ import annotations
@@ -344,8 +345,10 @@ def _offset_sums(slices, zc, zm, k_select=None):
     parts come in the plan's order, d increasing; the d = 0 modes form one
     running sum, so each (i, q) is yielded once.
     """
-    rho = real_radii(zc, zm)
     plan = _offset_plan(slices, k_select)
+    if not plan:
+        return
+    rho = real_radii(zc, zm)
     if rho is not None:
         values, inverse, _ = radial_shells(rho)
         tops = {}   # group -> (largest offset, largest m) of its blocks
@@ -475,58 +478,21 @@ def basis_matrix(lam: float, kmax: int, acap: int, Z: np.ndarray,
     Without a mask every pair is admitted, and .reshape(kmax + 1, acap + 1,
     *Z.shape) gives the full rectangle.  zm is the independent conjugate
     coordinate of complexified points (same shape as Z); without it the
-    points are real (zm = conj(Z)) and rho, s and the Gaussian are computed
-    in real arithmetic.
+    points are real (zm = conj(Z)).
 
-    The table is built one index offset d = |k - a| at a time: one
-    laguerre_all table up to the largest admitted m = min(k, a) of the
-    offset, and one broadcast product per monomial for all its admitted
-    column-dominant (k >= a) or row-dominant (a > k) rows.  Every entry is
-    onorm * norm_ratio(m, d) * monomial^d * L_m^d(s) * gauss, multiplied in
-    this order, the monomial powers taken by one multiplication per offset:
-    L_m^d does not depend on the depth of the table it is read from, so an
-    entry is the same float whatever else the mask admits.
+    The rows are the fields of the unit stack, one ModalSlice per admitted
+    pair with coefficient 1 there and 0 elsewhere, from one _fields call: the
+    table view of the one evaluator, real planes included (real_radii).
+    Each row runs through its own weight row of _offset_plan and is the same
+    float whatever else the mask admits, and at real points the table at
+    -lam is the complex conjugate of the one at lam, bit for bit.
     """
     if mask is None:
         mask = np.ones((kmax + 1, acap + 1), dtype=bool)
     ks, as_ = np.nonzero(mask)
-    out = np.empty((ks.size,) + Z.shape, dtype=complex)
-    if not ks.size:
-        return out
-    al = abs(lam)
-    zc = Z
-    if zm is None:
-        zm = np.conj(Z)
-        rho = (zc * zm).real
-    else:
-        rho = zc * zm
-    s = 0.5 * al * rho
-    var_row, var_col = mode_monomial_base(lam, zc, zm)
-    gauss = np.exp(-0.25 * al * rho)
-    onorm = np.sqrt(al / (2.0 * np.pi))
-    offset, low = np.abs(ks - as_), np.minimum(ks, as_)
-    col = ks >= as_
-    rows_of = (-1,) + (1,) * Z.ndim
-    mono_row = mono_col = np.ones_like(zc)
-    for d in range(int(offset.max()) + 1):
-        if d:
-            mono_row = mono_row * var_row
-            mono_col = mono_col * var_col
-        on_d = offset == d
-        if not on_d.any():
-            continue
-        mtop = int(low[on_d].max())
-        Ltab = laguerre_all(mtop, d, s)
-        nr = np.array([norm_ratio(m, d) for m in range(mtop + 1)])
-        for rows, mono in ((np.flatnonzero(on_d & col), mono_col),
-                           (np.flatnonzero(on_d & ~col), mono_row)):
-            if rows.size:
-                m = low[rows]
-                block = (onorm * nr[m]).reshape(rows_of) * mono
-                block *= Ltab[m]
-                block *= gauss
-                out[rows] = block
-    return out
+    unit = np.zeros((ks.size,) + mask.shape, dtype=complex)
+    unit[np.arange(ks.size), ks, as_] = 1.0
+    return _fields([ModalSlice(lam, c) for c in unit], Z, np.conj(Z) if zm is None else zm)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grids import DECAY_TOL, QuadratureSpec, fft_grid
+from .grids import DECAY_TOL, LAM_MIN, QuadratureSpec, fft_grid
 from .hermite_modes import (
     ModalSlice,
     _norm_ratio_table,
@@ -432,9 +432,13 @@ def analyze(f: GridFunction, lgrid: LambdaGrid, kmax: int,
 
     n >= 2: the product basis (|lam|/2pi)^{n/2} prod_j E_{alpha_j beta_j}(z_j)
     is a tensor product over the planes (x_j, u_j), so each slice is
-    contracted with one conjugated 1-D table from basis_matrix plane by
-    plane: O(R N^{2n}) per plane for R table rows and N points per axis,
-    the table amortized over the N^{2(n-1)} columns of each plane.  The
+    contracted with one conjugated 1-D table plane by plane: O(R N^{2n}) per
+    plane for R table rows and N points per axis, the table amortized over
+    the N^{2(n-1)} columns of each plane.  The table is basis_matrix, the
+    unit-coefficient stack of the n = 1 engine (_fields) on the real plane,
+    so its radial factors come once per distinct rho as at n = 1; the
+    per-shell moments of _plane_coefs would run per column of the other
+    planes, and lose to this one product at n >= 2.  The
     table holds the R pairs (k, a) that _mode_mask admits, in the order of
     np.nonzero(mask), and row r of every plane carries (beta_j, alpha_j) =
     (ks[r], as_[r]).  A product of rows, mode (alpha, beta), is kept iff the
@@ -631,7 +635,8 @@ def synth_bandlimited(A: float, B: float, seed: int,
     what growth-based detection must see).  Fixture lambda nodes sit on the
     dual lattice of the t-window, so analysis round trips are exact.  A whose
     lambda grid reaches the Nyquist frequency pi/hx of the spec it is given
-    is refused.
+    is refused, and so is an A whose every node falls inside the central
+    puncture |lambda| < LAM_MIN.
     """
     if spec is None:
         spec = QuadratureSpec()
@@ -643,6 +648,9 @@ def synth_bandlimited(A: float, B: float, seed: int,
     if tune_grid:
         spec = _tune_grid(spec, A, B, kmax)
     lgrid = LambdaGrid.build(spec, A)
+    if not lgrid.lam.size:
+        raise SpectralError(f"A = {A:g} puts every lambda node inside the central "
+                            f"puncture |lambda| < LAM_MIN = {LAM_MIN:g}")
     if np.max(np.abs(lgrid.lam)) < A - 1e-12:
         raise SpectralError("A exceeds the lambda grid extent")
     rng = np.random.default_rng(seed)

@@ -9,7 +9,11 @@ tests/test_acceptance.py.  A name that none of them uses stays only as an
 entry of REFERENCES, with the reason it is kept.
 
 Every QuadratureSpec field is a knob some caller in src/gutzmerlab/*.py or
-bench/*.py sets; a field nobody sets is a constant."""
+bench/*.py sets; a field nobody sets is a constant.
+
+hermite_modes has one special-Hermite evaluator: the Laguerre functions of
+specfun are read only by the closed form e1d, by radial_table and by
+_offset_sums, so a second table builder cannot grow back beside them."""
 
 import ast
 import dataclasses
@@ -28,7 +32,7 @@ REFERENCES = {
     "twisted_conv": "direct-quadrature oracle of the modal projection path",
     "flat_fourier": "the only implementation of the pinned flat Fourier convention",
     "pw_forward_check": "the only statement of the forward bound D O <= C e^{2A|eta|+2 sqrt(B) r}",
-    "e1d": "closed form of one mode, the reference the tests check both field evaluators "
+    "e1d": "closed form of one mode, the reference the tests check the field evaluator "
            "against; bench/tracer.py names it as a span target",
 }
 
@@ -119,3 +123,30 @@ def test_every_spec_field_is_set_by_a_caller():
     unset = ({f.name for f in dataclasses.fields(QuadratureSpec)}
              - set().union(*(names_set(p) for p in paths)))
     assert not unset, f"QuadratureSpec fields no caller sets: {sorted(unset)}"
+
+
+LAGUERRE = {"laguerre", "laguerre_all", "laguerre_sums"}
+LAGUERRE_READERS = {"e1d", "radial_table", "_offset_sums"}
+
+
+def laguerre_readers(path: Path) -> set:
+    """Top-level defs (methods as Class.method, other statements as
+    <module>) of `path` that read a specfun Laguerre function, as a Name or
+    an Attribute."""
+    scopes = []
+    for stmt in ast.parse(path.read_text()).body:
+        if isinstance(stmt, ast.ClassDef):
+            scopes += [(f"{stmt.name}.{getattr(s, 'name', '<class>')}", s) for s in stmt.body]
+        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scopes.append((stmt.name, stmt))
+        elif not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            scopes.append(("<module>", stmt))
+    return {name for name, stmt in scopes for node in ast.walk(stmt)
+            if (isinstance(node, ast.Name) and node.id in LAGUERRE
+                and not isinstance(node.ctx, ast.Store))
+            or (isinstance(node, ast.Attribute) and node.attr in LAGUERRE)}
+
+
+def test_one_special_hermite_evaluator():
+    extra = sorted(laguerre_readers(PACKAGE / "hermite_modes.py") - LAGUERRE_READERS)
+    assert not extra, f"hermite_modes reads the Laguerre functions outside the engine: {extra}"

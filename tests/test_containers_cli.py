@@ -377,6 +377,15 @@ class TestCLI:
         assert "A larger than the grid can resolve" in err and "Traceback" not in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [["synth", "--A", "1e-300"], ["verify", "thm35", "--A", "1e-9"]])
+    def test_band_inside_the_puncture_exits_2(self, tmp_path, capsys, argv):
+        # every lambda node below LAM_MIN: refused by name, not by numpy
+        assert self.run_cli(*argv, "-o", str(tmp_path / "x")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: A = ") and "LAM_MIN" in err
+        assert "zero-size" not in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
     def test_positive_half_zeroes_negative_lambda(self, fixture_files):
         d, spec, f, sd = fixture_files
         norms2 = sd.norms2.copy()

@@ -1234,6 +1234,14 @@ class TestBandCells:
                 continue
             assert sd.band.A <= A + 1e-12 and sd.band.B <= B + 1e-12
 
+    @pytest.mark.parametrize("A", [0.038, 1e-9, 1e-300])
+    def test_every_node_inside_the_puncture_is_refused(self, A):
+        # A (1 + margin/nodes_per_A) < LAM_MIN leaves no lambda node
+        assert not QuadratureSpec().lambda_grid(A)[0].size
+        with pytest.raises(SpectralError, match="LAM_MIN") as exc:
+            synth_bandlimited(A, 9.0, seed=1)
+        assert f"A = {A:g}" in str(exc.value) and "zero-size" not in str(exc.value)
+
     @pytest.mark.parametrize("A,B", BAND_SWEEP[:3])
     def test_synth_norms2_are_the_masses(self, A, B):
         spec = small_spec()
