@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .grids import QuadratureSpec
 from .specfun import (
-    MultiIndex,
     LaguerreArg,
     laguerre,
     laguerre_phi,
@@ -20,7 +19,6 @@ from .specfun import (
 from .heisenberg_core import (
     HeisPoint,
     ComplexPoint,
-    matrix_element,
 )
 from .spectral import (
     GridFunction,

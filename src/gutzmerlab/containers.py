@@ -44,6 +44,10 @@ def _require(ok, what: str) -> None:
 
 
 def write_gfn(path: str, f: GridFunction) -> None:
+    """Write f as GFN1.  The samples go to the file from the array itself (a
+    byte view of it, C order, little-endian complex128): no copy is made
+    when they are already in that layout, as every GridFunction the package
+    builds is."""
     if f.n != 1:
         raise ContainerError("GFN1 serialization supports n = 1")
     with open(path, "wb") as fh:
@@ -51,11 +55,15 @@ def write_gfn(path: str, f: GridFunction) -> None:
         fh.write(struct.pack("<IIII", f.n, f.xgrid.size, f.ugrid.size, f.tgrid.size))
         fh.write(struct.pack("<ddd", -f.xgrid[0], -f.ugrid[0], f.t_half_window))
         fh.write(struct.pack("<B", 1 if f.schwartz else 0))
-        data = np.ascontiguousarray(f.samples, dtype="<c16")
-        fh.write(data.tobytes())
+        fh.write(memoryview(np.ascontiguousarray(f.samples, dtype="<c16")).cast("B"))
 
 
 def read_gfn(path: str) -> GridFunction:
+    """Read a GFN1 file.  The samples are read straight into the one array
+    the GridFunction keeps and checked for finiteness one row of the first
+    grid axis at a time, so the reader holds them once.  A header that
+    promises more samples than the file holds is refused before the array
+    is allocated, and a read that comes up short is refused too."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != b"GFN1":
@@ -74,9 +82,11 @@ def read_gfn(path: str) -> GridFunction:
         count = nx ** n * nu ** n * nt
         if os.fstat(fh.fileno()).st_size < 45 + count * 16:
             raise ContainerError("GFN1 file ends inside its samples")
-        data = np.frombuffer(fh.read(count * 16), dtype="<c16").astype(complex)
-    _require(np.all(np.isfinite(data)), "GFN1 samples hold a non-finite value")
-    samples = data.reshape((nx,) * n + (nu,) * n + (nt,))
+        samples = np.empty((nx,) * n + (nu,) * n + (nt,), dtype="<c16")
+        _require(fh.readinto(memoryview(samples).cast("B")) == count * 16,
+                 "GFN1 file ends inside its samples")
+    for row in samples:
+        _require(np.isfinite(row).all(), "GFN1 samples hold a non-finite value")
     return GridFunction(n, _fft_grid(nx, lx), _fft_grid(nu, lu), _fft_grid(nt, lt),
                         samples, schwartz=bool(schwartz))
 

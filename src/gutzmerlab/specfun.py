@@ -30,29 +30,6 @@ class SpecfunError(ValueError):
 
 
 @dataclass(frozen=True)
-class MultiIndex:
-    """Multi-index alpha in N^n."""
-
-    entries: tuple
-
-    def __init__(self, entries):
-        entries = tuple(int(e) for e in np.atleast_1d(entries))
-        if len(entries) < 1:
-            raise SpecfunError("multi-index needs at least one entry")
-        if any(e < 0 for e in entries):
-            raise SpecfunError("multi-index entries must be non-negative")
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    @property
-    def degree(self) -> int:
-        return sum(self.entries)
-
-
-@dataclass(frozen=True)
 class LaguerreArg:
     """Argument bundle for the Laguerre functions phi_k^lambda.
 
@@ -88,23 +65,6 @@ def hermite_fn_1d(m: int, x):
         hp = np.sqrt(2.0 / (k + 1.0)) * x * hm - np.sqrt(k / (k + 1.0)) * hm1
         hm1, hm = hm, hp
     return hm
-
-
-def hermite_poly_normalized_all(max_deg: int, x):
-    """h_m(x) e^{x^2/2}: the polynomial parts, same recurrence, no weight.
-
-    Used when the Gaussian weight has been folded into a quadrature rule.
-    """
-    if max_deg > HERMITE_DEGREE_CAP:
-        raise SpecfunError(f"degree cap exceeded: Hermite degree {max_deg} > {HERMITE_DEGREE_CAP}")
-    x = np.asarray(x, dtype=complex)
-    out = np.empty((max_deg + 1,) + x.shape, dtype=complex)
-    out[0] = np.pi ** -0.25 * np.ones_like(x)
-    if max_deg >= 1:
-        out[1] = np.sqrt(2.0) * x * out[0]
-    for k in range(1, max_deg):
-        out[k + 1] = np.sqrt(2.0 / (k + 1.0)) * x * out[k] - np.sqrt(k / (k + 1.0)) * out[k - 1]
-    return out
 
 
 def laguerre(k: int, order: int, s):

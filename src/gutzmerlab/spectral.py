@@ -550,16 +550,38 @@ def invert(sd: SpectralData, p) -> complex:
     return complex(weights @ fields)
 
 
+# Bytes of [node, point] slices that invert_grid evaluates at once (32 MiB):
+# the desk grid (32 nodes x 48^2 points, 1.2 MB) is one block, and at n = 2,
+# nx 40 (6 nodes, 983 MB of samples) a block is 5 rows, 3 % of the samples.
+INVERT_BLOCK_BYTES = 1 << 25
+
+
 def invert_grid(sd: SpectralData, tgrid: np.ndarray) -> GridFunction:
-    """Synthesize the real-grid samples from the modal coefficients: the
-    [node, *grid] slices against one weighted [node, nt] phase table, one
-    product (sum_k projections[j, k] = (2 pi/|lambda_j|)^n slices[j])."""
-    slices = sd.slices
+    """Synthesize the real-grid samples from the modal coefficients
+    (sum_k projections[j, k] = (2 pi/|lambda_j|)^n slices[j]).
+
+    The samples are one preallocated array, filled block by block along the
+    first grid axis: a block's [node, *block] slices (modal_fields on that
+    cut of grid_planes, at most INVERT_BLOCK_BYTES of them, one row at
+    least) go against one weighted [node, nt] phase table in one product,
+    written into the block's rows.  So the peak is the samples plus one
+    block, and a grid whose slices fit in one block makes one product.
+    """
+    shape, axes = grid_planes(sd.n, sd.xgrid, sd.ugrid)
     scale = sd.wmu * (2.0 * np.pi / np.abs(sd.lam)) ** sd.n
     phases = np.exp(-1j * np.outer(sd.lam, tgrid)) * scale[:, None]     # [node, nt]
-    samples = slices.reshape(sd.lam.size, -1).T @ phases
-    return GridFunction(sd.n, sd.xgrid, sd.ugrid, tgrid,
-                        samples.reshape(slices.shape[1:] + tgrid.shape), schwartz=True)
+    samples = np.empty(shape + tgrid.shape, dtype=complex)
+    row_bytes = sd.lam.size * samples[0, ..., 0].nbytes
+    step = max(1, INVERT_BLOCK_BYTES // row_bytes)
+    for lo in range(0, shape[0], step):
+        rows = slice(lo, lo + step)
+        out = samples[rows]
+        # planes of axes j > 0 have length 1 along the first grid axis
+        cut = [(zc[rows], zm[rows]) if zc.shape[0] > 1 else (zc, zm) for zc, zm in axes]
+        slices = modal_fields(sd.modal, (out.shape[:-1], cut)).reshape(sd.lam.size, -1)
+        np.matmul(slices.T, phases, out=out.reshape(-1, tgrid.size))
+        del slices      # before the next block's are made
+    return GridFunction(sd.n, sd.xgrid, sd.ugrid, tgrid, samples, schwartz=True)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ PACKAGE = ROOT / "src" / "gutzmerlab"
 REFERENCES = {
     "HeisPoint": "bench/tracer.py and bench/measure.py name it as a span target",
     "apply_D": "bench/tracer.py names it as a span target",
-    "matrix_element": "Gauss-Hermite oracle that the closed-form e1d is checked against",
     "invert": "pointwise inversion at complexified points, the oracle of invert_grid",
     "twisted_conv": "direct-quadrature oracle of the modal projection path",
     "flat_fourier": "the only implementation of the pinned flat Fourier convention",

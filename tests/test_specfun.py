@@ -6,7 +6,6 @@ from numpy.polynomial.hermite import hermgauss
 
 from gutzmerlab.specfun import (
     LaguerreArg,
-    MultiIndex,
     SpecfunError,
     bessel_j_norm,
     binom_weight,
@@ -19,6 +18,7 @@ from gutzmerlab.specfun import (
     log_bessel_j_imag,
     log_sum_exp,
 )
+from hermite_oracle import MultiIndex
 
 
 class TestHermite:

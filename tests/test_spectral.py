@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -600,6 +601,62 @@ class TestInversion:
         proj_c = (2 * np.pi / abs(lam0)) * complex(ms.field(np.asarray(zc), np.asarray(zm)))
         want = sd.wmu[j0] * np.exp(-1j * lam0 * xi) * np.exp(lam0 * eta) * proj_c
         assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.fixture(scope="module")
+def desk():
+    return synth_bandlimited(1.0, 9.0, seed=42)
+
+
+class TestBlockedInvertGrid:
+    """invert_grid fills one preallocated sample array block by block along
+    the first grid axis; every block size gives the one-block samples bit
+    for bit."""
+
+    @pytest.mark.parametrize("block", [1, 60_000, 500_000])     # 48, 24 and 3 blocks
+    def test_n1_blocks_match_one_block(self, desk, monkeypatch, block):
+        f, sd = desk
+        monkeypatch.setattr(spectral, "INVERT_BLOCK_BYTES", block)
+        assert np.array_equal(invert_grid(sd, f.tgrid).samples, f.samples)
+
+    @pytest.mark.parametrize("block", [1, 1_000_000, 2_500_000])    # 16, 8 and 3 blocks
+    def test_n2_blocks_match_one_block(self, monkeypatch, block):
+        spec = QuadratureSpec(**N2_SPEC)
+        lgrid = LambdaGrid.build(spec, 1.0)
+        xg, tg = fft_grid(spec.nx, spec.lx), fft_grid(spec.nt, lgrid.t_half_window)
+        rng = np.random.default_rng(3)
+        shape = (spec.nx,) * 4 + (spec.nt,)
+        f = GridFunction(2, xg, xg, tg, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        sd = analyze(f, lgrid, spec.kmax, spec)
+        whole = invert_grid(sd, tg).samples
+        monkeypatch.setattr(spectral, "INVERT_BLOCK_BYTES", block)
+        assert np.array_equal(invert_grid(sd, tg).samples, whole)
+
+    def test_desk_grid_is_one_block(self, desk, monkeypatch):
+        f, sd = desk
+        shapes = []
+        fields = spectral.modal_fields
+        monkeypatch.setattr(spectral, "modal_fields",
+                            lambda modal, planes: shapes.append(planes[0]) or fields(modal, planes))
+        invert_grid(sd, f.tgrid)
+        assert shapes == [f.samples.shape[:-1]]
+
+    def test_peak_is_the_samples_and_one_block(self, monkeypatch):
+        # n = 1, nx 96, nt 192: 28 MB of samples, 4.7 MB of slices, blocks of
+        # 2 rows (98 kB); the rest is the per-call working set of the field
+        # evaluator (about 1.4 MB, whatever the block)
+        spec = QuadratureSpec(nx=96)
+        _, sd = synth_bandlimited(1.0, 9.0, seed=42, spec=spec)
+        tg = fft_grid(192, sd.lgrid.t_half_window)
+        monkeypatch.setattr(spectral, "INVERT_BLOCK_BYTES", 1 << 17)
+        block = (1 << 17) // (sd.lam.size * 16 * spec.nx) * sd.lam.size * 16 * spec.nx
+        tracemalloc.start()
+        try:
+            f = invert_grid(sd, tg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * f.samples.nbytes + block
 
 
 N2_SPEC = dict(n=2, nx=16, lx=7.5, nt=24, nodes_per_A=2, margin_nodes=1, kmax=2,
