@@ -22,8 +22,16 @@ import csv
 import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import replace
+
+# Desk-scale steps gain nothing from a BLAS thread pool, which costs a fresh
+# process CPU time to start: if this process loads numpy and the caller set
+# none of the variables OpenBLAS reads for it, start OpenBLAS with one thread.
+if "numpy" not in sys.modules and not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                                       "OMP_NUM_THREADS"} & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 

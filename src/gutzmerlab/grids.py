@@ -97,18 +97,20 @@ def _log_factorials(count: int) -> np.ndarray:
     return out
 
 
-def _poisson_tail(dmax: int, S: float) -> np.ndarray:
-    """Q(d+1, S) = e^{-S} sum_{i <= d} S^i / i!  for d = 0..dmax.
+def _poisson_tail(dmax: int, S) -> np.ndarray:
+    """Q(d+1, S) = e^{-S} sum_{i <= d} S^i / i!  for d = 0..dmax, on a last
+    axis added to S (a float, or an array of them).
 
     The tail mass of the m = 0 Laguerre functions, s^d e^{-s} / d! outside
     [0, S]: one running log-sum-exp (np.logaddexp.accumulate) of the log
-    terms i log S - log i! - S, so entry d does not depend on dmax.
+    terms i log S - log i! - S along each row, so entry d depends on neither
+    dmax nor the other rows.
     """
-    if S <= 0.0:
-        return np.ones(dmax + 1)
+    S = np.asarray(S, dtype=float)[..., None]
+    log_S = np.array([log(s) if s > 0.0 else 0.0 for s in S.flat]).reshape(S.shape)
     log_fact = _log_factorials(max(dmax, RADIAL_LEVEL_CAP) + 1)[: dmax + 1]
-    log_terms = np.arange(dmax + 1) * log(S) - log_fact - S
-    return np.exp(np.logaddexp.accumulate(log_terms))
+    log_terms = np.arange(dmax + 1) * log_S - log_fact - S
+    return np.where(S > 0.0, np.exp(np.logaddexp.accumulate(log_terms, axis=-1)), 1.0)
 
 
 def laguerre_tail_mass(m: int, d: int, S: float) -> float:
@@ -215,18 +217,24 @@ class QuadratureSpec:
         return (laguerre_tail_mass(m, d, s_space) <= self.fit_tol
                 and laguerre_tail_mass(m, d, s_mom) <= self.fit_tol)
 
-    def max_radial_level(self, lam: float) -> int:
-        """Largest k admitting any mode (a = 0 column): the populable level.
+    def max_radial_levels(self, lams) -> np.ndarray:
+        """Largest k admitting any mode (a = 0 column) at each lam: the
+        populable levels.
 
         The column's modes (0, k) fit when pair_fits says so, that is when
         the Poisson tails Q(k+1, S) at both fit radii stay below fit_tol.
-        Reads k = 0..RADIAL_LEVEL_CAP in one vector operation per radius and
-        returns the last k before the first misfit (-1 if k = 0 misfits).
+        Reads k = 0..RADIAL_LEVEL_CAP at every lam and radius as one
+        [lam, radius, k] array and returns, per lam, the last k before the
+        first misfit (-1 if k = 0 misfits).
         """
-        fits = np.ones(RADIAL_LEVEL_CAP + 1, dtype=bool)
-        for S in self._fit_radii(lam):
-            fits &= _poisson_tail(RADIAL_LEVEL_CAP, round(float(S), 6)) <= self.fit_tol
-        return RADIAL_LEVEL_CAP if fits.all() else int(np.argmin(fits)) - 1
+        radii = np.reshape([[round(float(S), 6) for S in self._fit_radii(lam)]
+                            for lam in lams], (-1, 2))
+        fits = np.all(_poisson_tail(RADIAL_LEVEL_CAP, radii) <= self.fit_tol, axis=1)
+        return np.where(fits.all(axis=1), RADIAL_LEVEL_CAP, np.argmin(fits, axis=1) - 1)
+
+    def max_radial_level(self, lam: float) -> int:
+        """max_radial_levels of the one lam."""
+        return int(self.max_radial_levels([lam])[0])
 
     def acap_for_k(self, k: int, lam: float, cap: int) -> int:
         """Largest admissible free index a <= cap for projection level k."""

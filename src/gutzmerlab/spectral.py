@@ -594,8 +594,8 @@ def _tune_grid(spec: QuadratureSpec, A: float, B: float, kmax: int) -> Quadratur
     Scans nodes_per_A and the box half-extent (small-lambda cells need wider
     boxes); keeps the node count structure and everything else fixed.  B* of
     a trial is the largest fan over its band_cells.  The populable level
-    depends on |lambda| only, so each trial asks each |lambda| <= A of its
-    grid once.
+    depends on |lambda| only, so each trial asks for the levels of its
+    distinct |lambda| <= A in one max_radial_levels call.
     """
     best = None
     for lx in (spec.lx, 12.0, 13.0, 14.0, 15.0):
@@ -604,7 +604,8 @@ def _tune_grid(spec: QuadratureSpec, A: float, B: float, kmax: int) -> Quadratur
             trial = QuadratureSpec(**{**trial_box.__dict__, "nodes_per_A": npa})
             lam, _, _ = trial.lambda_grid(A)
             al = np.abs(lam).tolist()
-            level = {a: trial.max_radial_level(a) for a in dict.fromkeys(al) if a <= A + 1e-12}
+            asked = [a for a in dict.fromkeys(al) if a <= A + 1e-12]
+            level = dict(zip(asked, trial.max_radial_levels(asked).tolist()))
             levels = np.array([level.get(a, -1) for a in al])
             fan, cells = band_cells(spec.n, kmax, lam, levels, A, B)
             bstar = float(np.max(fan[cells], initial=0.0))

@@ -1,4 +1,5 @@
 import json
+import os
 import struct
 from dataclasses import replace
 import subprocess
@@ -573,8 +574,75 @@ class TestCLI:
     def test_console_entry_point(self):
         out = subprocess.run([sys.executable, "-m", "gutzmerlab.cli", "--help"],
                              capture_output=True, text=True)
-        assert out.returncode in (0, 2)
+        assert out.returncode == 0
         assert "synth" in out.stdout
+
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+# how each entry path loads the CLI: `-m gutzmerlab.cli` (runpy imports the
+# package first, as -m does), the console script, and a caller that loaded
+# numpy before the CLI
+ENTRIES = {
+    "module": "import runpy, sys\nsys.argv = ['gutzmerlab', '--help']\ntry:\n"
+              "    runpy.run_module('gutzmerlab.cli', run_name='__main__', alter_sys=True)\n"
+              "except SystemExit as exc:\n    assert exc.code == 0\n",
+    "console": "from gutzmerlab.cli import main\n",
+    "numpy first": "import numpy\nfrom gutzmerlab.cli import main\n",
+}
+
+
+def run_child(code: str, **thread_vars) -> dict:
+    """The JSON object that `code` prints last, run in a fresh interpreter whose
+    environment sets exactly `thread_vars` of THREAD_VARS."""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    out = subprocess.run([sys.executable, "-c", code], env={**env, **thread_vars},
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+class TestProcessStart:
+    REPORT = f"import json, os\nprint(json.dumps({{v: os.environ.get(v) for v in {THREAD_VARS!r}}}))\n"
+
+    def test_package_import_loads_no_numpy(self):
+        got = run_child("import json, os, sys\nimport gutzmerlab\n"
+                        "report = {'numpy': 'numpy' in sys.modules,\n"
+                        f"          'vars': [os.environ.get(v) for v in {THREAD_VARS!r}]}}\n"
+                        "import gutzmerlab.spectral\n"
+                        "report['same'] = gutzmerlab.analyze is gutzmerlab.spectral.analyze\n"
+                        "report['unlisted'] = sorted(set(gutzmerlab.__all__) - set(dir(gutzmerlab)))\n"
+                        "print(json.dumps(report))\n")
+        assert got == {"numpy": False, "vars": [None, None, None], "same": True, "unlisted": []}
+
+    @pytest.mark.parametrize("entry", ["module", "console"])
+    def test_cli_starts_one_blas_thread(self, entry):
+        got = run_child(ENTRIES[entry] + self.REPORT)
+        assert got == {"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": None,
+                       "OMP_NUM_THREADS": None}
+
+    @pytest.mark.parametrize("entry, var", [(e, v) for e in ENTRIES for v in THREAD_VARS]
+                             + [("numpy first", None)])
+    def test_cli_keeps_the_callers_threads(self, entry, var):
+        # any one variable set, or numpy loaded before the CLI, is the caller's choice
+        set_vars = {} if var is None else {var: "3"}
+        got = run_child(ENTRIES[entry] + self.REPORT, **set_vars)
+        assert got == {v: set_vars.get(v) for v in THREAD_VARS}
+
+    def test_thread_count_does_not_change_the_files(self, tmp_path):
+        # fixtures are pinned byte for byte, whatever pool OpenBLAS starts
+        env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+        outputs = []
+        for threads in ("1", "2"):
+            fx = str(tmp_path / f"fx{threads}")
+            for argv in (["synth", "--A", "1", "--B", "9", "--tune-grid", "--seed", "5", "-o", fx],
+                         ["detect", "-i", fx + ".spd", "-o", fx + ".json"]):
+                out = subprocess.run([sys.executable, "-m", "gutzmerlab.cli", *argv],
+                                     env={**env, "OPENBLAS_NUM_THREADS": threads},
+                                     capture_output=True, text=True)
+                assert out.returncode == 0, out.stderr
+            outputs.append([(tmp_path / f"fx{threads}{ext}").read_bytes()
+                            for ext in (".gfn", ".spd", ".json")])
+        assert outputs[0] == outputs[1]
 
 
 @pytest.fixture(scope="module")

@@ -331,6 +331,8 @@ class TestPoissonColumn:
         got = masks(cases)
         monkeypatch.setattr(grids, "laguerre_tail_mass", quadrature_tail_mass)
         monkeypatch.setattr(QuadratureSpec, "max_radial_level", quadrature_max_radial_level)
+        monkeypatch.setattr(QuadratureSpec, "max_radial_levels", lambda sp, lams: np.array(
+            [quadrature_max_radial_level(sp, lv) for lv in lams], dtype=int))
         want_cases = self.specs_and_grids()
         assert [sp for sp, _ in want_cases] == [sp for sp, _ in cases]
         for g, w in zip(got, masks(want_cases)):
@@ -338,20 +340,54 @@ class TestPoissonColumn:
             assert all(np.array_equal(gm, wm) for (_, gm), (_, wm) in zip(g, w))
 
 
-def test_tune_grid_asks_each_abs_lambda_once(monkeypatch):
-    # the +-lambda nodes of a trial grid share their populable level
+def tune_grid_asks(monkeypatch, A, B) -> list:
+    """(trial spec, |lambda| asked, levels returned) of every
+    max_radial_levels call that _tune_grid makes at band (A, B)."""
     calls = []
-    level = QuadratureSpec.max_radial_level
+    levels = QuadratureSpec.max_radial_levels
 
-    def counted(self, lam):
-        calls.append((tuple(vars(self).values()), abs(float(lam))))
-        return level(self, lam)
+    def recorded(self, lams):
+        out = levels(self, lams)
+        calls.append((replace(self), [abs(float(lv)) for lv in lams], out))
+        return out
 
-    monkeypatch.setattr(QuadratureSpec, "max_radial_level", counted)
-    spectral._tune_grid(QuadratureSpec(), 1.0, 9.0, QuadratureSpec().kmax)
-    trials = {fields for fields, _ in calls}
-    assert len(trials) == 45
-    assert len(calls) == len(set(calls)) == 540
+    with monkeypatch.context() as m:
+        m.setattr(QuadratureSpec, "max_radial_levels", recorded)
+        spectral._tune_grid(QuadratureSpec(), A, B, QuadratureSpec().kmax)
+    return calls
+
+
+def test_tune_grid_asks_each_abs_lambda_once(monkeypatch):
+    # the +-lambda nodes of a trial grid share their populable level, and a
+    # trial asks for all of its levels in one call
+    calls = tune_grid_asks(monkeypatch, 1.0, 9.0)
+    trials = {tuple(vars(trial).values()) for trial, _, _ in calls}
+    assert len(calls) == len(trials) == 45
+    assert all(len(al) == len(set(al)) for _, al, _ in calls)
+    assert sum(len(al) for _, al, _ in calls) == 540
+
+
+def poisson_row(dmax, S):
+    """One _poisson_tail row as the 1-D running log-sum-exp it was before
+    the rows of many S were formed as one array."""
+    from math import lgamma, log
+
+    log_fact = np.array([lgamma(i + 1.0) for i in range(dmax + 1)])
+    return np.exp(np.logaddexp.accumulate(np.arange(dmax + 1) * log(S) - log_fact - S))
+
+
+@pytest.mark.parametrize("A, B", CLI_BANDS)
+def test_tune_grid_levels_equal_the_scalar_levels(monkeypatch, A, B):
+    # one [lambda, radius, d] table per trial gives each lambda the level it
+    # gets asked alone, and each radius its 1-D Poisson row, bit for bit
+    for trial, al, got in tune_grid_asks(monkeypatch, A, B):
+        assert got.tolist() == [trial.max_radial_level(a) for a in al]
+        radii = [[round(float(S), 6) for S in trial._fit_radii(a)] for a in al]
+        rows = grids._poisson_tail(400, radii)
+        assert rows.shape == (len(al), 2, 401)
+        for row, S in zip(rows.reshape(-1, 401), np.ravel(radii)):
+            assert np.array_equal(row, poisson_row(400, S))
+            assert np.array_equal(row, grids._poisson_tail(400, S))
 
 
 def decimal_root(n, x0, digits=40):
