@@ -12,19 +12,20 @@ COMMANDS and SUITES tables); verify flags follow the suite name.  verify
 emits one CSV row per check (name, params, lhs, rhs, relerr, pass) and exits
 0 only if every check passes its tolerance; usage/config errors and a
 failed allocation exit 2.
+
+Parsing needs only the standard library, so --help, usage errors and flag
+checks answer without loading numpy; each command imports its numerics when
+it runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import itertools
-import json
 import math
 import os
 import sys
-from dataclasses import replace
 
 # Desk-scale steps gain nothing from a BLAS thread pool, which costs a fresh
 # process CPU time to start: if this process loads numpy and the caller set
@@ -33,42 +34,24 @@ if "numpy" not in sys.modules and not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS
                                        "OMP_NUM_THREADS"} & os.environ.keys():
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-import numpy as np
-
-from . import containers
-from .complexification import detect_bandlimit, gutzmer_spectral, orbital_direct
-from .grids import QuadratureSpec
-from .heisenberg_core import ComplexPoint
-from .heatlab import (
-    gauss_bessel_check,
-    heat_apply,
-    heat_image_norm,
-    lemma63_check,
-    thm35_converse_tail,
-    thm35_forward,
-)
-from .euclid import flat_gutzmer, flat_pw_check, flat_synth_bandlimited, flat_band_limit
-from .spectral import analyze, invert_grid, plancherel_check, synth_bandlimited
-
 USAGE_EXIT = 2
 
 
-def _spec_from_args(args) -> QuadratureSpec:
+def _spec_from_args(args):
+    from .grids import QuadratureSpec
     kw = {"n": args.n}
     if args.grid is not None:
         kw["nx"] = args.grid
     if args.kmax is not None:
         kw["kmax"] = args.kmax
     if args.lambda_grid is not None:
-        nlam = args.lambda_grid
-        if nlam < 9 or nlam % 2 == 0:
-            raise SystemExit("--lambda-grid must be an odd count >= 9")
-        kw["nodes_per_A"] = (nlam - 1) // 2 - QuadratureSpec().margin_nodes
+        kw["nodes_per_A"] = (args.lambda_grid - 1) // 2 - QuadratureSpec().margin_nodes
     return QuadratureSpec(**kw)
 
 
 def _write_csv(out_path, header, rows) -> None:
     """CSV to out_path (closed on return), or to stdout when out_path is None."""
+    import csv
     with (open(out_path, "w", newline="") if out_path
           else contextlib.nullcontext(sys.stdout)) as fh:
         writer = csv.writer(fh)
@@ -83,12 +66,16 @@ def _emit_rows(rows, out_path):
 
 
 def _load_or_synth(args, spec):
+    from . import containers
+    from .spectral import synth_bandlimited
     if args.input:
         return containers.read_gfn(args.input + ".gfn"), containers.read_spd(args.input + ".spd")
     return synth_bandlimited(args.A, args.B, args.seed, spec=spec)
 
 
 def cmd_synth(args) -> int:
+    from . import containers
+    from .spectral import synth_bandlimited
     f, sd = synth_bandlimited(args.A, args.B, args.seed, spec=_spec_from_args(args),
                               tune_grid=args.tune_grid)
     containers.write_gfn(args.output + ".gfn", f)
@@ -101,6 +88,7 @@ def cmd_synth(args) -> int:
 def _synth_analyze_rows(args, name, count, check):
     """One row per seed args.seed, ..., args.seed + count - 1: check(f, sd)
     -> (lhs, rhs, relerr) on a fresh fixture f and its analysis sd."""
+    from .spectral import analyze, synth_bandlimited
     spec = _spec_from_args(args)
     rows = []
     for seed in range(args.seed, args.seed + count):
@@ -114,6 +102,8 @@ def _synth_analyze_rows(args, name, count, check):
 def _inversion_check(f, sd):
     """(max |f|, that + max |f2 - f|, relative error) of f2 = invert_grid(sd)
     on the central half of the x/u box."""
+    import numpy as np
+    from .spectral import invert_grid
     f2 = invert_grid(sd, f.tgrid)
     N = f.xgrid.size
     sl = (slice(N // 4, 3 * N // 4),) * 2 + (slice(None),)
@@ -123,6 +113,7 @@ def _inversion_check(f, sd):
 
 
 def _suite_plancherel(args):
+    from .spectral import plancherel_check
     return _synth_analyze_rows(args, "plancherel", 3, plancherel_check)
 
 
@@ -131,6 +122,8 @@ def _suite_inversion(args):
 
 
 def _suite_gutzmer(args):
+    from .complexification import gutzmer_spectral, orbital_direct
+    from .heisenberg_core import ComplexPoint
     spec = _spec_from_args(args)
     f, sd = _load_or_synth(args, spec)
     pts = [(0.4, 0.0, 0.0), (0.5, 0.5, 0.5), (0.0, 0.9, 1.0)]
@@ -146,6 +139,8 @@ def _suite_gutzmer(args):
 
 
 def _suite_heat_image(args):
+    import numpy as np
+    from .heatlab import heat_apply, heat_image_norm
     spec = _spec_from_args(args)
     f, sd = _load_or_synth(args, spec)
     base = f.squared_norm()
@@ -168,16 +163,20 @@ def _case_rows(name, check, ns, tol):
 
 
 def _suite_gauss_bessel(args):
+    from .heatlab import gauss_bessel_check
     return _case_rows("gauss-bessel", gauss_bessel_check, (1, 2), args.tol)
 
 
 def _suite_lemma63(args):
+    from .heatlab import lemma63_check
     return _case_rows("lemma63", lemma63_check, (1,), args.tol)
 
 
 def _positive_half(sd):
     """Copy of sd with the lambda < 0 content zeroed (thm35 needs lambda > 0
     support); sd itself is left unchanged."""
+    from dataclasses import replace
+    import numpy as np
     neg = sd.lam < 0
     modal = [replace(ms, coef=np.zeros_like(ms.coef)) if drop else ms
              for ms, drop in zip(sd.modal, neg)]
@@ -186,6 +185,7 @@ def _positive_half(sd):
 
 def _suite_thm35(args):
     """Criterion 8's slope bound and tail verdict; no --tol."""
+    from .heatlab import thm35_converse_tail, thm35_forward
     spec = _spec_from_args(args)
     f, sd = _load_or_synth(args, spec)
     sd = _positive_half(sd)
@@ -206,6 +206,7 @@ def _suite_thm35(args):
 def _suite_euclid(args):
     """Flat Gutzmer rows at |y| = 0.5, 1, 2, then the growth-fit row, which
     also carries the fit document that `euclid` writes."""
+    from .euclid import flat_band_limit, flat_gutzmer, flat_pw_check, flat_synth_bandlimited
     f = flat_synth_bandlimited(2.0, args.seed)
     rows = []
     for ymag in (0.5, 1.0, 2.0):
@@ -230,6 +231,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_detect(args) -> int:
+    import json
+    from . import containers
+    from .complexification import detect_bandlimit
     sd = containers.read_spd(args.input)
     report = detect_bandlimit(sd)
     doc = report.to_dict()
@@ -247,6 +251,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_euclid(args) -> int:
+    import json
     rows = _suite_euclid(args)
     _write_csv(args.output, ["y", "lhs", "rhs", "relerr"],
                [[r["y"], f"{r['lhs']:.10g}", f"{r['rhs']:.10g}", f"{r['relerr']:.3e}"]
@@ -260,23 +265,24 @@ def cmd_euclid(args) -> int:
     return 0 if all(r["ok"] for r in rows) else 1
 
 
-def tolerance(text: str) -> float:
-    """--tol: a finite number >= 0."""
-    value = float(text)
-    if not math.isfinite(value) or value < 0:
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
-    return value
+def checked(kind, ok, need: str):
+    """Argument type: a `kind` (int or float) value v with ok(v); any other
+    value is refused as "must be <need>"."""
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {need}, got {text}")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
 
 
 def positive(kind):
     """Argument type: a finite `kind` (int or float) > 0."""
-    def parse(text: str):
-        value = kind(text)
-        if not (math.isfinite(value) and value > 0):
-            raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
-        return value
-    parse.__name__ = kind.__name__
-    return parse
+    return checked(kind, lambda v: math.isfinite(v) and v > 0, "positive and finite")
+
+
+tolerance = checked(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
 
 
 # flag group -> ((flag names), add_argument keywords) per flag; --tol is added
@@ -284,11 +290,14 @@ def positive(kind):
 FLAGS = {
     "band": [(("--A",), {"type": positive(float), "default": 1.0}),
              (("--B",), {"type": positive(float), "default": 9.0})],
-    "seed": [(("--seed",), {"type": int, "default": 42})],
+    "seed": [(("--seed",), {"type": checked(int, lambda v: v >= 0, "an integer >= 0"),
+                            "default": 42})],
     "spec": [(("--n",), {"type": positive(int), "default": 1}),
              (("--grid",), {"type": positive(int), "help": "x/u points per axis"}),
              (("--kmax",), {"type": positive(int)}),
-             (("--lambda-grid",), {"type": positive(int), "help": "lambda node count "
+             (("--lambda-grid",), {"type": checked(int, lambda v: v >= 9 and v % 2 == 1,
+                                                   "positive, odd and >= 9"),
+                                   "help": "lambda node count "
                                    "(odd, before the central puncture)"})],
     "input": [(("-i", "--input"), {"help": "fixture: verify reads <prefix>.gfn/.spd, "
                                            "detect the .spd file"})],

@@ -363,6 +363,10 @@ def flag_argv(cmd, flag, d):
     return [*cmd, *([] if flag in head else head), flag, value]
 
 
+# argv head of every COMMANDS and SUITES row
+ROWS = [(c,) for c in COMMANDS] + [("verify", s) for s in SUITES]
+
+
 class TestCLI:
     def run_cli(self, *args):
         return main(list(args))
@@ -387,10 +391,10 @@ class TestCLI:
     def test_heat_image_nan_row_fails(self, monkeypatch, capsys):
         # nan at the last t only, as an overflow gives it: the spread must
         # not skip it
-        from gutzmerlab import cli
+        from gutzmerlab import heatlab
 
-        real = cli.heat_image_norm
-        monkeypatch.setattr(cli, "heat_image_norm",
+        real = heatlab.heat_image_norm
+        monkeypatch.setattr(heatlab, "heat_image_norm",
                             lambda sd, t: float("nan") if t == 0.4 else real(sd, t))
         assert self.run_cli("verify", "heat-image", "--grid", "24", "--kmax", "4") == 1
         rows = capsys.readouterr().out.strip().splitlines()[1:]
@@ -400,17 +404,39 @@ class TestCLI:
     def test_memory_error_exits_2(self, monkeypatch, tmp_path, capsys, argv):
         # a failed allocation is reported in one line, as a configuration
         # error is; nothing large is allocated here
-        from gutzmerlab import cli
+        from gutzmerlab import spectral
 
         def refuse(*args, **kwargs):
             raise MemoryError("Unable to allocate 6.00 GiB for an array")
 
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(cli, "synth_bandlimited", refuse)
+        monkeypatch.setattr(spectral, "synth_bandlimited", refuse)
         assert self.run_cli(*argv) == 2
         err = capsys.readouterr().err
         assert err == "out of memory: Unable to allocate 6.00 GiB for an array\n"
         assert not list(tmp_path.iterdir())
+
+    def test_commands_call_the_owning_modules(self, monkeypatch, fixture_files, tmp_path):
+        # a command reads the function from the module that defines it when it
+        # runs, so a patch there (as bench/tracer.py makes) sees the call
+        from gutzmerlab import complexification, spectral
+
+        calls = []
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        spy(spectral, "synth_bandlimited")
+        spy(complexification, "detect_bandlimit")
+        d, spec, f, sd = fixture_files
+        assert self.run_cli("synth", "--grid", "24", "--kmax", "4", "-o", str(tmp_path / "fx")) == 0
+        assert self.run_cli("detect", "-i", str(d / "fx.spd"), "-o", str(tmp_path / "r.json")) == 0
+        assert calls == ["synth_bandlimited", "detect_bandlimit"]
 
     def test_detect_without_modal_blocks_exits_2(self, fixture_files, tmp_path, capsys):
         d, spec, f, sd = fixture_files
@@ -435,6 +461,26 @@ class TestCLI:
         assert self.run_cli("synth", flag, value, "-o", str(out)) == 2
         assert "must be positive" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [["synth", "--seed", "-1"],
+                                      ["verify", "plancherel", "--seed", "-1"],
+                                      ["verify", "euclid", "--seed", "-1"],
+                                      ["synth", "--lambda-grid", "7"],
+                                      ["synth", "--lambda-grid", "10"],
+                                      ["verify", "thm35", "--lambda-grid", "10"]])
+    def test_bad_seed_or_lambda_count_exits_2(self, tmp_path, capsys, argv):
+        # refused by the parser, which names the flag
+        assert self.run_cli(*argv, "-o", str(tmp_path / "x")) == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[-2]}: must be" in err
+        assert "configuration error" not in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flag,value", [("--seed", "0"), ("--lambda-grid", "9"),
+                                            ("--lambda-grid", "11")])
+    def test_seed_and_lambda_count_bounds_parse(self, flag, value):
+        args = build_parser().parse_args(["synth", flag, value, "-o", "x"])
+        assert getattr(args, flag[2:].replace("-", "_")) == int(value)
 
     @pytest.mark.parametrize("argv", [["synth", "--B", "inf"], ["synth", "--A", "nan"],
                                       ["verify", "plancherel", "--A", "nan"],
@@ -535,8 +581,7 @@ class TestCLI:
         fit = json.loads(open(out + ".fit.json").read())
         assert fit["verdict"] == "ok"
 
-    @pytest.mark.parametrize("cmd", [(c,) for c in COMMANDS] + [("verify", s) for s in SUITES],
-                             ids=" ".join)
+    @pytest.mark.parametrize("cmd", ROWS, ids=" ".join)
     def test_help_for_every_table_row(self, capsys, cmd):
         assert self.run_cli(*cmd, "--help") == 0
         assert "usage: gutzmerlab " + " ".join(cmd) in capsys.readouterr().out
@@ -559,7 +604,7 @@ class TestCLI:
         # numpy.ma costs a cold CLI process about 14 ms to import, and no
         # step of synth needs it (np.unique, for one, imports it);
         # numpy.polynomial costs about 0.9 MiB, and only the tests'
-        # Gauss-Hermite oracle reads it
+        # Gauss-Hermite oracle reads it; --help loads no numpy at all
         for argv in (["synth", "--A", "1", "--B", "9", "--tune-grid", "-o", str(tmp_path / "fx")],
                      ["--help"]):
             out = subprocess.run([sys.executable, "-X", "importtime", "-m", "gutzmerlab.cli",
@@ -567,9 +612,30 @@ class TestCLI:
             assert out.returncode == 0, out.stderr
             imported = [line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines()
                         if line.startswith("import time:")]
+            numpy_modules = [m for m in imported if m.split(".")[0] == "numpy"]
+            if argv == ["--help"]:
+                assert not numpy_modules
+                continue
             assert "gutzmerlab.spectral" in imported
-            assert not [m for m in imported if m.split(".")[:2] in (["numpy", "ma"],
-                                                                    ["numpy", "polynomial"])]
+            assert not [m for m in numpy_modules if m.split(".")[1:2] in (["ma"], ["polynomial"])]
+
+    def test_parsing_loads_no_numerics(self):
+        # --help, usage errors and flag checks answer from the standard library
+        argvs = [["--help"], *([*row, "--help"] for row in ROWS), ["verify"],
+                 ["detect", "-i", "fx.spd", "--seed", "1"], ["synth", "--A", "1"],
+                 ["synth", "--seed", "-1", "-o", "fx"],
+                 ["synth", "--lambda-grid", "10", "-o", "fx"]]
+        got = run_child("import contextlib, io, json, sys\nfrom gutzmerlab.cli import main\n"
+                        "report = []\n"
+                        f"for argv in {argvs!r}:\n"
+                        "    with contextlib.redirect_stdout(io.StringIO()), "
+                        "contextlib.redirect_stderr(io.StringIO()):\n"
+                        "        code = main(argv)\n"
+                        "    report.append([code, sorted(m for m in sys.modules if\n"
+                        "        m.split('.')[0] in ('numpy', 'gutzmerlab'))])\n"
+                        "print(json.dumps(report))\n")
+        loaded = ["gutzmerlab", "gutzmerlab.cli"]
+        assert got == [[0 if "--help" in argv else 2, loaded] for argv in argvs]
 
     def test_console_entry_point(self):
         out = subprocess.run([sys.executable, "-m", "gutzmerlab.cli", "--help"],
