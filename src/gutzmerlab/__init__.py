@@ -21,8 +21,9 @@ _EXPORTS = {
     "spectral": ("GridFunction", "SpectralData", "BandLimit", "partial_fourier_t",
                  "twisted_conv", "analyze", "plancherel_check", "invert", "invert_grid",
                  "synth_bandlimited"),
-    "complexification": ("GrowthFit", "RayPlan", "orbital_direct", "gutzmer_spectral",
-                         "apply_D", "pw_forward_check", "detect_bandlimit"),
+    "growth": ("GrowthFit",),
+    "complexification": ("RayPlan", "orbital_direct", "gutzmer_spectral", "apply_D",
+                         "pw_forward_check", "detect_bandlimit"),
     "heatlab": ("gauss_bessel_check", "heat_apply", "heat_image_norm", "twisted_heat_kernel",
                 "lemma63_check", "thm35_forward", "thm35_converse_tail"),
     "euclid": ("FlatFunction", "flat_synth_bandlimited", "flat_fourier", "flat_gutzmer",

@@ -10,10 +10,6 @@ over the motion group equals the spectral sum
 and replacing phi_k^lambda(2iy,2iv) by j_{n-1}(2i sqrt((2k+n)|lambda|) r)
 (r = |(y,v)|) realizes the shift operator: growth becomes pure exponential
 type  e^{2A|eta|} e^{2 sqrt(B) r},  whose ray slopes recover the band limits.
-
-Both sums are formed in log space over the populated (k, lambda) cells and
-reduced by a log-sum-exp, so growth rays of any length are fitted on logs
-that never leave the float range.
 """
 
 from __future__ import annotations
@@ -23,11 +19,11 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .grids import QuadratureSpec
+from .grids import QuadratureSpec, SpectralError
+from .growth import _exp, _log_spectral_sum, _log_values, _tail_test, fit_growth
 from .heisenberg_core import ComplexPoint
 from .hermite_modes import abs_lam_groups, slice_powers
-from .spectral import BandLimit, SpectralData, SpectralError
-from .specfun import binom_weight, laguerre_all, log_bessel_j_imag, log_sum_exp
+from .spectral import BandLimit, SpectralData
 
 
 class OrbitalError(SpectralError):
@@ -36,22 +32,6 @@ class OrbitalError(SpectralError):
 
 SHELL_TOL = 1e-6    # orbital quadrature: largest share of the sum in the outer frame
 PAD_FACTOR = 1.5    # orbital evaluation grid, in sample-grid points per axis
-
-
-@dataclass
-class GrowthFit:
-    """Least-squares exponential-growth fit along one ray.
-
-    samples hold (parameter, log value); slope/intercept fit the tail half,
-    residual is the max absolute deviation of the fit there.  Radial fits
-    remove the known Bessel envelope 1/sqrt(r) before fitting.
-    """
-
-    ray: str                   # "eta" | "radial"
-    samples: list
-    slope: float
-    intercept: float
-    residual: float
 
 
 @dataclass
@@ -81,41 +61,6 @@ def _require_point(sd: SpectralData, p: ComplexPoint):
 # ---------------------------------------------------------------------------
 # spectral-side sums
 # ---------------------------------------------------------------------------
-
-def _log_spectral_sum(sd: SpectralData, r2: float, log_g: np.ndarray,
-                      bessel: bool = False, cells: Optional[np.ndarray] = None) -> float:
-    """log of sum_{k,j} dmu_j norms2[k, j] g_j K(k, lambda_j, r) over the
-    populated cells (those of `cells` too, when given), log g_j = log_g[j].
-
-    K is the Laguerre factor [k!(n-1)!/(k+n-1)!] phi_k^lambda(2iy, 2iv)
-    = L_k^{n-1}(-2|lambda| r^2) e^{|lambda| r^2} / binom(k+n-1, k), from one
-    laguerre_all table over the lambda grid; with `bessel`, the shift
-    operator's j_{n-1}(2i sqrt((2k+n)|lambda|) r).  Both are positive, so
-    every factor enters as a log and a log-sum-exp reduces the cells: -inf
-    when no cell is populated.
-    """
-    live = sd.norms2 > 0.0
-    if cells is not None:
-        live &= cells
-    ks, js = np.nonzero(live)
-    if ks.size == 0:
-        return -np.inf
-    if bessel:
-        log_k = log_bessel_j_imag(sd.n - 1, 2.0 * np.sqrt(sd.fan[ks, js] * r2))
-    else:
-        al = np.abs(sd.lam)
-        table = laguerre_all(sd.kmax, sd.n - 1, -2.0 * al * r2)
-        log_w = np.log([binom_weight(k, sd.n) for k in range(sd.kmax + 1)])
-        log_k = np.log(table[ks, js]) + al[js] * r2 + log_w[ks]
-    terms = np.log(sd.wmu[js]) + np.log(sd.norms2[ks, js]) + log_g[js] + log_k
-    return float(log_sum_exp(terms))
-
-
-def _exp(log_value: float) -> float:
-    """e^log_value, inf past the float range."""
-    with np.errstate(over="ignore"):
-        return float(np.exp(log_value))
-
 
 def _radius2(sd: SpectralData, p: ComplexPoint) -> float:
     _require_point(sd, p)
@@ -199,37 +144,6 @@ def orbital_direct(sd: SpectralData, p: ComplexPoint,
 # growth fits and the Paley-Wiener detector
 # ---------------------------------------------------------------------------
 
-def _log_values(values) -> np.ndarray:
-    """log of sampled values: -inf at 0 and nan below, without warnings."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.log(np.asarray(values, dtype=float))
-
-
-def fit_growth(params: np.ndarray, logs: np.ndarray, ray: str) -> GrowthFit:
-    """Tail-half least squares of log values against the ray parameter.
-
-    `logs` are the logs of the sampled values; a non-finite one (a value <= 0
-    or nan) makes the fit degenerate.  Radial rays first remove the
-    normalized-Bessel envelope 1/sqrt(r) (the asymptotic prefactor of
-    j_{n-1}(2iar)), so the fitted slope is the pure exponential rate.
-    """
-    params = np.asarray(params, dtype=float)
-    logs = np.asarray(logs, dtype=float)
-    if not np.all(np.isfinite(logs)):
-        return GrowthFit(ray, [], np.nan, np.nan, np.inf)
-    samples = list(zip(params.tolist(), logs.tolist()))
-    mid = (params[0] + params[-1]) / 2.0
-    mask = params >= mid
-    x = params[mask]
-    yv = logs[mask]
-    if ray == "radial":
-        yv = yv + 0.5 * np.log(np.maximum(x, 1e-30))
-    Acol = np.vstack([x, np.ones_like(x)]).T
-    (slope, icpt), *_ = np.linalg.lstsq(Acol, yv, rcond=None)
-    resid = float(np.max(np.abs(Acol @ np.array([slope, icpt]) - yv)))
-    return GrowthFit(ray, samples, float(slope), float(icpt), resid)
-
-
 def _ray_logs(source: Union[SpectralData, Callable[[float, float, float], float]],
               plan: RayPlan) -> tuple:
     """log D O along the plan's eta ray (0, 0, i eta) and radial ray
@@ -293,47 +207,12 @@ class DetectReport:
         return {
             "A_hat": self.A_hat,
             "B_hat": self.B_hat,
-            "fits": [
-                {
-                    "ray": f.ray,
-                    "slope": f.slope,
-                    "intercept": f.intercept,
-                    "residual": f.residual,
-                    "samples": f.samples,
-                }
-                for f in self.fits
-            ],
+            "fits": [{key: getattr(f, key)
+                      for key in ("ray", "slope", "intercept", "residual", "samples")}
+                     for f in self.fits],
             "tail_test": self.tail_test,
             "verdict": self.verdict,
         }
-
-
-def _tail_test(sd: SpectralData, B_hat: float, C: Optional[float] = None) -> dict:
-    """Spectral tail boundedness: for C > B_hat (default 1.1 B_hat) the
-    weighted tail mass
-
-        e^{2tC} sum_{(2k+n)|lambda| > C} norms2 d mu
-
-    stays below C' e^{2 t B_hat} for growing t only when the tail is empty;
-    ratios reports it over e^{2 t B_hat} at t = 1, 2, 4, 8."""
-    if C is None:
-        C = 1.1 * B_hat + 1e-9
-    fan = sd.fan
-    sel = fan > C
-    mass = float(np.sum(sd.norms2[sel] * np.broadcast_to(sd.wmu, sd.norms2.shape)[sel]))
-    total = sd.total_mass()
-    ratios = [mass * np.exp(2.0 * t * (C - B_hat)) / max(total, 1e-300)
-              for t in (1.0, 2.0, 4.0, 8.0)]
-    bounded = mass <= 1e-10 * max(total, 1e-300)
-    cells = []
-    if not bounded:
-        ks, js = np.nonzero(sel & (sd.norms2 > 1e-12 * np.max(sd.norms2)))
-        cells = [
-            {"k": int(k), "lambda": float(sd.lam[j]), "fan": float(fan[k, j])}
-            for k, j in zip(ks, js)
-        ]
-    return {"C": C, "tail_mass": mass, "ratios": ratios, "bounded": bounded,
-            "offending_cells": cells}
 
 
 def detect_bandlimit(source: Union[SpectralData, Callable[[float, float, float], float]],

@@ -18,8 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .complexification import GrowthFit, _log_values, fit_growth
 from .grids import fft_grid as _fft_grid
+from .growth import _log_values, fit_growth
 from .specfun import jhat_imag
 
 

@@ -33,6 +33,10 @@ LAM_MIN = 0.05      # lambda nodes with |lambda| < LAM_MIN are dropped (the cent
 FIT_FRAC = 0.95     # usable fraction of the grid extent and Nyquist band (mode-fit rule)
 
 
+class SpectralError(ValueError):
+    """Invalid input or parameters for a spectral-side computation."""
+
+
 def fft_grid(n: int, half_extent: float) -> np.ndarray:
     """Uniform symmetric grid (m - n/2) h on [-half_extent, half_extent)."""
     h = 2.0 * half_extent / n

@@ -5,23 +5,23 @@ The multiplier picture: convolving with the full heat kernel q_t multiplies
 the (k, lambda) projection by e^{-t lambda^2} e^{-(2k+n)|lambda| t}.  Pairing
 the Bessel-shifted orbital integral with a Gaussian reproduces exactly the
 inverse multipliers (the Gaussian-Bessel identity), which is why the image
-norm is t-independent.
+norm is t-independent.  Spectral data (a spectral.SpectralData) is read
+through its tables and modal coefficients only: no transform code loads.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import replace
-from math import comb
+from math import comb, gamma
 from typing import Optional
 
 import numpy as np
 
 from .constants import LEMMA63_C, heat_image_c, twisted_heat_prefactor
-from .grids import gauss_legendre_on
-from .hermite_modes import ModalSlice
-from .spectral import SpectralData, SpectralError
+from .grids import SpectralError, gauss_legendre_on
+from .growth import _exp, _log_spectral_sum, _tail_test, fit_growth
 from .specfun import LaguerreArg, jhat_imag, laguerre_phi
-from .complexification import _exp, _log_spectral_sum, _tail_test, fit_growth
 
 
 class HeatError(SpectralError):
@@ -39,8 +39,6 @@ def gauss_bessel_check(k: int, lam: float, t: float, n: int = 1) -> float:
     integrals are evaluated by 800-node Gauss-Legendre quadrature."""
     if t <= 0:
         raise HeatError("heat time must be positive")
-    from math import gamma
-
     a = np.sqrt((2 * k + n) * abs(lam))
     # radial (y, v) integral over R^{2n}: integrand peaks at r ~ 2 a t with
     # Gaussian width sqrt(t), so the domain scales with both
@@ -62,7 +60,7 @@ def gauss_bessel_check(k: int, lam: float, t: float, n: int = 1) -> float:
     return float(abs(val - tgt) / tgt)
 
 
-def heat_apply(sd: SpectralData, t: float) -> SpectralData:
+def heat_apply(sd, t: float):
     """Heat semigroup on the spectral side: each (k, lambda) projection, and
     so each modal coefficient at level k = |beta|, is multiplied by
     e^{-t lambda^2} e^{-(2k+n)|lambda| t}."""
@@ -71,13 +69,13 @@ def heat_apply(sd: SpectralData, t: float) -> SpectralData:
     if t == 0:
         return sd
     mult = np.exp(-t * sd.lam[None, :] ** 2 - sd.fan * t)
-    modal = [ModalSlice(ms.lam, ms.coef * np.exp(-t * lv ** 2
-                                                  - (2 * ms.levels() + sd.n) * abs(lv) * t))
-             for ms, lv in zip(sd.modal, sd.lam)]
+    modal = [copy.copy(ms) for ms in sd.modal]      # each keeps its class
+    for ms, lv in zip(modal, sd.lam):
+        ms.coef = ms.coef * np.exp(-t * lv ** 2 - (2 * ms.levels() + sd.n) * abs(lv) * t)
     return replace(sd, modal=modal, norms2=sd.norms2 * mult ** 2)
 
 
-def heat_image_norm(sd_heated: SpectralData, t: float) -> float:
+def heat_image_norm(sd_heated, t: float) -> float:
     """integral D O_{|F|^2}(iy,iv,i eta) p_{t/2}(y,v,eta) dy dv deta for
     F = f * q_t, evaluated term by term through the Gaussian-Bessel closed
     form.  Equals heat_image_c(n) * ||f||_2^2 independently of t."""
@@ -127,8 +125,6 @@ def lemma63_check(k: int, lam: float, t: float, n: int = 1) -> float:
     over R^{2n} (600-node radial Gauss-Legendre x exact sphere factor)."""
     if t <= 0:
         raise HeatError("heat time must be positive")
-    from math import gamma
-
     al = abs(lam)
     x = al * t
     coth = np.cosh(x) / np.sinh(x)
@@ -151,13 +147,13 @@ def lemma63_check(k: int, lam: float, t: float, n: int = 1) -> float:
 # Exponential-type bounds for positive-lambda spectra
 # ---------------------------------------------------------------------------
 
-def _require_positive_lambda(sd: SpectralData):
+def _require_positive_lambda(sd):
     neg = sd.lam < 0
     if np.any(sd.norms2[:, neg] > 1e-12 * max(float(np.max(sd.norms2)), 1e-300)):
         raise HeatError("spectral data has mass at lambda < 0")
 
 
-def thm35_forward(sd: SpectralData, alpha: float, beta: float,
+def thm35_forward(sd, alpha: float, beta: float,
                   t_grid=(1.0, 2.0, 4.0), points=((0.25,), (0.5,), (1.0,))) -> dict:
     """Spectral exponential-type bound for lambda > 0 band-limited data:
 
@@ -207,7 +203,7 @@ def thm35_forward(sd: SpectralData, alpha: float, beta: float,
     }
 
 
-def thm35_converse_tail(sd: SpectralData, B: float, C: Optional[float] = None) -> dict:
+def thm35_converse_tail(sd, B: float, C: Optional[float] = None) -> dict:
     """Tail criterion: for C > B,  e^{2tC} * (spectral mass above C)  must stay
     below a multiple of e^{2tB}; any surviving tail cell violates it.  Returns
     verdict 'supported' or 'violated' with the offending cells."""

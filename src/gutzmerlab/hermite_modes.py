@@ -152,8 +152,8 @@ class ModalSlice:
                           minlength=max(kmax + 1, 0))
         return (2.0 * np.pi / abs(self.lam)) ** self.n * out[: kmax + 1]
 
-    def field(self, zc, zm, k_select=None):
-        """Evaluate the slice (or its level-k_select projection) at points.
+    def field(self, zc, zm):
+        """Evaluate the slice at points.
 
         n = 1: a one-slice call to _fields (modal_fields evaluates the
         slices at lambda and -lambda together, sharing each Laguerre
@@ -162,23 +162,21 @@ class ModalSlice:
         field_on_planes; the result has shape zc.shape[:-1].
         """
         if self.n == 1:
-            return _fields([self], zc, zm, k_select)[0]
-        return self.field_on_planes(point_planes(zc, zm), k_select)
+            return _fields([self], zc, zm)[0]
+        return self.field_on_planes(point_planes(zc, zm))
 
-    def field_on_planes(self, planes, k_select=None):
+    def field_on_planes(self, planes):
         """field on the planes of grid_planes or point_planes.
 
         The product basis factorizes over the axes, so each axis j gets one
         basis_matrix table of the (beta_j, alpha_j) pairs in the nonzero
-        support of the selected coefficients, built on the points of its
-        plane.  The coefficient tensor cut to those pairs, C[p_0, ...,
-        p_{n-1}], is contracted with the tables one axis at a time, the point
-        axes broadcasting: the transpose of analyze's per-plane contraction.
+        support of the coefficients, built on the points of its plane.  The
+        coefficient tensor cut to those pairs, C[p_0, ..., p_{n-1}], is
+        contracted with the tables one axis at a time, the point axes
+        broadcasting: the transpose of analyze's per-plane contraction.
         """
         shape, axes = planes
         C = self.coef
-        if k_select is not None:
-            C = np.where(self.levels() == k_select, C, 0)
         live = C != 0
         if not live.any():
             return np.zeros(shape, dtype=complex)
@@ -216,7 +214,7 @@ def _norm_ratio_table(shape: tuple) -> np.ndarray:
     return nr
 
 
-def _offset_plan(slices, k_select=None) -> list:
+def _offset_plan(slices) -> list:
     """Running-sum weights of every slice of a call, from one scatter.
 
     Returns the blocks (g, d, idx, on_p, W) in the order _offset_sums runs
@@ -228,10 +226,10 @@ def _offset_plan(slices, k_select=None) -> list:
     weighs L_m^d, zero past the row's last nonzero coefficient up to the
     block's.
 
-    The coefficients (cut to level k_select, if given) are stacked into one
-    zero-padded [slice, k, a] array, and every nonzero one is scattered to
-    the weight row (g, d, slot) with slot = 2 * (position of the slice in g)
-    + (a > k), column m = min(k, a).  All-zero slices give no rows.
+    The coefficients are stacked into one zero-padded [slice, k, a] array,
+    and every nonzero one is scattered to the weight row (g, d, slot) with
+    slot = 2 * (position of the slice in g) + (a > k), column m = min(k, a).
+    All-zero slices give no rows.
     """
     if not slices:
         return []
@@ -239,9 +237,7 @@ def _offset_plan(slices, k_select=None) -> list:
     shape = tuple(max(ms.coef.shape[ax] for ms in slices) for ax in (0, 1))
     C = np.zeros((len(slices),) + shape, dtype=complex)
     for i, ms in enumerate(slices):
-        kk, aa = ms.coef.shape
-        lev = slice(0, kk) if k_select is None else slice(k_select, min(k_select + 1, kk))
-        C[i, lev, :aa] = ms.coef[lev]
+        C[i, : ms.coef.shape[0], : ms.coef.shape[1]] = ms.coef
     sl, ks, as_ = np.nonzero(C)
     if not sl.size:
         return []
@@ -323,13 +319,13 @@ def radial_table(al: float, values: np.ndarray, dtop: int, mtop: int) -> np.ndar
     return np.ascontiguousarray(L.transpose(1, 0, 2))
 
 
-def _offset_sums(slices, zc, zm, k_select=None):
+def _offset_sums(slices, zc, zm):
     """Yield (i, q, G) for every running sum of the slices, any |lambda|.
 
-    G is the part of slice i (or of its k-th projection) with U(1) weight q,
-    without its monomial, the Gaussian and the sqrt(|lambda|/2pi)
-    normalization: the modes of offset d on the monomial P^d give q = +d,
-    those on Q^d give q = -d, and G P^d (or G Q^d) is the part itself.
+    G is the part of slice i with U(1) weight q, without its monomial, the
+    Gaussian and the sqrt(|lambda|/2pi) normalization: the modes of offset d
+    on the monomial P^d give q = +d, those on Q^d give q = -d, and G P^d (or
+    G Q^d) is the part itself.
     s = |lambda| zc zm / 2, the Gaussian and the monomials P = i
     sqrt(|lambda|/2) zc, Q = i sqrt(|lambda|/2) zm are the same for lambda and
     -lambda: at lambda > 0 column-dominant modes (a = m, k = m + d) carry P^d
@@ -345,7 +341,7 @@ def _offset_sums(slices, zc, zm, k_select=None):
     parts come in the plan's order, d increasing; the d = 0 modes form one
     running sum, so each (i, q) is yielded once.
     """
-    plan = _offset_plan(slices, k_select)
+    plan = _offset_plan(slices)
     if not plan:
         return
     rho = real_radii(zc, zm)
@@ -375,8 +371,8 @@ def _offset_sums(slices, zc, zm, k_select=None):
             yield i, (d if p else -d), acc
 
 
-def _fields(slices, zc, zm, k_select=None) -> np.ndarray:
-    """The fields of slices of any |lambda| (or their k-th projections).
+def _fields(slices, zc, zm) -> np.ndarray:
+    """The fields of slices of any |lambda|.
 
     Multiplies each part of _offset_sums by its monomial P^d or Q^d, the
     powers of each |lambda| group taken by one multiplication per offset,
@@ -387,7 +383,7 @@ def _fields(slices, zc, zm, k_select=None) -> np.ndarray:
     rho = real_radii(zc, zm)
     out = np.zeros((len(slices),) + np.broadcast(zc, zm).shape, dtype=complex)
     al_now = None
-    for i, q, acc in _offset_sums(slices, zc, zm, k_select):
+    for i, q, acc in _offset_sums(slices, zc, zm):
         al = abs(slices[i].lam)
         if al != al_now:
             al_now, power = al, 0
@@ -448,23 +444,22 @@ def slice_powers(slices, zc, zm) -> list:
     return out
 
 
-def modal_fields(modal, planes, k_select=None) -> np.ndarray:
-    """Fields of every slice in modal (or their level-k_select projections)
-    on the planes of spectral.grid_planes or point_planes: one [len(modal),
-    *shape] array, in the order of modal.  n = 1: one _fields call for every
-    slice, so lambda and -lambda share each Laguerre recurrence and a real
-    plane is sorted into its shells once (a plane cut along constant point
-    axes is broadcast back once, for all slices); n >= 2: field_on_planes
-    per slice.
+def modal_fields(modal, planes) -> np.ndarray:
+    """Fields of every slice in modal on the planes of spectral.grid_planes
+    or point_planes: one [len(modal), *shape] array, in the order of modal.
+    n = 1: one _fields call for every slice, so lambda and -lambda share
+    each Laguerre recurrence and a real plane is sorted into its shells once
+    (a plane cut along constant point axes is broadcast back once, for all
+    slices); n >= 2: field_on_planes per slice.
     """
     shape, axes = planes
     if len(axes) > 1:
         out = np.empty((len(modal),) + shape, dtype=complex)
         for i, ms in enumerate(modal):
-            out[i] = ms.field_on_planes(planes, k_select)
+            out[i] = ms.field_on_planes(planes)
         return out
     (zc, zm), = axes
-    out = _fields(modal, zc, zm, k_select)
+    out = _fields(modal, zc, zm)
     return out if out.shape[1:] == shape else np.broadcast_to(out, out.shape[:1] + shape).copy()
 
 

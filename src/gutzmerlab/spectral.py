@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grids import DECAY_TOL, LAM_MIN, QuadratureSpec, fft_grid
+from .grids import DECAY_TOL, LAM_MIN, QuadratureSpec, SpectralError, fft_grid
 from .hermite_modes import (
     ModalSlice,
     _norm_ratio_table,
@@ -49,10 +49,6 @@ from .hermite_modes import (
     radial_table,
 )
 from .heisenberg_core import ComplexPoint
-
-
-class SpectralError(ValueError):
-    pass
 
 
 class DecayError(SpectralError):
@@ -211,12 +207,15 @@ class SpectralData:
     @property
     def projections(self) -> np.ndarray:
         """projections[j, k] = f^lambda_j *_lam phi_k on the sample grid, one
-        [node, kmax+1, *grid] array, filled level by level."""
+        [node, kmax+1, *grid] array, level k from the slices cut to |beta| = k."""
         shape, _ = planes = grid_planes(self.n, self.xgrid, self.ugrid)
         scale = ((2.0 * np.pi / np.abs(self.lam)) ** self.n).reshape((-1,) + (1,) * len(shape))
         out = np.empty((len(self.modal), self.kmax + 1) + shape, dtype=complex)
+        levels = [ms.levels() for ms in self.modal]
         for k in range(self.kmax + 1):
-            out[:, k] = scale * modal_fields(self.modal, planes, k)
+            level = [ModalSlice(ms.lam, np.where(lev == k, ms.coef, 0))
+                     for ms, lev in zip(self.modal, levels)]
+            out[:, k] = scale * modal_fields(level, planes)
         return out
 
     def total_mass(self) -> float:
@@ -414,7 +413,7 @@ def _plane_coefs(sls: np.ndarray, lam: np.ndarray, groups: list, Z: np.ndarray,
 
 
 def analyze(f: GridFunction, lgrid: LambdaGrid, kmax: int,
-            spec: Optional[QuadratureSpec] = None) -> SpectralData:
+            spec: QuadratureSpec) -> SpectralData:
     """Hermite-Laguerre coefficients of every slice, and their norms.
 
     Admissibility depends on |lambda| only, and at real points
@@ -449,8 +448,6 @@ def analyze(f: GridFunction, lgrid: LambdaGrid, kmax: int,
     One table B serves each group: the member at -l0 is contracted with B
     itself, the member at l0 with B conjugated in place.
     """
-    if spec is None:
-        spec = QuadratureSpec(n=f.n, nx=f.xgrid.size, lx=float(-f.xgrid[0]))
     n = f.n
     lam = lgrid.lam
     _, [(Z, _)] = grid_planes(1, f.xgrid, f.ugrid)      # the (x_j, u_j) plane of every axis

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gutzmerlab.grids import QuadratureSpec
+from gutzmerlab.hermite_modes import ModalSlice
 from gutzmerlab.spectral import analyze, grid_planes, synth_bandlimited
 
 
@@ -31,6 +32,14 @@ def rectangle(rows, mask):
     out = np.zeros(mask.shape + rows.shape[1:], dtype=rows.dtype)
     out[mask] = rows
     return out
+
+
+def level_cut(ms, k):
+    """ms cut to its entries of level |beta| = k (a level-k projection's
+    coefficients, as SpectralData.projections builds them); ms when k is None."""
+    if k is None:
+        return ms
+    return ModalSlice(ms.lam, np.where(ms.levels() == k, ms.coef, 0))
 
 
 def grid_stacks(n, xgrid, ugrid):

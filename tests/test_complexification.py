@@ -4,7 +4,6 @@ import pytest
 from conftest import small_spec
 from gutzmerlab import complexification
 from gutzmerlab.complexification import (
-    GrowthFit,
     OrbitalError,
     RayPlan,
     apply_D,
@@ -17,6 +16,7 @@ from gutzmerlab.complexification import (
 from gutzmerlab.heatlab import heat_apply, heat_image_norm
 from gutzmerlab.heisenberg_core import ComplexPoint
 from gutzmerlab.grids import QuadratureSpec, gauss_legendre_on
+from gutzmerlab.growth import GrowthFit
 from gutzmerlab.hermite_modes import ModalSlice, mode_monomial_base, norm_ratio
 from gutzmerlab.specfun import LaguerreArg, bessel_j_norm, laguerre_all, laguerre_phi
 from gutzmerlab.spectral import LambdaGrid, synth_bandlimited

@@ -619,6 +619,20 @@ class TestCLI:
             assert "gutzmerlab.spectral" in imported
             assert not [m for m in numpy_modules if m.split(".")[1:2] in (["ma"], ["polynomial"])]
 
+    @pytest.mark.parametrize("argv", [["verify", "gauss-bessel"], ["verify", "lemma63"],
+                                      ["euclid"]], ids=["gauss-bessel", "lemma63", "euclid"])
+    def test_closed_form_and_flat_steps_load_no_transform(self, tmp_path, argv):
+        # the closed-form heat identities and the flat model need growth,
+        # specfun and grids: no module of the H^n transform loads
+        out = subprocess.run([sys.executable, "-X", "importtime", "-m", "gutzmerlab.cli",
+                              *argv, "-o", str(tmp_path / "out")], capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        imported = {line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert "gutzmerlab.growth" in imported
+        transform = {"spectral", "hermite_modes", "heisenberg_core", "complexification"}
+        assert not imported & {f"gutzmerlab.{m}" for m in transform}
+
     def test_parsing_loads_no_numerics(self):
         # --help, usage errors and flag checks answer from the standard library
         argvs = [["--help"], *([*row, "--help"] for row in ROWS), ["verify"],

@@ -17,8 +17,16 @@ from gutzmerlab.heatlab import (
     thm35_forward,
     twisted_heat_kernel,
 )
+from gutzmerlab.hermite_modes import ModalSlice, ModalSliceND, multiindices_upto
 from gutzmerlab.specfun import LaguerreArg, laguerre_phi
-from gutzmerlab.spectral import GridFunction, analyze, synth_bandlimited, twisted_conv
+from gutzmerlab.spectral import (
+    GridFunction,
+    LambdaGrid,
+    SpectralData,
+    analyze,
+    synth_bandlimited,
+    twisted_conv,
+)
 
 BOX = [(k, lam, t, n) for n in (1, 2) for k in (0, 1, 4)
        for lam in (0.25, 1.0) for t in (0.1, 0.5)]
@@ -92,6 +100,29 @@ class TestHeatApply:
         lam0 = sd.lam[j0]
         want = sd.norms2[k0, j0] * np.exp(-2 * t * lam0 ** 2 - 2 * (2 * k0 + 1) * abs(lam0) * t)
         assert sdh.norms2[k0, j0] == pytest.approx(want, rel=1e-12)
+
+    def test_mode_list_slices(self):
+        # n = 2 slices built from mode lists heat to the same coefficients as
+        # the plain ModalSlice of the same tensor, keep their class, and the
+        # input is left as it was
+        rng = np.random.default_rng(5)
+        lgrid = LambdaGrid(np.array([-0.8, 0.4, 1.2]), 0.4, np.ones(3))
+        modes = [(alpha, beta) for beta in multiindices_upto(2, 2)
+                 for alpha in multiindices_upto(2, 1)]
+        coefs = rng.normal(size=(3, len(modes))) + 1j * rng.normal(size=(3, len(modes)))
+        nd_modal = [ModalSliceND(lv, 2, modes, c) for lv, c in zip(lgrid.lam, coefs)]
+        grid = fft_grid(8, 5.0)
+        nd, dense = (SpectralData(n=2, lgrid=lgrid, kmax=2, xgrid=grid, ugrid=grid,
+                                  norms2=np.stack([ms.proj_norms2(2) for ms in modal], axis=1),
+                                  modal=modal, tail=np.zeros(3))
+                     for modal in (nd_modal, [ModalSlice(ms.lam, ms.coef) for ms in nd_modal]))
+        before = [ms.coef.copy() for ms in nd.modal]
+        got, want = heat_apply(nd, 0.3), heat_apply(dense, 0.3)
+        assert np.array_equal(got.norms2, want.norms2)
+        for g, w, old, ms in zip(got.modal, want.modal, before, nd.modal):
+            assert type(g) is ModalSliceND and g.lam == w.lam
+            assert np.array_equal(g.coef, w.coef) and not np.array_equal(g.coef, old)
+            assert np.array_equal(ms.coef, old)
 
 
 class TestHeatImage:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import grid_stacks, rectangle
+from conftest import grid_stacks, level_cut, rectangle
 from gutzmerlab import hermite_modes
 from gutzmerlab.grids import fft_grid
 from gutzmerlab.hermite_modes import (
@@ -74,16 +74,16 @@ class TestSliceFields:
     def test_k_select(self, k):
         zc, zm = complex_points()
         pos, neg = random_slice(1.1, seed=5), random_slice(-1.1, seed=6)
-        fp, fn = _fields([pos, neg], zc, zm, k_select=k)
-        assert np.array_equal(fp, pos.field(zc, zm, k_select=k))
-        assert np.array_equal(fn, neg.field(zc, zm, k_select=k))
+        fp, fn = _fields([level_cut(pos, k), level_cut(neg, k)], zc, zm)
+        assert np.array_equal(fp, level_cut(pos, k).field(zc, zm))
+        assert np.array_equal(fn, level_cut(neg, k).field(zc, zm))
         assert_close(fp, e1d_reference(pos, zc, zm, k_select=k))
         assert_close(fn, e1d_reference(neg, zc, zm, k_select=k))
 
     def test_levels_sum_to_the_slice(self):
         zc, zm = complex_points()
         ms = random_slice(-0.6, seed=7)
-        levels = sum(ms.field(zc, zm, k_select=k) for k in range(ms.kmax + 1))
+        levels = sum(level_cut(ms, k).field(zc, zm) for k in range(ms.kmax + 1))
         assert_close(levels, ms.field(zc, zm), rel=1e-13)
 
     def test_real_grid_matches_basis_matrix(self):
@@ -233,14 +233,15 @@ class TestOffsetPlan:
         pos.coef[6, :] = 0.0
         neg.coef[:, 9] = 0.0
         group = [pos, neg]
-        self.assert_same_plan(plan_terms(_offset_plan(group, k_select)),
+        cut = [level_cut(ms, k_select) for ms in group]
+        self.assert_same_plan(plan_terms(_offset_plan(cut)),
                               offset_plan_reference(group, k_select))
 
     @pytest.mark.parametrize("lam", [1.3, -1.3])
     @pytest.mark.parametrize("k_select", [None, 3])
     def test_one_member_group(self, lam, k_select):
         group = [random_slice(lam, kmax=8, acap=5, seed=23)]
-        self.assert_same_plan(plan_terms(_offset_plan(group, k_select)),
+        self.assert_same_plan(plan_terms(_offset_plan([level_cut(group[0], k_select)])),
                               offset_plan_reference(group, k_select))
 
     @pytest.mark.parametrize("k_select", [None, 1, 4])
@@ -250,7 +251,7 @@ class TestOffsetPlan:
         slices = [random_slice(0.9, seed=26), random_slice(-1.6, kmax=4, acap=12, seed=27),
                   ModalSlice(2.0, np.zeros((5, 3), complex)), random_slice(-0.9, seed=28),
                   random_slice(1.6, kmax=8, acap=5, seed=29)]
-        plan = _offset_plan(slices, k_select)
+        plan = _offset_plan([level_cut(ms, k_select) for ms in slices])
         assert [g for g, *_ in plan] == sorted(g for g, *_ in plan)
         for g, members in enumerate(abs_lam_groups([ms.lam for ms in slices])):
             want = offset_plan_reference([slices[j] for j in members], k_select)
@@ -261,7 +262,8 @@ class TestOffsetPlan:
         live = random_slice(0.7, seed=24)
         for group in ([zero], [zero, live], [live, zero]):
             for k_select in (None, 1):
-                self.assert_same_plan(plan_terms(_offset_plan(group, k_select)),
+                cut = [level_cut(ms, k_select) for ms in group]
+                self.assert_same_plan(plan_terms(_offset_plan(cut)),
                                       offset_plan_reference(group, k_select))
         assert _offset_plan([zero]) == [] and _offset_plan([]) == []
 
@@ -445,19 +447,20 @@ def test_modal_fields_k_select_equals_field(k):
     # slice's own level-k field bit for bit
     zc, zm = complex_points(seed=3)
     modal = [random_slice(lv, seed=i) for i, lv in enumerate((-0.9, 0.4, 0.9, -0.4, 1.3))]
-    fields = modal_fields(modal, point_planes(zc[..., None], zm[..., None]), k_select=k)
-    for ms, fld in zip(modal, fields):
-        assert np.array_equal(fld, ms.field(zc, zm, k_select=k))
+    cut = [level_cut(ms, k) for ms in modal]
+    fields = modal_fields(cut, point_planes(zc[..., None], zm[..., None]))
+    for ms, fld in zip(cut, fields):
+        assert np.array_equal(fld, ms.field(zc, zm))
 
 
 @pytest.mark.parametrize("k", [None, 0, 2])
 def test_modal_fields_n2_equals_field_on_planes(k):
     zc, zm = complex_points_nd(41, seed=16)
-    modal = [random_slice_nd(lv, seed=i) for i, lv in enumerate((0.7, -0.7, 1.1))]
+    cut = [level_cut(random_slice_nd(lv, seed=i), k) for i, lv in enumerate((0.7, -0.7, 1.1))]
     planes = point_planes(zc, zm)
-    for ms, fld in zip(modal, modal_fields(modal, planes, k_select=k)):
-        assert np.array_equal(fld, ms.field_on_planes(planes, k))
-        assert np.array_equal(fld, ms.field(zc, zm, k))
+    for ms, fld in zip(cut, modal_fields(cut, planes)):
+        assert np.array_equal(fld, ms.field_on_planes(planes))
+        assert np.array_equal(fld, ms.field(zc, zm))
 
 
 def test_modal_fields_broadcasts_a_cut_plane():
@@ -489,7 +492,7 @@ def test_modal_fields_returns_one_slice_by_point_array(lams):
                                       else np.broadcast_to(ms.field(*planes[1][0]), planes[0]))
 
 
-def slice_fields_by_point(group, zc, zm, k_select=None):
+def slice_fields_by_point(group, zc, zm):
     """_fields as it ran at every point set before the real-plane path, for
     one |lambda| group:
     each Laguerre recurrence at every point in complex arithmetic, s =
@@ -500,7 +503,7 @@ def slice_fields_by_point(group, zc, zm, k_select=None):
     mono_p = mono_q = 1.0
     power = 0
     s = 0.5 * al * (zc * zm)
-    for _, d, idx, on_p, W in _offset_plan(group, k_select):
+    for _, d, idx, on_p, W in _offset_plan(group):
         for i, p, acc in zip(idx, on_p, laguerre_sums(W.shape[1] - 1, d, s, W)):
             for _ in range(d - power):
                 mono_p = mono_p * var_p
@@ -528,9 +531,10 @@ class TestRealPlanes:
     @pytest.mark.parametrize("k_select", [None, 0, 3, 6])
     def test_pair_matches_pointwise_recurrence(self, k_select):
         Z = self.grid()
-        pair = [random_slice(0.8, seed=30), random_slice(-0.8, seed=31)]
-        for got, want in zip(_fields(pair, Z, np.conj(Z), k_select),
-                             slice_fields_by_point(pair, Z, np.conj(Z), k_select)):
+        pair = [level_cut(random_slice(0.8, seed=30), k_select),
+                level_cut(random_slice(-0.8, seed=31), k_select)]
+        for got, want in zip(_fields(pair, Z, np.conj(Z)),
+                             slice_fields_by_point(pair, Z, np.conj(Z))):
             assert got.shape == want.shape
             assert_close(got, want, rel=1e-14)
 
@@ -539,30 +543,32 @@ class TestRealPlanes:
         # three |lambda| groups in one call, one of them a pair
         Z = self.grid()
         x = Z.real[:, 0]
-        modal = [random_slice(-1.3, seed=32), random_slice(0.5, kmax=4, acap=12, seed=33),
-                 random_slice(1.3, seed=34), random_slice(2.1, kmax=8, acap=5, seed=35)]
-        got = modal_fields(modal, grid_planes(1, x, x), k_select)
+        modal = [level_cut(ms, k_select) for ms in (
+            random_slice(-1.3, seed=32), random_slice(0.5, kmax=4, acap=12, seed=33),
+            random_slice(1.3, seed=34), random_slice(2.1, kmax=8, acap=5, seed=35))]
+        got = modal_fields(modal, grid_planes(1, x, x))
         for g in ([0, 2], [1], [3]):
-            want = slice_fields_by_point([modal[j] for j in g], Z, np.conj(Z), k_select)
+            want = slice_fields_by_point([modal[j] for j in g], Z, np.conj(Z))
             for j, w in zip(g, want):
                 assert_close(got[j], w, rel=1e-14)
 
     @pytest.mark.parametrize("k_select", [None, 3])
     def test_complexified_points_bit_for_bit(self, k_select):
         zc, zm = complex_points(seed=36)
-        pair = [random_slice(1.1, seed=37), random_slice(-1.1, seed=38)]
-        want = slice_fields_by_point(pair, zc, zm, k_select)
-        got = _fields(pair, zc, zm, k_select)
+        pair = [level_cut(random_slice(1.1, seed=37), k_select),
+                level_cut(random_slice(-1.1, seed=38), k_select)]
+        want = slice_fields_by_point(pair, zc, zm)
+        got = _fields(pair, zc, zm)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
         planes = point_planes(zc[..., None], zm[..., None])
-        assert all(np.array_equal(g, w) for g, w in zip(modal_fields(pair, planes, k_select), want))
+        assert all(np.array_equal(g, w) for g, w in zip(modal_fields(pair, planes), want))
         # a grid with one point off the real plane is complexified as a whole
         Z = self.grid()
         Zm = np.conj(Z)
         Zm[3, 5] += 1e-9j
         assert real_radii(Z, Zm) is None
-        want = slice_fields_by_point(pair, Z, Zm, k_select)
-        assert all(np.array_equal(g, w) for g, w in zip(_fields(pair, Z, Zm, k_select), want))
+        want = slice_fields_by_point(pair, Z, Zm)
+        assert all(np.array_equal(g, w) for g, w in zip(_fields(pair, Z, Zm), want))
 
     def test_real_radii(self):
         Z = self.grid()
@@ -636,8 +642,8 @@ class TestModalSliceNDField:
         zc, zm = grid_stacks(2, xg, xg)
         assert zc.shape[:-1] == (10,) * 4
         ms = random_slice_nd(lam, seed=2)
-        assert_close(ms.field(zc, zm, k_select), e1d_reference_nd(ms, zc, zm, k_select),
-                     rel=1e-13)
+        assert_close(level_cut(ms, k_select).field(zc, zm),
+                     e1d_reference_nd(ms, zc, zm, k_select), rel=1e-13)
 
     @pytest.mark.parametrize("lam", [0.7, -0.7])
     @pytest.mark.parametrize("k_select", [None, 0, 1, 2, 3])
@@ -645,7 +651,7 @@ class TestModalSliceNDField:
     def test_complexified_points(self, lam, k_select, npts):
         zc, zm = complex_points_nd(npts, seed=npts)
         ms = random_slice_nd(lam, seed=3)
-        got = ms.field(zc, zm, k_select)
+        got = level_cut(ms, k_select).field(zc, zm)
         assert got.shape == (npts,)
         assert_close(got, e1d_reference_nd(ms, zc, zm, k_select), rel=1e-13)
 
@@ -654,7 +660,8 @@ class TestModalSliceNDField:
         zc, zm = complex_points_nd(50, n=3, seed=5)
         ms = random_slice_nd(lam, n=3, kcap=2, acap=2, seed=6)
         for k in (None, 0, 2):
-            assert_close(ms.field(zc, zm, k), e1d_reference_nd(ms, zc, zm, k), rel=1e-13)
+            assert_close(level_cut(ms, k).field(zc, zm), e1d_reference_nd(ms, zc, zm, k),
+                         rel=1e-13)
 
     @pytest.mark.parametrize("lam", [0.9, -0.9])
     @pytest.mark.parametrize("k_select", [None, 2])
@@ -662,10 +669,10 @@ class TestModalSliceNDField:
         # the per-plane tables of the grid against every point evaluated on its own
         xg = fft_grid(8, 4.0)
         zc, zm = grid_stacks(2, xg, xg)
-        ms = random_slice_nd(lam, seed=9)
-        flat = ms.field(zc.reshape(-1, 2), zm.reshape(-1, 2), k_select)
+        ms = level_cut(random_slice_nd(lam, seed=9), k_select)
+        flat = ms.field(zc.reshape(-1, 2), zm.reshape(-1, 2))
         assert flat.shape == (8 ** 4,)
-        assert_close(ms.field(zc, zm, k_select), flat.reshape((8,) * 4), rel=1e-13)
+        assert_close(ms.field(zc, zm), flat.reshape((8,) * 4), rel=1e-13)
 
     @pytest.mark.parametrize("hold_zm", [True, False])
     def test_constant_plane(self, hold_zm):
@@ -688,7 +695,8 @@ class TestModalSliceNDField:
         assert zc.shape == (4,) * 6 + (3,)
         ms = random_slice_nd(lam, n=3, kcap=2, acap=2, seed=11)
         for k in (None, 1):
-            assert_close(ms.field(zc, zm, k), e1d_reference_nd(ms, zc, zm, k), rel=1e-13)
+            assert_close(level_cut(ms, k).field(zc, zm), e1d_reference_nd(ms, zc, zm, k),
+                         rel=1e-13)
 
     @pytest.mark.parametrize("shape", [(1, 37), (37, 1), (1,)])
     def test_length_one_point_axis(self, shape):
@@ -711,7 +719,7 @@ class TestModalSliceNDField:
     def test_levels_sum_to_the_slice(self):
         zc, zm = complex_points_nd(60, seed=7)
         ms = random_slice_nd(-0.5, seed=8)
-        levels = sum(ms.field(zc, zm, k_select=k) for k in range(4))
+        levels = sum(level_cut(ms, k).field(zc, zm) for k in range(4))
         assert_close(levels, ms.field(zc, zm), rel=1e-13)
 
     def test_empty_and_zero_modes(self):
@@ -725,7 +733,7 @@ class TestModalSliceNDField:
             assert got.shape == (9,) and not np.any(got)
             assert np.array_equal(ms.proj_norms2(3), np.zeros(4))
         # a level that no mode carries
-        assert not np.any(random_slice_nd(0.8, kcap=1).field(zc, zm, k_select=3))
+        assert not np.any(level_cut(random_slice_nd(0.8, kcap=1), 3).field(zc, zm))
 
 
 # ---------------------------------------------------------------------------
@@ -782,7 +790,7 @@ class TestCoefficientTensor:
         ref = ModalSlice(0.9, dense)
         zc, zm = complex_points_nd(23, n=n, seed=22)
         for k in (None, 0, 2):
-            assert np.array_equal(ms.field(zc, zm, k), ref.field(zc, zm, k))
+            assert np.array_equal(level_cut(ms, k).field(zc, zm), level_cut(ref, k).field(zc, zm))
         assert np.array_equal(ms.proj_norms2(4), ref.proj_norms2(4))
         assert_close(ms.proj_norms2(4), brute_proj_norms2(ref, 4), rel=1e-14)
 
