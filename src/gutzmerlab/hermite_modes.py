@@ -59,6 +59,14 @@ at a time.  Point sets come as planes (shape, axes), per axis j the pair
 builds the tensor grid's, point_planes scans scattered [..., n]
 coordinates.  e1d, the closed form of a single mode, is the reference the
 tests compare the evaluator against.
+
+_panel_matmul is the one matrix product of the grid-sized steps (the t-axis
+transforms and the n >= 2 plane contractions of spectral, the tensor-grid
+steps of field_on_planes): it cuts a product into panels under OpenBLAS's
+single-thread size (PANEL_MACS), bit for bit the one-shot product, so
+desk-scale work never wakes the BLAS thread pool, whose helper threads would
+spin on for longer than the work takes.  Products past WHOLE_MACS go whole
+and use the pool.
 """
 
 from __future__ import annotations
@@ -70,6 +78,58 @@ from math import lgamma, exp
 import numpy as np
 
 from .specfun import laguerre, laguerre_all, laguerre_sums
+
+# OpenBLAS's single-thread bound for complex matrix products: scipy-openblas
+# 0.3.31 (numpy 2.4) computes one of m n k <= 2^16 multiply-adds on the calling
+# thread (32x96x21 stays there, 32x96x22 wakes the pool), and a woken helper
+# thread then spins for about 0.13 s of CPU, longer than a desk-scale analysis.
+PANEL_MACS = 1 << 16
+# Past 2^25 multiply-adds (the n = 2 grids from nx 24 on, 20 ms and more a
+# product) the pool pays in wall time, and a product goes whole.
+WHOLE_MACS = 1 << 25
+
+
+def _panel_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a @ b for 2-D a [m, k] and b [k, n], in panels of at most PANEL_MACS
+    multiply-adds along the longer of m and n, so OpenBLAS runs each panel on
+    the calling thread; into out if given.
+
+    Panels are a multiple of 8 wide, and a remainder under 8 takes 8 of the
+    panel before it (at width 8 it joins that panel, which then goes over
+    the bound): panels that start on a multiple of 8 give the one-shot
+    product's floats bit for bit, a 1-wide one goes to gemv, which sums in
+    another order, and column panels of other widths round differently.  The
+    product goes whole when it fits one panel, when a or b is a vector, when
+    8 panel rows already exceed PANEL_MACS or when it exceeds WHOLE_MACS.
+    """
+    m, k = a.shape
+    n = b.shape[1]
+    if out is None:
+        out = np.empty((m, n), dtype=np.result_type(a, b))
+    rows = m >= n
+    long, short = (m, n) if rows else (n, m)
+    width = PANEL_MACS // max(k * short, 1) // 8 * 8
+    if short < 2 or width < 8 or long <= width or m * n * k > WHOLE_MACS:
+        return np.matmul(a, b, out=out)
+    edges = [*range(0, long, width), long]
+    if edges[-1] - edges[-2] < 8:
+        edges[-2] -= 8
+        if edges[-2] == edges[-3]:
+            del edges[-2]
+    count = sum(hi - lo == width for lo, hi in zip(edges, edges[1:]))
+    cut = count * width
+    # the full panels as one stack, one BLAS call each from numpy's loop
+    if count and rows:
+        np.matmul(a[:cut].reshape(count, width, k), b, out=out[:cut].reshape(count, width, n))
+    elif count:
+        np.matmul(a, b[:, :cut].reshape(k, count, width).transpose(1, 0, 2),
+                  out=out[:, :cut].reshape(m, count, width).transpose(1, 0, 2))
+    for lo, hi in zip(edges[count:], edges[count + 1:]):
+        if rows:
+            np.matmul(a[lo:hi], b, out=out[lo:hi])
+        else:
+            np.matmul(a, b[:, lo:hi], out=out[:, lo:hi])
+    return out
 
 
 def norm_ratio(m: int, d: int) -> float:
@@ -174,6 +234,10 @@ class ModalSlice:
         coefficient tensor cut to those pairs, C[p_0, ..., p_{n-1}], is
         contracted with the tables one axis at a time, the point axes
         broadcasting: the transpose of analyze's per-plane contraction.
+        Where the table and the partial sum vary along point axes of their
+        own (tensor-grid planes), a step is one _panel_matmul of [modes x
+        points, p_j] with [p_j, points]; where they share a point axis
+        (scattered points), it is a sum per point.
         """
         shape, axes = planes
         C = self.coef
@@ -186,11 +250,23 @@ class ModalSlice:
         acc = C.reshape([m.size for m in masks])
         for j, mask in enumerate(masks):
             acc = np.compress(mask.ravel(), acc, axis=j)
+        acc = acc.reshape(acc.shape + (1,) * len(shape))      # [p_0, ..., p_{n-1}, *points]
         for j in reversed(range(self.n)):
             (pc, pm), mask = axes[j], masks[j]
             T = basis_matrix(self.lam, mask.shape[0] - 1, mask.shape[1] - 1, pc, mask, zm=pm)
-            acc = np.einsum(acc, [*range(j + 1), ...], T, [j, ...], [*range(j), ...],
-                            optimize=True)
+            lead, pa, pt = acc.shape[:j], acc.shape[j + 1:], T.shape[1:]
+            if any(sa > 1 and st > 1 for sa, st in zip(pa, pt)):
+                acc = np.einsum(acc, [*range(j + 1), ...], T, [j, ...], [*range(j), ...])
+            else:
+                # [points of T, p_j] @ [p_j, modes x points of acc], the operand
+                # order of numpy's einsum, which the fields keep bit for bit
+                prod = _panel_matmul(T.reshape(T.shape[0], -1).T,
+                                     np.moveaxis(acc, j, 0).reshape(acc.shape[j], -1))
+                # each point axis varies on one side only: interleave and merge them
+                r = len(pt)
+                prod = prod.reshape(pt + lead + pa).transpose(
+                    [*range(r, r + j), *(ax for i in range(r) for ax in (r + j + i, i))])
+                acc = prod.reshape(lead + tuple(max(sa, st) for sa, st in zip(pa, pt)))
         return acc if acc.shape == shape else np.broadcast_to(acc, shape).copy()
 
 
@@ -310,13 +386,21 @@ def radial_shells(rho):
     return srt[new], inverse, members
 
 
-def radial_table(al: float, values: np.ndarray, dtop: int, mtop: int) -> np.ndarray:
-    """L_m^d(al rho / 2) at the distinct values rho of a real plane, for
-    d = 0..dtop and m = 0..mtop: [d, m, value], one laguerre_all recurrence
-    run over every order at once, in real arithmetic."""
-    s = np.broadcast_to(0.5 * al * values, (dtop + 1, values.size))
-    L = laguerre_all(mtop, np.arange(dtop + 1)[:, None], s)
-    return np.ascontiguousarray(L.transpose(1, 0, 2))
+def radial_table(al: float, values: np.ndarray, tops) -> np.ndarray:
+    """L_m^d(al rho / 2) at the distinct values rho of a real plane, for the
+    orders d = 0..len(tops)-1 and m = 0..tops[d]: [d, m, value].
+
+    One laguerre_all recurrence runs every order at once, in real
+    arithmetic, straight into the table: an order runs as far as any higher
+    one does (the suffix maximum of tops) and leaves the recurrence there.
+    Entries it does not reach are zero.
+    """
+    need = np.maximum.accumulate(np.asarray(tops)[::-1])[::-1]
+    table = np.zeros((need.size, int(need[0]) + 1, values.size))
+    s = np.broadcast_to(0.5 * al * values, table[:, 0].shape)
+    laguerre_all(int(need[0]), np.arange(need.size)[:, None], s, out=table.transpose(1, 0, 2),
+                 tops=need)
+    return table
 
 
 def _offset_sums(slices, zc, zm):
@@ -347,10 +431,11 @@ def _offset_sums(slices, zc, zm):
     rho = real_radii(zc, zm)
     if rho is not None:
         values, inverse, _ = radial_shells(rho)
-        tops = {}   # group -> (largest offset, largest m) of its blocks
+        tops = {}   # group -> the largest m of each offset d (-1: no block)
         for g, d, *_, W in plan:
-            dtop, mtop = tops.get(g, (0, 0))
-            tops[g] = (max(dtop, d), max(mtop, W.shape[1] - 1))
+            top = tops.setdefault(g, [])
+            top += [-1] * (d + 1 - len(top))
+            top[d] = W.shape[1] - 1
     g_now = None
     for g, d, idx, on_p, W in plan:
         if g != g_now:
@@ -359,7 +444,7 @@ def _offset_sums(slices, zc, zm):
             if rho is None:
                 s = 0.5 * al * (zc * zm)
             else:
-                table = radial_table(al, values, *tops[g])
+                table = radial_table(al, values, tops[g])
         if rho is None:
             sums = laguerre_sums(W.shape[1] - 1, d, s, W)
         else:

@@ -74,20 +74,35 @@ def laguerre(k: int, order: int, s):
     return laguerre_all(k, order, s)[k]
 
 
-def laguerre_all(kmax: int, order: int, s):
+def laguerre_all(kmax: int, order, s, out=None, tops=None):
     """L_m^order(s) for m = 0..kmax stacked on a new leading axis.
 
     order may be an integer array of s's shape (or broadcasting to it): one
-    recurrence then runs every order at once."""
+    recurrence then runs every order at once.  out, if given, receives the
+    rows: a [kmax+1, *s.shape] array of any strides, so a table can take
+    them in its own layout.  tops, if given, holds a non-increasing degree
+    for each entry i of the first axis of s (order spans that axis too):
+    entry i leaves the recurrence past degree tops[i], and out[m, i] is not
+    written for m > tops[i]."""
     if kmax > LAGUERRE_DEGREE_CAP:
         raise SpecfunError(f"degree cap exceeded: Laguerre k {kmax} > {LAGUERRE_DEGREE_CAP}")
     s = np.asarray(s)
-    out = np.empty((kmax + 1,) + s.shape, dtype=s.dtype if s.dtype.kind == "c" else float)
-    out[0] = 1.0
-    if kmax >= 1:
-        out[1] = 1.0 + order - s
-    for m in range(1, kmax):
-        out[m + 1] = ((2.0 * m + order + 1.0 - s) * out[m] - (m + order) * out[m - 1]) / (m + 1.0)
+    if out is None:
+        out = np.empty((kmax + 1,) + s.shape, dtype=s.dtype if s.dtype.kind == "c" else float)
+    if tops is not None:
+        tops, order = np.asarray(tops), np.asarray(order)
+    rows, o, x = out, order, s
+    for m in range(kmax + 1):
+        if tops is not None:
+            live = np.count_nonzero(tops >= m)
+            rows, o, x = out[:, :live], order[:live], s[:live]
+        if m == 0:
+            rows[0] = 1.0
+        elif m == 1:
+            rows[1] = 1.0 + o - x
+        else:
+            k = m - 1
+            rows[m] = ((2.0 * k + o + 1.0 - x) * rows[k] - (k + o) * rows[k - 1]) / (k + 1.0)
     return out
 
 

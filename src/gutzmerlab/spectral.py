@@ -41,6 +41,7 @@ from .grids import DECAY_TOL, LAM_MIN, QuadratureSpec, SpectralError, fft_grid
 from .hermite_modes import (
     ModalSlice,
     _norm_ratio_table,
+    _panel_matmul,
     abs_lam_groups,
     basis_matrix,
     modal_fields,
@@ -245,7 +246,8 @@ def _t_edges_decayed(f: GridFunction) -> bool:
 def partial_fourier_t(f: GridFunction, lam) -> np.ndarray:
     """f^lambda(x,u) = integral f(x,u,t) e^{i lambda t} dt by the grid rule, at
     one node or an array of nodes: shape lam.shape + grid, all slices of the
-    call from one product of the [node, nt] phase table with the samples.
+    call from one product (_panel_matmul) of the [node, nt] phase table with
+    the samples.
 
     Requires the schwartz flag, and then either every node on the dual
     lattice pi/T of the t-window (fixtures are trigonometric in t, for which
@@ -261,7 +263,7 @@ def partial_fourier_t(f: GridFunction, lam) -> np.ndarray:
     if off.any() and not _t_edges_decayed(f):
         raise DecayError(f"insufficient t-extent for lambda = {lam[off][0]:.12g}")
     phases = np.exp(1j * np.multiply.outer(lam.ravel(), f.tgrid)) * f.ht     # [node, nt]
-    slices = phases @ f.samples.reshape(-1, f.tgrid.size).T
+    slices = _panel_matmul(phases, f.samples.reshape(-1, f.tgrid.size).T)
     return slices.reshape(lam.shape + f.samples.shape[:-1])
 
 
@@ -363,7 +365,9 @@ def _radial_contract(al: float, mask: np.ndarray, moments: np.ndarray, values: n
     qlo, qhi = int(q.min()), int(q.max())
     dtop = (moments.shape[0] - 1) // 2
     d = np.arange(max(-qlo, qhi) + 1)
-    table = radial_table(al, values, d.size - 1, int(m.max()))[np.abs(np.arange(qlo, qhi + 1))]
+    tops = np.full(d.size, -1)
+    np.maximum.at(tops, np.abs(q), m)
+    table = radial_table(al, values, tops)[np.abs(np.arange(qlo, qhi + 1))]
     table *= np.exp(-0.25 * al * values)                                 # [q, m, u]
     # the real table times the complex moments, on their float view
     mv = moments[dtop + qlo: dtop + qhi + 1].view(float)                 # [q, u, 2 member]
@@ -471,7 +475,8 @@ def analyze(f: GridFunction, lgrid: LambdaGrid, kmax: int,
         T = sls[j].transpose(planes).reshape((Z.size,) * n)
         for _ in range(n):
             # contract the leading plane; its mode axis moves to the back
-            T = np.moveaxis(np.tensordot(Bc, T, axes=(1, 0)), 0, -1)
+            T = _panel_matmul(Bc, T.reshape(Z.size, -1)).reshape(Bc.shape[:1] + T.shape[1:])
+            T = np.moveaxis(T, 0, -1)
         T = T[tuple(slice(m) for m in kept.shape)] * harea      # drop the pad row, if any
         coef = np.zeros(layout, dtype=complex)
         coef[at] = T[kept]
@@ -560,23 +565,26 @@ def invert_grid(sd: SpectralData, tgrid: np.ndarray) -> GridFunction:
     The samples are one preallocated array, filled block by block along the
     first grid axis: a block's [node, *block] slices (modal_fields on that
     cut of grid_planes, at most INVERT_BLOCK_BYTES of them, one row at
-    least) go against one weighted [node, nt] phase table in one product,
-    written into the block's rows.  So the peak is the samples plus one
-    block, and a grid whose slices fit in one block makes one product.
+    least) go against one weighted [node, nt] phase table in one product
+    (_panel_matmul), written into the block's rows.  So the peak is the
+    samples plus one block, and a grid whose slices fit in one block makes
+    one product.  The blocks split the rows evenly: a short last block could
+    fall under WHOLE_MACS and run in panels while the others use the pool.
     """
     shape, axes = grid_planes(sd.n, sd.xgrid, sd.ugrid)
     scale = sd.wmu * (2.0 * np.pi / np.abs(sd.lam)) ** sd.n
     phases = np.exp(-1j * np.outer(sd.lam, tgrid)) * scale[:, None]     # [node, nt]
     samples = np.empty(shape + tgrid.shape, dtype=complex)
     row_bytes = sd.lam.size * samples[0, ..., 0].nbytes
-    step = max(1, INVERT_BLOCK_BYTES // row_bytes)
+    blocks = -(-shape[0] // max(1, INVERT_BLOCK_BYTES // row_bytes))
+    step = -(-shape[0] // blocks)
     for lo in range(0, shape[0], step):
         rows = slice(lo, lo + step)
         out = samples[rows]
         # planes of axes j > 0 have length 1 along the first grid axis
         cut = [(zc[rows], zm[rows]) if zc.shape[0] > 1 else (zc, zm) for zc, zm in axes]
         slices = modal_fields(sd.modal, (out.shape[:-1], cut)).reshape(sd.lam.size, -1)
-        np.matmul(slices.T, phases, out=out.reshape(-1, tgrid.size))
+        _panel_matmul(slices.T, phases, out=out.reshape(-1, tgrid.size))
         del slices      # before the next block's are made
     return GridFunction(sd.n, sd.xgrid, sd.ugrid, tgrid, samples, schwartz=True)
 

@@ -13,7 +13,12 @@ bench/*.py sets; a field nobody sets is a constant.
 
 hermite_modes has one special-Hermite evaluator: the Laguerre functions of
 specfun are read only by the closed form e1d, by radial_table and by
-_offset_sums, so a second table builder cannot grow back beside them."""
+_offset_sums, so a second table builder cannot grow back beside them.
+
+spectral and hermite_modes send their matrix products through
+hermite_modes._panel_matmul, which keeps desk-scale products on the calling
+thread; the few products that do not are named in SMALL_PRODUCTS, one site
+each, so a new product cannot wake OpenBLAS's thread pool unnoticed."""
 
 import ast
 import dataclasses
@@ -134,19 +139,24 @@ LAGUERRE = {"laguerre", "laguerre_all", "laguerre_sums"}
 LAGUERRE_READERS = {"e1d", "radial_table", "_offset_sums"}
 
 
-def laguerre_readers(path: Path) -> set:
-    """Top-level defs (methods as Class.method, other statements as
-    <module>) of `path` that read a specfun Laguerre function, as a Name or
-    an Attribute."""
-    scopes = []
+def scopes(path: Path) -> list:
+    """(name, node) of the top-level defs of `path` (methods as
+    Class.method) and of its other statements (as <module>)."""
+    out = []
     for stmt in ast.parse(path.read_text()).body:
         if isinstance(stmt, ast.ClassDef):
-            scopes += [(f"{stmt.name}.{getattr(s, 'name', '<class>')}", s) for s in stmt.body]
+            out += [(f"{stmt.name}.{getattr(s, 'name', '<class>')}", s) for s in stmt.body]
         elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            scopes.append((stmt.name, stmt))
+            out.append((stmt.name, stmt))
         elif not isinstance(stmt, (ast.Import, ast.ImportFrom)):
-            scopes.append(("<module>", stmt))
-    return {name for name, stmt in scopes for node in ast.walk(stmt)
+            out.append(("<module>", stmt))
+    return out
+
+
+def laguerre_readers(path: Path) -> set:
+    """The scopes of `path` that read a specfun Laguerre function, as a Name
+    or an Attribute."""
+    return {name for name, stmt in scopes(path) for node in ast.walk(stmt)
             if (isinstance(node, ast.Name) and node.id in LAGUERRE
                 and not isinstance(node.ctx, ast.Store))
             or (isinstance(node, ast.Attribute) and node.attr in LAGUERRE)}
@@ -155,3 +165,61 @@ def laguerre_readers(path: Path) -> set:
 def test_one_special_hermite_evaluator():
     extra = sorted(laguerre_readers(PACKAGE / "hermite_modes.py") - LAGUERRE_READERS)
     assert not extra, f"hermite_modes reads the Laguerre functions outside the engine: {extra}"
+
+
+PRODUCT_MODULES = ("spectral", "hermite_modes")
+PRODUCT_CALLS = {"matmul", "dot", "tensordot"}
+# The products of spectral and hermite_modes that do not go through
+# hermite_modes._panel_matmul, one site each: every one stays far under the
+# size at which OpenBLAS wakes its thread pool (measured: 2^16 complex
+# multiply-adds in a matrix product, between 2^19 and 2^20 real ones, and a
+# complex dot of between 2^13 and 2^14 terms).
+SMALL_PRODUCTS = {
+    ("hermite_modes", "_offset_sums"):
+        "real [2 x slices of one offset, m] @ [m, shells] per offset block",
+    ("spectral", "_radial_contract"):
+        "real [m, shells] @ [shells, 2 x members of one |lambda| group] per offset",
+    ("spectral", "_plane_coefs"):
+        "[2 dtop + 1, points of one shell] @ [points of one shell, slices] per shell",
+    ("spectral", "invert"):
+        "a dot of the lambda-node weights with the fields at one point",
+}
+
+
+def is_product(node: ast.AST) -> bool:
+    """An @ (or @=), a matmul / dot / tensordot call, or an einsum call that
+    sets optimize (the einsum that may hand its work to BLAS)."""
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+        return True
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name in PRODUCT_CALLS:
+        return True
+    return name == "einsum" and any(kw.arg == "optimize" for kw in node.keywords)
+
+
+def product_sites() -> list:
+    """(module, scope) of every product in PRODUCT_MODULES outside the panel
+    helper itself, once per product."""
+    return [(module, name) for module in PRODUCT_MODULES
+            for name, stmt in scopes(PACKAGE / f"{module}.py") if name != "_panel_matmul"
+            for node in ast.walk(stmt) if is_product(node)]
+
+
+def test_is_product_sees_every_kind():
+    code = ("a @ b\nx @= y\nnp.matmul(a, b)\nnp.dot(a, b)\na.dot(b)\nnp.tensordot(a, b)\n"
+            "np.einsum('ij,jk', a, b, optimize=True)\n"
+            "np.einsum('i,i->', a, a)\n_panel_matmul(a, b)\na * b\n")
+    assert sum(map(is_product, ast.walk(ast.parse(code)))) == 7
+
+
+def test_products_go_through_the_panel_helper():
+    # a product outside _panel_matmul is one of the named small ones, so a
+    # new product site cannot wake the BLAS pool unnoticed
+    sites = product_sites()
+    unnamed = sorted(set(sites) - set(SMALL_PRODUCTS))
+    assert not unnamed, f"products that bypass _panel_matmul: {unnamed}"
+    counts = {site: sites.count(site) for site in SMALL_PRODUCTS}
+    assert counts == dict.fromkeys(SMALL_PRODUCTS, 1), f"one product per named site: {counts}"

@@ -725,6 +725,61 @@ class TestProcessStart:
         assert outputs[0] == outputs[1]
 
 
+POOL_CHILD = """
+import json, os, time
+import numpy as np
+from gutzmerlab import spectral
+from gutzmerlab.grids import QuadratureSpec, fft_grid
+from gutzmerlab.hermite_modes import ModalSliceND, multiindices_upto
+
+
+def helper_cpu():
+    # user + system CPU seconds of every thread but the main one
+    total = 0
+    for task in os.listdir('/proc/self/task'):
+        if int(task) != os.getpid():
+            with open(f'/proc/self/task/{task}/stat') as fh:
+                fields = fh.read().rsplit(')', 1)[1].split()
+            total += int(fields[11]) + int(fields[12])
+    return total / os.sysconf('SC_CLK_TCK')
+
+
+threads = len(os.listdir('/proc/self/task'))
+time.sleep(0.3)      # the pool's threads spin for a while after they start, too
+before = helper_cpu()
+spec = QuadratureSpec()
+f, sd = spectral.synth_bandlimited(1.0, 9.0, 5, spec=spec)
+spectral.invert_grid(spectral.analyze(f, sd.lgrid, spec.kmax, spec), f.tgrid)
+# the benchmark's n = 2 spec: a field on its tensor grid, then analyze
+spec2 = QuadratureSpec(n=2, nx=16, lx=7.5, nt=24, nodes_per_A=2, margin_nodes=1, kmax=2,
+                       beta_cap=3, fit_tol=1e-6)
+lgrid = spectral.LambdaGrid.build(spec2, 1.0)
+x = fft_grid(spec2.nx, spec2.lx)
+z = np.stack(np.broadcast_arrays(x[:, None, None, None] + 1j * x[None, None, :, None],
+                                 x[None, :, None, None] + 1j * x[None, None, None, :]), axis=-1)
+modes = [(a, b) for b in multiindices_upto(2, 1) for a in multiindices_upto(2, 2)]
+lam = lgrid.lam[0]
+field = ModalSliceND(lam, 2, modes, np.ones(len(modes))).field(z, np.conj(z))
+tg = fft_grid(spec2.nt, lgrid.t_half_window)
+g = spectral.GridFunction(2, x, x, tg, field[..., None] * np.exp(-1j * lam * tg))
+spectral.analyze(g, lgrid, spec2.kmax, spec2)
+time.sleep(0.3)      # a woken helper thread spins on for about 0.13 s
+print(json.dumps({'threads': threads, 'helper_s': helper_cpu() - before}))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/task")
+def test_desk_products_leave_the_blas_pool_asleep():
+    # synth, analyze and invert_grid at the desk spec, then an n = 2 field and
+    # analyze, under OpenBLAS's default pool: every product stays under its
+    # single-thread size, so the pool's helper threads burn no CPU (one wake
+    # costs them 0.13 s or more)
+    got = run_child(POOL_CHILD)
+    if got["threads"] == 1:
+        pytest.skip("OpenBLAS started one thread: there is no pool to wake")
+    assert got["helper_s"] < 0.05
+
+
 @pytest.fixture(scope="module")
 def tiny_files(tmp_path_factory):
     """A small valid SPD1 / GFN1 pair (7.8 kB / 148 kB) for the fuzzers."""

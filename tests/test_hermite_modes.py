@@ -7,8 +7,11 @@ from gutzmerlab.grids import fft_grid
 from gutzmerlab.hermite_modes import (
     ModalSlice,
     ModalSliceND,
+    PANEL_MACS,
+    WHOLE_MACS,
     _fields,
     _offset_plan,
+    _panel_matmul,
     abs_lam_groups,
     basis_matrix,
     e1d,
@@ -580,11 +583,20 @@ class TestRealPlanes:
         assert np.array_equal(real_radii(x, x), x ** 2)
 
     def test_radial_table_runs_every_order_of_laguerre_all(self):
+        # every order, each run as far as a higher one needs it and then
+        # dropped: the rows it reaches are laguerre_all's bit for bit, the
+        # rest are zero
         values = np.linspace(0.0, 40.0, 17)
-        table = radial_table(0.7, values, 5, 9)
+        tops = [9, 4, 7, 2, -1, 0]
+        need = [9, 7, 7, 2, 0, 0]
+        table = radial_table(0.7, values, tops)
         assert table.shape == (6, 10, 17)
-        for d in range(6):
-            assert np.array_equal(table[d], laguerre_all(9, d, 0.5 * 0.7 * values))
+        for d, top in enumerate(need):
+            assert np.array_equal(table[d, : top + 1], laguerre_all(top, d, 0.5 * 0.7 * values))
+            assert not table[d, top + 1:].any()
+        assert np.array_equal(radial_table(0.7, values, [9] * 6),
+                              laguerre_all(9, np.arange(6)[:, None],
+                                           np.broadcast_to(0.35 * values, (6, 17))).transpose(1, 0, 2))
 
     def test_radial_shells(self):
         Z = self.grid()
@@ -807,3 +819,86 @@ class TestCoefficientTensor:
         assert_close(twice.field(zc, zm), e1d_reference_nd(once, zc, zm), rel=1e-13)
         assert twice.proj_norms2(1)[1] == pytest.approx((2 * np.pi / 0.8) ** 2 * 0.3125,
                                                         rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# _panel_matmul against the one-shot product
+# ---------------------------------------------------------------------------
+
+def operand(rng, shape, transposed):
+    """A complex [rows, cols] operand, C-ordered or the transpose of a C-ordered
+    [cols, rows] array, as the product sites hold them."""
+    if transposed:
+        shape = shape[::-1]
+    out = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return out.T if transposed else out
+
+
+# (a shape, a transposed, b shape, b transposed): the product sites at the
+# desk spec (n = 1: 32 nodes, nt 96, 48^2 points) and at the benchmark's
+# n = 2 spec (6 nodes, nt 24, 16^4 points, 12 table rows, 6 pairs per axis)
+PANELLED = {
+    "partial_fourier_t n1": ((32, 96), False, (96, 2304), True),
+    "partial_fourier_t n2": ((6, 24), False, (24, 16 ** 4), True),
+    "invert_grid n1": ((2304, 32), True, (32, 96), False),
+    "invert_grid one-row block": ((48, 32), True, (32, 96), False),
+    "invert_grid n2": ((16 ** 4, 6), True, (6, 24), False),
+    "analyze n2": ((12, 256), False, (256, 256), False),
+    "field_on_planes n2": ((256, 6), True, (6, 256), False),
+    # a remainder of 1 takes 8 of the panel before it; one of 13 stays
+    "remainder 1": ((32, 96), False, (96, 2305), True),
+    "remainder 13": ((2301, 32), True, (32, 96), False),
+    # panels of 8 and a remainder of 4: the last panel is 12 wide
+    "width 8": ((20, 400), False, (400, 100), False),
+}
+WHOLE = {
+    "fits one panel": ((12, 256), False, (256, 12), False),
+    "field_on_planes first step": ((256, 6), True, (6, 6), True),
+    "vector operand": ((1, 96), False, (96, 2304), True),
+    "8 rows over the bound": ((30, 576), False, (576, 576), False),
+    "over WHOLE_MACS": ((64, 128), False, (128, 4097), False),
+}
+
+
+class TestPanelMatmul:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """(panels, multiply-adds of each) of every np.matmul call: a stack of
+        panels is one call."""
+        seen = []
+        matmul = np.matmul
+
+        def spy(a, b, **kwargs):
+            panels = max(np.prod(a.shape[:-2], dtype=int), np.prod(b.shape[:-2], dtype=int))
+            seen.append((int(panels), a.shape[-2] * a.shape[-1] * b.shape[-1]))
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        return seen
+
+    @pytest.mark.parametrize("site", PANELLED)
+    def test_panels_match_the_one_shot_product(self, calls, site):
+        a_shape, a_t, b_shape, b_t = PANELLED[site]
+        rng = np.random.default_rng(len(site))
+        a, b = operand(rng, a_shape, a_t), operand(rng, b_shape, b_t)
+        whole = a @ b
+        out = np.full_like(whole, np.nan)
+        assert _panel_matmul(a, b, out=out) is out and np.array_equal(out, whole)
+        # the panels cover the product once, each under the bound but for a
+        # width-8 panel with the remainder joined to it
+        assert sum(p * macs for p, macs in calls) == a.shape[0] * a.shape[1] * b.shape[1]
+        assert sum(p for p, _ in calls) > 1
+        assert max(macs for _, macs in calls) <= (PANEL_MACS if site != "width 8"
+                                                  else 12 * 400 * 20)
+        assert np.array_equal(_panel_matmul(a, b), whole)
+
+    @pytest.mark.parametrize("site", WHOLE)
+    def test_whole_products_are_one_call(self, calls, site):
+        a_shape, a_t, b_shape, b_t = WHOLE[site]
+        rng = np.random.default_rng(len(site))
+        a, b = operand(rng, a_shape, a_t), operand(rng, b_shape, b_t)
+        assert np.array_equal(_panel_matmul(a, b), a @ b)
+        m, k, n = a.shape[0], a.shape[1], b.shape[1]
+        assert calls == [(1, m * k * n)]
+        assert (m * k * n <= PANEL_MACS or min(m, n) == 1 or m * k * n > WHOLE_MACS
+                or 8 * k * min(m, n) > PANEL_MACS)
