@@ -31,7 +31,8 @@ class OrbitalError(SpectralError):
 
 
 SHELL_TOL = 1e-6    # orbital quadrature: largest share of the sum in the outer frame
-PAD_FACTOR = 1.5    # orbital evaluation grid, in sample-grid points per axis
+PAD_FACTOR = 1.5    # the widest orbital grid, in sample-grid points per axis
+_EDGE = 2           # cells in the outer frame monitored for truncation
 
 
 @dataclass
@@ -87,37 +88,19 @@ def apply_D(sd: SpectralData, p: ComplexPoint) -> float:
 # direct orbital integral (n = 1)
 # ---------------------------------------------------------------------------
 
-def orbital_direct(sd: SpectralData, p: ComplexPoint,
-                   spec: Optional[QuadratureSpec] = None) -> float:
-    """integral over G_1 of |F(g.(iy,iv,i eta))|^2 by tensor quadrature.
+def _orbital_points(nx: int, hx: float, w0: complex) -> int:
+    """Orbital grid points per axis: the sample grid widened on every side by
+    |w| in whole cells plus the monitored frame, at most PAD_FACTOR * nx."""
+    return min(nx + 2 * (int(np.ceil(abs(w0) / hx)) + _EDGE), int(round(PAD_FACTOR * nx)))
 
-    theta: by Parseval.  The substitution z' -> e^{i theta} z' leaves the
-    phase -Im(zbar' w) alone and rotates the displacement w = y + iv, and the
-    slice's U(1) parts G_q pick up e^{i q theta}, so the theta-mean of |F|^2
-    is sum_q |G_q|^2 at the one displacement w (hermite_modes.slice_powers,
-    one call for all populated slices, in real arithmetic; an all-zero slice
-    adds nothing and is skipped).  (x',u'): the padded sample grid; t': one
-    period of the fixture's lambda-comb, summed in closed form by Parseval
-    (the integrand is trigonometric in t', so the period sum is the
-    integral).  F is evaluated through the entire extension of each slice at
-    the imaginary displacement on PAD_FACTOR times the sample grid's points
-    per axis, and the share of the sum in its outer frame is checked
-    against SHELL_TOL.  spec is not read.
-    """
-    if sd.n != 1:
-        raise OrbitalError("direct orbital integrals are implemented for n=1 only")
-    _require_point(sd, p)
-    w0 = float(p.zi[0]) + 1j * float(p.wi[0])
-    eta = p.zeta_i
 
-    npad = int(round(PAD_FACTOR * sd.xgrid.size))
-    hx = float(sd.xgrid[1] - sd.xgrid[0])
+def _orbital_sum(sd: SpectralData, w0: complex, eta: float, npad: int, hx: float) -> tuple:
+    """(sum, outer-frame part of the sum) on npad x npad points spaced hx."""
     xg = (np.arange(npad) - npad // 2) * hx
     Z = xg[:, None] + 1j * xg[None, :]
-    edge = 2  # cells in the outer frame monitored for truncation
     frame = np.zeros(Z.shape, dtype=bool)
-    frame[:edge, :] = frame[-edge:, :] = True
-    frame[:, :edge] = frame[:, -edge:] = True
+    frame[:_EDGE, :] = frame[-_EDGE:, :] = True
+    frame[:, :_EDGE] = frame[:, -_EDGE:] = True
     zc = Z + 1j * w0
     zm = np.conj(Z) + 1j * np.conj(w0)
     phase = Z.imag * w0.real - Z.real * w0.imag
@@ -132,12 +115,43 @@ def orbital_direct(sd: SpectralData, p: ComplexPoint,
         cell = power * np.exp(lv * phase)
         total += pref * float(np.sum(cell))
         shell += pref * float(np.sum(cell[frame]))
-    if total > 0 and shell > SHELL_TOL * total:
-        raise OrbitalError(
-            f"orbital quadrature truncation {shell/total:.2e} above tolerance "
-            f"{SHELL_TOL:.1e}; enlarge PAD_FACTOR"
-        )
-    return float(total)
+    return total, shell
+
+
+def orbital_direct(sd: SpectralData, p: ComplexPoint,
+                   spec: Optional[QuadratureSpec] = None) -> float:
+    """integral over G_1 of |F(g.(iy,iv,i eta))|^2 by tensor quadrature.
+
+    theta: by Parseval.  The substitution z' -> e^{i theta} z' leaves the
+    phase -Im(zbar' w) alone and rotates the displacement w = y + iv, and the
+    slice's U(1) parts G_q pick up e^{i q theta}, so the theta-mean of |F|^2
+    is sum_q |G_q|^2 at the one displacement w (hermite_modes.slice_powers,
+    one call for all populated slices, in real arithmetic; an all-zero slice
+    adds nothing and is skipped).  (x',u'): sample-spaced points centred on
+    the origin; t': one period of the fixture's lambda-comb, summed in closed
+    form by Parseval (the integrand is trigonometric in t', so the period sum
+    is the integral).  F is evaluated through the entire extension of each
+    slice at the imaginary displacement.  The mode fit confines each slice to
+    the sample grid and the displacement shifts it by at most |w|, so the
+    grid is the sample grid widened on every side by |w| in whole cells plus
+    a 2-cell frame, at most PAD_FACTOR times its points per axis.  A frame
+    share of the sum above SHELL_TOL on a narrower grid retries on the
+    PAD_FACTOR grid, and raises only there.  spec is not read.
+    """
+    if sd.n != 1:
+        raise OrbitalError("direct orbital integrals are implemented for n=1 only")
+    _require_point(sd, p)
+    w0 = float(p.zi[0]) + 1j * float(p.wi[0])
+    hx = float(sd.xgrid[1] - sd.xgrid[0])
+    cap = int(round(PAD_FACTOR * sd.xgrid.size))
+    for npad in sorted({_orbital_points(sd.xgrid.size, hx, w0), cap}):
+        total, shell = _orbital_sum(sd, w0, p.zeta_i, npad, hx)
+        if not (total > 0 and shell > SHELL_TOL * total):
+            return float(total)
+    raise OrbitalError(
+        f"orbital quadrature truncation {shell/total:.2e} above tolerance "
+        f"{SHELL_TOL:.1e}; enlarge PAD_FACTOR"
+    )
 
 
 # ---------------------------------------------------------------------------

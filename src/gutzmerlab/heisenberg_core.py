@@ -56,7 +56,7 @@ class ComplexPoint:
         zi = _vec(zi, zr.size)
         wr = _vec(wr, zr.size)
         wi = _vec(wi, zr.size)
-        for a in (zr, zi, wr, wi):
+        for a in (zr, zi, wr, wi, zeta_r, zeta_i):
             if not np.all(np.isfinite(a)):
                 raise GroupError("non-finite complex point")
         object.__setattr__(self, "zr", zr)

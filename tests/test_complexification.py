@@ -17,7 +17,7 @@ from gutzmerlab.heatlab import heat_apply, heat_image_norm
 from gutzmerlab.heisenberg_core import ComplexPoint
 from gutzmerlab.grids import QuadratureSpec, gauss_legendre_on
 from gutzmerlab.growth import GrowthFit
-from gutzmerlab.hermite_modes import ModalSlice, mode_monomial_base, norm_ratio
+from gutzmerlab.hermite_modes import ModalSlice, mode_monomial_base, norm_ratio, slice_powers
 from gutzmerlab.specfun import LaguerreArg, bessel_j_norm, laguerre_all, laguerre_phi
 from gutzmerlab.spectral import LambdaGrid, synth_bandlimited
 
@@ -112,11 +112,13 @@ class TestGutzmerIdentity:
         assert abs(od - gs) <= 1e-3 * abs(gs)
 
     @pytest.mark.parametrize("pt", [(0.35, -0.25, 0.4), (1.06, 1.06, 0.0),
-                                    (0.0, -1.5, 1.0), (-0.9, 0.4, -1.0)])
+                                    (0.0, -1.5, 1.0), (-0.9, 0.4, -1.0),
+                                    (3.0, 0.0, 0.5), (2.121, 2.121, 0.5)])
     def test_matches_table_based_evaluation(self, fixture_small, pt):
         # theta by Parseval, with the running-sum evaluator shared across
         # +-lambda, against the theta-node quadrature of per-lambda
-        # laguerre_all table contractions
+        # laguerre_all table contractions; the table side always integrates
+        # on the PAD_FACTOR grid (60^2 here), the wide points on a 56^2 one
         spec, f, sd = fixture_small
         p = imag_pt(*pt)
         assert orbital_direct(sd, p, spec) == pytest.approx(
@@ -219,6 +221,47 @@ class TestShellTruncation:
         monkeypatch.setattr(complexification, "PAD_FACTOR", 1.0)
         got = orbital_direct(sd, p, spec)
         assert got == pytest.approx(gutzmer_spectral(sd, p), rel=1e-6)
+
+
+class TestOrbitalGrid:
+    """The orbital grid: the sample grid widened by |w| in whole cells plus
+    the 2-cell frame, at most the PAD_FACTOR grid, which a failed frame
+    check on a narrower grid falls back to."""
+
+    @staticmethod
+    def grid_sizes(monkeypatch):
+        sizes = []
+
+        def spy(slices, zc, zm):
+            sizes.append(zc.shape)
+            return slice_powers(slices, zc, zm)
+
+        monkeypatch.setattr(complexification, "slice_powers", spy)
+        return sizes
+
+    @pytest.mark.parametrize("pt, npad", [((0.0, 0.0, 0.0), 52), ((0.9, 0.0, 0.0), 56),
+                                          ((3.0, 0.0, 0.5), 66), ((5.0, 0.0, 0.0), 72)])
+    def test_points_per_axis(self, desk_seed7, pt, npad, monkeypatch):
+        # desk spacing h = 22/48: |w| = 0.9 takes 2 cells, 3 takes 7, and
+        # 5 would take 11 (74 points), past the 72-point cap
+        spec, sd = desk_seed7
+        sizes = self.grid_sizes(monkeypatch)
+        orbital_direct(sd, imag_pt(*pt), spec)
+        assert sizes == [(npad, npad)]
+
+    def test_failed_frame_falls_back_to_the_cap(self, monkeypatch):
+        # a loose mode fit leaves more mass near the grid edge than the
+        # 60-point grid at |w| = 1.5 can hold; the 72-point one holds it
+        spec = QuadratureSpec(fit_tol=1e-2)
+        _, sd = synth_bandlimited(0.5, 2.0, 5, spec=spec)
+        p = imag_pt(1.5, 0.0, 1.0)
+        with monkeypatch.context() as mp:
+            sizes = self.grid_sizes(mp)
+            got = orbital_direct(sd, p, spec)
+            assert sizes == [(60, 60), (72, 72)]
+        cap = int(round(complexification.PAD_FACTOR * sd.xgrid.size))
+        monkeypatch.setattr(complexification, "_orbital_points", lambda nx, hx, w0: cap)
+        assert got == orbital_direct(sd, p, spec)
 
 
 class TestApplyD:

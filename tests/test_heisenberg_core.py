@@ -1,8 +1,42 @@
 import numpy as np
 import pytest
 
+from gutzmerlab.heisenberg_core import ComplexPoint, GroupError, HeisPoint
 from gutzmerlab.hermite_modes import e1d
 from hermite_oracle import matrix_element
+
+
+class TestPointValidation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("slot", range(3))
+    def test_heis_point_rejects_non_finite(self, bad, slot):
+        args = [[0.1], [0.2], 0.3]
+        args[slot] = [bad] if slot < 2 else bad
+        with pytest.raises(GroupError, match="non-finite Heisenberg point"):
+            HeisPoint(*args)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("slot", range(6))
+    def test_complex_point_rejects_non_finite(self, bad, slot):
+        args = [[0.1], [0.0], [0.0], [0.2], 0.0, 0.3]
+        args[slot] = [bad] if slot < 4 else bad
+        with pytest.raises(GroupError, match="non-finite complex point"):
+            ComplexPoint(*args)
+
+    def test_purely_imaginary_rejects_non_finite_eta(self):
+        with pytest.raises(GroupError, match="non-finite complex point"):
+            ComplexPoint.purely_imaginary([0.3], [0.2], np.inf)
+
+    def test_heis_point_dimension_mismatch(self):
+        with pytest.raises(GroupError, match="expected n=2, got 1"):
+            HeisPoint([0.1, 0.2], [0.3], 0.0)
+
+    @pytest.mark.parametrize("slot", range(1, 4))
+    def test_complex_point_dimension_mismatch(self, slot):
+        args = [[0.1, 0.2], [0.0, 0.0], [0.0, 0.0], [0.3, 0.4], 0.0, 0.5]
+        args[slot] = [0.0]
+        with pytest.raises(GroupError, match="expected n=2, got 1"):
+            ComplexPoint(*args)
 
 
 class TestMatrixElements:
