@@ -16,10 +16,10 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "grids": ("QuadratureSpec",),
-    "specfun": ("LaguerreArg", "laguerre", "laguerre_phi", "bessel_j_norm", "hilb_compare"),
+    "specfun": ("laguerre", "laguerre_phi", "bessel_j_norm", "hilb_compare"),
     "heisenberg_core": ("HeisPoint", "ComplexPoint"),
     "spectral": ("GridFunction", "SpectralData", "BandLimit", "partial_fourier_t",
-                 "twisted_conv", "analyze", "plancherel_check", "invert", "invert_grid",
+                 "analyze", "plancherel_check", "invert", "invert_grid",
                  "synth_bandlimited"),
     "growth": ("GrowthFit",),
     "complexification": ("RayPlan", "orbital_direct", "gutzmer_spectral", "apply_D",

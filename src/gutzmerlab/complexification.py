@@ -15,12 +15,12 @@ type  e^{2A|eta|} e^{2 sqrt(B) r},  whose ray slopes recover the band limits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from .grids import QuadratureSpec, SpectralError
-from .growth import _exp, _log_spectral_sum, _log_values, _tail_test, fit_growth
+from .growth import _exp, _log_spectral_sum, _tail_test, fit_growth
 from .heisenberg_core import ComplexPoint
 from .hermite_modes import abs_lam_groups, slice_powers
 from .spectral import BandLimit, SpectralData
@@ -158,16 +158,10 @@ def orbital_direct(sd: SpectralData, p: ComplexPoint,
 # growth fits and the Paley-Wiener detector
 # ---------------------------------------------------------------------------
 
-def _ray_logs(source: Union[SpectralData, Callable[[float, float, float], float]],
-              plan: RayPlan) -> tuple:
-    """log D O along the plan's eta ray (0, 0, i eta) and radial ray
-    (r, 0, 0); a callable source gives D O(y, v, eta) itself."""
-    if isinstance(source, SpectralData):
-        def log_d(r, eta):
-            return _log_spectral_sum(source, r * r, 2.0 * source.lam * eta, bessel=True)
-    else:
-        def log_d(r, eta):
-            return float(_log_values(source(r, 0.0, eta)))
+def _ray_logs(sd: SpectralData, plan: RayPlan) -> tuple:
+    """log D O along the plan's eta ray (0, 0, i eta) and radial ray (r, 0, 0)."""
+    def log_d(r, eta):
+        return _log_spectral_sum(sd, r * r, 2.0 * sd.lam * eta, bessel=True)
     return (np.array([log_d(0.0, e) for e in plan.etas]),
             np.array([log_d(r, 0.0) for r in plan.rs]))
 
@@ -229,20 +223,19 @@ class DetectReport:
         }
 
 
-def detect_bandlimit(source: Union[SpectralData, Callable[[float, float, float], float]],
-                     plan: Optional[RayPlan] = None) -> DetectReport:
+def detect_bandlimit(sd: SpectralData, plan: Optional[RayPlan] = None) -> DetectReport:
     """Recover (A, B) from the growth of the shifted orbital integral.
 
     A_hat is half the tail slope of log D O(0,0,i eta); B_hat the square of
-    half the radial slope.  With spectral data available the spectral tail
-    test corroborates B_hat.  A second pass rescales the rays so both
-    dimensionless products match the calibration of the default plan.
+    half the radial slope.  The spectral tail test corroborates B_hat.  A
+    second pass rescales the rays so both dimensionless products match the
+    calibration of the default plan.
     Degenerate or non-monotone growth returns verdict "inconclusive".
     """
     plan = plan or RayPlan()
 
     def run(pl: RayPlan):
-        eta_logs, rad_logs = _ray_logs(source, pl)
+        eta_logs, rad_logs = _ray_logs(sd, pl)
         return fit_growth(pl.etas, eta_logs, "eta"), fit_growth(pl.rs, rad_logs, "radial")
 
     fe, fr = run(plan)
@@ -255,9 +248,7 @@ def detect_bandlimit(source: Union[SpectralData, Callable[[float, float, float],
     verdict = "ok"
     if fe.residual > 0.1 or fr.residual > 0.1:
         verdict = "inconclusive"
-    tail = {}
-    if isinstance(source, SpectralData):
-        tail = _tail_test(source, B_hat)
-        if verdict == "ok" and not tail["bounded"]:
-            verdict = "tail-violation"
+    tail = _tail_test(sd, B_hat)
+    if verdict == "ok" and not tail["bounded"]:
+        verdict = "tail-violation"
     return DetectReport(float(A_hat), float(B_hat), [fe, fr], tail, verdict)

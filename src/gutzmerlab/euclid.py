@@ -29,18 +29,12 @@ class FlatError(ValueError):
 
 @dataclass
 class FlatFunction:
-    """Complex samples on a uniform R^n grid (n >= 2), FFT convention.
-
-    modes, when present, list the exact lattice spectrum as (index tuple m,
-    amplitude): f(x) = sum A_m e^{i (pi/L) m . x}.  Synthesized band-limited
-    fixtures carry it; generic data leaves it None.
-    """
+    """Complex samples on a uniform R^n grid (n >= 2), FFT convention."""
 
     n: int
     grid: np.ndarray
     samples: np.ndarray
     schwartz: bool = True
-    modes: Optional[list] = None
 
     def __post_init__(self):
         if self.n < 2:
@@ -100,8 +94,7 @@ def flat_synth_bandlimited(a: float, seed: int) -> FlatFunction:
     samples = np.zeros((nx, nx), dtype=complex)
     for (m1, m2), amp in sorted(chosen.items()):
         samples += amp * np.exp(1j * dxi * (m1 * X1 + m2 * X2))
-    return FlatFunction(2, grid, samples, schwartz=True,
-                        modes=sorted(chosen.items()))
+    return FlatFunction(2, grid, samples, schwartz=True)
 
 
 def flat_band_limit(f: FlatFunction) -> float:

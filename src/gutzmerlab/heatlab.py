@@ -13,19 +13,32 @@ from __future__ import annotations
 
 import copy
 from dataclasses import replace
-from math import comb, gamma
+from math import comb, factorial, gamma, pi
 from typing import Optional
 
 import numpy as np
 
-from .constants import LEMMA63_C, heat_image_c, twisted_heat_prefactor
 from .grids import SpectralError, gauss_legendre_on
 from .growth import _exp, _log_spectral_sum, _tail_test, fit_growth
-from .specfun import LaguerreArg, jhat_imag, laguerre_phi
+from .specfun import jhat_imag, laguerre_phi
 
 
 class HeatError(SpectralError):
     pass
+
+
+def twisted_heat_prefactor(n: int) -> float:
+    """(4 pi)^{-n}, the prefactor of the twisted heat kernel p_t^lambda: the
+    constant that makes phi_k^lambda *_lambda p_t^lambda =
+    e^{-(2k+n)|lambda| t} phi_k^lambda (the approximate-identity
+    normalization)."""
+    return (4.0 * pi) ** (-n)
+
+
+def heat_image_c(n: int) -> float:
+    """heat_image_norm / ||f||_2^2 = j_{n-1}(0) = 1/(2^{n-1} (n-1)!), since
+    the shift operator uses the raw (unnormalized) Bessel function."""
+    return 1.0 / (2.0 ** (n - 1) * factorial(n - 1))
 
 
 def gauss_bessel_check(k: int, lam: float, t: float, n: int = 1) -> float:
@@ -120,11 +133,13 @@ def lemma63_check(k: int, lam: float, t: float, n: int = 1) -> float:
     """Relative error of
 
         integral phi_k^lam(iy, iv) p_t^lam(y, v) dy dv
-          = LEMMA63_C * binom(k+n-1, k) * e^{(2k+n)|lam| t}
+          = binom(k+n-1, k) * e^{(2k+n)|lam| t}
 
     over R^{2n} (600-node radial Gauss-Legendre x exact sphere factor)."""
     if t <= 0:
         raise HeatError("heat time must be positive")
+    if lam == 0:
+        raise HeatError("zero central parameter: the kernel does not decay")
     al = abs(lam)
     x = al * t
     coth = np.cosh(x) / np.sinh(x)
@@ -134,10 +149,10 @@ def lemma63_check(k: int, lam: float, t: float, n: int = 1) -> float:
     rmax = np.sqrt((60.0 + 8.0 * k) / width)
     r, wr = gauss_legendre_on(0.0, rmax, 600)
     surf = 2.0 * np.pi ** n / gamma(n)
-    phi = np.real(laguerre_phi(LaguerreArg(k, n - 1, -(r * r)), lam))
+    phi = np.real(laguerre_phi(k, n - 1, -(r * r), lam))
     dens = np.real(twisted_heat_kernel(lam, t, r * r, n=n))
     val = float(np.sum(phi * dens * r ** (2 * n - 1) * wr) * surf)
-    tgt = LEMMA63_C * comb(k + n - 1, k) * np.exp((2 * k + n) * al * t)
+    tgt = comb(k + n - 1, k) * np.exp((2 * k + n) * al * t)
     if not np.isfinite(val):
         raise HeatError("lemma 6.3 quadrature diverged; enlarge domain guard")
     return float(abs(val - tgt) / tgt)

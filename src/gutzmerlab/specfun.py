@@ -16,7 +16,6 @@ far past the degrees where naive evaluation overflows:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, gamma, lgamma, log
 
 import numpy as np
@@ -27,26 +26,6 @@ LAGUERRE_DEGREE_CAP = 512
 
 class SpecfunError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class LaguerreArg:
-    """Argument bundle for the Laguerre functions phi_k^lambda.
-
-    order is the Laguerre type n-1 for ambient dimension n; rho is the
-    generalized squared radius (real >= 0 at real points, real <= 0 at purely
-    imaginary points, complex in general).
-    """
-
-    k: int
-    order: int
-    rho: complex
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise SpecfunError("Laguerre index k must be >= 0")
-        if self.order < 0:
-            raise SpecfunError("Laguerre order must be >= 0")
 
 
 def hermite_fn_1d(m: int, x):
@@ -154,22 +133,22 @@ def laguerre_sums(mtop: int, order: int, s, W):
     return result
 
 
-def laguerre_phi(arg: LaguerreArg, lam: float):
+def laguerre_phi(k: int, order: int, rho, lam: float):
     """phi_k^lambda at generalized squared radius rho:
 
-        L_k^{n-1}( |lambda| rho / 2 ) e^{ -|lambda| rho / 4 }
+        L_k^{order}( |lambda| rho / 2 ) e^{ -|lambda| rho / 4 }
 
-    For a real point (x,u), rho = |x|^2 + |u|^2; for the complexified point
-    (2iy, 2iv), rho = -4 (|y|^2 + |v|^2).  The |lambda| in the exponent makes
-    the family an eigenfamily of the twisted Laplacian and keeps Plancherel
-    and inversion mutually consistent.
+    order is the Laguerre type n-1 for ambient dimension n.  For a real point
+    (x,u), rho = |x|^2 + |u|^2; for the complexified point (2iy, 2iv),
+    rho = -4 (|y|^2 + |v|^2); complex in general.  The |lambda| in the
+    exponent makes the family an eigenfamily of the twisted Laplacian and
+    keeps Plancherel and inversion mutually consistent.
     """
     if lam == 0:
         raise SpecfunError("zero central parameter")
     al = abs(lam)
-    s = 0.5 * al * arg.rho
-    val = laguerre(arg.k, arg.order, s) * np.exp(-0.25 * al * arg.rho)
-    if np.asarray(arg.rho).dtype.kind != "c":
+    val = laguerre(k, order, 0.5 * al * rho) * np.exp(-0.25 * al * rho)
+    if np.asarray(rho).dtype.kind != "c":
         return np.real(val)
     return val
 
@@ -265,7 +244,7 @@ def hilb_compare(k: int, lam: float, r: float, n: int = 1) -> float:
     if r < 0:
         raise SpecfunError("radius must be >= 0")
     al = abs(lam)
-    phi = laguerre_phi(LaguerreArg(k, n - 1, -4.0 * r * r), lam)
+    phi = laguerre_phi(k, n - 1, -4.0 * r * r, lam)
     j0val = bessel_j_norm(n - 1, 0.0)
     ck = comb(k + n - 1, k) / j0val
     jval = ck * np.real(bessel_j_norm(n - 1, 2j * np.sqrt((2 * k + n) * al) * r))

@@ -8,6 +8,10 @@ in src/gutzmerlab/*.py other than its own, a bench/*.py file, or
 tests/test_acceptance.py.  A name that none of them uses stays only as an
 entry of REFERENCES, with the reason it is kept.
 
+Every field of a dataclass of src/gutzmerlab/*.py is read, as an Attribute,
+in one of the same places; a field nobody reads stays only as an entry of
+FIELD_REFERENCES, with the reason it is kept.
+
 Every QuadratureSpec field is a knob some caller in src/gutzmerlab/*.py or
 bench/*.py sets; a field nobody sets is a constant.
 
@@ -34,7 +38,6 @@ REFERENCES = {
     "HeisPoint": "bench/tracer.py and bench/measure.py name it as a span target",
     "apply_D": "bench/tracer.py names it as a span target",
     "invert": "pointwise inversion at complexified points, the oracle of invert_grid",
-    "twisted_conv": "direct-quadrature oracle of the modal projection path",
     "flat_fourier": "the only implementation of the pinned flat Fourier convention",
     "pw_forward_check": "the only statement of the forward bound D O <= C e^{2A|eta|+2 sqrt(B) r}",
     "e1d": "closed form of one mode, the reference the tests check the field evaluator "
@@ -81,11 +84,15 @@ def used_names(path: Path) -> set:
     return used
 
 
-def readers() -> set:
+def reader_paths() -> list:
     paths = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
     paths += sorted((ROOT / "bench").glob("*.py"))
     paths.append(ROOT / "tests" / "test_acceptance.py")
-    return set().union(*(used_names(p) for p in paths))
+    return paths
+
+
+def readers() -> set:
+    return set().union(*(used_names(p) for p in reader_paths()))
 
 
 def test_every_export_resolves():
@@ -108,6 +115,52 @@ def test_every_reference_is_public_and_unread():
     # an entry whose name gained a reader, or left the public names, goes
     stale = sorted(set(REFERENCES) - (public_names() - readers()))
     assert not stale, f"REFERENCES entries to drop: {stale}"
+
+
+FIELD_REFERENCES = {
+    "GrowthFit.intercept": "DetectReport.to_dict reads it by name, for the detect JSON",
+    "HeisPoint.u": "a coordinate of HeisPoint, which REFERENCES keeps",
+    "HeisPoint.t": "a coordinate of HeisPoint, which REFERENCES keeps",
+    "SpectralData.tail": "uncaptured slice energy per lambda, a health figure for the planned run report",
+}
+
+
+def is_dataclass_def(stmt: ast.stmt) -> bool:
+    return isinstance(stmt, ast.ClassDef) and any(
+        getattr(f, "id", None) == "dataclass" or getattr(f, "attr", None) == "dataclass"
+        for f in (d.func if isinstance(d, ast.Call) else d for d in stmt.decorator_list))
+
+
+def dataclass_fields() -> set:
+    """Class.field for every annotated field of a dataclass of the package."""
+    return {f"{stmt.name}.{s.target.id}" for p in PACKAGE.glob("*.py")
+            for stmt in ast.parse(p.read_text()).body if is_dataclass_def(stmt)
+            for s in stmt.body if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)}
+
+
+def attribute_readers() -> set:
+    """Attributes read (not only assigned) in the reader paths."""
+    return {node.attr for p in reader_paths() for node in ast.walk(ast.parse(p.read_text()))
+            if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store)}
+
+
+def test_dataclass_fields_are_found():
+    fields = dataclass_fields()
+    assert {"QuadratureSpec.nx", "SpectralData.norms2", "GrowthFit.slope"} <= fields
+
+
+def test_every_dataclass_field_has_a_reader_or_a_reason():
+    read = attribute_readers()
+    unread = sorted(f for f in dataclass_fields() - set(FIELD_REFERENCES)
+                    if f.split(".")[1] not in read)
+    assert not unread, f"dataclass fields read nowhere: {unread}"
+
+
+def test_every_field_reference_is_an_unread_field():
+    read = attribute_readers()
+    stale = sorted(f for f in FIELD_REFERENCES
+                   if f not in dataclass_fields() or f.split(".")[1] in read)
+    assert not stale, f"FIELD_REFERENCES entries to drop: {stale}"
 
 
 def names_set(path: Path) -> set:

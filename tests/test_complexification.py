@@ -18,7 +18,7 @@ from gutzmerlab.heisenberg_core import ComplexPoint
 from gutzmerlab.grids import QuadratureSpec, gauss_legendre_on
 from gutzmerlab.growth import GrowthFit
 from gutzmerlab.hermite_modes import ModalSlice, mode_monomial_base, norm_ratio, slice_powers
-from gutzmerlab.specfun import LaguerreArg, bessel_j_norm, laguerre_all, laguerre_phi
+from gutzmerlab.specfun import bessel_j_norm, laguerre_all, laguerre_phi
 from gutzmerlab.spectral import LambdaGrid, synth_bandlimited
 
 
@@ -156,7 +156,7 @@ class TestGutzmerIdentity:
         y, v, eta = 0.4, 0.3, 0.6
         r2 = y * y + v * v
         got = gutzmer_spectral(sd, imag_pt(y, v, eta))
-        phi = np.real(laguerre_phi(LaguerreArg(k0, 0, -4.0 * r2), lam0))
+        phi = np.real(laguerre_phi(k0, 0, -4.0 * r2, lam0))
         want = sd.wmu[j0] * mass * np.exp(2 * lam0 * eta) * phi
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -425,12 +425,3 @@ class TestDetector:
         rep = detect_bandlimit(sd)
         assert rep.verdict == "tail-violation"
         assert rep.tail_test["offending_cells"]
-
-    def test_callable_source(self, fixture_small):
-        _, _, sd = fixture_small
-
-        def evaluator(y, v, eta):
-            return apply_D(sd, imag_pt(y, v, eta))
-
-        rep = detect_bandlimit(evaluator)
-        assert abs(rep.A_hat - sd.band.A) <= 0.05 * sd.band.A

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from conftest import small_spec
-from gutzmerlab.constants import heat_image_c
 from gutzmerlab.grids import QuadratureSpec, fft_grid
 from gutzmerlab.heatlab import (
     HeatError,
     gauss_bessel_check,
     heat_apply,
+    heat_image_c,
     heat_image_norm,
     lemma63_check,
     thm35_converse_tail,
@@ -18,15 +18,15 @@ from gutzmerlab.heatlab import (
     twisted_heat_kernel,
 )
 from gutzmerlab.hermite_modes import ModalSlice, ModalSliceND, multiindices_upto
-from gutzmerlab.specfun import LaguerreArg, laguerre_phi
+from gutzmerlab.specfun import laguerre_phi
 from gutzmerlab.spectral import (
     GridFunction,
     LambdaGrid,
     SpectralData,
     analyze,
     synth_bandlimited,
-    twisted_conv,
 )
+from twisted_conv_oracle import twisted_conv
 
 BOX = [(k, lam, t, n) for n in (1, 2) for k in (0, 1, 4)
        for lam in (0.25, 1.0) for t in (0.1, 0.5)]
@@ -179,7 +179,7 @@ class TestTwistedHeatKernel:
         N, L = 48, 11.0
         xg = fft_grid(N, L)
         rho = np.abs(xg[:, None] + 1j * xg[None, :]) ** 2
-        phik = np.real(laguerre_phi(LaguerreArg(k, 0, rho), lam)) + 0j
+        phik = np.real(laguerre_phi(k, 0, rho, lam)) + 0j
         pt = np.real(twisted_heat_kernel(lam, t, rho)) + 0j
         conv = twisted_conv(phik, pt, lam, xg, xg)
         want = np.exp(-(2 * k + 1) * abs(lam) * t) * phik
@@ -208,6 +208,11 @@ class TestLemma63:
 
     def test_small_lambda_gaussian_moment(self):
         assert lemma63_check(2, 1e-3, 0.5, 1) <= 1e-5
+
+    def test_zero_lambda_refused(self):
+        # refused before coth(|lam| t) divides by sinh(0)
+        with pytest.raises(HeatError, match="zero central parameter"):
+            lemma63_check(1, 0.0, 0.5)
 
 
 @pytest.fixture(scope="module")

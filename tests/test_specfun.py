@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermgauss
 
 from gutzmerlab.specfun import (
-    LaguerreArg,
     SpecfunError,
     bessel_j_norm,
     binom_weight,
@@ -213,23 +212,28 @@ class TestLaguerrePhi:
         from math import comb
 
         for k, n in [(0, 1), (3, 1), (2, 3)]:
-            assert laguerre_phi(LaguerreArg(k, n - 1, 0.0), 1.0) == pytest.approx(
+            assert laguerre_phi(k, n - 1, 0.0, 1.0) == pytest.approx(
                 comb(k + n - 1, k)
             )
 
     def test_ground_state_gaussian(self):
         r2 = 1.7
-        assert laguerre_phi(LaguerreArg(0, 0, r2), 1.0) == pytest.approx(np.exp(-r2 / 4))
+        assert laguerre_phi(0, 0, r2, 1.0) == pytest.approx(np.exp(-r2 / 4))
 
     def test_complexified_point_oracle(self):
         # k=1, n=1, lam=1, rho=-4: L_1(-2) e^{1} = 3e
-        assert laguerre_phi(LaguerreArg(1, 0, -4.0), 1.0) == pytest.approx(
+        assert laguerre_phi(1, 0, -4.0, 1.0) == pytest.approx(
             8.154845485377136, rel=1e-14
         )
 
     def test_lambda_in_exponent(self):
         # e^{-|lam| rho / 4}, not e^{-rho/4}
-        assert laguerre_phi(LaguerreArg(0, 0, 2.0), 3.0) == pytest.approx(np.exp(-1.5))
+        assert laguerre_phi(0, 0, 2.0, 3.0) == pytest.approx(np.exp(-1.5))
+
+    @pytest.mark.parametrize("k,order,lam", [(-1, 0, 1.0), (2, -1, 1.0), (2, 0, 0.0)])
+    def test_refused_arguments(self, k, order, lam):
+        with pytest.raises(SpecfunError):
+            laguerre_phi(k, order, 1.5, lam)
 
 
 class TestBessel:

@@ -22,7 +22,7 @@ from gutzmerlab.grids import QuadratureSpec, fft_grid
 from gutzmerlab.heatlab import heat_apply, thm35_forward, twisted_heat_kernel
 from gutzmerlab.heisenberg_core import ComplexPoint
 from gutzmerlab.hermite_modes import ModalSlice, ModalSliceND, multiindices, multiindices_upto
-from gutzmerlab.specfun import LaguerreArg, bessel_j_norm, binom_weight, laguerre_phi
+from gutzmerlab.specfun import bessel_j_norm, binom_weight, laguerre_phi
 from gutzmerlab.spectral import LambdaGrid, SpectralData, analyze, synth_bandlimited
 
 
@@ -43,7 +43,7 @@ def loop_gutzmer(sd, p):
         for k in range(sd.kmax + 1):
             if sd.norms2[k, j] == 0.0:
                 continue
-            phi = laguerre_phi(LaguerreArg(k, sd.n - 1, -4.0 * r2), lv)
+            phi = laguerre_phi(k, sd.n - 1, -4.0 * r2, lv)
             acc += sd.norms2[k, j] * binom_weight(k, sd.n) * float(np.real(phi))
         total += sd.wmu[j] * np.exp(2.0 * lv * p.zeta_i) * acc
     return float(total)
@@ -79,7 +79,7 @@ def loop_thm35_values(sd, alpha, beta, t_grid=(1.0, 2.0, 4.0),
                 for k in range(sd.kmax + 1):
                     if (2 * k + sd.n) * lv > beta + 1e-12 or sd.norms2[k, j] == 0:
                         continue
-                    phi = float(np.real(laguerre_phi(LaguerreArg(k, sd.n - 1, -4.0 * r2), lv)))
+                    phi = float(np.real(laguerre_phi(k, sd.n - 1, -4.0 * r2, lv)))
                     s += sd.norms2[k, j] * binom_weight(k, sd.n) * phi
                 acc += sd.wmu[j] * np.exp(2.0 * t * lv * lv) * s * pk
             vals.append(acc)
