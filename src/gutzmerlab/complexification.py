@@ -88,22 +88,24 @@ def apply_D(sd: SpectralData, p: ComplexPoint) -> float:
 # direct orbital integral (n = 1)
 # ---------------------------------------------------------------------------
 
-def _orbital_points(nx: int, hx: float, w0: complex) -> int:
+def _orbital_points(nx: int, hx: float, r: float) -> int:
     """Orbital grid points per axis: the sample grid widened on every side by
-    |w| in whole cells plus the monitored frame, at most PAD_FACTOR * nx."""
-    return min(nx + 2 * (int(np.ceil(abs(w0) / hx)) + _EDGE), int(round(PAD_FACTOR * nx)))
+    r = |w| in whole cells plus the monitored frame, at most PAD_FACTOR * nx."""
+    return min(nx + 2 * (int(np.ceil(r / hx)) + _EDGE), int(round(PAD_FACTOR * nx)))
 
 
-def _orbital_sum(sd: SpectralData, w0: complex, eta: float, npad: int, hx: float) -> tuple:
-    """(sum, outer-frame part of the sum) on npad x npad points spaced hx."""
+def _orbital_sum(sd: SpectralData, r: float, eta: float, npad: int, hx: float) -> tuple:
+    """(sum, outer-frame part of the sum) on npad x npad points spaced hx, at
+    the displacement w = r e^{i pi/4}, from the points with u >= x."""
     xg = (np.arange(npad) - npad // 2) * hx
-    Z = xg[:, None] + 1j * xg[None, :]
-    frame = np.zeros(Z.shape, dtype=bool)
-    frame[:_EDGE, :] = frame[-_EDGE:, :] = True
-    frame[:, :_EDGE] = frame[:, -_EDGE:] = True
-    zc = Z + 1j * w0
-    zm = np.conj(Z) + 1j * np.conj(w0)
-    phase = Z.imag * w0.real - Z.real * w0.imag
+    row, col = np.triu_indices(npad)
+    x, u = xg[row], xg[col]
+    c = r / np.sqrt(2.0)
+    zc = (x - c) + 1j * (u + c)
+    zm = (x + c) + 1j * (c - u)
+    phase = c * (u - x)
+    off = row < col       # points whose mirror (u, x) is another point
+    frame = (row < _EDGE) | (col >= npad - _EDGE)    # row <= col here
 
     total = 0.0
     shell = 0.0
@@ -112,7 +114,8 @@ def _orbital_sum(sd: SpectralData, w0: complex, eta: float, npad: int, hx: float
     for j, power in zip(live, slice_powers([sd.modal[j] for j in live], zc, zm)):
         lv = sd.lam[j]
         pref = sd.wmu[j] * 2.0 * np.pi / abs(lv) * np.exp(2.0 * lv * eta) * hx * hx
-        cell = power * np.exp(lv * phase)
+        cell = power[0] * np.exp(lv * phase)
+        cell += power[1] * np.exp(-lv * phase) * off
         total += pref * float(np.sum(cell))
         shell += pref * float(np.sum(cell[frame]))
     return total, shell
@@ -127,25 +130,33 @@ def orbital_direct(sd: SpectralData, p: ComplexPoint,
     slice's U(1) parts G_q pick up e^{i q theta}, so the theta-mean of |F|^2
     is sum_q |G_q|^2 at the one displacement w (hermite_modes.slice_powers,
     one call for all populated slices, in real arithmetic; an all-zero slice
-    adds nothing and is skipped).  (x',u'): sample-spaced points centred on
-    the origin; t': one period of the fixture's lambda-comb, summed in closed
-    form by Parseval (the integrand is trigonometric in t', so the period sum
-    is the integral).  F is evaluated through the entire extension of each
-    slice at the imaginary displacement.  The mode fit confines each slice to
-    the sample grid and the displacement shifts it by at most |w|, so the
-    grid is the sample grid widened on every side by |w| in whole cells plus
-    a 2-cell frame, at most PAD_FACTOR times its points per axis.  A frame
-    share of the sum above SHELL_TOL on a narrower grid retries on the
-    PAD_FACTOR grid, and raises only there.  spec is not read.
+    adds nothing and is skipped).  The theta-mean covers every rotation of
+    w, so the integral depends on |w| alone, and the sum runs at w rotated
+    onto the diagonal, |w| e^{i pi/4}.  (x',u'): sample-spaced points
+    centred on the origin; t': one period of the fixture's lambda-comb,
+    summed in closed form by Parseval (the integrand is trigonometric in t',
+    so the period sum is the integral).  F is evaluated through the entire
+    extension of each slice at the imaginary displacement.  The mode fit
+    confines each slice to the sample grid and the displacement shifts it by
+    at most |w|, so the grid is the sample grid widened on every side by |w|
+    in whole cells plus a 2-cell frame, at most PAD_FACTOR times its points
+    per axis.  On the diagonal the swap (x', u') -> (u', x') maps the grid
+    and its frame onto themselves and takes (zc, zm) to (i zm, -i zc): the
+    Laguerre sums and the Gaussian stay, |P|^2 and |Q|^2 trade places
+    (slice_powers' swapped orientation) and the phase changes sign.  So the
+    sum runs on the npad(npad+1)/2 points with u' >= x', each off the
+    diagonal adding its mirror too.  A frame share of the sum above
+    SHELL_TOL on a narrower grid retries on the PAD_FACTOR grid, and raises
+    only there.  spec is not read.
     """
     if sd.n != 1:
         raise OrbitalError("direct orbital integrals are implemented for n=1 only")
     _require_point(sd, p)
-    w0 = float(p.zi[0]) + 1j * float(p.wi[0])
+    r = float(np.hypot(p.zi[0], p.wi[0]))
     hx = float(sd.xgrid[1] - sd.xgrid[0])
     cap = int(round(PAD_FACTOR * sd.xgrid.size))
-    for npad in sorted({_orbital_points(sd.xgrid.size, hx, w0), cap}):
-        total, shell = _orbital_sum(sd, w0, p.zeta_i, npad, hx)
+    for npad in sorted({_orbital_points(sd.xgrid.size, hx, r), cap}):
+        total, shell = _orbital_sum(sd, r, p.zeta_i, npad, hx)
         if not (total > 0 and shell > SHELL_TOL * total):
             return float(total)
     raise OrbitalError(

@@ -88,8 +88,10 @@ def fit_growth(params: np.ndarray, logs: np.ndarray, ray: str) -> GrowthFit:
     if not np.all(np.isfinite(logs)):
         return GrowthFit(ray, [], np.nan, np.nan, np.inf)
     samples = list(zip(params.tolist(), logs.tolist()))
+    # the tail half: the samples from the midpoint on, a middle sample that
+    # np.linspace puts an ulp below it included
     mid = (params[0] + params[-1]) / 2.0
-    mask = params >= mid
+    mask = params >= mid - 1e-12 * abs(params[-1] - params[0])
     x = params[mask]
     yv = logs[mask]
     if ray == "radial":

@@ -42,8 +42,12 @@ scatter (_offset_plan) builds every weight of a call, in rows indexed by
 each slice's U(1)-weight parts G_q, q = +-d, without their monomial.
 _fields multiplies them by P^d or Q^d and adds them up; slice_powers, the
 mean of |field|^2 over the U(1) orbit, adds |G_q|^2 |P|^2d (or |Q|^2d) in
-real arithmetic.  analyze (spectral) projects n = 1 slices through the same
-factorization, contracting shell moments with the radial table.
+real arithmetic.  Swapping the points, (zc, zm) -> (zm, zc), keeps s and
+every G_q and trades |P| for |Q|, so slice_powers also gives the power at
+the swapped points from the same sums: the mirror that the direct orbital
+quadrature adds for the points across the diagonal.  analyze (spectral)
+projects n = 1 slices through the same factorization, contracting shell
+moments with the radial table.
 
 basis_matrix tabulates the admitted modes of one plane, one row each in
 row-major (k, a) order: the fields of the unit-coefficient stack, one
@@ -491,34 +495,40 @@ def _fields(slices, zc, zm) -> np.ndarray:
 
 
 def slice_powers(slices, zc, zm) -> list:
-    """Mean of |field|^2 over the U(1) orbit of each slice, any |lambda|.
+    """Mean of |field|^2 over the U(1) orbit of each slice, any |lambda|, at
+    the points (zc, zm) and at the swapped points (zm, zc).
 
     The modes are U(1)-equivariant, E_ab(e^{i theta} zc, e^{-i theta} zm) =
     e^{i q theta} E_ab(zc, zm), so the theta-mean of |field|^2 at the rotated
     points is sum_q |G_q P^d|^2 |gauss|^2 |lambda|/2pi over the parts G_q of
     _offset_sums (Parseval in theta).  |P|^2 = (|lambda|/2) |zc|^2 and |Q|^2
     = (|lambda|/2) |zm|^2, so each part adds |G_q|^2 ((|lambda|/2)|zc|^2)^d
-    (or |zm|^2) in real arithmetic, and no complex monomial is formed.
-    Returns one real array per slice, in the order given.
+    (or |zm|^2) in real arithmetic, and no complex monomial is formed.  The
+    swap keeps s = |lambda| zc zm / 2, the Gaussian and every G_q and trades
+    |P|^2 for |Q|^2, so the one _offset_sums pass gives both: the swapped
+    power adds |G_q|^2 times the other monomial's power.
+    Returns one real [2, *points] array per slice, in the order given: [0]
+    at (zc, zm), [1] at (zm, zc).  [1] is [0] of slice_powers(slices, zm,
+    zc) bit for bit wherever zc * zm and zm * zc are the same float (numpy
+    rounds the imaginary part of a complex product by operand order).
     """
-    out = [np.zeros(np.broadcast(zc, zm).shape) for _ in slices]
-    abs2_c = zc.real ** 2 + zc.imag ** 2
-    abs2_m = zm.real ** 2 + zm.imag ** 2
+    shape = np.broadcast(zc, zm).shape
+    out = [np.zeros((2,) + shape) for _ in slices]
+    abs2 = np.stack(np.broadcast_arrays(zc.real ** 2 + zc.imag ** 2,
+                                        zm.real ** 2 + zm.imag ** 2))
     al_now = None
     for i, q, acc in _offset_sums(slices, zc, zm):
         al = abs(slices[i].lam)
         if al != al_now:
             al_now, power = al, 0
-            base_p, base_q = 0.5 * al * abs2_c, 0.5 * al * abs2_m
-            pow_p = pow_q = 1.0  # |P|^2d, |Q|^2d
+            base = 0.5 * al * abs2
+            pows = np.ones_like(base)  # (|P|^2d, |Q|^2d)
         for _ in range(abs(q) - power):
-            pow_p = pow_p * base_p
-            pow_q = pow_q * base_q
+            pows = pows * base
             power += 1
         part = acc.real ** 2
         part += acc.imag ** 2
-        part *= pow_p if q >= 0 else pow_q
-        out[i] += part
+        out[i] += part * (pows if q >= 0 else pows[::-1])
     gauss2 = {}
     for pw, ms in zip(out, slices):
         al = abs(ms.lam)

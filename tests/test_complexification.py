@@ -17,7 +17,8 @@ from gutzmerlab.heatlab import heat_apply, heat_image_norm
 from gutzmerlab.heisenberg_core import ComplexPoint
 from gutzmerlab.grids import QuadratureSpec, gauss_legendre_on
 from gutzmerlab.growth import GrowthFit
-from gutzmerlab.hermite_modes import ModalSlice, mode_monomial_base, norm_ratio, slice_powers
+from gutzmerlab.hermite_modes import (ModalSlice, abs_lam_groups, mode_monomial_base, norm_ratio,
+                                     slice_powers)
 from gutzmerlab.specfun import bessel_j_norm, laguerre_all, laguerre_phi
 from gutzmerlab.spectral import LambdaGrid, synth_bandlimited
 
@@ -90,6 +91,34 @@ def table_orbital_direct(sd, p, spec):
         cell = np.abs(2 * np.pi / abs(lv) * table_field(sd.modal[j], Zb, Zmb)) ** 2 * wgt
         total += pref * np.mean(np.sum(cell, axis=(1, 2))) * hx * hx
     return float(total)
+
+
+def full_grid_orbital_direct(sd, p):
+    """orbital_direct as it ran before the fold: the theta-mean powers at the
+    displacement w itself, unrotated, on every point of the npad x npad grid,
+    with the same grid sizes, frame check and fallback."""
+    w0 = float(p.zi[0]) + 1j * float(p.wi[0])
+    hx = float(sd.xgrid[1] - sd.xgrid[0])
+    cap = int(round(complexification.PAD_FACTOR * sd.xgrid.size))
+    live = [j for group in abs_lam_groups(sd.lam) for j in group if sd.modal[j].coef.any()]
+    for npad in sorted({complexification._orbital_points(sd.xgrid.size, hx, abs(w0)), cap}):
+        xg = (np.arange(npad) - npad // 2) * hx
+        Z = xg[:, None] + 1j * xg[None, :]
+        frame = np.zeros(Z.shape, dtype=bool)
+        frame[:2, :] = frame[-2:, :] = frame[:, :2] = frame[:, -2:] = True
+        zc = Z + 1j * w0
+        zm = np.conj(Z) + 1j * np.conj(w0)
+        phase = Z.imag * w0.real - Z.real * w0.imag
+        total = shell = 0.0
+        for j, power in zip(live, slice_powers([sd.modal[j] for j in live], zc, zm)):
+            lv = sd.lam[j]
+            pref = sd.wmu[j] * 2.0 * np.pi / abs(lv) * np.exp(2.0 * lv * p.zeta_i) * hx * hx
+            cell = power[0] * np.exp(lv * phase)
+            total += pref * float(np.sum(cell))
+            shell += pref * float(np.sum(cell[frame]))
+        if not (total > 0 and shell > complexification.SHELL_TOL * total):
+            return float(total)
+    raise OrbitalError("orbital quadrature truncation above tolerance")
 
 
 class TestGutzmerIdentity:
@@ -202,8 +231,9 @@ def desk_seed7():
 class TestShellTruncation:
     """The outer-frame share of the orbital sum, on a desk fixture."""
 
-    @pytest.mark.parametrize("pt", [(3.0, 0.0, 0.5), (0.0, 3.0, 0.5)])
-    def test_axis_points_need_padding(self, desk_seed7, pt, monkeypatch):
+    @pytest.mark.parametrize("pt", [(4.0, 0.0, 0.5), (2.4, -3.2, 0.5)])
+    def test_wide_points_need_padding(self, desk_seed7, pt, monkeypatch):
+        # |w| = 4 leaves 1.4e-5 of the sum in the frame of the unpadded grid
         spec, sd = desk_seed7
         with monkeypatch.context() as mp:
             mp.setattr(complexification, "PAD_FACTOR", 1.0)
@@ -222,6 +252,45 @@ class TestShellTruncation:
         got = orbital_direct(sd, p, spec)
         assert got == pytest.approx(gutzmer_spectral(sd, p), rel=1e-6)
 
+    def test_axis_points_fit_the_unpadded_grid(self, desk_seed7, monkeypatch):
+        # every displacement runs rotated onto the diagonal, so |w| = 3 on an
+        # axis fits the sample grid as the diagonal point does (unrotated, the
+        # axis sums left 9e-5 and 2e-5 of themselves in the frame)
+        spec, sd = desk_seed7
+        pts = [imag_pt(3.0, 0.0, 0.5), imag_pt(0.0, 3.0, 0.5)]
+        want = gutzmer_spectral(sd, pts[0])
+        with monkeypatch.context() as mp:
+            mp.setattr(complexification, "PAD_FACTOR", 1.0)
+            got = [orbital_direct(sd, p, spec) for p in pts]
+        assert got[0] == got[1] == pytest.approx(want, rel=1e-6)
+        got = [orbital_direct(sd, p, spec) for p in pts]
+        assert got[0] == got[1] == pytest.approx(want, rel=1e-12)
+
+
+class TestDiagonalFold:
+    """orbital_direct, folded across the diagonal at the rotated displacement,
+    against the unrotated full-grid sum."""
+
+    @pytest.mark.parametrize("pt", [
+        # the criterion-3 box, |w| <= 1.5 and |eta| <= 1
+        (0.479, -1.258, 0.031), (0.756, 0.267, -0.233), (0.92, 0.269, -0.902),
+        (-0.863, -1.226, -0.531), (0.976, -0.16, 0.795), (-1.075, 0.862, -0.014),
+        (1.145, 0.46, 0.111), (0.569, -0.536, -0.872),
+        # the axes
+        (0.9, 0.0, 0.5), (0.0, -0.9, 0.5), (3.0, 0.0, 0.5), (0.0, -3.0, 0.5),
+        (5.0, 0.0, 0.5), (0.0, -5.0, 0.5),
+        # the diagonals
+        (0.849, 0.849, -0.5), (-0.849, 0.849, 0.3), (2.475, 2.475, -0.5),
+        (-2.475, 2.475, 0.3), (3.536, 3.536, -0.5), (-3.536, -3.536, 0.3),
+        # generic angles
+        (1.911, 0.591, 0.2), (-1.748, 3.819, 0.2), (-3.268, -3.784, 0.2), (1.913, -1.905, 0.2),
+    ])
+    def test_matches_the_full_grid(self, desk_seed7, pt):
+        spec, sd = desk_seed7
+        p = imag_pt(*pt)
+        assert orbital_direct(sd, p, spec) == pytest.approx(full_grid_orbital_direct(sd, p),
+                                                            rel=1e-13)
+
 
 class TestOrbitalGrid:
     """The orbital grid: the sample grid widened by |w| in whole cells plus
@@ -233,7 +302,11 @@ class TestOrbitalGrid:
         sizes = []
 
         def spy(slices, zc, zm):
-            sizes.append(zc.shape)
+            # the folded point set: the npad(npad+1)/2 points with u >= x
+            count, = zc.shape
+            npad = int(np.sqrt(2 * count))
+            assert npad * (npad + 1) // 2 == count
+            sizes.append(npad)
             return slice_powers(slices, zc, zm)
 
         monkeypatch.setattr(complexification, "slice_powers", spy)
@@ -247,7 +320,7 @@ class TestOrbitalGrid:
         spec, sd = desk_seed7
         sizes = self.grid_sizes(monkeypatch)
         orbital_direct(sd, imag_pt(*pt), spec)
-        assert sizes == [(npad, npad)]
+        assert sizes == [npad]
 
     def test_failed_frame_falls_back_to_the_cap(self, monkeypatch):
         # a loose mode fit leaves more mass near the grid edge than the
@@ -258,7 +331,7 @@ class TestOrbitalGrid:
         with monkeypatch.context() as mp:
             sizes = self.grid_sizes(mp)
             got = orbital_direct(sd, p, spec)
-            assert sizes == [(60, 60), (72, 72)]
+            assert sizes == [60, 72]
         cap = int(round(complexification.PAD_FACTOR * sd.xgrid.size))
         monkeypatch.setattr(complexification, "_orbital_points", lambda nx, hx, w0: cap)
         assert got == orbital_direct(sd, p, spec)
@@ -336,6 +409,18 @@ class TestGrowthFits:
         logs = 2.4 * xs - 0.5 * np.log(xs)
         fit = fit_growth(xs, logs, "radial")
         assert fit.slope == pytest.approx(2.4, rel=1e-9)
+
+    def test_tail_half_keeps_a_middle_sample_an_ulp_low(self):
+        # np.linspace(0, L, 13) puts its middle sample an ulp below L/2 for
+        # this L; the fit takes the same 7 samples as the exact ray does
+        xs = np.linspace(0.0, 3.1016288099872855, 13)
+        assert xs[6] < (xs[0] + xs[-1]) / 2
+        exact = xs.copy()
+        exact[6] = (xs[0] + xs[-1]) / 2
+        logs = 1.7 * xs + 0.4 * np.sin(2.0 * xs)
+        fit, want = fit_growth(xs, logs, "eta"), fit_growth(exact, logs, "eta")
+        assert fit.slope == pytest.approx(want.slope, rel=1e-12)
+        assert fit.intercept == pytest.approx(want.intercept, rel=1e-12)
 
     def test_degenerate_data(self):
         # logs of zero values

@@ -139,11 +139,28 @@ class TestSlicePowers:
                 for f in _fields(group, rot * zc, zm / rot)]
 
     def test_pair_matches_theta_mean(self):
+        # both orientations: [0] at (zc, zm), [1] at the swapped (zm, zc)
         zc, zm = complex_points(seed=10)
         pair = [random_slice(0.9, seed=11), random_slice(-0.9, seed=12)]
         assert all(np.any(np.diagonal(ms.coef)) for ms in pair)  # d = 0 modes
-        for got, want in zip(slice_powers(pair, zc, zm), self.theta_mean(pair, zc, zm)):
-            assert_close(got, want)
+        got = slice_powers(pair, zc, zm)
+        for side, (a, b) in enumerate([(zc, zm), (zm, zc)]):
+            for pw, want in zip(got, self.theta_mean(pair, a, b)):
+                assert_close(pw[side], want)
+
+    def test_swapped_orientation_is_the_swapped_call(self):
+        # on dyadic points every product in zc zm is exact, so zc * zm and
+        # zm * zc are the same float (elsewhere numpy rounds the imaginary
+        # part by operand order), and the swapped orientation is the call
+        # at (zm, zc) bit for bit
+        rng = np.random.default_rng(40)
+        zc, zm = (rng.integers(-24, 25, (2, 3, 4)) + 1j * rng.integers(-24, 25, (2, 3, 4))) / 16
+        assert np.array_equal(zc * zm, zm * zc)
+        slices = [random_slice(0.9, seed=41), random_slice(-0.9, seed=42),
+                  random_slice(1.7, kmax=4, acap=12, seed=43)]
+        for pw, back in zip(slice_powers(slices, zc, zm), slice_powers(slices, zm, zc)):
+            assert pw.shape == (2,) + zc.shape
+            assert np.array_equal(pw[1], back[0]) and np.array_equal(pw[0], back[1])
 
     def test_mixed_groups_match_complex_monomials(self):
         # one call over three |lambda| groups against the complex-arithmetic
@@ -154,7 +171,7 @@ class TestSlicePowers:
         got = slice_powers(slices, zc, zm)
         for g in ([0, 2], [1], [3]):
             for j, want in zip(g, slice_powers_reference([slices[j] for j in g], zc, zm)):
-                assert_close(got[j], want, rel=1e-13)
+                assert_close(got[j][0], want, rel=1e-13)
 
     def test_u1_parts_are_equivariant(self):
         # the part of weight q, times its monomial, picks up e^{i q theta}
@@ -177,7 +194,7 @@ class TestSlicePowers:
         zc, zm = complex_points(seed=16)
         zero = ModalSlice(-0.4, np.zeros((3, 4), complex))
         pz, pl = slice_powers([zero, random_slice(0.4, seed=17)], zc, zm)
-        assert pz.shape == zc.shape and not np.any(pz) and np.all(pl > 0)
+        assert pz.shape == (2,) + zc.shape and not np.any(pz) and np.all(pl > 0)
         assert slice_powers([], zc, zm) == []
 
 
