@@ -22,7 +22,7 @@ import numpy as np
 from .grids import QuadratureSpec, SpectralError
 from .growth import _exp, _log_spectral_sum, _tail_test, fit_growth
 from .heisenberg_core import ComplexPoint
-from .hermite_modes import abs_lam_groups, slice_powers
+from .hermite_modes import _offset_plan, abs_lam_groups, slice_powers
 from .spectral import BandLimit, SpectralData
 
 
@@ -94,6 +94,25 @@ def _orbital_points(nx: int, hx: float, r: float) -> int:
     return min(nx + 2 * (int(np.ceil(r / hx)) + _EDGE), int(round(PAD_FACTOR * nx)))
 
 
+def _orbital_plan(sd: SpectralData) -> tuple:
+    """(live, plan): the populated slices of sd, each (lambda, -lambda) pair
+    next to each other, and their _offset_plan.
+
+    Built on first use and kept on sd outside its dataclass fields, so ==,
+    repr and dataclasses.replace ignore it; reused while every lambda and
+    every coefficient equals the one it was built from, and rebuilt
+    otherwise, so an in-place edit of sd.modal shows in the next sum.
+    """
+    key = (sd.lam.tolist(), [(ms.lam, ms.coef.shape) for ms in sd.modal])
+    coefs = np.concatenate([ms.coef.ravel() for ms in sd.modal])
+    kept = vars(sd).get("_kept_orbital_plan")
+    if kept is not None and kept[0] == key and np.array_equal(kept[1], coefs):
+        return kept[2]
+    live = [j for group in abs_lam_groups(sd.lam) for j in group if sd.modal[j].coef.any()]
+    sd._kept_orbital_plan = key, coefs, (live, _offset_plan([sd.modal[j] for j in live]))
+    return sd._kept_orbital_plan[2]
+
+
 def _orbital_sum(sd: SpectralData, r: float, eta: float, npad: int, hx: float) -> tuple:
     """(sum, outer-frame part of the sum) on npad x npad points spaced hx, at
     the displacement w = r e^{i pi/4}, from the points with u >= x."""
@@ -109,13 +128,18 @@ def _orbital_sum(sd: SpectralData, r: float, eta: float, npad: int, hx: float) -
 
     total = 0.0
     shell = 0.0
-    # the populated slices, each (lambda, -lambda) pair next to each other
-    live = [j for group in abs_lam_groups(sd.lam) for j in group if sd.modal[j].coef.any()]
-    for j, power in zip(live, slice_powers([sd.modal[j] for j in live], zc, zm)):
+    live, plan = _orbital_plan(sd)
+    al_now = None
+    for j, power in zip(live, slice_powers([sd.modal[j] for j in live], zc, zm, plan)):
         lv = sd.lam[j]
+        if abs(lv) != al_now:
+            # e^{+-|lambda| phase}: lambda and -lambda take them in swapped roles
+            al_now = abs(lv)
+            grow, decay = np.exp(al_now * phase), np.exp(-al_now * phase)
+        here, mirror = (grow, decay) if lv > 0 else (decay, grow)
         pref = sd.wmu[j] * 2.0 * np.pi / abs(lv) * np.exp(2.0 * lv * eta) * hx * hx
-        cell = power[0] * np.exp(lv * phase)
-        cell += power[1] * np.exp(-lv * phase) * off
+        cell = power[0] * here
+        cell += power[1] * mirror * off
         total += pref * float(np.sum(cell))
         shell += pref * float(np.sum(cell[frame]))
     return total, shell
@@ -148,6 +172,12 @@ def orbital_direct(sd: SpectralData, p: ComplexPoint,
     diagonal adding its mirror too.  A frame share of the sum above
     SHELL_TOL on a narrower grid retries on the PAD_FACTOR grid, and raises
     only there.  spec is not read.
+    Once per fixture, not per call: the list of populated slices and the
+    scatter of their coefficients into running-sum weights (_orbital_plan,
+    kept on sd until a coefficient changes).  Per call, once per |lambda|
+    group: the Laguerre sums of each offset (a constant, with no recurrence,
+    for an offset whose weights stop at m = 0), the monomial powers and the
+    pair of exponentials e^{+-|lambda| phase}.
     """
     if sd.n != 1:
         raise OrbitalError("direct orbital integrals are implemented for n=1 only")

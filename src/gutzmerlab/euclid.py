@@ -90,10 +90,11 @@ def flat_synth_bandlimited(a: float, seed: int) -> FlatFunction:
         if mv not in chosen:
             chosen[mv] = (0.3 + rng.random()) * np.exp(2j * np.pi * rng.random())
     grid = _fft_grid(nx, lx)
-    X1, X2 = np.meshgrid(grid, grid, indexing="ij")
     samples = np.zeros((nx, nx), dtype=complex)
     for (m1, m2), amp in sorted(chosen.items()):
-        samples += amp * np.exp(1j * dxi * (m1 * X1 + m2 * X2))
+        # e^{i dxi (m1 x1 + m2 x2)} as the outer product of its two axis factors
+        samples += np.multiply.outer(amp * np.exp(1j * dxi * m1 * grid),
+                                     np.exp(1j * dxi * m2 * grid))
     return FlatFunction(2, grid, samples, schwartz=True)
 
 
@@ -152,15 +153,13 @@ def _flat_power(f: FlatFunction):
 
 def _orbital_mean(freqs, power, y) -> float:
     """Motion-group orbital integral at offset y from the lattice power:
-    sum power e^{-2 xi . R y}, averaged over 64 uniform rotations R."""
+    sum power e^{-2 xi . R y}, averaged over 64 uniform rotations R, from one
+    [mode x angle] exponential."""
     n_ang = 64
     th = 2.0 * np.pi * np.arange(n_ang) / n_ang
-    lhs = 0.0
-    for t in th:
-        R = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
-        ry = R @ y
-        lhs += float(np.sum(power * np.exp(-2.0 * freqs @ ry)))
-    return lhs / n_ang
+    ry = np.stack([np.cos(th) * y[0] - np.sin(th) * y[1],
+                   np.sin(th) * y[0] + np.cos(th) * y[1]])     # [2, angle]
+    return float(np.sum(power @ np.exp(-2.0 * freqs @ ry))) / n_ang
 
 
 def flat_gutzmer(f: FlatFunction, y):

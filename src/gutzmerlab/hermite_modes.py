@@ -31,15 +31,19 @@ exactly conj(zc): real_radii) that factor is computed once per distinct rho
 there) in real arithmetic: the 48^2 desk plane has 298 distinct rho.
 Complexified points, where rho = zc zm has no shells, run the recurrence at
 every point (specfun.laguerre_sums, running weighted sums, no (m, points)
-table).
+table), except for a sum of degree 0, whose weights stop at L_0 = 1: it is a
+constant, and broadcasts against the points.
 
 n = 1 fields (_fields) group the modes by index offset d = |a - k|: one
 Laguerre sum per offset evaluates them all.  s, the Gaussian and the
 monomials depend on |lam| only, so lam and -lam share each sum; the sign
 only picks the monomial of a mode and adds (-1)^d to its weight.  One
-scatter (_offset_plan) builds every weight of a call, in rows indexed by
-(|lam| group, d, slice x diagonal), and the generator _offset_sums yields
-each slice's U(1)-weight parts G_q, q = +-d, without their monomial.
+scatter (_offset_plan) builds every weight of a set of slices, in rows
+indexed by (|lam| group, d, slice x diagonal): once per call for the fields,
+once per SpectralData for the direct orbital sum, which keeps it
+(complexification._orbital_plan) and hands it to slice_powers.  The
+generator _offset_sums yields each slice's U(1)-weight parts G_q, q = +-d,
+without their monomial.
 _fields multiplies them by P^d or Q^d and adds them up; slice_powers, the
 mean of |field|^2 over the U(1) orbit, adds |G_q|^2 |P|^2d (or |Q|^2d) in
 real arithmetic.  Swapping the points, (zc, zm) -> (zm, zc), keeps s and
@@ -304,7 +308,7 @@ def _offset_plan(slices) -> list:
     (else Q^d); the rows run in slice order, diagonal -d (k = m + d) before
     diagonal +d (a = m + d).  W[r, m] = (+-1)^d norm_ratio(m, d) coef[...]
     weighs L_m^d, zero past the row's last nonzero coefficient up to the
-    block's.
+    block's.  W is read-only.
 
     The coefficients are stacked into one zero-padded [slice, k, a] array,
     and every nonzero one is scattered to the weight row (g, d, slot) with
@@ -347,6 +351,7 @@ def _offset_plan(slices) -> list:
     idx = member[gd // nd, slot // 2]
     on_p = (slot % 2 == 0) == lam_pos[idx]
     W, idx, on_p = W[rows], idx.tolist(), on_p.tolist()
+    W.flags.writeable = False   # plans are kept from call to call (complexification)
     bounds = [*starts.tolist(), rows.size]
     return [(b // nd, b % nd, idx[lo:hi], on_p[lo:hi], W[lo:hi, : t + 1])
             for b, lo, hi, t in zip(gd[starts].tolist(), bounds, bounds[1:], tops.tolist())]
@@ -407,7 +412,7 @@ def radial_table(al: float, values: np.ndarray, tops) -> np.ndarray:
     return table
 
 
-def _offset_sums(slices, zc, zm):
+def _offset_sums(slices, zc, zm, plan=None):
     """Yield (i, q, G) for every running sum of the slices, any |lambda|.
 
     G is the part of slice i with U(1) weight q, without its monomial, the
@@ -425,11 +430,16 @@ def _offset_sums(slices, zc, zm):
     (radial_shells), one real product for the real parts of the weights and
     the imaginary ones together (a complex weight times a real value has no
     cross terms), gathered back to the points.  At complexified points
-    specfun.laguerre_sums runs the recurrence at every point.  Per slice the
-    parts come in the plan's order, d increasing; the d = 0 modes form one
-    running sum, so each (i, q) is yielded once.
+    specfun.laguerre_sums runs the recurrence at every point, except for a
+    block of degree 0 (its rows weigh L_0 = 1 alone): its parts are the
+    constants W[:, 0], yielded as read-only arrays of length 1 on every point
+    axis that broadcast against the points.  Per slice the parts come in the
+    plan's order, d increasing; the d = 0 modes form one running sum, so each
+    (i, q) is yielded once.  plan is _offset_plan(slices), built here if not
+    given.
     """
-    plan = _offset_plan(slices)
+    if plan is None:
+        plan = _offset_plan(slices)
     if not plan:
         return
     rho = real_radii(zc, zm)
@@ -449,7 +459,9 @@ def _offset_sums(slices, zc, zm):
                 s = 0.5 * al * (zc * zm)
             else:
                 table = radial_table(al, values, tops[g])
-        if rho is None:
+        if rho is None and W.shape[1] == 1:
+            sums = W.reshape((-1,) + (1,) * np.ndim(s))
+        elif rho is None:
             sums = laguerre_sums(W.shape[1] - 1, d, s, W)
         else:
             parts = np.concatenate([W.real, W.imag]) @ table[d, : W.shape[1]]
@@ -467,7 +479,8 @@ def _fields(slices, zc, zm) -> np.ndarray:
     powers of each |lambda| group taken by one multiplication per offset,
     and sums the parts; then applies the Gaussian (in real arithmetic at
     real points) and the normalization.  One [slice, *points] array, in the
-    order given.
+    order given.  A part is multiplied in place on a real plane and into a
+    new array at complexified points, where a constant part broadcasts.
     """
     rho = real_radii(zc, zm)
     out = np.zeros((len(slices),) + np.broadcast(zc, zm).shape, dtype=complex)
@@ -482,7 +495,10 @@ def _fields(slices, zc, zm) -> np.ndarray:
             mono_p = mono_p * var_p
             mono_q = mono_q * var_q
             power += 1
-        acc *= mono_p if q >= 0 else mono_q
+        if rho is None:
+            acc = acc * (mono_p if q >= 0 else mono_q)
+        else:
+            acc *= mono_p if q >= 0 else mono_q
         out[i] += acc
     gauss = {}
     for i, ms in enumerate(slices):
@@ -494,7 +510,7 @@ def _fields(slices, zc, zm) -> np.ndarray:
     return out
 
 
-def slice_powers(slices, zc, zm) -> list:
+def slice_powers(slices, zc, zm, plan=None) -> list:
     """Mean of |field|^2 over the U(1) orbit of each slice, any |lambda|, at
     the points (zc, zm) and at the swapped points (zm, zc).
 
@@ -511,13 +527,15 @@ def slice_powers(slices, zc, zm) -> list:
     at (zc, zm), [1] at (zm, zc).  [1] is [0] of slice_powers(slices, zm,
     zc) bit for bit wherever zc * zm and zm * zc are the same float (numpy
     rounds the imaginary part of a complex product by operand order).
+    plan, if given, is _offset_plan(slices), which the orbital sum keeps
+    from call to call; a constant part broadcasts against the points.
     """
     shape = np.broadcast(zc, zm).shape
     out = [np.zeros((2,) + shape) for _ in slices]
     abs2 = np.stack(np.broadcast_arrays(zc.real ** 2 + zc.imag ** 2,
                                         zm.real ** 2 + zm.imag ** 2))
     al_now = None
-    for i, q, acc in _offset_sums(slices, zc, zm):
+    for i, q, acc in _offset_sums(slices, zc, zm, plan):
         al = abs(slices[i].lam)
         if al != al_now:
             al_now, power = al, 0

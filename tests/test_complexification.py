@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import small_spec
-from gutzmerlab import complexification
+from gutzmerlab import complexification, hermite_modes
 from gutzmerlab.complexification import (
     OrbitalError,
     RayPlan,
@@ -301,13 +303,13 @@ class TestOrbitalGrid:
     def grid_sizes(monkeypatch):
         sizes = []
 
-        def spy(slices, zc, zm):
+        def spy(slices, zc, zm, plan=None):
             # the folded point set: the npad(npad+1)/2 points with u >= x
             count, = zc.shape
             npad = int(np.sqrt(2 * count))
             assert npad * (npad + 1) // 2 == count
             sizes.append(npad)
-            return slice_powers(slices, zc, zm)
+            return slice_powers(slices, zc, zm, plan)
 
         monkeypatch.setattr(complexification, "slice_powers", spy)
         return sizes
@@ -335,6 +337,56 @@ class TestOrbitalGrid:
         cap = int(round(complexification.PAD_FACTOR * sd.xgrid.size))
         monkeypatch.setattr(complexification, "_orbital_points", lambda nx, hx, w0: cap)
         assert got == orbital_direct(sd, p, spec)
+
+
+class TestKeptPlan:
+    """orbital_direct keeps the populated slices and their _offset_plan on
+    the SpectralData, and rebuilds them once a coefficient changes."""
+
+    PT = (0.6, -0.4, 0.3)
+
+    @staticmethod
+    def fresh():
+        return synth_bandlimited(1.0, 7.0, seed=11, spec=small_spec())[1]
+
+    @staticmethod
+    def plan_builds(monkeypatch):
+        builds, build = [], hermite_modes._offset_plan
+
+        def spy(slices):
+            builds.append(len(slices))
+            return build(slices)
+
+        monkeypatch.setattr(complexification, "_offset_plan", spy)
+        monkeypatch.setattr(hermite_modes, "_offset_plan", spy)
+        return builds
+
+    def test_one_build_for_an_unchanged_fixture(self, monkeypatch):
+        sd = self.fresh()
+        builds = self.plan_builds(monkeypatch)
+        got = [orbital_direct(sd, imag_pt(*self.PT)) for _ in range(5)]
+        assert len(builds) == 1 and len(set(got)) == 1
+
+    def test_in_place_edit_rebuilds(self, monkeypatch):
+        sd = self.fresh()
+        p = imag_pt(*self.PT)
+        before = orbital_direct(sd, p)
+        single_cell(sd, 2, 5)
+        builds = self.plan_builds(monkeypatch)
+        got = orbital_direct(sd, p)
+        monkeypatch.undo()
+        want = orbital_direct(single_cell(self.fresh(), 2, 5), p)
+        assert builds == [1] and got == want and got != before
+
+    def test_replaced_copy_starts_without_the_plan(self, monkeypatch):
+        sd = self.fresh()
+        p = imag_pt(*self.PT)
+        want = orbital_direct(sd, p)
+        copy = dataclasses.replace(sd)
+        assert copy == sd and repr(copy) == repr(sd)
+        builds = self.plan_builds(monkeypatch)
+        assert orbital_direct(copy, p) == want and len(builds) == 1
+        assert orbital_direct(sd, p) == want and len(builds) == 1
 
 
 class TestApplyD:

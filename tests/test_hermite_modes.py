@@ -627,6 +627,93 @@ class TestRealPlanes:
         assert np.all(real[:, 0]) and members.shape == (values.size, np.bincount(inverse).max())
 
 
+def edge_slice(lam, kmax=5, acap=7, seed=0):
+    """A slice with coefficients on the k = 0 row and the a = 0 column only:
+    every running sum of it has degree 0 (weighs L_0 = 1 alone)."""
+    ms = random_slice(lam, kmax, acap, seed)
+    ms.coef[1:, 1:] = 0.0
+    return ms
+
+
+def slice_powers_by_point(group, zc, zm):
+    """slice_powers for one |lambda| group with every running sum from
+    laguerre_sums at every point, constant ones included."""
+    al = abs(group[0].lam)
+    out = [np.zeros((2,) + np.broadcast(zc, zm).shape) for _ in group]
+    base = 0.5 * al * np.stack(np.broadcast_arrays(zc.real ** 2 + zc.imag ** 2,
+                                                   zm.real ** 2 + zm.imag ** 2))
+    pows, power = np.ones_like(base), 0
+    s = 0.5 * al * (zc * zm)
+    for _, d, idx, on_p, W in _offset_plan(group):
+        for _ in range(d - power):
+            pows = pows * base
+            power += 1
+        for i, p, acc in zip(idx, on_p, laguerre_sums(W.shape[1] - 1, d, s, W)):
+            part = acc.real ** 2
+            part += acc.imag ** 2
+            out[i] += part * (pows if p else pows[::-1])
+    gauss2 = np.exp(-0.5 * al * np.real(zc * zm))
+    for pw in out:
+        pw *= al / (2.0 * np.pi)
+        pw *= gauss2
+    return out
+
+
+class TestConstantParts:
+    """At complexified points a running sum of degree 0 is its weight, a
+    constant that broadcasts against the points, and runs no recurrence;
+    the fields and powers are the pointwise recurrence's bit for bit."""
+
+    GROUPS = {
+        "edges": lambda: [edge_slice(0.7, seed=50), edge_slice(-0.7, seed=51)],
+        "mixed": lambda: [random_slice(1.1, seed=52), edge_slice(-1.1, seed=53)],
+    }
+
+    @staticmethod
+    def degrees(group):
+        return [W.shape[1] - 1 for *_, W in _offset_plan(group)]
+
+    @staticmethod
+    def recurrences(monkeypatch):
+        calls, run = [], hermite_modes.laguerre_sums
+
+        def spy(mtop, order, s, W):
+            calls.append(mtop)
+            return run(mtop, order, s, W)
+
+        monkeypatch.setattr(hermite_modes, "laguerre_sums", spy)
+        return calls
+
+    def test_degrees(self):
+        assert set(self.degrees(self.GROUPS["edges"]())) == {0}
+        mixed = self.degrees(self.GROUPS["mixed"]())
+        assert 0 in mixed and max(mixed) > 0
+
+    @pytest.mark.parametrize("name", sorted(GROUPS))
+    def test_fields_and_powers(self, name, monkeypatch):
+        group = self.GROUPS[name]()
+        zc, zm = complex_points(seed=54)
+        calls = self.recurrences(monkeypatch)
+        fields, powers = _fields(group, zc, zm), slice_powers(group, zc, zm)
+        assert calls == [t for t in self.degrees(group) if t > 0] * 2
+        monkeypatch.undo()
+        for got, want in zip(fields, slice_fields_by_point(group, zc, zm)):
+            assert got.shape == zc.shape and np.array_equal(got, want)
+        for got, want in zip(powers, slice_powers_by_point(group, zc, zm)):
+            assert got.shape == (2,) + zc.shape and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name", sorted(GROUPS))
+    def test_modal_fields_on_a_cut_plane(self, name):
+        # points constant along axis 0: the plane is [1, 4], the fields [3, 4]
+        group = self.GROUPS[name]()
+        zc, zm = complex_points(seed=55)
+        zc, zm = np.broadcast_to(zc[:1], (3, 4)), np.broadcast_to(zm[:1], (3, 4))
+        planes = point_planes(zc[..., None], zm[..., None])
+        assert planes[1][0][0].shape == (1, 4)
+        for got, want in zip(modal_fields(group, planes), slice_fields_by_point(group, zc, zm)):
+            assert got.shape == (3, 4) and np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # n >= 2: ModalSliceND.field against the per-mode e1d product
 # ---------------------------------------------------------------------------
