@@ -80,8 +80,9 @@ def cmd_synth(args) -> int:
                               tune_grid=args.tune_grid)
     containers.write_gfn(args.output + ".gfn", f)
     containers.write_spd(args.output + ".spd", sd)
+    band = sd.achieved_band()
     print(f"wrote {args.output}.gfn and {args.output}.spd "
-          f"(achieved band A*={sd.band.A:.6g}, B*={sd.band.B:.6g})")
+          f"(achieved band A*={band.A:.6g}, B*={band.B:.6g})")
     return 0
 
 
@@ -180,7 +181,7 @@ def _positive_half(sd):
     neg = sd.lam < 0
     modal = [replace(ms, coef=np.zeros_like(ms.coef)) if drop else ms
              for ms, drop in zip(sd.modal, neg)]
-    return replace(sd, modal=modal, norms2=np.where(neg, 0.0, sd.norms2))
+    return replace(sd, modal=modal)
 
 
 def _suite_thm35(args):
@@ -234,13 +235,15 @@ def cmd_detect(args) -> int:
     import json
     from . import containers
     from .complexification import detect_bandlimit
+    from .grids import SpectralError
     sd = containers.read_spd(args.input)
     report = detect_bandlimit(sd)
     doc = report.to_dict()
     if sd.requested_band is not None:
         doc["requested"] = {"A": sd.requested_band.A, "B": sd.requested_band.B}
-    if sd.band is not None:
-        doc["achieved"] = {"A": sd.band.A, "B": sd.band.B}
+    with contextlib.suppress(SpectralError):    # an empty spectrum has no achieved band
+        band = sd.achieved_band()
+        doc["achieved"] = {"A": band.A, "B": band.B}
     text = json.dumps(doc, indent=2)
     if args.output:
         with open(args.output, "w") as fh:

@@ -98,19 +98,16 @@ def _orbital_plan(sd: SpectralData) -> tuple:
     """(live, plan): the populated slices of sd, each (lambda, -lambda) pair
     next to each other, and their _offset_plan.
 
-    Built on first use and kept on sd outside its dataclass fields, so ==,
-    repr and dataclasses.replace ignore it; reused while every lambda and
-    every coefficient equals the one it was built from, and rebuilt
-    otherwise, so an in-place edit of sd.modal shows in the next sum.
+    sd is frozen and its coefficients read-only, so the plan is built once
+    per instance, on first use, and kept on sd outside its dataclass fields:
+    ==, repr and dataclasses.replace ignore it, and a replace copy builds
+    its own.
     """
-    key = (sd.lam.tolist(), [(ms.lam, ms.coef.shape) for ms in sd.modal])
-    coefs = np.concatenate([ms.coef.ravel() for ms in sd.modal])
     kept = vars(sd).get("_kept_orbital_plan")
-    if kept is not None and kept[0] == key and np.array_equal(kept[1], coefs):
-        return kept[2]
-    live = [j for group in abs_lam_groups(sd.lam) for j in group if sd.modal[j].coef.any()]
-    sd._kept_orbital_plan = key, coefs, (live, _offset_plan([sd.modal[j] for j in live]))
-    return sd._kept_orbital_plan[2]
+    if kept is None:
+        live = [j for group in abs_lam_groups(sd.lam) for j in group if sd.modal[j].coef.any()]
+        kept = vars(sd)["_kept_orbital_plan"] = live, _offset_plan([sd.modal[j] for j in live])
+    return kept
 
 
 def _orbital_sum(sd: SpectralData, r: float, eta: float, npad: int, hx: float) -> tuple:
@@ -174,10 +171,10 @@ def orbital_direct(sd: SpectralData, p: ComplexPoint,
     only there.  spec is not read.
     Once per fixture, not per call: the list of populated slices and the
     scatter of their coefficients into running-sum weights (_orbital_plan,
-    kept on sd until a coefficient changes).  Per call, once per |lambda|
-    group: the Laguerre sums of each offset (a constant, with no recurrence,
-    for an offset whose weights stop at m = 0), the monomial powers and the
-    pair of exponentials e^{+-|lambda| phase}.
+    kept on the frozen sd).  Per call, once per |lambda| group: the
+    Laguerre sums of each offset (a constant, with no recurrence, for an
+    offset whose weights stop at m = 0), the monomial powers and the pair
+    of exponentials e^{+-|lambda| phase}.
     """
     if sd.n != 1:
         raise OrbitalError("direct orbital integrals are implemented for n=1 only")

@@ -8,8 +8,8 @@ SPD1 (spectral data): magic b"SPD1".
     uint32 n, nlam, kmax+1, flags, nx, nu; float64 lx, lu, dl,
     A_requested, B_requested (zero when absent);
     float64 lambda[nlam], wmu[nlam]; float64 norms2 stored row-major [k, j],
-    which readers require to match the blocks' proj_norms2 to 1e-12 of
-    the largest entry;
+    a copy of the blocks' proj_norms2 (which the SpectralData read derives
+    and holds) to 1e-12 of the largest entry, or the reader refuses it;
     flags bit1: modal coefficient blocks follow as complex float64
     [nlam, kmax+1, acap+1] preceded by uint32 acap+1.  Writers set bit1
     only, and readers require it.  Bit0 once marked projection blocks ahead
@@ -26,7 +26,7 @@ import numpy as np
 
 from .grids import fft_grid as _fft_grid
 from .hermite_modes import ModalSlice
-from .spectral import BandLimit, GridFunction, LambdaGrid, SpectralData, SpectralError
+from .spectral import BandLimit, GridFunction, LambdaGrid, SpectralData
 
 
 # Largest nx, nu an SPD1 header may declare.  Without projection blocks the
@@ -165,18 +165,12 @@ def read_spd(path: str) -> SpectralData:
             raw = np.frombuffer(fh.read(kk * acap * 16), dtype="<c16")
             _require(np.all(np.isfinite(raw)), f"SPD1 modal block {j} holds a non-finite value")
             modal.append(ModalSlice(float(lam[j]), raw.reshape(kk, acap).astype(complex)))
-    # norms2 is derived data: it must be what the blocks give
-    derived = np.stack([ms.proj_norms2(kk - 1) for ms in modal], axis=1)
-    _require(np.max(np.abs(derived - norms2)) <= 1e-12 * np.max(derived),
-             "SPD1 norms2 table disagrees with its modal coefficient blocks")
     sd = SpectralData(
         n=n, lgrid=LambdaGrid(lam, dl, wmu), kmax=kk - 1,
-        xgrid=_fft_grid(nx, lx), ugrid=_fft_grid(nu, lu), norms2=norms2, modal=modal,
-        tail=np.zeros(nlam),
+        xgrid=_fft_grid(nx, lx), ugrid=_fft_grid(nu, lu), modal=modal, tail=np.zeros(nlam),
         requested_band=BandLimit(areq, breq) if areq > 0 and breq > 0 else None,
     )
-    try:
-        sd.band = sd.achieved_band()
-    except SpectralError:
-        sd.band = None
+    # the stored table is a copy of what the blocks give, which sd holds
+    _require(np.max(np.abs(sd.norms2 - norms2)) <= 1e-12 * np.max(sd.norms2),
+             "SPD1 norms2 table disagrees with its modal coefficient blocks")
     return sd

@@ -87,8 +87,6 @@ def gauss_legendre_on(a: float, b: float, n: int):
     return (x + 1.0) * (b - a) / 2.0 + a, w * (b - a) / 2.0
 
 
-_tail_cache: dict = {}
-
 # highest projection level max_radial_level tests
 RADIAL_LEVEL_CAP = 400
 
@@ -129,11 +127,12 @@ def laguerre_tail_mass(m: int, d: int, S: float) -> float:
     (_tail_quadrature).  Cached under S rounded to 6 decimals, and evaluated
     at that rounded S, so no call order matters.
     """
-    S = round(float(S), 6)
-    key = (m, d, S)
-    if key not in _tail_cache:
-        _tail_cache[key] = float(_poisson_tail(d, S)[d]) if m == 0 else _tail_quadrature(m, d, S)
-    return _tail_cache[key]
+    return _tail_mass(m, d, round(float(S), 6))
+
+
+@lru_cache(maxsize=None)
+def _tail_mass(m: int, d: int, S: float) -> float:
+    return float(_poisson_tail(d, S)[d]) if m == 0 else _tail_quadrature(m, d, S)
 
 
 def _tail_quadrature(m: int, d: int, S: float) -> float:

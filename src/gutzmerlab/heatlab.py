@@ -81,11 +81,10 @@ def heat_apply(sd, t: float):
         raise HeatError("heat time must be non-negative")
     if t == 0:
         return sd
-    mult = np.exp(-t * sd.lam[None, :] ** 2 - sd.fan * t)
     modal = [copy.copy(ms) for ms in sd.modal]      # each keeps its class
     for ms, lv in zip(modal, sd.lam):
         ms.coef = ms.coef * np.exp(-t * lv ** 2 - (2 * ms.levels() + sd.n) * abs(lv) * t)
-    return replace(sd, modal=modal, norms2=sd.norms2 * mult ** 2)
+    return replace(sd, modal=modal)
 
 
 def heat_image_norm(sd_heated, t: float) -> float:

@@ -40,10 +40,10 @@ monomials depend on |lam| only, so lam and -lam share each sum; the sign
 only picks the monomial of a mode and adds (-1)^d to its weight.  One
 scatter (_offset_plan) builds every weight of a set of slices, in rows
 indexed by (|lam| group, d, slice x diagonal): once per call for the fields,
-once per SpectralData for the direct orbital sum, which keeps it
-(complexification._orbital_plan) and hands it to slice_powers.  The
-generator _offset_sums yields each slice's U(1)-weight parts G_q, q = +-d,
-without their monomial.
+and for the direct orbital sum once per SpectralData, whose coefficients
+are read-only (complexification._orbital_plan keeps it on the instance and
+hands it to slice_powers).  The generator _offset_sums yields each slice's
+U(1)-weight parts G_q, q = +-d, without their monomial.
 _fields multiplies them by P^d or Q^d and adds them up; slice_powers, the
 mean of |field|^2 over the U(1) orbit, adds |G_q|^2 |P|^2d (or |Q|^2d) in
 real arithmetic.  Swapping the points, (zc, zm) -> (zm, zc), keeps s and

@@ -31,7 +31,7 @@ exact by discrete Fourier orthogonality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
@@ -156,19 +156,21 @@ def grid_planes(n: int, xgrid: np.ndarray, ugrid: np.ndarray) -> tuple:
     return shape, axes
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpectralData:
-    """Per-(k, lambda) content of a function on H^n.
+    """Per-(k, lambda) content of a function on H^n, frozen once built.
 
     modal[j] holds the Hermite-Laguerre coefficients of the slice at
     lambda_j, one ModalSlice at every n: the dense tensor
     coef[beta_1, alpha_1, ..., beta_n, alpha_n] (coef[k, a] at n = 1), zero
     outside the admitted modes.  They are the only stored copy of the
-    spectral content.
-    norms2[k, j] = (2 pi)^{-n} |lambda_j|^n ||projections[j, k]||^2 is filled
-    from them once (ModalSlice.proj_norms2).  projections and slices are not
-    stored: each access evaluates them on the sample grid from modal, as one
-    [node, ...] array, so hoist them out of loops.
+    spectral content: modal is held as a tuple and every coef read-only.
+    norms2[k, j] = (2 pi)^{-n} |lambda_j|^n ||projections[j, k]||^2 is
+    derived from them at construction (ModalSlice.proj_norms2), read-only,
+    and is not a constructor argument; dataclasses.replace derives it anew.
+    projections and slices are not stored: each access evaluates them on
+    the sample grid from modal, as one [node, ...] array, so hoist them out
+    of loops.
     """
 
     n: int
@@ -176,11 +178,18 @@ class SpectralData:
     kmax: int
     xgrid: np.ndarray
     ugrid: np.ndarray
-    norms2: np.ndarray
-    modal: list
+    modal: tuple
     tail: np.ndarray
-    band: Optional[BandLimit] = None
     requested_band: Optional[BandLimit] = None
+    norms2: np.ndarray = field(init=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "modal", tuple(self.modal))
+        for ms in self.modal:
+            ms.coef.flags.writeable = False
+        norms2 = np.stack([ms.proj_norms2(self.kmax) for ms in self.modal], axis=1)
+        norms2.flags.writeable = False
+        object.__setattr__(self, "norms2", norms2)
 
     @property
     def lam(self) -> np.ndarray:
@@ -376,7 +385,8 @@ def _plane_coefs(sls: np.ndarray, lam: np.ndarray, groups: list, Z: np.ndarray,
 
 def analyze(f: GridFunction, lgrid: LambdaGrid, kmax: int,
             spec: QuadratureSpec) -> SpectralData:
-    """Hermite-Laguerre coefficients of every slice, and their norms.
+    """Hermite-Laguerre coefficients of every slice (SpectralData derives
+    their norms).
 
     Admissibility depends on |lambda| only, and at real points
     E^{-lambda}_{ak}(z) = conj E^{lambda}_{ak}(z), so each |lambda| group
@@ -419,13 +429,10 @@ def analyze(f: GridFunction, lgrid: LambdaGrid, kmax: int,
     sls = partial_fourier_t(f, lam)                     # [node, *grid]
     layout = (kmax + 1, spec.beta_cap + 1) * n
     modal = [None] * lam.size
-    norms2 = np.zeros((kmax + 1, lam.size))
     tail = np.zeros(lam.size)
 
     def store(j, coef):
-        ms = ModalSlice(lam[j], coef)
-        norms2[:, j] = ms.proj_norms2(kmax)
-        modal[j] = ms
+        modal[j] = ModalSlice(lam[j], coef)
         tail[j] = max(0.0, float(np.sum(np.abs(sls[j]) ** 2) * harea - np.sum(np.abs(coef) ** 2)))
 
     def project(j, Bc, kept, at):
@@ -467,10 +474,8 @@ def analyze(f: GridFunction, lgrid: LambdaGrid, kmax: int,
             for j in group:
                 if lam[j] == l0:
                     project(j, B, kept, at)
-    return SpectralData(
-        n=n, lgrid=lgrid, kmax=kmax, xgrid=f.xgrid, ugrid=f.ugrid,
-        norms2=norms2, modal=modal, tail=tail,
-    )
+    return SpectralData(n=n, lgrid=lgrid, kmax=kmax, xgrid=f.xgrid, ugrid=f.ugrid,
+                        modal=modal, tail=tail)
 
 
 # ---------------------------------------------------------------------------
@@ -659,12 +664,7 @@ def synth_bandlimited(A: float, B: float, seed: int,
     modal = [ModalSlice(lv, coef) for lv, coef in zip(lgrid.lam, coefs)]
 
     tgrid = fft_grid(spec.nt, lgrid.t_half_window)
-    sdata = SpectralData(
-        n=1, lgrid=lgrid, kmax=kmax, xgrid=xg, ugrid=xg,
-        norms2=np.stack([ms.proj_norms2() for ms in modal], axis=1), modal=modal,
-        tail=np.zeros(lgrid.lam.size),
-        requested_band=BandLimit(A, B),
-    )
-    sdata.band = sdata.achieved_band()
+    sdata = SpectralData(n=1, lgrid=lgrid, kmax=kmax, xgrid=xg, ugrid=xg, modal=modal,
+                         tail=np.zeros(lgrid.lam.size), requested_band=BandLimit(A, B))
     f = invert_grid(sdata, tgrid)
     return f, sdata

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -49,3 +51,39 @@ def grid_stacks(n, xgrid, ugrid):
     shape, axes = grid_planes(n, xgrid, ugrid)
     return tuple(np.stack([np.broadcast_to(ax[i], shape) for ax in axes], axis=-1)
                  for i in (0, 1))
+
+
+def single_cell(sd, k0, j0, mass=1.7):
+    """A copy of sd (dataclasses.replace) collapsed to one populated (k,
+    lambda) cell: the level-k0 row of slice j0 ([1, 0.5i, 0, ...] where that
+    row is empty), renormalized to norms2[k0, j0] = mass.  n = 1."""
+    keep = sd.modal[j0].coef[k0].copy()
+    if not np.any(keep):
+        keep[:2] = [1.0, 0.5j]
+    scale = 2 * np.pi / abs(sd.lam[j0])
+    keep *= np.sqrt(mass / (scale * np.sum(np.abs(keep) ** 2)))
+    modal = [dataclasses.replace(ms, coef=np.zeros_like(ms.coef)) for ms in sd.modal]
+    modal[j0].coef[k0] = keep
+    return dataclasses.replace(sd, modal=modal)
+
+
+def scaled(sd, factor):
+    """A copy of sd with every coefficient times factor: f -> factor f."""
+    return dataclasses.replace(sd, modal=[dataclasses.replace(ms, coef=factor * ms.coef)
+                                          for ms in sd.modal])
+
+
+def planted(sd, k, j, mass):
+    """A copy of sd with mass added to the cell norms2[k, j], through the
+    level-k row of slice j: that row scaled, or, where it is empty, one
+    entry set at a = 0.  n = 1."""
+    coef = sd.modal[j].coef.copy()
+    scale = 2 * np.pi / abs(sd.lam[j])
+    old = scale * np.sum(np.abs(coef[k]) ** 2)
+    if old > 0:
+        coef[k] *= np.sqrt((old + mass) / old)
+    else:
+        coef[k, 0] = np.sqrt(mass / scale)
+    modal = list(sd.modal)
+    modal[j] = dataclasses.replace(modal[j], coef=coef)
+    return dataclasses.replace(sd, modal=modal)

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
 
+from conftest import planted
+from gutzmerlab.cli import _positive_half
 from gutzmerlab.complexification import (
     detect_bandlimit,
     gutzmer_spectral,
@@ -150,7 +152,7 @@ def test_criterion_06_paley_wiener_detector(deskspec):
     ok = True
     for (A, B) in ((1.0, 9.0), (0.5, 2.0)):
         f, sd = synth_bandlimited(A, B, seed=7, spec=deskspec, tune_grid=True)
-        assert sd.band.B == pytest.approx(B, rel=1e-9), "grid tuning must realize B"
+        assert sd.achieved_band().B == pytest.approx(B, rel=1e-9), "grid tuning must realize B"
         rep = detect_bandlimit(sd)
         eta_fit = next(ft for ft in rep.fits if ft.ray == "eta")
         rad_fit = next(ft for ft in rep.fits if ft.ray == "radial")
@@ -163,14 +165,9 @@ def test_criterion_06_paley_wiener_detector(deskspec):
         details.append(f"(A={A},B={B}): slopes {e_err*100:.1f}%/{r_err*100:.1f}%, "
                        f"detect {a_err*100:.1f}%/{b_err*100:.1f}%")
         # planted out-of-band cell must be rejected by the tail test
-        import copy
-
-        sdv = copy.copy(sd)
-        sdv.norms2 = sd.norms2.copy()
         lam_t = 1.25 * B / (2 * 4 + 1)
         j = int(np.argmin(np.abs(np.abs(sd.lam) - lam_t)))
-        sdv.norms2[4, j] += 1e-3 * np.max(sd.norms2)
-        repv = detect_bandlimit(sdv)
+        repv = detect_bandlimit(planted(sd, 4, j, 1e-3 * np.max(sd.norms2)))
         ok &= repv.verdict == "tail-violation" and bool(repv.tail_test["offending_cells"])
         details.append("planted cell rejected" if repv.verdict == "tail-violation"
                        else "planted cell MISSED")
@@ -195,20 +192,14 @@ def test_criterion_07_lemma63():
 
 def test_criterion_08_thm35_bounds(deskspec, fixtures):
     t0 = time.time()
-    import copy
-
     _, f, sd0 = fixtures[1]
-    sd = copy.copy(sd0)
-    sd.norms2 = sd0.norms2.copy()
-    sd.norms2[:, sd.lam < 0] = 0.0
+    sd = _positive_half(sd0)
     bl = sd.achieved_band()
     rep = thm35_forward(sd, bl.A, bl.B)
     tail_ok = thm35_converse_tail(sd, bl.B)["verdict"] == "supported"
-    sdv = copy.copy(sd)
-    sdv.norms2 = sd.norms2.copy()
     j = int(np.argmin(np.abs(sd.lam - bl.A)))
     kbad = int(np.ceil((1.4 * bl.B / bl.A - 1) / 2))
-    sdv.norms2[kbad, j] += 1e-3 * np.max(sd.norms2)
+    sdv = planted(sd, kbad, j, 1e-3 * np.max(sd.norms2))
     tail_bad = thm35_converse_tail(sdv, bl.B)["verdict"] == "violated"
     elapsed = time.time() - t0
     ok = rep["passes"] and tail_ok and tail_bad and elapsed <= 60.0

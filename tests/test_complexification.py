@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import small_spec
+from conftest import planted, scaled, single_cell, small_spec
 from gutzmerlab import complexification, hermite_modes
 from gutzmerlab.complexification import (
     OrbitalError,
@@ -15,6 +15,7 @@ from gutzmerlab.complexification import (
     orbital_direct,
     pw_forward_check,
 )
+from gutzmerlab.cli import _positive_half
 from gutzmerlab.heatlab import heat_apply, heat_image_norm
 from gutzmerlab.heisenberg_core import ComplexPoint
 from gutzmerlab.grids import QuadratureSpec, gauss_legendre_on
@@ -27,25 +28,6 @@ from gutzmerlab.spectral import LambdaGrid, synth_bandlimited
 
 def imag_pt(y, v, eta):
     return ComplexPoint.purely_imaginary([y], [v], eta)
-
-
-def single_cell(sd, k0, j0, mass=1.7):
-    """Collapse a fixture to one populated (k, lambda) cell, renormalized."""
-    for j in range(sd.lam.size):
-        if j != j0:
-            sd.modal[j].coef[:] = 0.0
-    keep = sd.modal[j0].coef[k0].copy()
-    sd.modal[j0].coef[:] = 0.0
-    if not np.any(keep):
-        keep = np.zeros(sd.modal[j0].coef.shape[1], complex)
-        keep[:2] = [1.0, 0.5j]
-    scale = 2 * np.pi / abs(sd.lam[j0])
-    keep *= np.sqrt(mass / (scale * np.sum(np.abs(keep) ** 2)))
-    sd.modal[j0].coef[k0] = keep
-    nz = np.zeros_like(sd.norms2)
-    nz[k0, j0] = mass
-    sd.norms2 = nz
-    return sd
 
 
 def table_field(ms, zc, zm):
@@ -163,8 +145,7 @@ class TestGutzmerIdentity:
         wmu = np.append(sd.wmu, 1.0)
         wider = type(sd)(n=1, lgrid=LambdaGrid(lam, sd.lgrid.dl, wmu), kmax=sd.kmax,
                          xgrid=sd.xgrid, ugrid=sd.ugrid,
-                         norms2=np.hstack([sd.norms2, np.zeros((sd.kmax + 1, 1))]),
-                         modal=sd.modal + [ModalSlice(lam[-1], np.zeros_like(sd.modal[0].coef))],
+                         modal=[*sd.modal, ModalSlice(lam[-1], np.zeros_like(sd.modal[0].coef))],
                          tail=np.append(sd.tail, 0.0))
         p = imag_pt(*pt)
         assert orbital_direct(wider, p, spec) == orbital_direct(sd, p, spec)
@@ -209,7 +190,7 @@ class TestGutzmerIdentity:
     def test_orbital_n2_rejected(self, fixture_small):
         _, _, sd = fixture_small
         sd2 = type(sd)(n=2, lgrid=sd.lgrid, kmax=sd.kmax, xgrid=sd.xgrid,
-                       ugrid=sd.ugrid, norms2=sd.norms2, modal=sd.modal, tail=sd.tail)
+                       ugrid=sd.ugrid, modal=sd.modal, tail=sd.tail)
         with pytest.raises(OrbitalError, match="n=1"):
             orbital_direct(sd2, ComplexPoint.purely_imaginary([0, 0], [0, 0], 0.0))
 
@@ -341,7 +322,7 @@ class TestOrbitalGrid:
 
 class TestKeptPlan:
     """orbital_direct keeps the populated slices and their _offset_plan on
-    the SpectralData, and rebuilds them once a coefficient changes."""
+    the frozen SpectralData: one build per instance."""
 
     PT = (0.6, -0.4, 0.3)
 
@@ -367,17 +348,6 @@ class TestKeptPlan:
         got = [orbital_direct(sd, imag_pt(*self.PT)) for _ in range(5)]
         assert len(builds) == 1 and len(set(got)) == 1
 
-    def test_in_place_edit_rebuilds(self, monkeypatch):
-        sd = self.fresh()
-        p = imag_pt(*self.PT)
-        before = orbital_direct(sd, p)
-        single_cell(sd, 2, 5)
-        builds = self.plan_builds(monkeypatch)
-        got = orbital_direct(sd, p)
-        monkeypatch.undo()
-        want = orbital_direct(single_cell(self.fresh(), 2, 5), p)
-        assert builds == [1] and got == want and got != before
-
     def test_replaced_copy_starts_without_the_plan(self, monkeypatch):
         sd = self.fresh()
         p = imag_pt(*self.PT)
@@ -387,6 +357,12 @@ class TestKeptPlan:
         builds = self.plan_builds(monkeypatch)
         assert orbital_direct(copy, p) == want and len(builds) == 1
         assert orbital_direct(sd, p) == want and len(builds) == 1
+        # a copy with other coefficients builds its own plan, and sums them
+        narrowed = single_cell(sd, 2, 5)
+        got = orbital_direct(narrowed, p)
+        monkeypatch.undo()
+        assert len(builds) == 2 and got != want
+        assert got == orbital_direct(single_cell(self.fresh(), 2, 5), p)
 
 
 class TestApplyD:
@@ -412,8 +388,7 @@ class TestApplyD:
 
     def test_monotone_on_positive_lambda_fixture(self):
         spec = small_spec()
-        _, sd = synth_bandlimited(1.0, 5.0, seed=6, spec=spec)
-        sd.norms2[:, sd.lam < 0] = 0.0
+        sd = _positive_half(synth_bandlimited(1.0, 5.0, seed=6, spec=spec)[1])
         for fn in (apply_D, gutzmer_spectral):
             vals_r = [fn(sd, imag_pt(r, 0.0, 0.0)) for r in (0.0, 0.5, 1.0, 2.0)]
             assert np.all(np.diff(vals_r) > 0)
@@ -498,14 +473,10 @@ class TestPWForward:
             pw_forward_check(sd, BandLimit(sd.achieved_band().A / 2, 1.0))
 
     def test_zero_function_bound_with_c_zero(self, fixture_small):
-        import copy
-
         from gutzmerlab.spectral import BandLimit
 
         _, _, sd0 = fixture_small
-        sd = copy.copy(sd0)
-        sd.norms2 = np.zeros_like(sd0.norms2)
-        rep = pw_forward_check(sd, BandLimit(1.0, 9.0))
+        rep = pw_forward_check(scaled(sd0, 0.0), BandLimit(1.0, 9.0))
         assert rep["C_eta"] == 0.0 and rep["C_radial"] == 0.0
         assert not rep["violations"]
 
@@ -514,7 +485,7 @@ class TestDetector:
     def test_detects_fixture_band(self, fixture_small):
         _, _, sd = fixture_small
         rep = detect_bandlimit(sd)
-        bl = sd.band
+        bl = sd.achieved_band()
         assert rep.verdict == "ok"
         assert abs(rep.A_hat - bl.A) <= 0.05 * bl.A
         assert abs(rep.B_hat - bl.B) <= 0.05 * bl.B
@@ -531,12 +502,8 @@ class TestDetector:
         assert rep.B_hat == pytest.approx((2 * k0 + 1) * lam0, rel=5e-3)
 
     def test_zero_function_inconclusive(self, fixture_small):
-        import copy
-
         _, _, sd0 = fixture_small
-        sd = copy.copy(sd0)
-        sd.norms2 = np.zeros_like(sd0.norms2)
-        rep = detect_bandlimit(sd)
+        rep = detect_bandlimit(scaled(sd0, 0.0))
         assert rep.verdict == "inconclusive"
 
     def test_never_underestimates_badly(self):
@@ -545,20 +512,16 @@ class TestDetector:
         for seed in (1, 2, 3):
             _, sd = synth_bandlimited(0.75, 4.0, seed=seed, spec=spec)
             rep = detect_bandlimit(sd)
-            assert rep.A_hat >= sd.band.A * 0.95
-            assert rep.B_hat >= sd.band.B * 0.95
+            bl = sd.achieved_band()
+            assert rep.A_hat >= bl.A * 0.95
+            assert rep.B_hat >= bl.B * 0.95
 
     def test_tail_test_flags_planted_cell(self, fixture_small):
-        import copy
-
         _, _, sd0 = fixture_small
-        sd = copy.copy(sd0)
-        sd.norms2 = sd0.norms2.copy()
-        B = sd0.band.B
+        B = sd0.achieved_band().B
         # plant a small cell with fan value ~ 1.3 B
         lam_t = B * 1.3 / (2 * 4 + 1)
-        j = int(np.argmin(np.abs(np.abs(sd.lam) - lam_t)))
-        sd.norms2[4, j] += 1e-3 * np.max(sd.norms2)
-        rep = detect_bandlimit(sd)
+        j = int(np.argmin(np.abs(np.abs(sd0.lam) - lam_t)))
+        rep = detect_bandlimit(planted(sd0, 4, j, 1e-3 * np.max(sd0.norms2)))
         assert rep.verdict == "tail-violation"
         assert rep.tail_test["offending_cells"]

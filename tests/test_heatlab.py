@@ -1,10 +1,10 @@
-import copy
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import small_spec
+from conftest import planted, scaled, single_cell, small_spec
+from gutzmerlab.cli import _positive_half
 from gutzmerlab.grids import QuadratureSpec, fft_grid
 from gutzmerlab.heatlab import (
     HeatError,
@@ -91,6 +91,13 @@ class TestHeatApply:
         assert np.max(np.abs(a.norms2 - b.norms2)) < 1e-14 * np.max(b.norms2)
         assert np.max(np.abs(a.projections[3] - b.projections[3])) < 1e-14
 
+    def test_norms2_derived_from_the_heated_coefficients(self, fixture_small):
+        _, _, sd = fixture_small
+        sdh = heat_apply(sd, 0.3)
+        want = np.stack([ms.proj_norms2(sd.kmax) for ms in sdh.modal], axis=1)
+        assert np.array_equal(sdh.norms2, want)
+        assert not np.array_equal(sdh.norms2, sd.norms2)
+
     def test_single_mode_scaling(self, fixture_small):
         _, _, sd = fixture_small
         t = 0.3
@@ -113,7 +120,6 @@ class TestHeatApply:
         nd_modal = [ModalSliceND(lv, 2, modes, c) for lv, c in zip(lgrid.lam, coefs)]
         grid = fft_grid(8, 5.0)
         nd, dense = (SpectralData(n=2, lgrid=lgrid, kmax=2, xgrid=grid, ugrid=grid,
-                                  norms2=np.stack([ms.proj_norms2(2) for ms in modal], axis=1),
                                   modal=modal, tail=np.zeros(3))
                      for modal in (nd_modal, [ModalSlice(ms.lam, ms.coef) for ms in nd_modal]))
         before = [ms.coef.copy() for ms in nd.modal]
@@ -147,14 +153,12 @@ class TestHeatImage:
 
     def test_zero_function(self, fixture_small):
         _, _, sd0 = fixture_small
-        sd = copy.copy(sd0)
-        sd.norms2 = np.zeros_like(sd0.norms2)
+        sd = scaled(sd0, 0.0)
         assert heat_image_norm(heat_apply(sd, 0.1), 0.1) == 0.0
 
     def test_quadratic_scaling(self, fixture_small):
         _, _, sd0 = fixture_small
-        sd = copy.copy(sd0)
-        sd.norms2 = 4.0 * sd0.norms2  # |2 f|^2
+        sd = scaled(sd0, 2.0)  # |2 f|^2
         v0 = heat_image_norm(heat_apply(sd0, 0.1), 0.1)
         v1 = heat_image_norm(heat_apply(sd, 0.1), 0.1)
         assert v1 == pytest.approx(4.0 * v0, rel=1e-12)
@@ -218,12 +222,7 @@ class TestLemma63:
 @pytest.fixture(scope="module")
 def positive_sd():
     spec = small_spec()
-    _, sd = synth_bandlimited(1.0, 5.0, seed=13, spec=spec)
-    sd.norms2[:, sd.lam < 0] = 0.0
-    for j, lv in enumerate(sd.lam):
-        if lv < 0:
-            sd.modal[j].coef[:] = 0.0
-    return sd
+    return _positive_half(synth_bandlimited(1.0, 5.0, seed=13, spec=spec)[1])
 
 
 class TestThm35:
@@ -254,8 +253,6 @@ class TestThm35:
     def test_single_mode_slope_bound(self):
         spec = small_spec()
         _, sd = synth_bandlimited(1.0, 5.0, seed=4, spec=spec)
-        from test_complexification import single_cell
-
         j0 = int(np.argmin(np.abs(sd.lam - 0.875)))
         sd = single_cell(sd, 1, j0, 1.0)
         lam0 = sd.lam[j0]
@@ -271,24 +268,30 @@ class TestThm35:
         with pytest.raises(HeatError, match="lambda < 0"):
             thm35_forward(sd, 1.0, 5.0)
 
+    def test_positive_half_norms2(self, fixture_small):
+        # the lambda < 0 coefficients zeroed: norms2 is that of the copy's own
+        # coefficients, and sd's with the lambda < 0 columns zeroed, bit for bit
+        _, _, sd = fixture_small
+        half = _positive_half(sd)
+        assert not any(ms.coef.any() for ms in half.modal if ms.lam < 0)
+        own = np.stack([ms.proj_norms2(half.kmax) for ms in half.modal], axis=1)
+        assert np.array_equal(half.norms2, own)
+        assert np.array_equal(half.norms2, np.where(sd.lam < 0, 0.0, sd.norms2))
+
     def test_tail_supported(self, positive_sd):
         bl = positive_sd.achieved_band()
         rep = thm35_converse_tail(positive_sd, bl.B)
         assert rep["verdict"] == "supported"
 
     def test_tail_violated_by_planted_cell(self, positive_sd):
-        sd = copy.copy(positive_sd)
-        sd.norms2 = positive_sd.norms2.copy()
         B = positive_sd.achieved_band().B
         lam_t = 2.0 * B / (2 * 3 + 1)
-        j = int(np.argmin(np.abs(sd.lam - lam_t)))
-        sd.norms2[3, j] += 0.1
+        j = int(np.argmin(np.abs(positive_sd.lam - lam_t)))
+        sd = planted(positive_sd, 3, j, 0.1)
         rep = thm35_converse_tail(sd, B, C=B + 0.5 * B)
         assert rep["verdict"] == "violated"
         assert rep["offending_cells"]
 
     def test_empty_spectrum_supported(self, positive_sd):
-        sd = copy.copy(positive_sd)
-        sd.norms2 = np.zeros_like(positive_sd.norms2)
-        rep = thm35_converse_tail(sd, 1.0)
+        rep = thm35_converse_tail(scaled(positive_sd, 0.0), 1.0)
         assert rep["verdict"] == "supported"

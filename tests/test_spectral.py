@@ -1,11 +1,11 @@
 import io
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
 
-from conftest import grid_stacks, level_cut, rectangle, small_spec
+from conftest import grid_stacks, level_cut, rectangle, single_cell, small_spec
 from gutzmerlab import grids, hermite_modes, spectral
 from gutzmerlab.grids import QuadratureSpec, fft_grid, laguerre_tail_mass
 from gutzmerlab.heisenberg_core import ComplexPoint
@@ -244,10 +244,10 @@ def test_tail_mass_does_not_depend_on_call_order():
     # whichever of them fills the key
     values = []
     for first, second in ((30.0000004, 29.9999996), (29.9999996, 30.0000004)):
-        grids._tail_cache.clear()
+        grids._tail_mass.cache_clear()
         laguerre_tail_mass(3, 2, first)
         values.append(laguerre_tail_mass(3, 2, second))
-    grids._tail_cache.clear()
+    grids._tail_mass.cache_clear()
     assert values[0] == values[1] == laguerre_tail_mass(3, 2, 30.0)
 
 
@@ -505,16 +505,8 @@ class TestAnalyze:
         # keep exactly one populated (k, lambda) cell
         ks, js = np.nonzero(sd.norms2)
         k0, j0 = int(ks[-1]), int(js[-1])
-        for ms in sd.modal:
-            ms.coef[:] = 0.0
-        keep = np.zeros_like(sd.norms2)
         target = 2.3
-        sd.modal[j0].coef[k0, : 3] = [0.7, 0.4j, -0.2]
-        scale = 2 * np.pi / abs(sd.lam[j0])
-        raw = sd.modal[j0].coef[k0]
-        sd.modal[j0].coef[k0] *= np.sqrt(target / (scale * np.sum(np.abs(raw) ** 2)))
-        keep[k0, j0] = target
-        sd.norms2 = keep
+        sd = single_cell(sd, k0, j0, target)
         f1 = invert_grid(sd, f.tgrid)
         sd2 = analyze(f1, sd.lgrid, spec.kmax, spec)
         total = sd2.total_mass()
@@ -620,13 +612,7 @@ class TestInversion:
         f, sd = synth_bandlimited(1.0, 3.0, seed=9, spec=spec)
         ks, js = np.nonzero(sd.norms2)
         k0, j0 = int(ks[0]), int(js[0])
-        for jj in range(sd.lam.size):
-            if jj != j0:
-                sd.modal[jj].coef[:] = 0.0
-        sd.modal[j0].coef[np.arange(sd.kmax + 1) != k0] = 0.0
-        nz = np.zeros_like(sd.norms2)
-        nz[k0, j0] = sd.norms2[k0, j0]
-        sd.norms2 = nz
+        sd = single_cell(sd, k0, j0, sd.norms2[k0, j0])
         lam0 = sd.lam[j0]
         y, v, xi, eta = 0.25, -0.4, 0.6, 0.8
         p = ComplexPoint([0.1], [y], [0.3], [v], xi, eta)
@@ -942,9 +928,7 @@ class TestAnalyzeN2:
             coef = rng.standard_normal(len(modes)) + 1j * rng.standard_normal(len(modes))
             modal.append(ModalSliceND(lv, 2, modes, coef))
         xg = fft_grid(spec.nx, spec.lx)
-        sd = spectral.SpectralData(2, lgrid, spec.kmax, xg, xg,
-                                   np.zeros((spec.kmax + 1, lgrid.lam.size)), modal,
-                                   np.zeros(lgrid.lam.size))
+        sd = spectral.SpectralData(2, lgrid, spec.kmax, xg, xg, modal, np.zeros(lgrid.lam.size))
         scans = []
         scan = hermite_modes.point_planes
         for mod in (spectral, hermite_modes):
@@ -1194,6 +1178,40 @@ class TestAnalyzePairs:
             assert np.array_equal(Bm, np.conj(B))
 
 
+class TestFrozenSpectralData:
+    """SpectralData holds one copy of the spectral content, the modal
+    coefficients, read-only, and derives norms2 from them."""
+
+    def test_in_place_writes_raise(self, fixture_small):
+        _, _, sd = fixture_small
+        with pytest.raises(ValueError, match="read-only"):
+            sd.modal[0].coef[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            sd.modal[-1].coef *= 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            sd.norms2[0, 0] = 1.0
+
+    @pytest.mark.parametrize("name", ["norms2", "modal", "kmax", "tail", "band"])
+    def test_field_assignment_raises(self, fixture_small, name):
+        _, _, sd = fixture_small
+        with pytest.raises(FrozenInstanceError):
+            setattr(sd, name, None)
+
+    def test_norms2_derived_from_modal(self, fixture_small):
+        _, _, sd = fixture_small
+        assert "band" not in {fd.name for fd in fields(sd)}
+        assert isinstance(sd.modal, tuple)
+        want = np.stack([ms.proj_norms2(sd.kmax) for ms in sd.modal], axis=1)
+        assert np.array_equal(sd.norms2, want)
+        with pytest.raises(TypeError, match="norms2"):
+            spectral.SpectralData(sd.n, sd.lgrid, sd.kmax, sd.xgrid, sd.ugrid, sd.modal,
+                                  sd.tail, norms2=sd.norms2)
+        # a replace copy derives its norms2 from the coefficients it is given
+        doubled = replace(sd, modal=[replace(ms, coef=2.0 * ms.coef) for ms in sd.modal])
+        assert np.array_equal(doubled.norms2, 4.0 * sd.norms2)
+        assert not doubled.norms2.flags.writeable
+
+
 class TestSynth:
     def test_deterministic(self):
         spec = small_spec()
@@ -1222,8 +1240,9 @@ class TestSynth:
 
     def test_achieved_band_within_request(self, fixture_small):
         _, _, sd = fixture_small
-        assert sd.band.A <= sd.requested_band.A + 1e-12
-        assert sd.band.B <= sd.requested_band.B + 1e-12
+        bl = sd.achieved_band()
+        assert bl.A <= sd.requested_band.A + 1e-12
+        assert bl.B <= sd.requested_band.B + 1e-12
 
     def test_validate_consistency(self, fixture_small):
         # norms2 against the grid norms of the projections rebuilt from modal
@@ -1325,7 +1344,8 @@ class TestBandCells:
             except SpectralError as exc:
                 assert "empty admissible" in str(exc)
                 continue
-            assert sd.band.A <= A + 1e-12 and sd.band.B <= B + 1e-12
+            bl = sd.achieved_band()
+            assert bl.A <= A + 1e-12 and bl.B <= B + 1e-12
 
     @pytest.mark.parametrize("A", [0.038, 1e-9, 1e-300])
     def test_every_node_inside_the_puncture_is_refused(self, A):

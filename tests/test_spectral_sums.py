@@ -2,8 +2,6 @@
 thm35_forward: against the scalar per-cell loops they replaced, on long
 growth rays, and as properties of random admissible spectra."""
 
-import copy
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from test_spectral import N2_SPEC, n2_gridfn, pair_fits_modes
+from gutzmerlab.cli import _positive_half
 from gutzmerlab.complexification import (
     RayPlan,
     apply_D,
@@ -110,12 +109,6 @@ def n2_sd():
     return sd
 
 
-def positive_half(sd):
-    out = copy.copy(sd)
-    out.norms2 = np.where(sd.lam < 0, 0.0, sd.norms2)
-    return out
-
-
 def desk_points(sd, n):
     """The default and the band-scaled growth rays, plus off-axis points."""
     band = sd.achieved_band()
@@ -141,7 +134,7 @@ class TestAgainstScalarLoops:
                              ids=["band", "beta-inside", "alpha-inside"])
     def test_thm35_values(self, which, scale, request):
         # a scale below 1 drops the cells outside (alpha, beta) from the sum
-        sd = positive_half(request.getfixturevalue(which))
+        sd = _positive_half(request.getfixturevalue(which))
         band = sd.achieved_band()
         alpha, beta = scale[0] * band.A, scale[1] * band.B
         rep = thm35_forward(sd, alpha, beta)
@@ -151,7 +144,7 @@ class TestAgainstScalarLoops:
 
     def test_thm35_empty_selection(self, desk):
         # no cell inside the band: zero values and a degenerate fit
-        sd = positive_half(desk)
+        sd = _positive_half(desk)
         rep = thm35_forward(sd, 0.01, 0.01)
         assert all(pt["values"] == [0.0, 0.0, 0.0] for pt in rep["points"])
         assert rep["max_slope"] == -np.inf
@@ -169,7 +162,7 @@ class TestLongRays:
 
     def test_thm35_far_point(self, desk):
         # at r = 40 the heat kernel's Gaussian factor underflows in linear scale
-        sd = positive_half(desk)
+        sd = _positive_half(desk)
         band = sd.achieved_band()
         rep = thm35_forward(sd, band.A, band.B, points=((40.0,),))
         assert np.isfinite(rep["points"][0]["slope"]) and rep["passes"]
@@ -211,10 +204,9 @@ def spectra(draw, n):
         parts = draw(hnp.arrays(np.float64, shape + (2,), elements=PARTS))
         coef = parts[..., 0] + 1j * parts[..., 1]
         modal.append(ModalSlice(lv, coef) if n == 1 else ModalSliceND(lv, 2, N2_MODES, coef))
-    norms2 = np.stack([ms.proj_norms2(KMAX) for ms in modal], axis=1)
     grid = fft_grid(8, 5.0)
     return SpectralData(n=n, lgrid=LGRID, kmax=KMAX, xgrid=grid, ugrid=grid,
-                        norms2=norms2, modal=modal, tail=np.zeros(LGRID.lam.size))
+                        modal=modal, tail=np.zeros(LGRID.lam.size))
 
 
 class TestProperties:
